@@ -4,15 +4,16 @@ An additive code is an S-submodule of the ambient word module.  Because the
 scalar action restricted to Z_p c S is the coordinatewise Z_p action, every
 such submodule is in particular a Z_p-subspace of the flattened coordinate
 space Z_p^N, N = q + 2r + 3s.  A code is therefore stored as a row-reduced
-Z_p basis of its flattened coordinates; S-module closure is equivalent to
-closure of that row space under multiplication by u and u^2, which the
-constructor verifies.
+Z_p basis B of its flattened coordinates; S-module closure is equivalent to
+closure of that row space under multiplication by u, which the constructor
+verifies.
 
-Duals are taken with respect to the u-weighted S-valued inner product
-(u^2 on the Z_p block, u on the R block, 1 on the S block).  Each basis
-word contributes three Z_p-linear constraints, one per u-coefficient of
-the form; the dual is the kernel of the stacked constraint matrix, never
-a codeword enumeration.
+Every map on codes is a product with one of the operator matrices of
+``words``: U and U^2 for the scalar action, X for the constacyclic shift,
+and J_0, J_1, J_2 for the 1, u and u^2 coefficients of the u-weighted
+S-valued inner product (u^2 on the Z_p block, u on the R block, 1 on the S
+block).  The dual is the kernel of [B J_0; B J_1; B J_2], never a codeword
+enumeration.
 """
 
 from __future__ import annotations
@@ -27,8 +28,10 @@ from .errors import (DivisibilityViolation, GcdViolation, ProfileMismatch, TooLa
                      ZprsError)
 from .polynomials import Poly, divides, poly_divmod, x_pow_n_minus
 from .rings import ChainElement, unit_order
-from .words import (BlockProfile, MixedWord, UnitLike, as_unit, constacyclic_shift, flatten,
-                    mixed_scalar_mul, unflatten)
+from .words import (BlockProfile, MixedWord, UnitLike, as_unit, block_columns, flatten,
+                    form_matrices, scalar_matrix, shift_matrix, unflatten)
+
+_U, _U2 = (0, 1, 0), (0, 0, 1)  # the scalars u and u^2 of S
 
 
 class GeneratorHypothesisWarning(UserWarning):
@@ -56,13 +59,14 @@ class AdditiveCode:
             self._verify_module_closure()
 
     def _verify_module_closure(self) -> None:
-        for w in self.basis_words():
-            for d in ((0, 1, 0), (0, 0, 1)):
-                img = flatten(mixed_scalar_mul(d, w))
-                if not linalg.in_row_space(self.basis, self.pivots, img, self.profile.p):
-                    raise ZprsError(
-                        "row space is not closed under the S-module action; "
-                        "build codes with span_closure")
+        # closure under u gives closure under u^2 = u * u
+        if not self._closed_under(scalar_matrix(self.profile, _U)):
+            raise ZprsError("row space is not closed under the S-module action; "
+                            "build codes with span_closure")
+
+    def _closed_under(self, op: np.ndarray) -> bool:
+        p = self.profile.p
+        return linalg.in_row_space(self.basis, self.pivots, self.basis @ op % p, p)
 
     # -- basic queries ----------------------------------------------------
 
@@ -102,24 +106,15 @@ class AdditiveCode:
     def is_subcode_of(self, other: "AdditiveCode") -> bool:
         if self.profile != other.profile:
             raise ProfileMismatch("codes over different profiles")
-        return all(other.contains(row) for row in self.basis)
+        return linalg.in_row_space(other.basis, other.pivots, self.basis, self.profile.p)
 
     def iter_codeword_vectors(self, limit: int = 2 ** 24,
                               chunk: int = 1 << 14) -> Iterator[np.ndarray]:
-        """Yield chunks of flattened codewords (all p^rank of them)."""
-        p = self.profile.p
+        """Yield chunks of flattened codewords (all p^rank of them; rank 0 gives
+        the zero word alone)."""
         if self.size > limit:
             raise TooLarge(f"code has {self.size} words, above the bound {limit}")
-        k = self.rank
-        if k == 0:
-            yield np.zeros((1, self.profile.n), dtype=np.int64)
-            return
-        count = self.size
-        radix = p ** np.arange(k, dtype=np.int64)
-        for start in range(0, count, chunk):
-            idx = np.arange(start, min(start + chunk, count), dtype=np.int64)
-            coeffs = (idx[:, None] // radix[None, :]) % p
-            yield coeffs @ self.basis % p
+        yield from linalg.iter_row_space(self.basis, self.profile.p, chunk)
 
     def codeword_vectors(self, limit: int = 2 ** 20) -> np.ndarray:
         """All codewords as one matrix; tighter default bound than the chunked walk."""
@@ -141,35 +136,26 @@ class AdditiveCode:
         return cls(profile, np.eye(profile.n, dtype=np.int64), _closed=True)
 
     def dual(self) -> "AdditiveCode":
-        """Kernel of the stacked inner-product constraints, 3 rows per generator."""
+        """Kernel of [B J_0; B J_1; B J_2]: every u-coefficient of <v, b> vanishes."""
         pr = self.profile
-        rows = []
-        for w in self.basis_words():
-            rows.extend(_constraint_rows(w))
-        mat = linalg.as_matrix(rows, pr.n)
-        ker = linalg.kernel_basis(mat, pr.p)
-        return AdditiveCode(pr, ker, _closed=True)
+        constraints = (self.basis @ form_matrices(pr) % pr.p).reshape(-1, pr.n)
+        return AdditiveCode(pr, linalg.kernel_basis(constraints, pr.p), _closed=True)
 
     def is_constacyclic(self, mu0: UnitLike = 1, mu1: UnitLike = 1,
                         mu2: UnitLike = 1) -> bool:
-        for w in self.basis_words():
-            if not self.contains(constacyclic_shift(w, mu0, mu1, mu2)):
-                return False
-        return True
+        return self._closed_under(shift_matrix(self.profile, mu0, mu1, mu2))
 
     def punctured(self, block: str) -> "AdditiveCode":
         """Projection onto one block ('q', 'r' or 's'), as a code over that block."""
         pr = self.profile
-        q, r = pr.q, pr.r
-        spans = {"q": (0, q), "r": (q, q + 2 * r), "s": (q + 2 * r, pr.n)}
-        lo, hi = spans[block]
-        if hi == lo:
+        cols = dict(zip("qrs", block_columns(pr)))[block].ravel()
+        if cols.size == 0:
             raise ProfileMismatch(f"block {block!r} is empty")
         sub_profile = BlockProfile(pr.p,
                                    pr.q if block == "q" else 0,
                                    pr.r if block == "r" else 0,
                                    pr.s if block == "s" else 0)
-        return AdditiveCode(sub_profile, self.basis[:, lo:hi], _closed=True)
+        return AdditiveCode(sub_profile, self.basis[:, cols], _closed=True)
 
     def components(self) -> tuple["AdditiveCode | None", ...]:
         """Punctured codes (C_q, C_r, C_s); None for empty blocks."""
@@ -184,107 +170,34 @@ class AdditiveCode:
         return self.rank == total
 
 
-def _constraint_rows(w: MixedWord) -> list[np.ndarray]:
-    """Three Z_p-linear rows: the 1, u and u^2 coefficients of <v, w> in v."""
-    pr = w.profile
-    p = pr.p
-    q, r = pr.q, pr.r
-    base = q + 2 * r
-    rows = [np.zeros(pr.n, dtype=np.int64) for _ in range(3)]
-    for j, x in enumerate(w.zp):
-        rows[2][j] = x % p
-    for j, y in enumerate(w.rpart):
-        a, b = y.coeffs
-        rows[1][q + 2 * j] = a
-        rows[2][q + 2 * j] = b
-        rows[2][q + 2 * j + 1] = a
-    for j, z in enumerate(w.spart):
-        e, f, g = z.coeffs
-        rows[0][base + 3 * j] = e
-        rows[1][base + 3 * j] = f
-        rows[1][base + 3 * j + 1] = e
-        rows[2][base + 3 * j] = g
-        rows[2][base + 3 * j + 1] = f
-        rows[2][base + 3 * j + 2] = e
-    return rows
-
-
 def span_closure(generators: Iterable[MixedWord],
                  profile: BlockProfile | None = None) -> AdditiveCode:
     """Smallest S-submodule containing the generators.
 
-    The Z_p-span of each generator together with its u- and u^2-multiples;
+    The Z_p-span of the generator matrix G together with G U and G U^2;
     by linearity of the scalar action that span is S-closed.
     """
+    profile, g = _generator_matrix(generators, profile)
+    return AdditiveCode(profile, _scalar_span_rows(profile, g), _closed=True)
+
+
+def _generator_matrix(generators: Iterable[MixedWord],
+                      profile: BlockProfile | None) -> tuple[BlockProfile, np.ndarray]:
     gens = list(generators)
     if profile is None:
         if not gens:
             raise ProfileMismatch("empty generator list needs an explicit profile")
         profile = gens[0].profile
-    rows = []
-    for g in gens:
-        if g.profile != profile:
-            raise ProfileMismatch("generators with mixed profiles")
-        rows.append(flatten(g))
-        rows.append(flatten(mixed_scalar_mul((0, 1, 0), g)))
-        rows.append(flatten(mixed_scalar_mul((0, 0, 1), g)))
-    return AdditiveCode(profile, rows, _closed=True)
+    if any(g.profile != profile for g in gens):
+        raise ProfileMismatch("generators with mixed profiles")
+    return profile, linalg.as_matrix([flatten(g) for g in gens], profile.n)
 
 
-class FlatOps:
-    """Shift and u-multiplication as maps on flattened coordinate vectors.
-
-    Exactly ``constacyclic_shift`` and ``mixed_scalar_mul`` conjugated by
-    ``flatten``; used by the span fixpoint to avoid per-word object churn.
-    """
-
-    def __init__(self, profile: BlockProfile, mu0: UnitLike = 1, mu1: UnitLike = 1,
-                 mu2: UnitLike = 1):
-        self.profile = profile
-        p = profile.p
-        self.m0 = as_unit(mu0, p, 1).coeffs[0] if profile.q else 1
-        self.m1 = as_unit(mu1, p, 2).coeffs if profile.r else (1, 0)
-        self.m2 = as_unit(mu2, p, 3).coeffs if profile.s else (1, 0, 0)
-
-    def shift(self, v: np.ndarray) -> np.ndarray:
-        pr = self.profile
-        p, q, r, s = pr.p, pr.q, pr.r, pr.s
-        out = v.copy()
-        if q:
-            out[:q] = np.roll(v[:q], 1)
-            out[0] = out[0] * self.m0 % p
-        if r:
-            blk = np.roll(v[q:q + 2 * r].reshape(r, 2), 1, axis=0)
-            a, b = int(blk[0, 0]), int(blk[0, 1])
-            m0, m1 = self.m1
-            blk[0] = (m0 * a % p, (m0 * b + m1 * a) % p)
-            out[q:q + 2 * r] = blk.reshape(-1)
-        if s:
-            base = q + 2 * r
-            blk = np.roll(v[base:].reshape(s, 3), 1, axis=0)
-            e, f, g = (int(x) for x in blk[0])
-            m0, m1, m2 = self.m2
-            blk[0] = (m0 * e % p, (m0 * f + m1 * e) % p, (m0 * g + m1 * f + m2 * e) % p)
-            out[base:] = blk.reshape(-1)
-        return out
-
-    def umul(self, v: np.ndarray) -> np.ndarray:
-        pr = self.profile
-        q, r, s = pr.q, pr.r, pr.s
-        out = np.zeros_like(v)
-        if r:
-            blk = v[q:q + 2 * r].reshape(r, 2)
-            ublk = np.zeros_like(blk)
-            ublk[:, 1] = blk[:, 0]
-            out[q:q + 2 * r] = ublk.reshape(-1)
-        if s:
-            base = q + 2 * r
-            blk = v[base:].reshape(s, 3)
-            ublk = np.zeros_like(blk)
-            ublk[:, 1] = blk[:, 0]
-            ublk[:, 2] = blk[:, 1]
-            out[base:] = ublk.reshape(-1)
-        return out
+def _scalar_span_rows(profile: BlockProfile, g: np.ndarray) -> np.ndarray:
+    """[G; G U; G U^2]."""
+    p = profile.p
+    return np.concatenate([g, g @ scalar_matrix(profile, _U) % p,
+                           g @ scalar_matrix(profile, _U2) % p])
 
 
 def shift_module_span(generators: Iterable[MixedWord],
@@ -292,29 +205,18 @@ def shift_module_span(generators: Iterable[MixedWord],
                       profile: BlockProfile | None = None) -> AdditiveCode:
     """The S[x]-module span: closure under scalars *and* the constacyclic shift.
 
-    The shift operator realizes multiplication by x on the polynomial side,
-    so iterating shifts of the S-span up to a rank fixpoint yields the code
-    generated by the given words.  The worklist enqueues the images of every
-    word that enlarges the row space; linearity of the shift and of the
-    scalar action makes that sufficient.
+    The shift matrix X realizes multiplication by x on the polynomial side,
+    so the code is the row space of the Krylov stack G U^j X^i (j < 3,
+    i < N) of the generator matrix G.  X commutes with U and U^3 = 0, and by
+    Cayley-Hamilton X^N is a combination of lower powers, so the stack is
+    closed under both; it is row-reduced once.
     """
-    gens = list(generators)
-    if profile is None:
-        if not gens:
-            raise ProfileMismatch("empty generator list needs an explicit profile")
-        profile = gens[0].profile
-    ops = FlatOps(profile, mu0, mu1, mu2)
-    space = linalg.RowSpace(profile.n, profile.p)
-    work = [flatten(w) for w in gens]
-    while work:
-        v = work.pop()
-        if not space.add(v):
-            continue
-        work.append(ops.shift(v))
-        u_v = ops.umul(v)
-        work.append(u_v)
-        work.append(ops.umul(u_v))
-    return AdditiveCode(profile, space.basis, _closed=True)
+    profile, g = _generator_matrix(generators, profile)
+    x = shift_matrix(profile, mu0, mu1, mu2)
+    krylov = [_scalar_span_rows(profile, g)]
+    for _ in range(profile.n - 1):
+        krylov.append(krylov[-1] @ x % profile.p)
+    return AdditiveCode(profile, np.concatenate(krylov), _closed=True)
 
 
 def _as_block_poly(poly, p: int, k: int, default: Poly) -> Poly:
@@ -386,7 +288,7 @@ def from_generator_polynomials(profile: BlockProfile,
     nonzero block, and every supplied polynomial divides its block modulus.
     The structure-theorem hypotheses -- the ord-congruences on the block
     lengths and the divisor chains g1 | g0 and h2 | h1 | h0 -- are *not*
-    needed by the construction, which closes the span to a rank fixpoint
+    needed by the construction, which row-reduces the shift-and-scalar span
     directly; they are checked under ``hypotheses`` in {"warn", "reject",
     "ignore"} (default "warn").
     """

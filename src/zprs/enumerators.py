@@ -32,6 +32,7 @@ from .errors import (BlocksUnequal, InexactDivision, ModulusMismatch, RowCollaps
                      TooLarge, ZprsError)
 from .field import ensure_prime
 from .rings import ChainElement
+from .words import block_columns
 
 MonomialKey = tuple[tuple[int, int], ...]
 
@@ -390,13 +391,9 @@ def _symbol_index_rows(code: AdditiveCode, limit: int = 2 ** 24):
                             f"({pr.q}, {pr.r}, {pr.s})")
     if code.size > limit:
         raise TooLarge(f"code has {code.size} words, above the bound {limit}")
-    p, n = pr.p, pr.q
-    base = pr.q + 2 * pr.r
-    weights = np.array([p ** 5, p ** 4, p ** 3, p ** 2, p, 1], dtype=np.int64)
-    cols = np.empty((n, 6), dtype=np.int64)
-    for j in range(n):
-        cols[j] = (j, pr.q + 2 * j, pr.q + 2 * j + 1, base + 3 * j, base + 3 * j + 1,
-                   base + 3 * j + 2)
+    p = pr.p
+    weights = p ** np.arange(5, -1, -1, dtype=np.int64)
+    cols = np.column_stack(block_columns(pr))  # row j: the six coefficients of position j
     for block in code.iter_codeword_vectors(limit=limit):
         # idx[w, j] = mixed-radix index of coordinate j of codeword w
         yield np.einsum("wjc,c->wj", block[:, cols], weights)
@@ -421,24 +418,18 @@ def complete_enumerator(code: AdditiveCode) -> Enumerator:
     return Enumerator(pr.p ** 6, pr.q, dict(counter))
 
 
-def _weight_histogram(code: AdditiveCode, weight_table: np.ndarray) -> Counter:
+def _weight_histogram(code: AdditiveCode, weight) -> Counter:
+    """Codeword count per weight; ``weight`` maps a symbol-index chunk to row weights."""
     hist: Counter[int] = Counter()
     for chunk in _symbol_index_rows(code):
-        w = weight_table[chunk].sum(axis=1)
-        vals, counts = np.unique(w, return_counts=True)
-        for v, c in zip(vals, counts):
-            hist[int(v)] += int(c)
+        vals, counts = np.unique(weight(chunk), return_counts=True)
+        hist.update(dict(zip(vals.tolist(), counts.tolist())))
     return hist
 
 
 def hamming_enumerator(code: AdditiveCode) -> Enumerator:
     """W_H(x, y) over coordinate triples: weight = number of nonzero triples."""
-    hist: Counter[int] = Counter()
-    for chunk in _symbol_index_rows(code):
-        w = (chunk != 0).sum(axis=1)
-        vals, counts = np.unique(w, return_counts=True)
-        for v, c in zip(vals, counts):
-            hist[int(v)] += int(c)
+    hist = _weight_histogram(code, lambda chunk: (chunk != 0).sum(axis=1))
     return bivariate(hist, code.profile.q)
 
 
@@ -466,7 +457,7 @@ def lee_enumerator(code: AdditiveCode) -> Enumerator:
     this works even for p = 3 (mod 4) where the Gray map itself is undefined.
     """
     t = symbol_table(code.profile.p)
-    hist = _weight_histogram(code, t.gray_weights)
+    hist = _weight_histogram(code, lambda chunk: t.gray_weights[chunk].sum(axis=1))
     return bivariate(hist, 6 * code.profile.q)
 
 

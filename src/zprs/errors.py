@@ -15,6 +15,10 @@ class NotPrime(ZprsError):
     """The modulus is not a prime number."""
 
 
+class ModulusTooLarge(ZprsError):
+    """The prime is too large for exact int64 matrix arithmetic at this length."""
+
+
 class ModulusMismatch(ZprsError):
     """Operands live over different moduli or different rings."""
 

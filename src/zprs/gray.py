@@ -21,6 +21,7 @@ the discrepancy with a warning instead of silently picking a side.
 from __future__ import annotations
 
 import warnings
+from functools import lru_cache
 
 import numpy as np
 
@@ -28,7 +29,7 @@ from .errors import WrongRing
 from .field import find_kappa
 from .linear import LinearCode
 from .rings import ChainElement
-from .words import MixedWord
+from .words import BlockProfile, MixedWord, map_matrix
 
 __all__ = ["GrayMap", "lee_weight", "gray_hamming_weight", "chain_lee_weight",
            "zp_lee_weight", "LeeWeightMismatchWarning"]
@@ -115,10 +116,18 @@ class GrayMap:
         """Gray image of an additive code as a Z_p linear code.
 
         The map is Z_p-linear and injective, so the image is the span of the
-        images of a basis and keeps the Z_p-dimension.
+        basis times the Gray matrix and keeps the Z_p-dimension.
         """
-        rows = [self.word(w) for w in code.basis_words()]
-        image = LinearCode.from_rows(code.profile.p, code.profile.gray_length, rows)
+        if code.profile.p != self.p:
+            raise WrongRing("code over a different prime")
+        rows = code.basis @ _gray_matrix(code.profile) % self.p
+        image = LinearCode.from_rows(self.p, code.profile.gray_length, rows)
         if image.k != code.rank:
             raise AssertionError("Gray image lost rank; the map must be injective")
         return image
+
+
+@lru_cache(maxsize=None)
+def _gray_matrix(profile: BlockProfile) -> np.ndarray:
+    """G with GrayMap.word(w) = flatten(w) @ G mod p."""
+    return map_matrix(profile, GrayMap(profile.p).word)

@@ -1,12 +1,29 @@
 """Dense linear algebra over Z_p (numpy int64 matrices).
 
 Small sizes only (tens of columns); all routines are exact modular
-Gaussian elimination.
+Gaussian elimination on whole matrices.  Row-space membership tests a
+stack of vectors against an RREF basis in one product, and ``iter_row_space``
+is the one walk over all p^k vectors of a row space.
+
+Entries stay in [0, p-1], so a product of an n-column row with a matrix sums
+n terms below (p-1)^2; ``check_modulus`` rejects the primes for which that
+can leave int64.
 """
 
 from __future__ import annotations
 
+from typing import Iterator
+
 import numpy as np
+
+from .errors import ModulusTooLarge
+
+
+def check_modulus(p: int, n: int) -> None:
+    """Reject p when n products of two residues can overflow int64."""
+    if n * (p - 1) ** 2 >= 2 ** 63:
+        raise ModulusTooLarge(f"p = {p} is too large for exact int64 arithmetic "
+                              f"on {n} coordinates: n (p-1)^2 >= 2^63")
 
 
 def as_matrix(rows, ncols: int) -> np.ndarray:
@@ -23,48 +40,51 @@ def as_matrix(rows, ncols: int) -> np.ndarray:
 def rref(mat: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
     """Reduced row echelon form over Z_p; returns (nonzero rows, pivot columns)."""
     m = mat.astype(np.int64) % p
-    nrows, ncols = m.shape
     pivots: list[int] = []
-    rank = 0
-    for col in range(ncols):
-        piv = None
-        for r in range(rank, nrows):
-            if m[r, col]:
-                piv = r
-                break
-        if piv is None:
+    for col in range(m.shape[1]):
+        rank = len(pivots)
+        if rank == m.shape[0]:
+            break
+        nz = np.flatnonzero(m[rank:, col])
+        if nz.size == 0:
             continue
+        piv = rank + int(nz[0])
         if piv != rank:
             m[[rank, piv]] = m[[piv, rank]]
-        inv = pow(int(m[rank, col]), p - 2, p)
-        m[rank] = m[rank] * inv % p
-        nz = np.flatnonzero(m[:, col])
-        for r in nz:
-            if r != rank:
-                m[r] = (m[r] - m[r, col] * m[rank]) % p
+        row = m[rank] * pow(int(m[rank, col]), p - 2, p) % p
+        m -= np.outer(m[:, col], row)
+        m %= p
+        m[rank] = row
         pivots.append(col)
-        rank += 1
-        if rank == nrows:
-            break
-    return m[:rank], pivots
+    return m[:len(pivots)], pivots
 
 
 def rank(mat: np.ndarray, p: int) -> int:
     return rref(mat, p)[0].shape[0]
 
 
-def reduce_against(basis: np.ndarray, pivots: list[int], vec: np.ndarray, p: int) -> np.ndarray:
-    """Residue of vec after elimination against an RREF basis."""
-    v = vec.astype(np.int64) % p
-    for row, col in zip(basis, pivots):
-        c = v[col]
-        if c:
-            v = (v - c * row) % p
-    return v
+def in_row_space(basis: np.ndarray, pivots: list[int], vecs: np.ndarray, p: int) -> bool:
+    """True iff the vector (or every row of the matrix) lies in the row space.
+
+    The pivot columns of an RREF basis form an identity, so subtracting
+    v[pivots] @ basis eliminates every pivot at once and leaves the residue.
+    """
+    v = np.asarray(vecs, dtype=np.int64) % p
+    return not ((v - v[..., pivots] @ basis) % p).any()
 
 
-def in_row_space(basis: np.ndarray, pivots: list[int], vec: np.ndarray, p: int) -> bool:
-    return not reduce_against(basis, pivots, vec, p).any()
+def iter_row_space(basis: np.ndarray, p: int, chunk: int = 1 << 14) -> Iterator[np.ndarray]:
+    """Yield all p^k vectors of the row space of a k-row basis, in chunks.
+
+    Vector i is the combination whose coefficients are the base-p digits of
+    i, least significant first; k = 0 yields the zero vector alone.
+    """
+    k = basis.shape[0]
+    count = p ** k
+    radix = p ** np.arange(k, dtype=np.int64)
+    for start in range(0, count, chunk):
+        idx = np.arange(start, min(start + chunk, count), dtype=np.int64)
+        yield (idx[:, None] // radix[None, :]) % p @ basis % p
 
 
 def kernel_basis(mat: np.ndarray, p: int) -> np.ndarray:
@@ -73,43 +93,6 @@ def kernel_basis(mat: np.ndarray, p: int) -> np.ndarray:
     m, pivots = rref(mat, p)
     free = [c for c in range(ncols) if c not in pivots]
     out = np.zeros((len(free), ncols), dtype=np.int64)
-    for i, fc in enumerate(free):
-        out[i, fc] = 1
-        for row, pc in zip(m, pivots):
-            out[i, pc] = -row[fc] % p
-    # free columns ascending already gives echelon shape; normalize to RREF
-    return rref(out, p)[0] if len(free) else out
-
-
-class RowSpace:
-    """Incrementally grown row space over Z_p, kept in RREF."""
-
-    def __init__(self, ncols: int, p: int):
-        self.p = p
-        self.ncols = ncols
-        self.basis = np.zeros((0, ncols), dtype=np.int64)
-        self.pivots: list[int] = []
-
-    @property
-    def rank(self) -> int:
-        return self.basis.shape[0]
-
-    def contains(self, vec: np.ndarray) -> bool:
-        return in_row_space(self.basis, self.pivots, vec, self.p)
-
-    def add(self, vec: np.ndarray) -> bool:
-        """Insert vec; returns True when the rank grew."""
-        res = reduce_against(self.basis, self.pivots, vec, self.p)
-        nz = np.flatnonzero(res)
-        if nz.size == 0:
-            return False
-        col = int(nz[0])
-        res = res * pow(int(res[col]), self.p - 2, self.p) % self.p
-        # eliminate the new pivot column from existing rows, then insert in order
-        if self.rank:
-            coef = self.basis[:, col].copy()
-            self.basis = (self.basis - np.outer(coef, res)) % self.p
-        pos = sum(1 for c in self.pivots if c < col)
-        self.basis = np.insert(self.basis, pos, res, axis=0)
-        self.pivots.insert(pos, col)
-        return True
+    out[:, free] = np.eye(len(free), dtype=np.int64)
+    out[:, pivots] = -m[:, free].T % p
+    return rref(out, p)[0]

@@ -28,6 +28,7 @@ class LinearCode:
     def __init__(self, p: int, n: int, generator: np.ndarray | Sequence, *,
                  _reduced: bool = False):
         ensure_prime(p)
+        linalg.check_modulus(p, n)
         self.p = p
         self.n = n
         mat = linalg.as_matrix(np.asarray(generator, dtype=np.int64)
@@ -77,7 +78,7 @@ class LinearCode:
     def is_subcode_of(self, other: "LinearCode") -> bool:
         if (self.p, self.n) != (other.p, other.n):
             raise ProfileMismatch("codes over different spaces")
-        return all(other.contains(row) for row in self.generator)
+        return linalg.in_row_space(other.generator, other.pivots, self.generator, self.p)
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, LinearCode) and (self.p, self.n) == (other.p, other.n)
@@ -170,49 +171,44 @@ def _sigma(block: np.ndarray, lam: int, p: int) -> np.ndarray:
     return out
 
 
-def _dependent_subtree(mat: np.ndarray, p: int, start: int, chosen: int, w: int,
-                       ncols: int, inv) -> bool:
+def _choose_column(mat: np.ndarray, p: int, j: int) -> np.ndarray | None:
+    """Reduce the columns after j against column j and zero the rest; None
+    when column j is already zero (reduced to nothing by earlier choices)."""
+    col = mat[:, j]
+    nz = np.flatnonzero(col)
+    if nz.size == 0:
+        return None
+    piv = int(nz[0])
+    scaled = col * pow(int(col[piv]), p - 2, p) % p
+    rest = mat[:, j + 1:]
+    reduced = (rest - np.outer(scaled, rest[piv])) % p
+    return np.concatenate([np.zeros((mat.shape[0], j + 1), dtype=np.int64), reduced], axis=1)
+
+
+def _dependent_subtree(mat: np.ndarray, p: int, start: int, chosen: int, w: int) -> bool:
     """DFS over independent column prefixes starting at column >= start.
 
     ``mat`` holds every column reduced against the chosen prefix; choosing a
     column is one vectorized elimination.  Earlier deepening rounds rule out
     dependencies smaller than w, so reductions vanish only at the last level.
     """
+    ncols = mat.shape[1]
     if chosen == w - 1:
         # any remaining zero column completes a dependent w-subset
         return bool((~mat[:, start:].any(axis=0)).any()) if start < ncols else False
     for j in range(start, ncols - (w - chosen) + 1):
-        col = mat[:, j]
-        nz = np.flatnonzero(col)
-        if nz.size == 0:
-            continue  # a dependency of size <= chosen+1 < w was ruled out earlier
-        piv = int(nz[0])
-        scaled = col * inv[int(col[piv])] % p
-        rest = mat[:, j + 1:]
-        reduced = (rest - np.outer(scaled, rest[piv])) % p
-        nxt = np.concatenate([np.zeros((mat.shape[0], j + 1), dtype=np.int64),
-                              reduced], axis=1)
-        if _dependent_subtree(nxt, p, j + 1, chosen + 1, w, ncols, inv):
+        # a zero column means a dependency of size <= chosen+1 < w, ruled out earlier
+        nxt = _choose_column(mat, p, j)
+        if nxt is not None and _dependent_subtree(nxt, p, j + 1, chosen + 1, w):
             return True
     return False
 
 
-def _dependent_root_task(args) -> bool:
-    """One top-level branch (first chosen column = j) of the depth-w search."""
+def _dependent_branch(args) -> bool:
+    """Pool task: the depth-w search below the first chosen column j."""
     h_list, p, j, w = args
-    mat = np.array(h_list, dtype=np.int64)
-    ncols = mat.shape[1]
-    inv = [0] + [pow(a, p - 2, p) for a in range(1, p)]
-    col = mat[:, j]
-    nz = np.flatnonzero(col)
-    if nz.size == 0:
-        return False
-    piv = int(nz[0])
-    scaled = col * inv[int(col[piv])] % p
-    rest = mat[:, j + 1:]
-    reduced = (rest - np.outer(scaled, rest[piv])) % p
-    nxt = np.concatenate([np.zeros((mat.shape[0], j + 1), dtype=np.int64), reduced], axis=1)
-    return _dependent_subtree(nxt, p, j + 1, 1, w, ncols, inv)
+    nxt = _choose_column(np.array(h_list, dtype=np.int64), p, j)
+    return nxt is not None and _dependent_subtree(nxt, p, j + 1, 1, w)
 
 
 def _smallest_dependent_subset(h: np.ndarray, p: int, cap: int,
@@ -226,7 +222,6 @@ def _smallest_dependent_subset(h: np.ndarray, p: int, cap: int,
     if h.shape[0] == 0:
         return 1  # no constraints: every single column is dependent
     ncols = h.shape[1]
-    inv = [0] + [pow(a, p - 2, p) for a in range(1, p)]
     base = h.astype(np.int64) % p
     if bool((~base.any(axis=0)).any()):
         return 1
@@ -238,11 +233,11 @@ def _smallest_dependent_subset(h: np.ndarray, p: int, cap: int,
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             for w in range(2, cap + 1):
                 tasks = [(h_list, p, j, w) for j in range(0, ncols - w + 1)]
-                if any(pool.map(_dependent_root_task, tasks)):
+                if any(pool.map(_dependent_branch, tasks)):
                     return w
         return None
     for w in range(2, cap + 1):
-        if _dependent_subtree(base, p, 0, 0, w, ncols, inv):
+        if _dependent_subtree(base, p, 0, 0, w):
             return w
     return None
 
@@ -251,17 +246,8 @@ def min_distance_by_enumeration(code: LinearCode) -> int:
     """Independent oracle: scan all p^k - 1 nonzero codewords."""
     if code.k == 0:
         raise ZprsError("minimum distance needs a nonzero code")
-    p, k = code.p, code.k
-    count = p ** k
-    radix = p ** np.arange(k, dtype=np.int64)
     best = code.n + 1
-    chunk = 1 << 14
-    for start in range(0, count, chunk):
-        idx = np.arange(start, min(start + chunk, count), dtype=np.int64)
-        coeffs = (idx[:, None] // radix[None, :]) % p
-        words = coeffs @ code.generator % p
+    for words in linalg.iter_row_space(code.generator, code.p):
         weights = (words != 0).sum(axis=1)
-        weights = weights[weights > 0]
-        if weights.size:
-            best = min(best, int(weights.min()))
+        best = int(weights.min(initial=best, where=weights > 0))
     return best

@@ -11,15 +11,25 @@ block by eta1(d), the R block by eta2(d) and the S block by d itself.
 The S-valued inner product weights the blocks by u^2, u and 1:
 
     <v, w> = u^2 * sum x_i x_i' + u * sum y_i y_i' + sum z_i z_i'.
+
+The shift, the scalar action and the inner product are Z_p-linear (or
+bilinear) on the flattened space, so each is one fixed N x N matrix there.
+``map_matrix`` derives such a matrix from the word-level definition above by
+applying it to the N unit words; ``shift_matrix``, ``scalar_matrix`` and
+``form_matrices`` cache the ones the code paths use, and ``block_columns``
+gives the flattened columns of each position.  No other module knows the
+flattened layout.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence, Union
+from functools import lru_cache
+from typing import Callable, Sequence, Union
 
 import numpy as np
 
+from . import linalg
 from .errors import LengthMismatch, ModulusMismatch, NotAUnit, ProfileMismatch
 from .field import ensure_prime
 from .rings import ChainElement, eta1, eta2
@@ -38,6 +48,7 @@ class BlockProfile:
         ensure_prime(self.p)
         if min(self.q, self.r, self.s) < 0 or self.q + self.r + self.s < 1:
             raise ProfileMismatch(f"invalid block profile (q={self.q}, r={self.r}, s={self.s})")
+        linalg.check_modulus(self.p, self.n)
 
     @property
     def n(self) -> int:
@@ -201,3 +212,60 @@ def inner_product(v: MixedWord, w: MixedWord) -> ChainElement:
     for z, z2 in zip(v.spart, w.spart):
         acc = acc + z * z2
     return acc
+
+
+def block_columns(profile: BlockProfile) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Flattened column indices per position: shapes (q,), (r, 2) and (s, 3)."""
+    q, r, s = profile.q, profile.r, profile.s
+    return (np.arange(q), q + np.arange(2 * r).reshape(r, 2),
+            q + 2 * r + np.arange(3 * s).reshape(s, 3))
+
+
+def _unit_words(profile: BlockProfile) -> list[MixedWord]:
+    return [unflatten(e, profile) for e in np.eye(profile.n, dtype=np.int64)]
+
+
+def _frozen(m: np.ndarray) -> np.ndarray:
+    m.setflags(write=False)
+    return m
+
+
+def map_matrix(profile: BlockProfile, f: Callable[[MixedWord], Sequence[int]]) -> np.ndarray:
+    """Matrix M of a Z_p-linear map f from words to vectors: f(w) = flatten(w) @ M mod p.
+
+    Row i is the image of the i-th unit word.
+    """
+    rows = [f(w) for w in _unit_words(profile)]
+    return _frozen(np.array(rows, dtype=np.int64).reshape(profile.n, -1) % profile.p)
+
+
+def shift_matrix(profile: BlockProfile, mu0: UnitLike = 1, mu1: UnitLike = 1,
+                 mu2: UnitLike = 1) -> np.ndarray:
+    """X with flatten(constacyclic_shift(w, mu0, mu1, mu2)) = flatten(w) @ X mod p."""
+    p = profile.p
+    units = tuple(as_unit(mu, p, k) if length else None
+                  for mu, k, length in ((mu0, 1, profile.q), (mu1, 2, profile.r),
+                                        (mu2, 3, profile.s)))
+    return _shift_matrix(profile, units)
+
+
+@lru_cache(maxsize=None)
+def _shift_matrix(profile: BlockProfile, units: tuple) -> np.ndarray:
+    return map_matrix(profile, lambda w: flatten(constacyclic_shift(w, *units)))
+
+
+@lru_cache(maxsize=None)
+def scalar_matrix(profile: BlockProfile, d: tuple[int, ...]) -> np.ndarray:
+    """M with flatten(mixed_scalar_mul(d, w)) = flatten(w) @ M mod p.
+
+    d = (0, 1, 0) gives U, d = (0, 0, 1) gives U^2.
+    """
+    return map_matrix(profile, lambda w: flatten(mixed_scalar_mul(d, w)))
+
+
+@lru_cache(maxsize=None)
+def form_matrices(profile: BlockProfile) -> np.ndarray:
+    """J of shape (3, N, N): flatten(v) @ J[t] @ flatten(w) = inner_product(v, w).coeffs[t]."""
+    units = _unit_words(profile)
+    coeffs = [[inner_product(v, w).coeffs for w in units] for v in units]
+    return _frozen(np.array(coeffs, dtype=np.int64).transpose(2, 0, 1))
