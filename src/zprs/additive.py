@@ -116,10 +116,6 @@ class AdditiveCode:
             raise TooLarge(f"code has {self.size} words, above the bound {limit}")
         yield from linalg.iter_row_space(self.basis, self.profile.p, chunk)
 
-    def codeword_vectors(self, limit: int = 2 ** 20) -> np.ndarray:
-        """All codewords as one matrix; tighter default bound than the chunked walk."""
-        return np.concatenate(list(self.iter_codeword_vectors(limit)), axis=0)
-
     def codewords(self, limit: int = 2 ** 20) -> Iterator[MixedWord]:
         for block in self.iter_codeword_vectors(limit):
             for row in block:

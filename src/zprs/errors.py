@@ -72,7 +72,7 @@ class BlocksUnequal(ZprsError):
 
 
 class TooLarge(ZprsError):
-    """The requested enumeration exceeds the desk-scale bound."""
+    """The requested enumeration or test exceeds the desk-scale bound."""
 
 
 class InexactDivision(ZprsError):

@@ -1,9 +1,8 @@
 """Exact arithmetic in the prime field Z_p.
 
 Elements are immutable values carrying their modulus.  Primality is checked
-eagerly (trial division; all moduli in this package are desk-scale), so
-downstream modules may assume p is prime.  Division uses Fermat
-exponentiation a / b = a * b^(p-2).
+eagerly by deterministic Miller-Rabin, so downstream modules may assume p is
+prime.  Division uses Fermat exponentiation a / b = a * b^(p-2).
 """
 
 from __future__ import annotations
@@ -11,18 +10,27 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .errors import DivisionByZero, ModulusMismatch, NoSquareRootOfMinusOne, NotAUnit, NotPrime
+from .errors import (DivisionByZero, ModulusMismatch, NoSquareRootOfMinusOne, NotAUnit, NotPrime,
+                     TooLarge)
+
+# Miller-Rabin with the first 13 primes as bases is exact below this bound
+# (Sorenson and Webster, Math. Comp. 2017); the first 12 only below 3.2e23.
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_EXACT_BELOW = 3_317_044_064_679_887_385_961_981
 
 
 @lru_cache(maxsize=None)
 def is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
+    """Deterministic Miller-Rabin; ``TooLarge`` for a probable prime it cannot prove."""
+    if n < 2 or any(n % a == 0 for a in _MR_BASES):
+        return n in _MR_BASES
+    s = ((n - 1) & (1 - n)).bit_length() - 1        # 2^s exactly divides n - 1
+    for a in _MR_BASES:
+        x = pow(a, (n - 1) >> s, n)
+        if x != 1 and all(pow(x, 1 << j, n) != n - 1 for j in range(s)):
             return False
-        d += 1
+    if n >= _MR_EXACT_BELOW:
+        raise TooLarge(f"{n} is a strong probable prime beyond the proven Miller-Rabin range")
     return True
 
 

@@ -2,7 +2,8 @@
 polynomial constructions the code machinery needs:
 
 * division / divisibility (unit leading coefficient required over R and S),
-* factorization of x^n - lambda over Z_p (squarefree since gcd(p, n) = 1),
+* factorization of x^n - lambda over Z_p by deterministic Berlekamp, on
+  plain Z_p coefficient arrays (squarefree since gcd(p, n) = 1),
 * reciprocal polynomials x^m f(1/x),
 * exact cofactors (x^n - lambda) / f,
 * the substitution f(x) -> f(mu^-1 x) carrying cyclic codes mod x^n - 1 to
@@ -14,14 +15,16 @@ the zero polynomial has an empty coefficient tuple and degree -1.
 
 from __future__ import annotations
 
-import itertools
 import re
 from dataclasses import dataclass
 from typing import Sequence, Union
 
+import numpy as np
+
 from .errors import (GcdViolation, ModulusMismatch, NonUnitLeadingCoefficient, NotADivisor,
-                     NotAUnit, TooLarge, ZeroConstantTerm)
+                     NotAUnit, ZeroConstantTerm)
 from .field import ensure_prime
+from .linalg import check_modulus, kernel_basis
 from .rings import ChainElement
 
 CoeffLike = Union[int, Sequence[int], ChainElement]
@@ -108,7 +111,6 @@ class Poly:
         if self.is_zero or other.is_zero:
             return Poly.zero(self.p, self.k)
         if self.k == 1:
-            import numpy as np
             conv = np.convolve(np.array(self.int_coeffs(), dtype=np.int64),
                                np.array(other.int_coeffs(), dtype=np.int64)) % self.p
             return Poly.make([int(c) for c in conv], self.p)
@@ -221,47 +223,61 @@ def divides(f: Poly, g: Poly) -> bool:
     return poly_divmod(g, f)[1].is_zero
 
 
-def poly_gcd(f: Poly, g: Poly) -> Poly:
-    """Monic gcd over Z_p (k = 1 only)."""
-    if f.k != 1 or g.k != 1:
-        raise ModulusMismatch("gcd implemented over Z_p only")
-    while g:
-        f, g = g, poly_divmod(f, g)[1]
-    return f.monic() if f else f
-
-
 def x_pow_n_minus(lam: CoeffLike, n: int, p: int, k: int = 1) -> Poly:
     """The block modulus x^n - lam over Z_p[u]/(u^k)."""
     lam_e = ChainElement.make(lam, p, k)
     return Poly.x_pow(n, p, k) - Poly(p, k, (lam_e,))
 
 
-def is_irreducible(f: Poly) -> bool:
-    """Trial-division irreducibility over Z_p; desk-scale degrees only."""
-    if f.k != 1:
-        raise ModulusMismatch("irreducibility test over Z_p only")
-    d = f.degree
-    if d <= 0:
-        return False
-    if d == 1:
-        return True
-    p = f.p
-    for e in range(1, d // 2 + 1):
-        if p ** e > 2_000_000:
-            raise TooLarge(f"irreducibility test beyond desk scale (p^{e})")
-        for tail in itertools.product(range(p), repeat=e):
-            g = Poly.make(list(tail) + [1], p)
-            if poly_divmod(f, g)[1].is_zero:
-                return False
-    return True
+def _zp_rem(a: np.ndarray, g: np.ndarray, p: int) -> np.ndarray:
+    """a mod the monic g over Z_p as deg g coefficients; arrays lowest degree first."""
+    d = len(g) - 1
+    r = a % p
+    for i in range(len(a) - 1, d - 1, -1):
+        if r[i]:
+            r[i - d:i + 1] = (r[i - d:i + 1] - r[i] * g) % p
+    return r[:d]
+
+
+def _zp_gcd(g: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
+    """Monic gcd of the monic g and b over Z_p."""
+    b = np.trim_zeros(b, "b")
+    while b.size:
+        g, b = b * pow(int(b[-1]), p - 2, p) % p, g
+        b = np.trim_zeros(_zp_rem(b, g, p), "b")
+    return g
+
+
+def _berlekamp_split(g: np.ndarray, v: np.ndarray, p: int) -> list[np.ndarray]:
+    """gcd(g, w - c), w = v mod g, over the roots c in Z_p of the minimal polynomial
+    of w: a product of distinct y - c as v^p = v mod g, so the gcds are pairwise
+    coprime with product g.  That polynomial, of degree <= min(deg g, p), is the
+    last row of the RREF kernel of w^k, ..., w^0; it is evaluated on Z_p in chunks."""
+    w = _zp_rem(v, g, p)
+    powers = [np.eye(1, len(w), dtype=np.int64)[0]]
+    for _ in range(min(len(w), p)):
+        powers.append(_zp_rem(np.convolve(powers[-1], w) % p, g, p))
+    mu = kernel_basis(np.array(powers[::-1]).T, p)[-1]
+    parts = []
+    for start in range(0, p, 1 << 16):
+        cs = np.arange(start, min(start + (1 << 16), p))
+        val = np.zeros_like(cs)
+        for coef in mu:
+            val = (val * cs + coef) % p
+        parts += [_zp_gcd(g, np.concatenate(([(w[0] - c) % p], w[1:])), p) for c in cs[val == 0]]
+    return parts
 
 
 def factor_xn_minus_lambda(p: int, n: int, lam: int) -> list[Poly]:
     """Monic irreducible factors of x^n - lambda over Z_p, sorted canonically.
 
-    Squarefree because gcd(p, n) = 1 is required.  Exhaustive root extraction
-    first, then trial division by monic polynomials of increasing degree;
-    deterministic, which keeps golden outputs stable.
+    Deterministic Berlekamp (1967) on f = x^n - lambda, squarefree as
+    gcd(p, n) = 1.  Row i of Q is x^(p i) mod f = lambda^(p i div n)
+    x^(p i mod n).  The null space of (Q - I)^T has dimension r, the factor
+    count; its basis vectors v split the factors g found so far by
+    gcd(g, v - c) until there are r.  Finding the c evaluates a polynomial on
+    all of Z_p, so that step grows linearly in p.  The factorization is
+    unique, so the canonical sort keeps golden outputs stable.
     """
     ensure_prime(p)
     lam %= p
@@ -271,35 +287,19 @@ def factor_xn_minus_lambda(p: int, n: int, lam: int) -> list[Poly]:
         raise GcdViolation("n must be positive")
     if n % p == 0:
         raise GcdViolation(f"gcd(p, n) must be 1, got p={p}, n={n}")
-    rem = Poly.make([-lam] + [0] * (n - 1) + [1], p)
-    factors: list[Poly] = []
-    for a in range(p):
-        g = Poly.make([-a, 1], p)
-        while not rem.is_zero and rem.degree >= 1:
-            q, r = poly_divmod(rem, g)
-            if not r.is_zero:
-                break
-            factors.append(g)
-            rem = q
-    d = 2
-    while rem.degree >= 2 * d:
-        if p ** d > 5_000_000:
-            raise TooLarge(f"trial-division factor search beyond desk scale (p^{d})")
-        found = False
-        for tail in itertools.product(range(p), repeat=d):
-            g = Poly.make(list(tail) + [1], p)
-            q, r = poly_divmod(rem, g)
-            if r.is_zero:
-                factors.append(g)
-                rem = q
-                found = True
-                break
-        if not found:
-            d += 1
-    if rem.degree >= 1:
-        factors.append(rem.monic())
-    factors.sort(key=lambda f: (f.degree, tuple(f.int_coeffs())))
-    return factors
+    check_modulus(p, n)
+    q_minus_i = -np.eye(n, dtype=np.int64)
+    for i in range(n):
+        q_minus_i[i, p * i % n] += pow(lam, p * i // n, p)
+    basis = kernel_basis(q_minus_i.T, p)
+    factors = [np.array([-lam % p] + [0] * (n - 1) + [1], dtype=np.int64)]
+    for v in basis:
+        if len(factors) == len(basis):
+            break
+        factors = [h for g in factors
+                   for h in (_berlekamp_split(g, v, p) if len(g) > 2 else [g])]
+    keyed = sorted((len(g) - 1, tuple(int(c) for c in g)) for g in factors)
+    return [Poly.make(list(coeffs), p) for _, coeffs in keyed]
 
 
 def reciprocal(g: Poly) -> Poly:

@@ -242,9 +242,10 @@ def search_dual_containing(p: int, s: int, *, distance_cap: int = 6,
 
     Enumerates every assignment of the irreducible factors of x^s - 1 to the
     slots (F0, F1, F2), keeps the assignments whose Gray image contains its
-    dual, and deduplicates by (n, k, d).  Output order is deterministic:
-    sorted by (n, k, d, assignment key).  Distances above ``distance_cap``
-    are reported as lower bounds rather than dropped.
+    dual, and deduplicates by (n, k, d), keeping an exact distance over a
+    lower bound and then the smallest slot tuple.  Output order is
+    deterministic: sorted by (n, k, d, assignment key).  Distances above
+    ``distance_cap`` are reported as lower bounds rather than dropped.
     """
     factors = factor_xn_minus_lambda(p, s, 1)
     t = len(factors)
@@ -261,13 +262,8 @@ def search_dual_containing(p: int, s: int, *, distance_cap: int = 6,
     else:
         raw = [_evaluate_assignment(a) for a in assignments]
     best: dict[tuple[int, int, int], tuple] = {}
-    for res in raw:
-        if res is None:
-            continue
-        slots, n, k, d, exact = res
-        key = (n, 2 * k - n, d)
-        if key not in best or slots < best[key][0]:
-            best[key] = (slots, n, k, d, exact)
+    for slots, n, k, d, exact in sorted(filter(None, raw), key=lambda r: (not r[4], r[0])):
+        best.setdefault((n, 2 * k - n, d), (slots, n, k, d, exact))
     hits = []
     for (n, kq, d), (slots, _, k, _, exact) in sorted(best.items(),
                                                       key=lambda kv: (kv[0], kv[1][0])):

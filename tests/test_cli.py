@@ -42,6 +42,10 @@ def test_factor_text_and_json(capsys):
     payload = json.loads(out)
     assert len(payload["factors"]) == 8
     assert [16, 1] in payload["factors"]
+    # x^47 - 1 over Z_2 has two factors of degree 23
+    status, out, _ = run(capsys, ["factor", "--p", "2", "--n", "47", "--lambda", "1"])
+    assert status == 0
+    assert [l.split()[0] for l in out.splitlines()[1:]] == ["x", "x^23", "x^23"]
 
 
 def test_build_and_dual(capsys, tmp_path):

@@ -1,6 +1,9 @@
+import math
+
 import pytest
 
-from zprs.errors import DivisionByZero, ModulusMismatch, NoSquareRootOfMinusOne, NotAUnit, NotPrime
+from zprs.errors import (DivisionByZero, ModulusMismatch, NoSquareRootOfMinusOne, NotAUnit,
+                         NotPrime, TooLarge)
 from zprs.field import FieldElement, find_kappa, is_prime, unit_order
 
 
@@ -80,3 +83,27 @@ def test_is_prime_small():
     primes = {2, 3, 5, 7, 11, 13}
     for n in range(15):
         assert is_prime(n) == (n in primes)
+
+
+def test_is_prime_matches_trial_division():
+    for n in range(10 ** 5):
+        assert is_prime(n) == (n >= 2 and all(n % d for d in range(2, math.isqrt(n) + 1)))
+
+
+def test_is_prime_carmichael_and_large():
+    carmichael = (561, 1105, 1729, 2465, 2821, 6601, 8911, 41041, 825265, 321197185,
+                  5394826801, 232250619601, 9746347772161)
+    assert not any(is_prime(n) for n in carmichael)
+    assert is_prime(2 ** 61 - 1) and is_prime(4294967311)
+    # strong pseudoprimes to the first 9 and the first 12 prime bases
+    assert not is_prime(3825123056546413051)
+    assert not is_prime(318665857834031151167461)
+    assert not is_prime(2 ** 89 + 1)
+
+
+def test_is_prime_refuses_beyond_proven_range():
+    # the smallest strong pseudoprime to the first 13 prime bases, and a
+    # Mersenne prime above it: neither can be decided exactly by the bases
+    for n in (3317044064679887385961981, 2 ** 89 - 1):
+        with pytest.raises(TooLarge):
+            is_prime(n)

@@ -1,13 +1,96 @@
+import functools
 import itertools
 import random
 
+import numpy as np
 import pytest
 
 from zprs.errors import (GcdViolation, NonUnitLeadingCoefficient, NotADivisor, NotAUnit,
                          ZeroConstantTerm)
-from zprs.polynomials import (Poly, divides, factor_xn_minus_lambda, hat, is_irreducible,
-                              parse_poly, poly_divmod, poly_gcd, reciprocal, rho_substitute,
-                              x_pow_n_minus)
+from zprs.polynomials import (Poly, divides, factor_xn_minus_lambda, hat, parse_poly,
+                              poly_divmod, reciprocal, rho_substitute, x_pow_n_minus)
+
+
+def poly_gcd(f: Poly, g: Poly) -> Poly:
+    """Monic gcd over Z_p by the Euclidean algorithm on Poly."""
+    while g:
+        f, g = g, poly_divmod(f, g)[1]
+    return f.monic() if f else f
+
+
+def is_irreducible(f: Poly) -> bool:
+    """Oracle: trial division by every monic polynomial of degree <= deg f / 2."""
+    d = f.degree
+    if d <= 0:
+        return False
+    p = f.p
+    for e in range(1, d // 2 + 1):
+        for tail in itertools.product(range(p), repeat=e):
+            if poly_divmod(f, Poly.make(list(tail) + [1], p))[1].is_zero:
+                return False
+    return True
+
+
+@functools.lru_cache(maxsize=None)
+def _divides_xn_minus(p: int, n: int, d: int) -> np.ndarray:
+    """Entry i is c when the monic g_i of degree d divides x^n - c, else 0.
+
+    g_i has the base-p digits of i as its low coefficients.  Computes x^n mod
+    every g_i at once, in chunks, by repeated multiplication by x; int16
+    holds the intermediate values, which stay below p^2, for p <= 181.
+    """
+    out = []
+    for start in range(0, p ** d, 1 << 16):
+        idx = np.arange(start, min(start + (1 << 16), p ** d))
+        low = (idx[:, None] // p ** np.arange(d) % p).astype(np.int16)
+        rem = -low % p                            # x^d mod g_i
+        for _ in range(n - d):
+            top = rem[:, -1:].copy()
+            rem[:, 1:] = rem[:, :-1]
+            rem[:, :1] = 0
+            rem -= top * low
+            rem %= p
+        out.append(np.where((rem[:, 1:] == 0).all(axis=1), rem[:, 0], 0))
+    return np.concatenate(out)
+
+
+def trial_division_factors(p: int, n: int, lam: int) -> list[Poly]:
+    """Oracle: x^n - lambda factored by trial division, in canonical order.
+
+    Tries every monic polynomial of degree 1, 2, ... (vectorized over each
+    degree) while the unfactored degree is at least twice it; a divisor not
+    divisible by a factor found before is irreducible, and what is left at
+    the end is irreducible.
+    """
+    lam %= p
+    factors, left, d = [], n, 1
+    while left >= 2 * d:
+        for i in np.flatnonzero(_divides_xn_minus(p, n, d) == lam):
+            g = Poly.make([int(i) // p ** j % p for j in range(d)] + [1], p)
+            if not any(divides(h, g) for h in factors):
+                factors.append(g)
+                left -= d
+        d += 1
+    if left:
+        rest = x_pow_n_minus(lam, n, p)
+        for h in factors:
+            rest = poly_divmod(rest, h)[0]
+        factors.append(rest)
+    return sorted(factors, key=lambda f: (f.degree, tuple(f.int_coeffs())))
+
+
+def cyclotomic_coset_sizes(p: int, n: int) -> list[int]:
+    """Sizes of the orbits of j -> p j on Z_n: the factor degrees of x^n - 1."""
+    seen, sizes = set(), []
+    for j in range(n):
+        orbit, k = set(), j
+        while k not in orbit and k not in seen:
+            orbit.add(k)
+            k = k * p % n
+        if orbit:
+            seen |= orbit
+            sizes.append(len(orbit))
+    return sorted(sizes)
 
 
 def test_multiplication_examples():
@@ -57,6 +140,11 @@ def test_factor_examples():
     assert roots == [1, 2, 4, 8, 9, 13, 15, 16]
     assert factor_xn_minus_lambda(3, 2, 1) == [Poly.make([1, 1], 3), Poly.make([2, 1], 3)]
     assert factor_xn_minus_lambda(2, 3, 1) == [Poly.make([1, 1], 2), Poly.make([1, 1, 1], 2)]
+    # primes above the 2^16 chunk of the root evaluation; 256^2 = -1 mod 65537
+    assert [f.int_coeffs() for f in factor_xn_minus_lambda(65537, 4, 1)] \
+        == [[1, 1], [256, 1], [65281, 1], [65536, 1]]
+    assert [f.int_coeffs() for f in factor_xn_minus_lambda(100003, 4, 1)] \
+        == [[1, 1], [100002, 1], [1, 0, 1]]
 
 
 def test_factor_errors():
@@ -77,6 +165,29 @@ def test_factor_invariants():
         assert product == x_pow_n_minus(lam, n, p)
         for f, g in itertools.combinations(factors, 2):
             assert poly_gcd(f, g) == Poly.one(p)
+
+
+def test_factor_matches_trial_division_exhaustive():
+    # every unit lambda, p in {2, 3, 5, 13, 17}, 1 <= n <= 12, gcd(n, p) = 1
+    for p in (2, 3, 5, 13, 17):
+        for n in range(1, 13):
+            if n % p == 0:
+                continue
+            for lam in range(1, p):
+                assert factor_xn_minus_lambda(p, n, lam) == trial_division_factors(p, n, lam)
+
+
+@pytest.mark.parametrize("p, n", [(2, 47), (3, 23), (2, 25)])
+def test_factor_lengths_beyond_trial_division(p, n):
+    factors = factor_xn_minus_lambda(p, n, 1)
+    product = Poly.one(p)
+    for f in factors:
+        product = product * f
+    assert product == x_pow_n_minus(1, n, p)
+    assert all(f.int_coeffs()[-1] == 1 for f in factors)
+    keys = [(f.degree, tuple(f.int_coeffs())) for f in factors]
+    assert keys == sorted(keys)
+    assert [f.degree for f in factors] == cyclotomic_coset_sizes(p, n)
 
 
 def test_reciprocal_examples():

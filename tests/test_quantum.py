@@ -157,6 +157,20 @@ def test_search_results_satisfy_quantum_singleton():
                 assert h.params.k <= h.params.n - 2 * (h.params.d - 1)
 
 
+def test_search_dedup_keeps_exact_distance(monkeypatch):
+    # x^3 - 1 = (x + 1)(x^2 + x + 1) over Z_2; slots (1, 0) give an exact
+    # [[6,2,2]] and the smaller slots (0, 1), evaluated later, only d >= 2
+    import zprs.quantum as quantum
+    crafted = {(1, 0): ((1, 0), 6, 4, 2, True), (0, 1): ((0, 1), 6, 4, 2, False)}
+    monkeypatch.setattr(quantum, "_evaluate_assignment", lambda args: crafted.get(args[3]))
+    [hit] = search_dual_containing(2, 3)
+    assert hit.distance_exact and str(hit.params) == "[[6,2,2]]_2"
+    assert hit.assignment.f0 == (Poly.make([1, 1, 1], 2),)
+    crafted[(0, 1)] = ((0, 1), 6, 4, 2, True)     # both exact: smaller slots win
+    [hit] = search_dual_containing(2, 3)
+    assert hit.distance_exact and hit.assignment.f0 == (Poly.make([1, 1], 2),)
+
+
 def test_search_results_are_deterministic_and_sorted():
     hits1 = search_dual_containing(5, 8)
     hits2 = search_dual_containing(5, 8)
