@@ -225,11 +225,6 @@ def _as_block_poly(poly, p: int, k: int, default: Poly) -> Poly:
     return Poly.make(list(poly), p, k)
 
 
-def _layers(f: Poly) -> tuple[Poly, ...]:
-    """Split an R- or S-polynomial into its Z_p coefficient layers (1, u, u^2)."""
-    return tuple(Poly.make([c.coeffs[t] for c in f.coeffs], f.p) for t in range(f.k))
-
-
 def _block_word(profile: BlockProfile, zp_poly: Poly | None,
                 r_poly: Poly | None, s_poly: Poly | None) -> MixedWord:
     """Generator word whose blocks carry the given (already reduced) polynomials."""

@@ -25,9 +25,10 @@ import sys
 
 from . import reproduce as _reproduce
 from .additive import AdditiveCode, from_generator_polynomials, span_closure
-from .enumerators import (complete_enumerator, hamming_enumerator, hamming_transform,
-                          lee_enumerator, lee_transform, macwilliams_complete_check,
-                          symbol_table, symmetrized_enumerator, symmetrized_transform)
+from .enumerators import (_hamming_walk, _lee_walk, _symmetrized_walk, complete_enumerator,
+                          hamming_enumerator, hamming_transform, lee_enumerator, lee_transform,
+                          macwilliams_complete_check, symbol_table, symmetrized_enumerator,
+                          symmetrized_transform)
 from .errors import ZprsError
 from .gray import GrayMap
 from .linear import LinearCode
@@ -219,10 +220,11 @@ def cmd_macwilliams(args) -> int:
         holds = macwilliams_complete_check(code)
         detail = "point evaluation over Z[zeta_p]"
     else:
-        builder = _WENUM[args.kind]
-        transform = {"hamming": hamming_transform, "symmetrized": symmetrized_transform,
-                     "lee": lee_transform}[args.kind]
-        holds = transform(builder(code), code.size, code.profile.p) == builder(dual)
+        # two walks: a public enumerator of C may be the transform of the dual's walk
+        walk, transform = {"hamming": (_hamming_walk, hamming_transform),
+                           "symmetrized": (_symmetrized_walk, symmetrized_transform),
+                           "lee": (_lee_walk, lee_transform)}[args.kind]
+        holds = transform(walk(code), code.size, code.profile.p) == walk(dual)
         detail = "exact transform comparison"
     _print({"kind": args.kind, "holds": holds}, args.json,
            [f"{'PASS' if holds else 'FAIL'} MacWilliams ({args.kind}; {detail})"])

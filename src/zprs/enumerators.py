@@ -16,6 +16,9 @@ symmetrized (W_0..W_M grouped by symbol Lee weight) and Lee (x, y; the
 Hamming enumerator of the Gray image).  Each has an exact dual transform;
 the complete identity is verified by evaluation at fixed pseudo-random
 integer points instead of materializing the p^6-variate transform.
+Hamming, Lee and (p <= 3) symmetrized walk the smaller of C and C^perp and
+transform back; the ``_*_walk`` routines always walk C, so the MacWilliams
+verifiers compare two independent walks.
 """
 
 from __future__ import annotations
@@ -88,10 +91,7 @@ class CyclotomicInt:
     __radd__ = __add__
 
     def __sub__(self, other):
-        if isinstance(other, int):
-            other = CyclotomicInt.from_int(other, self.p)
-        self._check(other)
-        return CyclotomicInt(self.p, tuple(a - b for a, b in zip(self.coeffs, other.coeffs)))
+        return self + -other
 
     def __neg__(self):
         return CyclotomicInt(self.p, tuple(-a for a in self.coeffs))
@@ -139,11 +139,6 @@ class CyclotomicInt:
     @property
     def is_rational_integer(self) -> bool:
         return all(c == 0 for c in self.coeffs[1:])
-
-    def as_int(self) -> int:
-        if not self.is_rational_integer:
-            raise ZprsError(f"{self} is not a rational integer")
-        return self.coeffs[0]
 
     def exact_div(self, m: int) -> "CyclotomicInt":
         if any(c % m for c in self.coeffs):
@@ -234,22 +229,18 @@ class SymbolTable:
                 ChainElement(self.p, 2, (row[1], row[2])),
                 ChainElement(self.p, 3, (row[3], row[4], row[5])))
 
-    def product_exponent(self, i: int, j: int) -> int:
-        """Coefficient sum (the character exponent) of the product f_i * f_j."""
-        p = self.p
-        fi, fj = self.digits(int(i)), self.digits(int(j))
-        x = fi[0] * fj[0]
-        y0 = fi[1] * fj[1]
-        y1 = fi[1] * fj[2] + fi[2] * fj[1]
-        z0 = fi[3] * fj[3]
-        z1 = fi[3] * fj[4] + fi[4] * fj[3]
-        z2 = fi[3] * fj[5] + fi[4] * fj[4] + fi[5] * fj[3]
-        return (x + y0 + y1 + z0 + z1 + z2) % p
-
 
 @lru_cache(maxsize=None)
 def symbol_table(p: int) -> SymbolTable:
     return SymbolTable(p)
+
+
+def _product_exponent(f, g, p: int):
+    """Coefficient sum mod p (the character exponent) of the product of the
+    symbols with digits f and g (last axis a; a', b'; a'', b'', d''); broadcasts."""
+    f, g = np.moveaxis(f, -1, 0), np.moveaxis(g, -1, 0)
+    return (f[0] * g[0] + f[1] * (g[1] + g[2]) + f[2] * g[1]
+            + f[3] * (g[3] + g[4] + g[5]) + f[4] * (g[3] + g[4]) + f[5] * g[3]) % p
 
 
 @lru_cache(maxsize=None)
@@ -257,16 +248,8 @@ def char_exponent_matrix(p: int) -> np.ndarray:
     """E[i, j] with chi(f_i f_j) = zeta^E[i, j]; materialized for p <= 3 only."""
     if p > 3:
         raise TooLarge("the full character matrix is materialized for p <= 3 only")
-    t = symbol_table(p)
-    c = t.coeffs
-    x = np.multiply.outer(c[:, 0], c[:, 0])
-    y0 = np.multiply.outer(c[:, 1], c[:, 1])
-    y1 = np.multiply.outer(c[:, 1], c[:, 2]) + np.multiply.outer(c[:, 2], c[:, 1])
-    z0 = np.multiply.outer(c[:, 3], c[:, 3])
-    z1 = np.multiply.outer(c[:, 3], c[:, 4]) + np.multiply.outer(c[:, 4], c[:, 3])
-    z2 = (np.multiply.outer(c[:, 3], c[:, 5]) + np.multiply.outer(c[:, 4], c[:, 4])
-          + np.multiply.outer(c[:, 5], c[:, 3]))
-    e = (x % p + y0 % p + y1 % p + z0 % p + z1 % p + z2 % p) % p
+    c = symbol_table(p).coeffs
+    e = _product_exponent(c[:, None], c[None, :], p)
     e.setflags(write=False)
     return e
 
@@ -283,7 +266,9 @@ def character(symbol, p: int) -> CyclotomicInt:
 
 def char_matrix_entry(i: int, j: int, p: int) -> CyclotomicInt:
     """P_ij = chi(f_i f_j), served entry-on-demand for arbitrary p."""
-    return CyclotomicInt.root_power(symbol_table(p).product_exponent(i, j), p)
+    t = symbol_table(p)
+    digits = np.array([t.digits(int(i)), t.digits(int(j))], dtype=object)
+    return CyclotomicInt.root_power(int(_product_exponent(digits[0], digits[1], p)), p)
 
 
 # ---------------------------------------------------------------------------
@@ -315,22 +300,6 @@ class Enumerator:
 
     def coefficient(self, key: MonomialKey) -> int:
         return self.terms.get(tuple(sorted(key)), 0)
-
-    def evaluate(self, values: Sequence):
-        """Exact evaluation; works for int and CyclotomicInt coordinates."""
-        total = None
-        for key, coeff in self.terms.items():
-            term = None
-            for var, exp in key:
-                factor = values[var] ** exp
-                term = factor if term is None else term * factor
-            term = coeff if term is None else term * coeff
-            total = term if total is None else total + term
-        return 0 if total is None else total
-
-    def __eq__(self, other) -> bool:
-        return (isinstance(other, Enumerator) and self.nvars == other.nvars
-                and self.degree == other.degree and self.terms == other.terms)
 
     def sorted_terms(self) -> list[tuple[MonomialKey, int]]:
         return sorted(self.terms.items())
@@ -372,11 +341,8 @@ def _monomial(pairs) -> MonomialKey:
 
 def bivariate(coeffs_by_y_exponent: Mapping[int, int], degree: int) -> Enumerator:
     """Helper: enumerator sum c_w x^(degree-w) y^w from {w: c_w}."""
-    terms = {}
-    for w, c in coeffs_by_y_exponent.items():
-        if c:
-            terms[_monomial(((0, degree - w), (1, w)))] = c
-    return Enumerator(2, degree, terms)
+    return Enumerator(2, degree, {_monomial(((0, degree - w), (1, w))): c
+                                  for w, c in coeffs_by_y_exponent.items() if c})
 
 
 # ---------------------------------------------------------------------------
@@ -402,52 +368,72 @@ def _symbol_index_rows(code: AdditiveCode, limit: int = 2 ** 24):
 def regroup(code: AdditiveCode, limit: int = 2 ** 24):
     """All codewords as tuples of (x, y, z) coordinate triples."""
     t = symbol_table(code.profile.p)
-    out = []
-    for chunk in _symbol_index_rows(code, limit):
-        for row in chunk:
-            out.append(tuple(t.triple(int(i)) for i in row))
-    return out
+    return [tuple(t.triple(int(i)) for i in row)
+            for chunk in _symbol_index_rows(code, limit) for row in chunk]
+
+
+def _histogram(code: AdditiveCode, key) -> Counter:
+    """Codeword count per distinct row of ``key(chunk)``, which maps a
+    symbol-index chunk to one integer row per codeword."""
+    hist: Counter[tuple] = Counter()
+    for chunk in _symbol_index_rows(code):
+        rows, counts = np.unique(key(chunk), axis=0, return_counts=True)
+        hist.update(dict(zip(map(tuple, rows.tolist()), counts.tolist())))
+    return hist
+
+
+def _smaller_side(code: AdditiveCode, walk, transform) -> Enumerator:
+    """``walk(code)``, or the transform of ``walk(dual)`` if 2 rank > N (|C^perp| < |C|)."""
+    if 2 * code.rank <= code.profile.n:
+        return walk(code)
+    dual = code.dual()
+    return transform(walk(dual), dual.size, code.profile.p)
 
 
 def complete_enumerator(code: AdditiveCode) -> Enumerator:
+    """W_C(x_0, ..., x_(p^6 - 1)): codeword c contributes prod_j x_(c_j)."""
     pr = code.profile
-    counter: Counter[MonomialKey] = Counter()
-    for chunk in _symbol_index_rows(code):
-        for row in chunk:
-            counter[_monomial(Counter(int(i) for i in row).items())] += 1
-    return Enumerator(pr.p ** 6, pr.q, dict(counter))
+    hist = _histogram(code, lambda chunk: np.sort(chunk, axis=1))
+    return Enumerator(pr.p ** 6, pr.q,
+                      {_monomial((i, 1) for i in row): c for row, c in hist.items()})
 
 
-def _weight_histogram(code: AdditiveCode, weight) -> Counter:
-    """Codeword count per weight; ``weight`` maps a symbol-index chunk to row weights."""
-    hist: Counter[int] = Counter()
-    for chunk in _symbol_index_rows(code):
-        vals, counts = np.unique(weight(chunk), return_counts=True)
-        hist.update(dict(zip(vals.tolist(), counts.tolist())))
-    return hist
+def _hamming_walk(code: AdditiveCode) -> Enumerator:
+    hist = _histogram(code, lambda chunk: (chunk != 0).sum(axis=1, keepdims=True))
+    return bivariate({w: c for (w,), c in hist.items()}, code.profile.q)
 
 
 def hamming_enumerator(code: AdditiveCode) -> Enumerator:
     """W_H(x, y) over coordinate triples: weight = number of nonzero triples."""
-    hist = _weight_histogram(code, lambda chunk: (chunk != 0).sum(axis=1))
-    return bivariate(hist, code.profile.q)
+    return _smaller_side(code, _hamming_walk, hamming_transform)
+
+
+def _symmetrized_walk(code: AdditiveCode) -> Enumerator:
+    t = symbol_table(code.profile.p)
+    nvars = t.max_lee_weight + 1
+    # row w, column i: coordinates of codeword w with symbol Lee weight i
+    hist = _histogram(code, lambda chunk: (t.lee_weights[chunk][..., None]
+                                           == np.arange(nvars)).sum(axis=1))
+    return Enumerator(nvars, code.profile.q,
+                      {_monomial(enumerate(row)): c for row, c in hist.items()})
 
 
 def symmetrized_enumerator(code: AdditiveCode) -> Enumerator:
     """W_S(W_0, ..., W_M): variable W_i counts coordinates of symbol Lee weight i.
 
     M = 6 for p in {2, 3}; floor(p/2) + 5 otherwise (the Z_p block can then
-    contribute up to floor(p/2) by itself).
+    contribute up to floor(p/2) by itself).  The dual side is used only
+    where the transform exists, p <= 3.
     """
+    if code.profile.p > 3:
+        return _symmetrized_walk(code)
+    return _smaller_side(code, _symmetrized_walk, symmetrized_transform)
+
+
+def _lee_walk(code: AdditiveCode) -> Enumerator:
     t = symbol_table(code.profile.p)
-    nvars = t.max_lee_weight + 1
-    counter: Counter[MonomialKey] = Counter()
-    for chunk in _symbol_index_rows(code):
-        w = t.lee_weights[chunk]
-        for row in w:
-            counts = np.bincount(row, minlength=nvars)
-            counter[_monomial(((i, int(c)) for i, c in enumerate(counts)))] += 1
-    return Enumerator(nvars, code.profile.q, dict(counter))
+    hist = _histogram(code, lambda chunk: t.gray_weights[chunk].sum(axis=1, keepdims=True))
+    return bivariate({w: c for (w,), c in hist.items()}, 6 * code.profile.q)
 
 
 def lee_enumerator(code: AdditiveCode) -> Enumerator:
@@ -456,25 +442,43 @@ def lee_enumerator(code: AdditiveCode) -> Enumerator:
     Computed from per-symbol Gray weights, which do not depend on kappa, so
     this works even for p = 3 (mod 4) where the Gray map itself is undefined.
     """
-    t = symbol_table(code.profile.p)
-    hist = _weight_histogram(code, lambda chunk: t.gray_weights[chunk].sum(axis=1))
-    return bivariate(hist, 6 * code.profile.q)
+    return _smaller_side(code, _lee_walk, lee_transform)
 
 
 # ---------------------------------------------------------------------------
 # MacWilliams identities
 
 
-def transform_point(point: Sequence[int], p: int) -> list[CyclotomicInt]:
-    """P . point for an integer point, as exact cyclotomic integers (p <= 3)."""
+def _character_sums(points: np.ndarray, p: int) -> np.ndarray:
+    """S[m, i, t] = sum of points[m, j] over the symbols j with chi(f_i f_j) = zeta^t,
+    so that (P x)_i = sum_t S[m, i, t] zeta^t for x = points[m] (p <= 3)."""
     e = char_exponent_matrix(p)
-    pt = np.asarray(point, dtype=np.int64)
-    if pt.shape != (p ** 6,):
-        raise ModulusMismatch(f"point must have {p ** 6} coordinates")
-    sums = np.stack([(np.where(e == t, 1, 0) * pt[None, :]).sum(axis=1)
-                     for t in range(p)], axis=1)
-    coeffs = sums[:, : p - 1] - sums[:, p - 1:]
-    return [CyclotomicInt(p, row) for row in coeffs]
+    return np.stack([points @ (e == t).T.astype(np.int64) for t in range(p)], axis=-1)
+
+
+_INT64_MAX = int(np.iinfo(np.int64).max)
+
+
+def _codeword_sums(code: AdditiveCode, tables: np.ndarray) -> list[list[int]]:
+    """For each m, the sum over codewords c of prod_j tables[m, c_j] in
+    Z[y]/(y^k - 1); ``tables`` is (m, p^6, k), the result m rows of k ints.
+
+    The l1 norm is submultiplicative, so a chunk's products and sums stay
+    within rows * B^n, B the largest l1 norm of a table row: int64 when that
+    is below 2^63, exact Python ints (object arrays) otherwise."""
+    k = tables.shape[-1]
+    row_bound = int(np.abs(tables).sum(axis=-1).max()) ** code.profile.q
+    totals = np.zeros((len(tables), k), dtype=object)
+    for chunk in _symbol_index_rows(code):
+        dtype = np.int64 if len(chunk) * row_bound <= _INT64_MAX else object
+        factors = tables.astype(dtype)[:, chunk]           # (m, rows, n, k)
+        prod = factors[:, :, 0]
+        for j in range(1, chunk.shape[1]):
+            f = factors[:, :, j]
+            prod = np.stack([sum(prod[..., i] * f[..., (t - i) % k] for i in range(k))
+                             for t in range(k)], axis=-1)
+        totals += prod.sum(axis=1).astype(object)      # Python ints from here on
+    return totals.tolist()
 
 
 def macwilliams_complete_check(code: AdditiveCode,
@@ -482,10 +486,18 @@ def macwilliams_complete_check(code: AdditiveCode,
                                *, num_points: int = 8, seed: int = 20230817) -> bool:
     """Verify the complete-enumerator MacWilliams identity by point evaluation.
 
-    Checks W_C^(D)(x) == (1/|C|) W_C^(C)(P x) at ``num_points`` fixed
-    pseudo-random integer points with coordinates in [0, 97], exactly over
-    Z[zeta_p].  D defaults to the computed dual; pass a candidate to test a
-    conjectured dual pair.
+    Checks W_D(x) == (1/|C|) W_C(P x) at ``num_points`` fixed pseudo-random
+    integer points in [0, 97]^(p^6), exactly over Z[zeta_p].  D defaults to
+    the computed dual; pass a candidate to test a conjectured dual pair.
+    Both sides are summed from codeword chunks, no enumerator is built.
+
+    A Schwartz-Zippel test, not a proof: a failing identity leaves a nonzero
+    difference of total degree q, which vanishes at a uniform point of
+    [0, 97]^(p^6) with probability <= q/98, so 8 points all miss it with
+    probability <= (q/98)^8.  The points are fixed by ``seed``: the bound is
+    over the choice of seed.  For D the dual, |C| |D| = p^(6q) and both sides
+    walk under the 2^24 limit, so q <= 8 at p = 2 and q <= 5 at p = 3, and
+    the bound is at most (8/98)^8, about 2e-9.
     """
     p = code.profile.p
     if p > 3:
@@ -493,19 +505,13 @@ def macwilliams_complete_check(code: AdditiveCode,
     dual = candidate_dual if candidate_dual is not None else code.dual()
     if dual.profile != code.profile:
         raise BlocksUnequal("dual candidate over a different profile")
-    w_primal = complete_enumerator(code)
-    w_dual = complete_enumerator(dual)
     rng = np.random.default_rng(seed)
     points = rng.integers(0, 98, size=(num_points, p ** 6))
-    for point in points:
-        lhs = w_dual.evaluate([int(v) for v in point])
-        rhs = w_primal.evaluate(transform_point(point, p))
-        if isinstance(rhs, int):
-            rhs = CyclotomicInt.from_int(rhs, p)
-        if not rhs.is_rational_integer:
-            return False
-        value = rhs.as_int()
-        if value % code.size or value // code.size != int(lhs):
+    lhs = _codeword_sums(dual, points[..., None])
+    rhs = _codeword_sums(code, _character_sums(points, p))
+    for (left,), right in zip(lhs, rhs):
+        # sum_t right[t] zeta^t is rational iff right[1] = ... = right[p-1]
+        if len(set(right[1:])) > 1 or right[0] - right[-1] != code.size * left:
             return False
     return True
 
@@ -580,24 +586,17 @@ def symmetrized_q_matrix(p: int) -> tuple[tuple[int, ...], ...]:
     t = symbol_table(p)
     e = char_exponent_matrix(p)
     nw = t.max_lee_weight + 1
-    onehot = np.zeros((t.count, nw), dtype=np.int64)
-    onehot[np.arange(t.count), t.lee_weights] = 1
+    onehot = (t.lee_weights[:, None] == np.arange(nw)).astype(np.int64)
     # sums[i, w, tau] = #{j : wt(f_j) = w, E[i, j] = tau}
     sums = np.stack([np.where(e == tau, 1, 0) @ onehot for tau in range(p)], axis=2)
     coeffs = sums[:, :, : p - 1] - sums[:, :, p - 1:]
     if p > 2 and coeffs[:, :, 1:].any():
         raise RowCollapseFailure("a symmetrized transform entry is not a rational integer")
     values = coeffs[:, :, 0]
-    rows: dict[int, np.ndarray] = {}
-    for i in range(t.count):
-        w = int(t.lee_weights[i])
-        if w in rows:
-            if not (rows[w] == values[i]).all():
-                raise RowCollapseFailure(
-                    f"symbols of Lee weight {w} produce different transform rows")
-        else:
-            rows[w] = values[i]
-    return tuple(tuple(int(v) for v in rows[w]) for w in range(nw))
+    first = [int(np.argmax(t.lee_weights == w)) for w in range(nw)]
+    if (values != values[first][t.lee_weights]).any():
+        raise RowCollapseFailure("symbols of equal Lee weight produce different transform rows")
+    return tuple(tuple(int(v) for v in values[i]) for i in first)
 
 
 def symmetrized_transform(enum: Enumerator, code_size: int, p: int) -> Enumerator:

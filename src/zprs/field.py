@@ -101,13 +101,18 @@ def find_kappa(p: int) -> FieldElement:
     """Smallest kappa in [1, p-1] with kappa^2 = -1 (mod p).
 
     Exists exactly when p = 2 or p = 1 (mod 4); otherwise raises
-    ``NoSquareRootOfMinusOne``.  Exhaustive search is fine at desk scale.
+    ``NoSquareRootOfMinusOne``.  The first c >= 2 with c^((p-1)/2) = -1 is
+    a non-residue, so k = c^((p-1)/4) squares to -1 and the two roots are k
+    and p - k (p = 2 stops at c = 2 with k = 1).
     """
     ensure_prime(p)
-    for k in range(1, p):
-        if k * k % p == (p - 1) % p:
-            return FieldElement(k, p)
-    raise NoSquareRootOfMinusOne(f"-1 is not a square mod {p} (p = 3 mod 4)")
+    if p % 4 == 3:
+        raise NoSquareRootOfMinusOne(f"-1 is not a square mod {p} (p = 3 mod 4)")
+    c = 2
+    while pow(c, (p - 1) // 2, p) != p - 1:
+        c += 1
+    k = pow(c, (p - 1) // 4, p)
+    return FieldElement(min(k, p - k), p)
 
 
 def unit_order(a: FieldElement) -> int:

@@ -60,10 +60,6 @@ class Poly:
     def one(cls, p: int, k: int = 1) -> "Poly":
         return cls.make([1], p, k)
 
-    @classmethod
-    def x_pow(cls, e: int, p: int, k: int = 1) -> "Poly":
-        return cls.make([0] * e + [1], p, k)
-
     @property
     def degree(self) -> int:
         """-1 for the zero polynomial."""
@@ -224,9 +220,10 @@ def divides(f: Poly, g: Poly) -> bool:
 
 
 def x_pow_n_minus(lam: CoeffLike, n: int, p: int, k: int = 1) -> Poly:
-    """The block modulus x^n - lam over Z_p[u]/(u^k)."""
-    lam_e = ChainElement.make(lam, p, k)
-    return Poly.x_pow(n, p, k) - Poly(p, k, (lam_e,))
+    """The block modulus x^n - lam over Z_p[u]/(u^k), n >= 1."""
+    if n < 1:
+        raise GcdViolation("n must be positive")
+    return Poly.make([-ChainElement.make(lam, p, k)] + [0] * (n - 1) + [1], p, k)
 
 
 def _zp_rem(a: np.ndarray, g: np.ndarray, p: int) -> np.ndarray:
@@ -311,10 +308,7 @@ def reciprocal(g: Poly) -> Poly:
 
 def hat(f: Poly, p: int, n: int, lam: int) -> Poly:
     """The exact cofactor (x^n - lambda) / f."""
-    modulus = Poly.make([-lam] + [0] * (n - 1) + [1], p)
-    if f.k != 1:
-        modulus = modulus.lift(f.k)
-    q, r = poly_divmod(modulus, f)
+    q, r = poly_divmod(x_pow_n_minus(lam, n, p, f.k), f)
     if not r.is_zero:
         raise NotADivisor(f"{f} does not divide x^{n} - {lam % p}")
     return q

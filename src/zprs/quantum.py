@@ -27,7 +27,8 @@ from .errors import (DistanceNotDetermined, GcdViolation, NotDualContaining, Too
                      ZprsError)
 from .gray import GrayMap
 from .linear import LinearCode
-from .polynomials import Poly, factor_xn_minus_lambda, hat, poly_divmod, reciprocal
+from .polynomials import (Poly, factor_xn_minus_lambda, hat, poly_divmod, reciprocal,
+                          x_pow_n_minus)
 from .words import BlockProfile, flatten
 
 
@@ -47,8 +48,7 @@ class FactorAssignment:
             raise GcdViolation(f"gcd(p, s) must be 1, got p={self.p}, s={self.s}")
         product = reduce(lambda a, b: a * b,
                          self.f0 + self.f1 + self.f2, Poly.one(self.p))
-        modulus = Poly.make([-1] + [0] * (self.s - 1) + [1], self.p)
-        if product != modulus:
+        if product != x_pow_n_minus(1, self.s, self.p):
             raise ZprsError("slot product must equal x^s - 1 exactly")
 
     @classmethod

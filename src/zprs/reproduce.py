@@ -11,8 +11,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .additive import span_closure
-from .enumerators import (hamming_enumerator, hamming_transform, lee_enumerator,
-                          lee_transform, macwilliams_complete_check, symmetrized_enumerator,
+from .enumerators import (_hamming_walk, _lee_walk, _symmetrized_walk, hamming_enumerator,
+                          hamming_transform, lee_enumerator, lee_transform,
+                          macwilliams_complete_check, symmetrized_enumerator,
                           symmetrized_transform)
 from .errors import ZprsError
 from .gray import GrayMap
@@ -132,12 +133,14 @@ def run_example2() -> list[ReproItem]:
 
 
 def run_example3() -> list[ReproItem]:
+    # .transform compares two walks; .primal also checks the public enumerator
     code = _p2_code()
-    primal = hamming_enumerator(code)
-    dual = hamming_enumerator(code.dual())
+    primal = _hamming_walk(code)
+    dual = _hamming_walk(code.dual())
     transformed = hamming_transform(primal, code.size, 2)
     return [
-        ReproItem("example3.primal", _bivariate_terms(primal) == EXAMPLE3_HAMMING,
+        ReproItem("example3.primal", hamming_enumerator(code) == primal
+                  and _bivariate_terms(primal) == EXAMPLE3_HAMMING,
                   f"W_H = {primal.text(['x', 'y'])}"),
         ReproItem("example3.dual", _bivariate_terms(dual) == EXAMPLE3_HAMMING,
                   f"W_H of the dual = {dual.text(['x', 'y'])}"),
@@ -148,13 +151,14 @@ def run_example3() -> list[ReproItem]:
 
 def run_example4() -> list[ReproItem]:
     code = _p2_code()
-    primal = symmetrized_enumerator(code)
-    dual = symmetrized_enumerator(code.dual())
+    primal = _symmetrized_walk(code)
+    dual = _symmetrized_walk(code.dual())
     transformed = symmetrized_transform(primal, code.size, 2)
     want_primal = {tuple(sorted(k)): v for k, v in EXAMPLE4_PRIMAL.items()}
     want_dual = {tuple(sorted(k)): v for k, v in EXAMPLE4_DUAL.items()}
     return [
-        ReproItem("example4.primal", _sym_terms(primal) == want_primal,
+        ReproItem("example4.primal", symmetrized_enumerator(code) == primal
+                  and _sym_terms(primal) == want_primal,
                   f"{len(primal.terms)} terms, coefficient {primal.coefficient(((3, 1), (4, 1)))} "
                   "on W_4 W_3"),
         ReproItem("example4.dual", _sym_terms(dual) == want_dual,
@@ -166,11 +170,12 @@ def run_example4() -> list[ReproItem]:
 
 def run_example5() -> list[ReproItem]:
     code = _p2_code()
-    primal = lee_enumerator(code)
-    dual = lee_enumerator(code.dual())
+    primal = _lee_walk(code)
+    dual = _lee_walk(code.dual())
     transformed = lee_transform(primal, code.size, 2)
     return [
-        ReproItem("example5.primal", _bivariate_terms(primal) == EXAMPLE5_PRIMAL,
+        ReproItem("example5.primal", lee_enumerator(code) == primal
+                  and _bivariate_terms(primal) == EXAMPLE5_PRIMAL,
                   f"W_L = {primal.text(['x', 'y'])}"),
         ReproItem("example5.dual", _bivariate_terms(dual) == EXAMPLE5_DUAL,
                   f"W_L of the dual = {dual.text(['x', 'y'])}"),

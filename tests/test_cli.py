@@ -177,3 +177,31 @@ def test_deterministic_output(capsys, tmp_path):
                                       "--json"])
         outs.add(out)
     assert len(outs) == 1
+
+
+def test_macwilliams_command_compares_two_walks(capsys, tmp_path, monkeypatch):
+    # rank 7 of N = 12: the public enumerators of this code would transform its
+    # dual's walk, so a command built on them would compare a transform with
+    # its own inverse and pass whatever the dual's walk returned
+    from zprs import cli, enumerators
+    spec = dict(C2_SPEC, generators=C2_SPEC["generators"]
+                + [[[1, 1], [[1, 0], [0, 1]], [[0, 1, 0], [1, 0, 0]]]])
+    path = spec_file(tmp_path, spec)
+    assert cli.load_code(spec).rank == 7
+    for kind in ("hamming", "symmetrized", "lee"):
+        name = f"_{kind}_walk"
+        real = getattr(enumerators, name)
+
+        def dropped(code, real=real):
+            enum = real(code)
+            if 2 * code.rank > code.profile.n:
+                return enum
+            top = max(enum.terms)          # drop one term of the smaller side only
+            return enumerators.Enumerator(enum.nvars, enum.degree,
+                                          {k: c for k, c in enum.terms.items() if k != top})
+
+        with monkeypatch.context() as m:
+            m.setattr(cli, name, dropped)
+            m.setattr(enumerators, name, dropped)
+            status, out, _ = run(capsys, ["macwilliams", "--input", path, "--kind", kind])
+        assert status == 1 and out.startswith("FAIL"), (kind, status, out)

@@ -3,13 +3,15 @@ import itertools
 import numpy as np
 import pytest
 
+from zprs import enumerators
 from zprs.additive import AdditiveCode, span_closure
-from zprs.enumerators import (CyclotomicInt, Enumerator, char_exponent_matrix,
+from zprs.enumerators import (CyclotomicInt, Enumerator, _character_sums, _codeword_sums,
+                              _hamming_walk, _lee_walk, _symmetrized_walk, char_exponent_matrix,
                               char_matrix_entry, character, complete_enumerator,
                               hamming_enumerator, hamming_transform, lee_enumerator,
                               lee_transform, macwilliams_complete_check, regroup, symbol_table,
                               symmetrized_enumerator, symmetrized_q_matrix,
-                              symmetrized_transform, transform_point)
+                              symmetrized_transform)
 from zprs.errors import BlocksUnequal, InexactDivision, TooLarge
 from zprs.words import BlockProfile, MixedWord, unflatten
 
@@ -24,6 +26,56 @@ def c2_code():
 
 def bivariate_coeffs(enum):
     return {dict(key).get(1, 0): coeff for key, coeff in enum.terms.items()}
+
+
+def evaluate(enum, values):
+    """Term-by-term exact evaluation; values may be ints or CyclotomicInts."""
+    total = 0
+    for key, coeff in enum.terms.items():
+        term = coeff
+        for var, exp in key:
+            term = values[var] ** exp * term
+        total = term + total
+    return total
+
+
+def transform_point(point, p):
+    """P . point as exact cyclotomic integers (p <= 3)."""
+    sums = _character_sums(np.asarray(point, dtype=np.int64), p)
+    return [CyclotomicInt(p, row) for row in sums[:, : p - 1] - sums[:, p - 1:]]
+
+
+def dict_complete_check(code, dual, num_points=8, seed=20230817):
+    """The complete check through both complete enumerators and term-by-term
+    evaluation, at the same points as ``macwilliams_complete_check``."""
+    p = code.profile.p
+    w_primal, w_dual = complete_enumerator(code), complete_enumerator(dual)
+    points = np.random.default_rng(seed).integers(0, 98, size=(num_points, p ** 6))
+    return all(evaluate(w_primal, transform_point(pt, p))
+               == code.size * evaluate(w_dual, [int(v) for v in pt]) for pt in points)
+
+
+def random_word(pr, rng, killed_by_u):
+    """A random word; one killed by u (a Z_p part and a u^2 S part only) adds
+    at most one dimension to a span."""
+    zp = rng.integers(0, pr.p, pr.q).tolist()
+    if killed_by_u:
+        return MixedWord.make(pr, zp, [(0, 0)] * pr.r,
+                              [(0, 0, c) for c in rng.integers(0, pr.p, pr.s).tolist()])
+    return MixedWord.make(pr, zp, [tuple(v) for v in rng.integers(0, pr.p, (pr.r, 2)).tolist()],
+                          [tuple(v) for v in rng.integers(0, pr.p, (pr.s, 3)).tolist()])
+
+
+def random_code(pr, rank, seed):
+    """Span closure of random words, grown to exactly ``rank``."""
+    rng = np.random.default_rng(seed)
+    words, code = [], span_closure([], profile=pr)
+    while code.rank < rank:
+        word = random_word(pr, rng, bool(rng.integers(2)))
+        cand = span_closure(words + [word], profile=pr)
+        if code.rank < cand.rank <= rank:
+            words, code = words + [word], cand
+    return code
 
 
 # -- cyclotomic integers -------------------------------------------------------
@@ -157,7 +209,7 @@ def test_hamming_consistency_with_complete():
     wc = complete_enumerator(code)
     x, y = 7, 3
     values = [x] + [y] * 63
-    assert wc.evaluate(values) == hamming_enumerator(code).evaluate([x, y])
+    assert evaluate(wc, values) == evaluate(hamming_enumerator(code), [x, y])
 
 
 def test_symmetrized_enumerator_example():
@@ -188,7 +240,7 @@ def test_lee_consistency_with_symmetrized_p2():
     ws = symmetrized_enumerator(code)
     x, y = 5, 2
     values = [x ** (6 - i) * y ** i for i in range(7)]
-    assert ws.evaluate(values) == lee_enumerator(code).evaluate([x, y])
+    assert evaluate(ws, values) == evaluate(lee_enumerator(code), [x, y])
 
 
 def test_enumerators_sum_to_code_size():
@@ -279,7 +331,7 @@ def test_symmetrized_q_matrix_values():
 
 
 def test_transform_soundness_exhaustive_small_codes():
-    # every transform matches the independently computed dual enumerator for
+    # every transform matches the dual's independent walk for
     # all single-generator codes with q = r = s in {1, 2} at p = 2; distinct
     # generators often span the same code, so deduplicate by basis
     for n in (1, 2):
@@ -292,11 +344,10 @@ def test_transform_soundness_exhaustive_small_codes():
                 continue
             seen.add(key)
             dual = code.dual()
-            assert hamming_transform(hamming_enumerator(code), code.size, 2) \
-                == hamming_enumerator(dual)
-            assert lee_transform(lee_enumerator(code), code.size, 2) == lee_enumerator(dual)
-            assert symmetrized_transform(symmetrized_enumerator(code), code.size, 2) \
-                == symmetrized_enumerator(dual)
+            assert hamming_transform(_hamming_walk(code), code.size, 2) == _hamming_walk(dual)
+            assert lee_transform(_lee_walk(code), code.size, 2) == _lee_walk(dual)
+            assert symmetrized_transform(_symmetrized_walk(code), code.size, 2) \
+                == _symmetrized_walk(dual)
 
 
 def test_enumerator_text_and_json():
@@ -307,3 +358,87 @@ def test_enumerator_text_and_json():
     wc = complete_enumerator(code)
     sparse = wc.to_json()
     assert all(isinstance(t["exponents"][0], list) for t in sparse)
+
+
+# -- smaller side and the chunked complete check --------------------------------
+
+
+WALKS = ((hamming_enumerator, _hamming_walk), (lee_enumerator, _lee_walk),
+         (symmetrized_enumerator, _symmetrized_walk))
+
+
+@pytest.mark.parametrize("p, n, rank", [(2, 1, 5), (2, 2, 9), (3, 1, 4), (3, 2, 8),
+                                        (5, 1, 4), (5, 2, 7)])
+def test_public_enumerators_equal_walks_on_lopsided_codes(p, n, rank):
+    # C is larger than its dual, so the public enumerators of C transform the
+    # dual's walk and those of the dual walk it directly
+    for seed in range(2):
+        code = random_code(BlockProfile(p, n, n, n), rank, seed)
+        dual = code.dual()
+        assert dual.rank == code.profile.n - rank < rank
+        for public, walk in WALKS[: 3 if p <= 3 else 2]:
+            assert public(code) == walk(code)
+            assert public(dual) == walk(dual)
+
+
+def test_enumerators_above_walk_limit_through_small_dual():
+    pr = BlockProfile(2, 5, 5, 5)
+    code = random_code(pr, 4, seed=11).dual()
+    assert code.rank == 26 and code.size > 2 ** 24
+    with pytest.raises(TooLarge):
+        _hamming_walk(code)
+    for public, _ in WALKS:
+        assert public(code).coefficient_sum() == code.size
+
+
+def test_complete_check_matches_dict_route():
+    c2 = c2_code()
+    not_dual = span_closure([MixedWord.make(P2, (1, 1), ((0, 0), (0, 0)),
+                                            ((0, 0, 0), (0, 0, 0)))]
+                            + c2.dual().basis_words())
+    pr1 = BlockProfile(2, 1, 1, 1)
+    full, zero = AdditiveCode.full_space(pr1), span_closure([], profile=pr1)
+    p3 = span_closure([MixedWord.make(BlockProfile(3, 1, 1, 1), (1,), ((2, 1),), ((0, 1, 2),))])
+    cases = [(c2, c2.dual(), True), (c2, not_dual, False), (full, zero, True),
+             (zero, full, True), (p3, p3.dual(), True),
+             (p3, random_code(p3.profile, 4, seed=3), False)]
+    for code, dual, holds in cases:
+        assert macwilliams_complete_check(code, dual) is holds
+        assert dict_complete_check(code, dual) is holds
+
+
+def test_complete_check_rejects_non_dual_candidate_p3():
+    pr = BlockProfile(3, 2, 2, 2)
+    code = random_code(pr, 5, seed=1)
+    # a candidate of the dual's size, so only the point evaluation can tell
+    cand = random_code(pr, pr.n - 5, seed=2)
+    assert cand != code.dual()
+    assert macwilliams_complete_check(code)
+    assert not macwilliams_complete_check(code, cand)
+
+
+def test_codeword_sums_agree_with_python_ints_across_int64_bound():
+    code = random_code(BlockProfile(2, 5, 5, 5), 12, seed=6)
+    points = np.random.default_rng(7).integers(0, 98, size=(2, 64))
+    tables = _character_sums(points, 2)
+    # one chunk of 4096 rows: the right side needs Python ints, the left fits int64
+    assert code.size * int(np.abs(tables).sum(axis=-1).max()) ** 5 > 2 ** 63
+    assert code.size * int(points.max()) ** 5 < 2 ** 63
+    w = complete_enumerator(code)
+    lhs = _codeword_sums(code, points[..., None])
+    rhs = _codeword_sums(code, tables)
+    for m, point in enumerate(points):
+        assert lhs[m] == [evaluate(w, [int(v) for v in point])]
+        assert rhs[m][0] - rhs[m][1] == evaluate(w, transform_point(point, 2)).coeffs[0]
+        assert max(rhs[m]) > 2 ** 63            # int64 would have wrapped
+    assert macwilliams_complete_check(code)
+
+
+def test_complete_check_needs_a_rational_right_side(monkeypatch):
+    # r_0 + r_1 zeta + r_2 zeta^2 is rational iff r_1 = r_2; both candidates
+    # below have rational part r_0 - r_2 = |C| * W_D(x)
+    code = random_code(BlockProfile(3, 1, 1, 1), 2, seed=0)
+    for right, holds in (([code.size + 5, 5, 5], True), ([code.size + 5, 7, 5], False)):
+        sums = iter([[[1]] * 8, [right] * 8])
+        monkeypatch.setattr(enumerators, "_codeword_sums", lambda c, t, sums=sums: next(sums))
+        assert macwilliams_complete_check(code) is holds

@@ -1,5 +1,7 @@
 import math
+import time
 
+import numpy as np
 import pytest
 
 from zprs.errors import (DivisionByZero, ModulusMismatch, NoSquareRootOfMinusOne, NotAUnit,
@@ -59,6 +61,28 @@ def test_find_kappa_rejects_p_equals_3_mod_4():
     for p in (3, 7, 11, 19, 23):
         with pytest.raises(NoSquareRootOfMinusOne):
             find_kappa(p)
+
+
+def test_find_kappa_matches_exhaustive_search_below_10_4():
+    for p in (n for n in range(2, 10 ** 4) if is_prime(n)):
+        ks = np.arange(1, p)
+        roots = ks[ks * ks % p == p - 1]
+        if roots.size:
+            assert find_kappa(p).value == roots[0]
+        else:
+            with pytest.raises(NoSquareRootOfMinusOne):
+                find_kappa(p)
+
+
+def test_find_kappa_large_primes_fast():
+    start = time.perf_counter()
+    k = find_kappa(998244353).value
+    assert time.perf_counter() - start < 0.1
+    assert k * k % 998244353 == 998244352 and k <= 998244353 // 2
+    start = time.perf_counter()
+    with pytest.raises(NoSquareRootOfMinusOne):
+        find_kappa(2 ** 61 - 1)
+    assert time.perf_counter() - start < 0.1
 
 
 def test_unit_order_examples():

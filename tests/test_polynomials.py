@@ -258,6 +258,17 @@ def test_rho_substitute_is_ring_isomorphism():
             assert lhs == rhs
 
 
+def test_x_pow_n_minus_equals_x_power_minus_constant():
+    # the coefficient-list build against x^n - lam as a Poly subtraction
+    from zprs.rings import ChainElement
+    for p, n, k, lam in ((2, 1, 1, 1), (17, 8, 1, 1), (5, 6, 1, 3), (3, 4, 2, (2, 1)),
+                         (5, 3, 3, (1, 4, 2)), (7, 5, 3, ChainElement.make((6, 1), 7, 2))):
+        x_n = Poly.make([0] * n + [1], p, k)
+        assert x_pow_n_minus(lam, n, p, k) == x_n - Poly(p, k, (ChainElement.make(lam, p, k),))
+    with pytest.raises(GcdViolation):
+        x_pow_n_minus(1, 0, 5)
+
+
 def test_parse_and_render():
     assert parse_poly("x^3 + 3x^2 + 5x + 4", 17) == Poly.make([4, 5, 3, 1], 17)
     assert parse_poly("x^8 - 1", 17) == x_pow_n_minus(1, 8, 17)
