@@ -4,8 +4,13 @@ A cyclic code of length s over R (gcd(p, s) = 1) is determined by a
 partition of the monic irreducible factors of x^s - 1 into three slots
 (F0, F1, F2): by CRT the code  C = < hat(F0), u hat(F1) >  restricts to the
 full component on factors in F0, to the ideal (u) on factors in F1 and to
-zero on factors in F2, where hat(F) = (x^s - 1) / F.  Its size is
-p^(2 deg F0 + deg F1).
+zero on factors in F2, where hat(F) = (x^s - 1) / F is the product of the
+other two slots.  Hence C = A + uB over Z_p, with A = < hat(F0) > and
+B = < prod F2 > = < hat(F0), hat(F1) >, and C has the explicit basis
+
+    x^i hat(F0)   (i < deg F0),     u x^i prod F2   (i < s - deg F2),
+
+of size 2 deg F0 + deg F1; no basis row wraps around x^s - 1.
 
 Duality swaps the F0 and F2 slots and replaces every factor by its monic
 reciprocal; that formula is a fast path only -- the kernel dual computed by
@@ -18,18 +23,27 @@ Dual-containing Gray images feed the CSS construction: a dual-containing
 
 from __future__ import annotations
 
+import itertools
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from functools import reduce
 
-from .additive import AdditiveCode, shift_module_span, word_from_polynomials
+import numpy as np
+
+from .additive import AdditiveCode
 from .errors import (DistanceNotDetermined, GcdViolation, NotDualContaining, TooManyFactors,
                      ZprsError)
 from .gray import GrayMap
 from .linear import LinearCode
-from .polynomials import (Poly, factor_xn_minus_lambda, hat, poly_divmod, reciprocal,
-                          x_pow_n_minus)
-from .words import BlockProfile, flatten
+from .polynomials import Poly, divides, factor_xn_minus_lambda, hat, reciprocal
+from .words import BlockProfile, block_columns
+
+
+def _product(fs, p: int) -> np.ndarray:
+    """Z_p coefficients, lowest degree first, of the product of the Z_p polynomials fs."""
+    out = np.ones(1, dtype=np.int64)
+    for f in fs:
+        out = np.convolve(out, f.int_coeffs() or [0]) % p
+    return out
 
 
 @dataclass(frozen=True)
@@ -46,9 +60,8 @@ class FactorAssignment:
     def __post_init__(self):
         if self.s % self.p == 0:
             raise GcdViolation(f"gcd(p, s) must be 1, got p={self.p}, s={self.s}")
-        product = reduce(lambda a, b: a * b,
-                         self.f0 + self.f1 + self.f2, Poly.one(self.p))
-        if product != x_pow_n_minus(1, self.s, self.p):
+        modulus = [self.p - 1] + [0] * (self.s - 1) + [1]
+        if _product(self.f0 + self.f1 + self.f2, self.p).tolist() != modulus:
             raise ZprsError("slot product must equal x^s - 1 exactly")
 
     @classmethod
@@ -59,12 +72,12 @@ class FactorAssignment:
         return cls(p, s, norm(f0), norm(f1), norm(f2))
 
     def slot_product(self, slot: int) -> Poly:
-        fs = (self.f0, self.f1, self.f2)[slot]
-        return reduce(lambda a, b: a * b, fs, Poly.one(self.p))
+        return Poly.make(_product((self.f0, self.f1, self.f2)[slot], self.p).tolist(), self.p)
 
     def hat(self, slot: int) -> Poly:
-        """(x^s - 1) / (slot product)."""
-        return hat(self.slot_product(slot), self.p, self.s, 1)
+        """(x^s - 1) / (slot product): the product of the other two slots."""
+        others = [f for i, fs in enumerate((self.f0, self.f1, self.f2)) if i != slot for f in fs]
+        return Poly.make(_product(others, self.p).tolist(), self.p)
 
     def slot_degrees(self) -> tuple[int, int, int]:
         return tuple(sum(f.degree for f in fs) for fs in (self.f0, self.f1, self.f2))
@@ -104,18 +117,22 @@ def r_profile(p: int, s: int) -> BlockProfile:
 
 
 def cyclic_code_from_assignment(fa: FactorAssignment) -> AdditiveCode:
-    """The cyclic R-code < hat(F0), u hat(F1) > as an additive code (q=0, r=s, s=0)."""
-    profile = r_profile(fa.p, fa.s)
-    words = []
-    f0_hat = fa.hat(0)
-    if f0_hat.degree < fa.s:  # an empty F0 slot gives hat(F0) = x^s - 1 = 0
-        words.append(word_from_polynomials(profile, r_poly=f0_hat))
-    f1_hat = fa.hat(1)
-    if f1_hat.degree < fa.s:
-        u_f1 = Poly.make([(0, c) for c in f1_hat.int_coeffs()], fa.p, 2)
-        words.append(word_from_polynomials(profile, r_poly=u_f1))
-    code = shift_module_span(words, profile=profile) if words else AdditiveCode.zero(profile)
-    expected = 2 * fa.slot_degrees()[0] + fa.slot_degrees()[1]
+    """The cyclic R-code < hat(F0), u hat(F1) > as an additive code (q=0, r=s, s=0),
+    built on its CRT basis (module docstring): x^i hat(F0) in the a-columns and
+    u x^i prod F2 in the b-columns.  The rank must equal 2 deg F0 + deg F1."""
+    p, s = fa.p, fa.s
+    profile = r_profile(p, s)
+    d0, d1, d2 = fa.slot_degrees()
+    r_cols = block_columns(profile)[1]      # (s, 2): the a and b column of each position
+    rows = []
+    for gen, part, count in ((_product(fa.f1 + fa.f2, p), 0, d0),   # x^i hat(F0)
+                             (_product(fa.f2, p), 1, s - d2)):      # u x^i prod F2
+        i = np.arange(count)[:, None]
+        block = np.zeros((count, profile.n), dtype=np.int64)
+        block[i, r_cols[i + np.arange(gen.size), part]] = gen
+        rows.append(block)
+    code = AdditiveCode(profile, np.concatenate(rows), _closed=True)
+    expected = 2 * d0 + d1
     if code.rank != expected:
         raise AssertionError(
             f"cyclic code rank {code.rank} differs from CRT count {expected}")
@@ -148,8 +165,13 @@ def reciprocal_dual(fa: FactorAssignment) -> DualComputation:
 
 
 def is_dual_containing(code: LinearCode) -> bool:
-    """True iff every generator of the Euclidean dual lies in the code."""
-    return code.euclidean_dual().is_subcode_of(code)
+    """True iff the code contains its Euclidean dual.
+
+    C contains C^perp iff C^perp lies in C^perp^perp = C, that is iff C^perp is
+    self-orthogonal: H H^T = 0 mod p for the parity check H.
+    """
+    h = code.parity_check
+    return not (h @ h.T % code.p).any()
 
 
 def additive_dual_containing(code: AdditiveCode) -> bool:
@@ -175,14 +197,12 @@ def separable_rs_dual_containing(code_r: AdditiveCode, code_s: AdditiveCode) -> 
         raise ZprsError("components over different primes")
     if code_r.profile.q or code_r.profile.s or code_s.profile.q or code_s.profile.r:
         raise ZprsError("expected an R-only and an S-only component")
-    p, r, s = code_r.profile.p, code_r.profile.r, code_s.profile.s
-    profile = BlockProfile(p, 0, r, s)
-    rows = []
-    for w in code_r.basis_words():
-        rows.append(word_from_polynomials(profile, r_poly=Poly(p, 2, w.rpart)))
-    for w in code_s.basis_words():
-        rows.append(word_from_polynomials(profile, s_poly=Poly(p, 3, w.spart)))
-    product = AdditiveCode(profile, [flatten(w) for w in rows])
+    profile = BlockProfile(code_r.profile.p, 0, code_r.profile.r, code_s.profile.s)
+    _, r_cols, s_cols = block_columns(profile)
+    rows = np.zeros((code_r.rank + code_s.rank, profile.n), dtype=np.int64)
+    rows[:code_r.rank, r_cols.ravel()] = code_r.basis
+    rows[code_r.rank:, s_cols.ravel()] = code_s.basis
+    product = AdditiveCode(profile, rows)
     verdict = additive_dual_containing(product)
     componentwise = additive_dual_containing(code_r) and additive_dual_containing(code_s)
     if verdict != componentwise:
@@ -205,27 +225,18 @@ class SearchHit:
     distance_exact: bool
 
 
+def _split_slots(factors, slots) -> list[list[Poly]]:
+    """The factors of slot 0, 1 and 2."""
+    return [[f for f, slot in zip(factors, slots) if slot == j] for j in range(3)]
+
+
 def _evaluate_assignment(args) -> tuple | None:
-    p, s, factor_coeffs, slots, distance_cap = args
-    degrees = [len(c) - 1 for c in factor_coeffs]
-    rank = sum((2, 1, 0)[slot] * deg for slot, deg in zip(slots, degrees))
-    if 2 * rank < 2 * s or rank == 0:
-        return None  # dual-containing Gray images need k >= n/2
-    factors = [Poly.make(c, p) for c in factor_coeffs]
-    fa = FactorAssignment.from_slots(
-        p, s,
-        [f for f, slot in zip(factors, slots) if slot == 0],
-        [f for f, slot in zip(factors, slots) if slot == 1],
-        [f for f, slot in zip(factors, slots) if slot == 2])
-    code = cyclic_code_from_assignment(fa)
-    if code.rank == 0:
-        return None
+    p, s, factors, slots, distance_cap = args
+    if sum((2, 1, 0)[slot] * f.degree for slot, f in zip(slots, factors)) < s:
+        return None  # a Gray image [2s, k] with k < s cannot contain its dual
+    code = cyclic_code_from_assignment(FactorAssignment.from_slots(
+        p, s, *_split_slots(factors, slots)))
     image = GrayMap(p).image(code)
-    if 2 * image.k < image.n:
-        return None
-    h = image.parity_check
-    if h.shape[0] and ((h @ h.T) % p).any():
-        return None  # dual not self-orthogonal, so not dual-containing
     if not is_dual_containing(image):
         return None
     try:
@@ -251,27 +262,22 @@ def search_dual_containing(p: int, s: int, *, distance_cap: int = 6,
     t = len(factors)
     if t > max_factors:
         raise TooManyFactors(f"{t} irreducible factors; bound is {max_factors}")
-    factor_coeffs = [tuple(f.int_coeffs()) for f in factors]
-    assignments = []
-    for code_index in range(3 ** t):
-        slots = tuple(code_index // 3 ** i % 3 for i in range(t))
-        assignments.append((p, s, factor_coeffs, slots, distance_cap))
+    assignments = ((p, s, factors, slots, distance_cap)
+                   for slots in itertools.product(range(3), repeat=t))
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            raw = list(pool.map(_evaluate_assignment, assignments, chunksize=64))
+            raw = []
+            while batch := list(itertools.islice(assignments, 1024 * jobs)):
+                raw += filter(None, pool.map(_evaluate_assignment, batch, chunksize=64))
     else:
-        raw = [_evaluate_assignment(a) for a in assignments]
+        raw = list(filter(None, map(_evaluate_assignment, assignments)))
     best: dict[tuple[int, int, int], tuple] = {}
-    for slots, n, k, d, exact in sorted(filter(None, raw), key=lambda r: (not r[4], r[0])):
+    for slots, n, k, d, exact in sorted(raw, key=lambda r: (not r[4], r[0])):
         best.setdefault((n, 2 * k - n, d), (slots, n, k, d, exact))
     hits = []
     for (n, kq, d), (slots, _, k, _, exact) in sorted(best.items(),
                                                       key=lambda kv: (kv[0], kv[1][0])):
-        fa = FactorAssignment.from_slots(
-            p, s,
-            [f for f, slot in zip(factors, slots) if slot == 0],
-            [f for f, slot in zip(factors, slots) if slot == 1],
-            [f for f, slot in zip(factors, slots) if slot == 2])
+        fa = FactorAssignment.from_slots(p, s, *_split_slots(factors, slots))
         hits.append(SearchHit(fa, fa.hat(0), fa.hat(1), n, k,
                               QuantumParams(n, kq, d, p), exact))
     return hits
@@ -288,16 +294,7 @@ def code_from_table_generators(p: int, s: int, f0_hat, f1_hat) -> tuple[FactorAs
     f1h = f1_hat if isinstance(f1_hat, Poly) else Poly.make(f1_hat, p)
     f0 = hat(f0h.monic(), p, s, 1)   # F0 = (x^s - 1) / hat(F0)
     f1 = hat(f1h.monic(), p, s, 1)
-    factors = factor_xn_minus_lambda(p, s, 1)
-    slot0, slot1, slot2 = [], [], []
-    for f in factors:
-        if poly_divmod(f0, f)[1].is_zero:
-            f0 = poly_divmod(f0, f)[0]
-            slot0.append(f)
-        elif poly_divmod(f1, f)[1].is_zero:
-            f1 = poly_divmod(f1, f)[0]
-            slot1.append(f)
-        else:
-            slot2.append(f)
-    fa = FactorAssignment.from_slots(p, s, slot0, slot1, slot2)
+    factors = factor_xn_minus_lambda(p, s, 1)   # distinct, as x^s - 1 is squarefree
+    slots = [0 if divides(f, f0) else 1 if divides(f, f1) else 2 for f in factors]
+    fa = FactorAssignment.from_slots(p, s, *_split_slots(factors, slots))
     return fa, cyclic_code_from_assignment(fa)

@@ -1,13 +1,14 @@
 import itertools
+from functools import reduce
 
 import numpy as np
 import pytest
 
-from zprs.additive import AdditiveCode
+from zprs.additive import AdditiveCode, shift_module_span, word_from_polynomials
 from zprs.errors import GcdViolation, NotDualContaining, TooManyFactors, ZprsError
 from zprs.gray import GrayMap
 from zprs.linear import LinearCode
-from zprs.polynomials import Poly, factor_xn_minus_lambda
+from zprs.polynomials import Poly, factor_xn_minus_lambda, hat
 from zprs.quantum import (FactorAssignment, QuantumParams, code_from_table_generators, css,
                           cyclic_code_from_assignment, is_dual_containing,
                           reciprocal_dual, search_dual_containing,
@@ -52,6 +53,87 @@ def test_cardinality_matches_crt_count_exhaustive():
                 d0, d1, _ = fa.slot_degrees()
                 assert code.rank == 2 * d0 + d1
                 assert code.is_constacyclic(1, 1, 1)
+
+
+# the (p, s) grid of the exhaustive cardinality test, plus (5, 6) and (13, 4)
+ORACLE_GRID = ((2, 1), (2, 3), (2, 5), (2, 7), (3, 1), (3, 2), (3, 4), (3, 5), (3, 7),
+               (5, 6), (13, 4))
+
+
+def every_assignment(grid=ORACLE_GRID):
+    for p, s in grid:
+        for slots in itertools.product(range(3), repeat=len(factor_xn_minus_lambda(p, s, 1))):
+            yield assignment(p, s, slots)
+
+
+def span_oracle(fa):
+    """< hat(F0), u hat(F1) > as the shift-and-scalar span closure of its two generators."""
+    p, s = fa.p, fa.s
+    profile = BlockProfile(p, 0, s, 0)
+    f0_hat, f1_hat = (hat(fa.slot_product(j), p, s, 1) for j in (0, 1))
+    words = []
+    if f0_hat.degree < s:                    # an empty F0 slot gives hat(F0) = x^s - 1 = 0
+        words.append(word_from_polynomials(profile, r_poly=f0_hat))
+    if f1_hat.degree < s:
+        u_f1 = Poly.make([(0, c) for c in f1_hat.int_coeffs()], p, 2)
+        words.append(word_from_polynomials(profile, r_poly=u_f1))
+    return shift_module_span(words, profile=profile) if words else AdditiveCode.zero(profile)
+
+
+def test_crt_basis_equals_span_closure_exhaustive():
+    for fa in every_assignment():
+        assert cyclic_code_from_assignment(fa) == span_oracle(fa), (fa.p, fa.s, fa.key())
+
+
+def test_hat_equals_division_exhaustive():
+    for fa in every_assignment():
+        for slot, fs in enumerate((fa.f0, fa.f1, fa.f2)):
+            product = reduce(lambda a, b: a * b, fs, Poly.one(fa.p))
+            assert fa.slot_product(slot) == product
+            assert fa.hat(slot) == hat(product, fa.p, fa.s, 1), (fa.p, fa.s, slot)
+
+
+def test_is_dual_containing_matches_subcode_oracle_on_gray_images():
+    # the Gray map needs p = 2 or p = 1 (mod 4), so p = 3 drops out
+    verdicts = set()
+    for fa in every_assignment([(p, s) for p, s in ORACLE_GRID if p != 3]):
+        image = GrayMap(fa.p).image(cyclic_code_from_assignment(fa))
+        expected = image.euclidean_dual().is_subcode_of(image)
+        assert is_dual_containing(image) == expected, (fa.p, fa.s, fa.key())
+        verdicts.add(expected)
+    assert verdicts == {True, False}
+
+
+def test_is_dual_containing_matches_subcode_oracle_on_random_codes():
+    rng = np.random.default_rng(5)
+    verdicts = set()
+    for _ in range(300):
+        p = int(rng.choice([2, 3, 5]))
+        n = int(rng.integers(1, 7))
+        k = int(rng.integers(0, n + 1))
+        code = LinearCode(p, n, rng.integers(0, p, size=(k, n)))
+        expected = code.euclidean_dual().is_subcode_of(code)
+        assert is_dual_containing(code) == expected, (p, n, code.generator.tolist())
+        verdicts.add(expected)
+    assert verdicts == {True, False}
+    for p, n in ((2, 1), (3, 4), (5, 6)):
+        assert not is_dual_containing(LinearCode.zero(p, n))      # k = 0
+        assert is_dual_containing(LinearCode.full_space(p, n))    # k = n
+
+
+def test_search_runs_without_division_or_span_closure(monkeypatch):
+    import zprs.additive
+    import zprs.polynomials
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the search must not divide polynomials or close spans")
+
+    expected = [(str(h.params), h.assignment.key()) for h in search_dual_containing(5, 6)]
+    # hat and divides reach poly_divmod through the polynomials module
+    monkeypatch.setattr(zprs.polynomials, "poly_divmod", forbidden)
+    monkeypatch.setattr(zprs.additive, "shift_module_span", forbidden)
+    assert [(str(h.params), h.assignment.key())
+            for h in search_dual_containing(5, 6)] == expected
 
 
 def test_section6_example():
