@@ -147,23 +147,16 @@ class AdditiveCode:
         cols = dict(zip("qrs", block_columns(pr)))[block].ravel()
         if cols.size == 0:
             raise ProfileMismatch(f"block {block!r} is empty")
-        sub_profile = BlockProfile(pr.p,
-                                   pr.q if block == "q" else 0,
-                                   pr.r if block == "r" else 0,
-                                   pr.s if block == "s" else 0)
+        sub_profile = BlockProfile(pr.p, *(getattr(pr, b) if b == block else 0 for b in "qrs"))
         return AdditiveCode(sub_profile, self.basis[:, cols], _closed=True)
 
     def components(self) -> tuple["AdditiveCode | None", ...]:
         """Punctured codes (C_q, C_r, C_s); None for empty blocks."""
-        pr = self.profile
-        return (self.punctured("q") if pr.q else None,
-                self.punctured("r") if pr.r else None,
-                self.punctured("s") if pr.s else None)
+        return tuple(self.punctured(b) if getattr(self.profile, b) else None for b in "qrs")
 
     def is_separable(self) -> bool:
         """True iff the code is the direct product of its block punctures."""
-        total = sum(c.rank for c in self.components() if c is not None)
-        return self.rank == total
+        return self.rank == sum(c.rank for c in self.components() if c is not None)
 
 
 def span_closure(generators: Iterable[MixedWord],

@@ -22,6 +22,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from pathlib import Path
 
 from . import reproduce as _reproduce
 from .additive import AdditiveCode, from_generator_polynomials, span_closure
@@ -47,7 +48,7 @@ COMMANDS = ("factor", "build", "dual", "contains", "gray", "distance", "wenum",
 
 
 def _read_json(path: str | None):
-    text = sys.stdin.read() if path in (None, "-") else open(path).read()
+    text = sys.stdin.read() if path in (None, "-") else Path(path).read_text()
     return json.loads(text)
 
 
@@ -79,19 +80,11 @@ def load_code(spec: dict) -> AdditiveCode:
         return span_closure(words, profile=profile)
     def coerce(poly):
         # accept coefficient arrays or Z_p polynomial text like "x^3 + 3x^2 + 5x + 4"
-        if isinstance(poly, str):
-            return parse_poly(poly, profile.p)
-        return poly
+        return parse_poly(poly, profile.p) if isinstance(poly, str) else poly
 
-    polys = {}
+    polys = {key: tuple(map(coerce, spec[key])) for key in ("g", "h", "l") if key in spec}
     if "f0" in spec:
         polys["f0"] = coerce(spec["f0"])
-    if "g" in spec:
-        polys["g"] = tuple(coerce(v) for v in spec["g"])
-    if "h" in spec:
-        polys["h"] = tuple(coerce(v) for v in spec["h"])
-    if "l" in spec:
-        polys["l"] = tuple(coerce(v) for v in spec["l"])
     return from_generator_polynomials(profile, tuple(mu), **polys,
                                       hypotheses=spec.get("hypotheses", "warn"))
 

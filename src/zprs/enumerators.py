@@ -19,11 +19,19 @@ integer points instead of materializing the p^6-variate transform.
 Hamming, Lee and (p <= 3) symmetrized walk the smaller of C and C^perp and
 transform back; the ``_*_walk`` routines always walk C, so the MacWilliams
 verifiers compare two independent walks.
+
+The three transforms are one routine, ``substitute_linear``.  At degree n
+the substitution of Q X for X is the integer matrix T = Sym^n(Q) on the
+monomial basis (for the bivariate Hamming and Lee forms, the Krawtchouk
+matrix), so a transform is T times the coefficient vector, in exact
+integers, divided by the code size, evaluated by Horner's rule on the
+input's monomials without forming T.
 """
 
 from __future__ import annotations
 
-from collections import Counter
+import itertools
+import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import Mapping, Sequence
@@ -319,29 +327,19 @@ class Enumerator:
 
     def to_json(self) -> list[dict]:
         dense = self.nvars <= 8
-        out = []
-        for key, coeff in self.sorted_terms():
-            if dense:
-                exps = [0] * self.nvars
-                for var, exp in key:
-                    exps[var] = exp
-                out.append({"exponents": exps, "coeff": coeff})
-            else:
-                out.append({"exponents": [[var, exp] for var, exp in key], "coeff": coeff})
-        return out
+        return [{"exponents": [dict(key).get(v, 0) for v in range(self.nvars)] if dense
+                 else [[var, exp] for var, exp in key], "coeff": coeff}
+                for key, coeff in self.sorted_terms()]
 
 
-def _monomial(pairs) -> MonomialKey:
-    merged: dict[int, int] = {}
-    for var, exp in pairs:
-        if exp:
-            merged[var] = merged.get(var, 0) + exp
-    return tuple(sorted(merged.items()))
+def _key(exponents: Sequence[int]) -> MonomialKey:
+    """The monomial key of a dense exponent vector."""
+    return tuple((var, exp) for var, exp in enumerate(exponents) if exp)
 
 
 def bivariate(coeffs_by_y_exponent: Mapping[int, int], degree: int) -> Enumerator:
     """Helper: enumerator sum c_w x^(degree-w) y^w from {w: c_w}."""
-    return Enumerator(2, degree, {_monomial(((0, degree - w), (1, w))): c
+    return Enumerator(2, degree, {_key((degree - w, w)): c
                                   for w, c in coeffs_by_y_exponent.items() if c})
 
 
@@ -372,14 +370,21 @@ def regroup(code: AdditiveCode, limit: int = 2 ** 24):
             for chunk in _symbol_index_rows(code, limit) for row in chunk]
 
 
-def _histogram(code: AdditiveCode, key) -> Counter:
-    """Codeword count per distinct row of ``key(chunk)``, which maps a
-    symbol-index chunk to one integer row per codeword."""
-    hist: Counter[tuple] = Counter()
-    for chunk in _symbol_index_rows(code):
-        rows, counts = np.unique(key(chunk), axis=0, return_counts=True)
-        hist.update(dict(zip(map(tuple, rows.tolist()), counts.tolist())))
-    return hist
+def _distinct_rows(rows: np.ndarray, counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct rows in lexicographic order, each with the sum of its counts."""
+    order = np.lexsort(rows.T[::-1])
+    rows, counts = rows[order], counts[order]
+    first = np.flatnonzero(np.r_[True, (rows[1:] != rows[:-1]).any(axis=1)])
+    return rows[first], np.add.reduceat(counts, first)
+
+
+def _histogram(code: AdditiveCode, key) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct rows of ``key(chunk)`` over all codewords, in lexicographic
+    order, and how many codewords give each; ``key`` maps a symbol-index
+    chunk to one integer row per codeword."""
+    parts = [_distinct_rows(rows, np.ones(len(rows), dtype=np.int64))
+             for rows in map(key, _symbol_index_rows(code))]
+    return _distinct_rows(*map(np.concatenate, zip(*parts)))
 
 
 def _smaller_side(code: AdditiveCode, walk, transform) -> Enumerator:
@@ -393,14 +398,19 @@ def _smaller_side(code: AdditiveCode, walk, transform) -> Enumerator:
 def complete_enumerator(code: AdditiveCode) -> Enumerator:
     """W_C(x_0, ..., x_(p^6 - 1)): codeword c contributes prod_j x_(c_j)."""
     pr = code.profile
-    hist = _histogram(code, lambda chunk: np.sort(chunk, axis=1))
-    return Enumerator(pr.p ** 6, pr.q,
-                      {_monomial((i, 1) for i in row): c for row, c in hist.items()})
+    rows, counts = _histogram(code, lambda chunk: np.sort(chunk, axis=1))
+    # a sorted row is a sequence of runs; a run of e copies of symbol i is x_i^e
+    starts = np.c_[np.ones(len(rows), dtype=bool), rows[:, 1:] != rows[:, :-1]]
+    first = np.flatnonzero(starts)          # row-major, and column 0 starts a run
+    pairs = list(zip(rows.ravel()[first].tolist(), np.diff(first, append=rows.size).tolist()))
+    ends = np.cumsum(starts.sum(axis=1)).tolist()
+    keys = [tuple(pairs[a:b]) for a, b in zip([0] + ends[:-1], ends)]
+    return Enumerator(pr.p ** 6, pr.q, dict(zip(keys, counts.tolist())))
 
 
 def _hamming_walk(code: AdditiveCode) -> Enumerator:
-    hist = _histogram(code, lambda chunk: (chunk != 0).sum(axis=1, keepdims=True))
-    return bivariate({w: c for (w,), c in hist.items()}, code.profile.q)
+    rows, counts = _histogram(code, lambda chunk: (chunk != 0).sum(axis=1, keepdims=True))
+    return bivariate(dict(zip(rows[:, 0].tolist(), counts.tolist())), code.profile.q)
 
 
 def hamming_enumerator(code: AdditiveCode) -> Enumerator:
@@ -412,10 +422,10 @@ def _symmetrized_walk(code: AdditiveCode) -> Enumerator:
     t = symbol_table(code.profile.p)
     nvars = t.max_lee_weight + 1
     # row w, column i: coordinates of codeword w with symbol Lee weight i
-    hist = _histogram(code, lambda chunk: (t.lee_weights[chunk][..., None]
-                                           == np.arange(nvars)).sum(axis=1))
+    rows, counts = _histogram(code, lambda chunk: (t.lee_weights[chunk][..., None]
+                                                   == np.arange(nvars)).sum(axis=1))
     return Enumerator(nvars, code.profile.q,
-                      {_monomial(enumerate(row)): c for row, c in hist.items()})
+                      {_key(row): c for row, c in zip(rows.tolist(), counts.tolist())})
 
 
 def symmetrized_enumerator(code: AdditiveCode) -> Enumerator:
@@ -432,8 +442,8 @@ def symmetrized_enumerator(code: AdditiveCode) -> Enumerator:
 
 def _lee_walk(code: AdditiveCode) -> Enumerator:
     t = symbol_table(code.profile.p)
-    hist = _histogram(code, lambda chunk: t.gray_weights[chunk].sum(axis=1, keepdims=True))
-    return bivariate({w: c for (w,), c in hist.items()}, 6 * code.profile.q)
+    rows, counts = _histogram(code, lambda chunk: t.gray_weights[chunk].sum(1, keepdims=True))
+    return bivariate(dict(zip(rows[:, 0].tolist(), counts.tolist())), 6 * code.profile.q)
 
 
 def lee_enumerator(code: AdditiveCode) -> Enumerator:
@@ -481,32 +491,41 @@ def _codeword_sums(code: AdditiveCode, tables: np.ndarray) -> list[list[int]]:
     return totals.tolist()
 
 
+def _complete_check_points(q: int) -> int:
+    """The smallest k >= 8 with (q/98)^k <= 2^-28; refuses q >= 98, where no k works."""
+    if q >= 98:
+        raise TooLarge(f"degree {q} is beyond the complete check's points in [0, 97]")
+    return next(k for k in itertools.count(8) if q ** k << 28 <= 98 ** k)
+
+
 def macwilliams_complete_check(code: AdditiveCode,
                                candidate_dual: AdditiveCode | None = None,
-                               *, num_points: int = 8, seed: int = 20230817) -> bool:
+                               *, seed: int = 20230817) -> bool:
     """Verify the complete-enumerator MacWilliams identity by point evaluation.
 
-    Checks W_D(x) == (1/|C|) W_C(P x) at ``num_points`` fixed pseudo-random
-    integer points in [0, 97]^(p^6), exactly over Z[zeta_p].  D defaults to
-    the computed dual; pass a candidate to test a conjectured dual pair.
-    Both sides are summed from codeword chunks, no enumerator is built.
+    Checks W_D(x) == (1/|C|) W_C(P x) at k fixed pseudo-random integer
+    points in [0, 97]^(p^6), exactly over Z[zeta_p].  D defaults to the
+    computed dual; pass a candidate to test a conjectured dual pair.  Both
+    sides are summed from codeword chunks, no enumerator is built.
 
     A Schwartz-Zippel test, not a proof: a failing identity leaves a nonzero
     difference of total degree q, which vanishes at a uniform point of
-    [0, 97]^(p^6) with probability <= q/98, so 8 points all miss it with
-    probability <= (q/98)^8.  The points are fixed by ``seed``: the bound is
-    over the choice of seed.  For D the dual, |C| |D| = p^(6q) and both sides
-    walk under the 2^24 limit, so q <= 8 at p = 2 and q <= 5 at p = 3, and
-    the bound is at most (8/98)^8, about 2e-9.
+    [0, 97]^(p^6) with probability <= q/98, so k points all miss it with
+    probability <= (q/98)^k.  k = ``_complete_check_points(q)`` is the
+    smallest k >= 8 that makes this at most 2^-28, and q >= 98 is refused.
+    The points are fixed by ``seed``: the bound is over the choice of seed.
+    For D the dual, |C| |D| = p^(6q) and both sides walk under the 2^24
+    limit, so q <= 8 at p = 2 and q <= 5 at p = 3, and k = 8.
     """
     p = code.profile.p
     if p > 3:
         raise TooLarge("complete MacWilliams check materializes P; p <= 3 only")
+    count = _complete_check_points(code.profile.q)
     dual = candidate_dual if candidate_dual is not None else code.dual()
     if dual.profile != code.profile:
         raise BlocksUnequal("dual candidate over a different profile")
     rng = np.random.default_rng(seed)
-    points = rng.integers(0, 98, size=(num_points, p ** 6))
+    points = rng.integers(0, 98, size=(count, p ** 6))
     lhs = _codeword_sums(dual, points[..., None])
     rhs = _codeword_sums(code, _character_sums(points, p))
     for (left,), right in zip(lhs, rhs):
@@ -516,42 +535,73 @@ def macwilliams_complete_check(code: AdditiveCode,
     return True
 
 
-def _multiply_by_linear(poly: dict[MonomialKey, int], lin: Sequence[int]) -> dict:
-    out: dict[MonomialKey, int] = {}
-    for key, coeff in poly.items():
-        for var, c in enumerate(lin):
-            if not c:
-                continue
-            new_key = _monomial(key + ((var, 1),))
-            out[new_key] = out.get(new_key, 0) + coeff * c
-    return out
+# substitute_linear refuses a transform whose index tables or Horner levels
+# could hold more than this many entries
+TRANSFORM_BUDGET = 2 ** 24
+
+
+@lru_cache(maxsize=8)
+def _monomial_tables(m: int, n: int) -> tuple[np.ndarray, list[np.ndarray]]:
+    """The degree-n monomials in m variables in lexicographic order, and for
+    d < n the table shift[d]: row i, column w is the index of (degree-d
+    monomial i) + e_w among the degree-(d + 1) monomials."""
+    exps, shift = np.zeros((1, m), dtype=np.int64), []
+    for _ in range(n):
+        exps, inverse = np.unique((exps[:, None] + np.eye(m, dtype=np.int64)).reshape(-1, m),
+                                  axis=0, return_inverse=True)
+        shift.append(inverse.reshape(-1, m))
+    return exps, shift
 
 
 def substitute_linear(enum: Enumerator, rows: Sequence[Sequence[int]],
                       code_size: int) -> Enumerator:
-    """(1/code_size) * enum with each variable v replaced by sum_w rows[v][w] X_w.
+    """(1/code_size) * enum with each variable v replaced by L_v = sum_w rows[v][w] X_w.
 
-    Raises ``InexactDivision`` when the substituted polynomial is not an
-    exact code_size-multiple, which signals the input was not the enumerator
-    of a code of that size.
+    T = Sym^n(Q) times the coefficient vector (module docstring), by Horner's
+    rule over the input monomials as ascending variable sequences: the
+    polynomial of a length-(k - 1) prefix is the sum, over its extensions by
+    v, of L_v times the extension's polynomial.  Level k holds a vector of
+    degree-(n - k) monomials per distinct length-k prefix; T is never formed.
+    Raises ``TooLarge`` when the index tables or a level could exceed
+    ``TRANSFORM_BUDGET`` = 2^24 entries (for rows without zeros, expanding
+    term by term takes about as many multiply-adds), and
+    ``InexactDivision`` when the result is not an exact code_size-multiple:
+    the input was not the enumerator of a code of that size.
     """
-    out_nvars = len(rows[0]) if rows else enum.nvars
-    total: dict[MonomialKey, int] = {}
-    for key, coeff in enum.terms.items():
-        poly: dict[MonomialKey, int] = {(): coeff}
-        for var, exp in key:
-            lin = rows[var]
-            for _ in range(exp):
-                poly = _multiply_by_linear(poly, lin)
-        for k2, c2 in poly.items():
-            total[k2] = total.get(k2, 0) + c2
-    result: dict[MonomialKey, int] = {}
-    for k2, c2 in total.items():
-        if c2 % code_size:
-            raise InexactDivision(f"coefficient {c2} of {k2} is not divisible by {code_size}")
-        if c2 // code_size:
-            result[k2] = c2 // code_size
-    return Enumerator(out_nvars, enum.degree, result)
+    q = np.array([[int(c) for c in row] for row in rows], dtype=object)
+    m, n = q.shape[1], enum.degree
+    size = [math.comb(d + m - 1, d) for d in range(n + 1)]     # monomials of degree d
+    entries = m * max([sum(size)] + [min(len(enum.terms), size[k]) * size[n - k]
+                                     for k in range(n + 1)])
+    if entries > TRANSFORM_BUDGET:
+        raise TooLarge(f"the degree-{n} transform in {m} variables may hold {entries} "
+                       f"entries, above the budget of {TRANSFORM_BUDGET}")
+    if not enum.terms:
+        return Enumerator(m, n, {})
+    # tables of at most 2^16 entries are kept across calls, larger ones rebuilt
+    tables = _monomial_tables if m * sum(size) <= 1 << 16 else _monomial_tables.__wrapped__
+    exps, shift = tables(m, n)
+    # the input monomials as ascending variable sequences, in lexicographic order
+    seqs, coeffs = zip(*sorted(([v for v, e in key for _ in range(e)], c)
+                               for key, c in enum.terms.items()))
+    seqs = np.array(seqs, dtype=np.int64).reshape(len(coeffs), n)
+    polys = np.array(coeffs, dtype=object)[:, None]
+    for k in range(n, 0, -1):
+        # seqs: the distinct length-k prefixes, sorted; polys: theirs, of degree n - k
+        last = q[seqs[:, k - 1]]
+        first = np.r_[True, (seqs[1:, :k - 1] != seqs[:-1, :k - 1]).any(axis=1)]
+        seqs, parent = seqs[first], np.cumsum(first) - 1
+        up = np.zeros((len(seqs), size[n - k + 1]), dtype=object)
+        np.add.at(up, (parent.reshape(-1, 1, 1), shift[n - k]), polys[:, :, None] * last[:, None])
+        polys = up
+    total = polys[0]
+    bad = np.flatnonzero(total % code_size)
+    if bad.size:
+        raise InexactDivision(f"coefficient {total[bad[0]]} of {_key(exps[bad[0]])} "
+                              f"is not divisible by {code_size}")
+    nonzero = np.flatnonzero(total)
+    return Enumerator(m, n, {_key(e): c // code_size for e, c in
+                             zip(exps[nonzero].tolist(), total[nonzero].tolist())})
 
 
 def hamming_transform(enum: Enumerator, code_size: int, p: int) -> Enumerator:

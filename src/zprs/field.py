@@ -7,6 +7,7 @@ prime.  Division uses Fermat exponentiation a / b = a * b^(p-2).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -115,12 +116,37 @@ def find_kappa(p: int) -> FieldElement:
     return FieldElement(min(k, p - k), p)
 
 
+def factorize(n: int) -> tuple[tuple[int, int], ...]:
+    """Prime factorization ((q, e), ...) of n >= 1, primes ascending: trial
+    division by d <= 2^16, then ``TooLarge`` unless the cofactor is prime."""
+    out, d = [], 2
+    while d <= 1 << 16 and d * d <= n:
+        e = 0
+        while n % d == 0:
+            n, e = n // d, e + 1
+        if e:
+            out.append((d, e))
+        d += 1 if d == 2 else 2
+    if n > 1 and not is_prime(n):
+        raise TooLarge(f"{n} has no prime factor up to 2^16 and is not prime")
+    return tuple(out) + (((n, 1),) if n > 1 else ())
+
+
+def element_order(power_is_one, group_order: tuple[tuple[int, int], ...]) -> int:
+    """Smallest t >= 1 with x^t = 1, for x in a group whose order has the
+    prime factorization ``group_order``; ``power_is_one(t)`` tests x^t = 1.
+    The order divides |G|: each prime is divided out while the power stays 1."""
+    t = math.prod(q ** e for q, e in group_order)
+    if not power_is_one(t):
+        raise AssertionError("x^|G| != 1: the group order or the arithmetic is wrong")
+    for q, _ in group_order:
+        while t % q == 0 and power_is_one(t // q):
+            t //= q
+    return t
+
+
 def unit_order(a: FieldElement) -> int:
     """Multiplicative order of a nonzero element: smallest t >= 1 with a^t = 1."""
     if a.value == 0:
         raise NotAUnit(f"0 is not a unit in Z_{a.p}")
-    t, x = 1, a.value
-    while x != 1:
-        x = x * a.value % a.p
-        t += 1
-    return t
+    return element_order(lambda t: pow(a.value, t, a.p) == 1, factorize(a.p - 1))

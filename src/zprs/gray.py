@@ -61,7 +61,7 @@ def lee_weight(w: MixedWord, *, warn: bool = True) -> int:
     Gray-image Hamming weights of the R and S coordinates."""
     p = w.profile.p
     zp_part = sum(zp_lee_weight(x, p) for x in w.zp)
-    rest = sum(chain_lee_weight(y) for y in w.rpart) + sum(chain_lee_weight(z) for z in w.spart)
+    rest = sum(map(chain_lee_weight, w.rpart + w.spart))
     if warn and p >= 5:
         hamming_zp = sum(1 for x in w.zp if x % p)
         if hamming_zp != zp_part:
@@ -75,9 +75,7 @@ def lee_weight(w: MixedWord, *, warn: bool = True) -> int:
 def gray_hamming_weight(w: MixedWord) -> int:
     """Hamming weight of the Gray image (kappa-free; identity on the Z_p block)."""
     p = w.profile.p
-    return (sum(1 for x in w.zp if x % p)
-            + sum(chain_lee_weight(y) for y in w.rpart)
-            + sum(chain_lee_weight(z) for z in w.spart))
+    return sum(1 for x in w.zp if x % p) + sum(map(chain_lee_weight, w.rpart + w.spart))
 
 
 class GrayMap:

@@ -94,10 +94,7 @@ class Poly:
                     tuple(self.coefficient(j) + other.coefficient(j) for j in range(n)))
 
     def __sub__(self, other: "Poly") -> "Poly":
-        self._check(other)
-        n = max(len(self.coeffs), len(other.coeffs))
-        return Poly(self.p, self.k,
-                    tuple(self.coefficient(j) - other.coefficient(j) for j in range(n)))
+        return self + -other
 
     def __neg__(self) -> "Poly":
         return Poly(self.p, self.k, tuple(-c for c in self.coeffs))
@@ -323,17 +320,8 @@ def rho_substitute(f: Poly, mu: CoeffLike, n: int) -> Poly:
     mu_e = ChainElement.make(mu, f.p, f.k)
     if not mu_e.is_unit:
         raise NotAUnit(f"{mu_e} is not a unit")
-    inv = mu_e.inverse()
-    power = ChainElement.one(f.p, f.k)
-    scaled = []
+    # x^j -> mu^-j x^j, and x^j = mu^(j div n) x^(j mod n) mod x^n - mu
+    out = [ChainElement.zero(f.p, f.k)] * min(n, len(f.coeffs))
     for j, c in enumerate(f.coeffs):
-        scaled.append(c * power)
-        power = power * inv
-    out = [ChainElement.zero(f.p, f.k) for _ in range(min(n, len(scaled)))]
-    mu_pow = [ChainElement.one(f.p, f.k)]
-    for j, c in enumerate(scaled):
-        dq, dr = divmod(j, n)
-        while len(mu_pow) <= dq:
-            mu_pow.append(mu_pow[-1] * mu_e)
-        out[dr] = out[dr] + c * mu_pow[dq]
+        out[j % n] = out[j % n] + c * mu_e ** (j // n - j)
     return Poly(f.p, f.k, tuple(out))

@@ -93,30 +93,26 @@ def _p2_code():
 
 
 def _sym_terms(enum):
-    out = {}
-    for key, coeff in enum.terms.items():
-        exps = []
-        for var, exp in key:
-            exps.extend([var] * exp)
-        out[tuple(sorted(exps))] = coeff
-    return out
+    """{sorted variable sequence: coefficient} of a symmetrized enumerator."""
+    return {tuple(v for v, e in key for _ in range(e)): c for key, c in enum.terms.items()}
 
 
 def _bivariate_terms(enum):
-    out = {}
-    for key, coeff in enum.terms.items():
-        y_exp = dict(key).get(1, 0)
-        out[y_exp] = coeff
-    return out
+    return {dict(key).get(1, 0): c for key, c in enum.terms.items()}
+
+
+def _walks(walk, transform):
+    """The worked code's walk, its dual's walk, and the transform of the first."""
+    code = _p2_code()
+    primal = walk(code)
+    return code, primal, walk(code.dual()), transform(primal, code.size, 2)
 
 
 def run_example1() -> list[ReproItem]:
     code = _p2_code()
-    items = [ReproItem("example1.rank", code.rank == 6, f"rank {code.rank}, expected 6")]
-    for i, w in enumerate(_p2_words(EXAMPLE1_EXPANDED)):
-        items.append(ReproItem(f"example1.generator{i + 1}", code.contains(w),
-                               f"{w} in the span"))
-    return items
+    return [ReproItem("example1.rank", code.rank == 6, f"rank {code.rank}, expected 6")] + [
+        ReproItem(f"example1.generator{i + 1}", code.contains(w), f"{w} in the span")
+        for i, w in enumerate(_p2_words(EXAMPLE1_EXPANDED))]
 
 
 def run_example2() -> list[ReproItem]:
@@ -134,10 +130,7 @@ def run_example2() -> list[ReproItem]:
 
 def run_example3() -> list[ReproItem]:
     # .transform compares two walks; .primal also checks the public enumerator
-    code = _p2_code()
-    primal = _hamming_walk(code)
-    dual = _hamming_walk(code.dual())
-    transformed = hamming_transform(primal, code.size, 2)
+    code, primal, dual, transformed = _walks(_hamming_walk, hamming_transform)
     return [
         ReproItem("example3.primal", hamming_enumerator(code) == primal
                   and _bivariate_terms(primal) == EXAMPLE3_HAMMING,
@@ -150,10 +143,7 @@ def run_example3() -> list[ReproItem]:
 
 
 def run_example4() -> list[ReproItem]:
-    code = _p2_code()
-    primal = _symmetrized_walk(code)
-    dual = _symmetrized_walk(code.dual())
-    transformed = symmetrized_transform(primal, code.size, 2)
+    code, primal, dual, transformed = _walks(_symmetrized_walk, symmetrized_transform)
     want_primal = {tuple(sorted(k)): v for k, v in EXAMPLE4_PRIMAL.items()}
     want_dual = {tuple(sorted(k)): v for k, v in EXAMPLE4_DUAL.items()}
     return [
@@ -169,10 +159,7 @@ def run_example4() -> list[ReproItem]:
 
 
 def run_example5() -> list[ReproItem]:
-    code = _p2_code()
-    primal = _lee_walk(code)
-    dual = _lee_walk(code.dual())
-    transformed = lee_transform(primal, code.size, 2)
+    code, primal, dual, transformed = _walks(_lee_walk, lee_transform)
     return [
         ReproItem("example5.primal", lee_enumerator(code) == primal
                   and _bivariate_terms(primal) == EXAMPLE5_PRIMAL,
@@ -208,20 +195,11 @@ def run_table1() -> list[ReproItem]:
     return items
 
 
-TARGETS = {
-    "example1": run_example1,
-    "example2": run_example2,
-    "example3": run_example3,
-    "example4": run_example4,
-    "example5": run_example5,
-    "table1": run_table1,
-}
+TARGETS = {"example1": run_example1, "example2": run_example2, "example3": run_example3,
+           "example4": run_example4, "example5": run_example5, "table1": run_table1}
 
 
 def run_target(target: str) -> list[ReproItem]:
     if target == "all":
-        out = []
-        for name in ("example1", "example2", "example3", "example4", "example5", "table1"):
-            out.extend(TARGETS[name]())
-        return out
+        return [item for run in TARGETS.values() for item in run()]
     return TARGETS[target]()

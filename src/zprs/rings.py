@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence, Union
 
 from .errors import ModulusMismatch, NotAUnit, WrongRing
-from .field import ensure_prime
+from .field import element_order, ensure_prime, factorize
 
 CoeffsLike = Union[int, Sequence[int], "ChainElement"]
 
@@ -187,18 +187,12 @@ def is_unit(x: ChainElement) -> bool:
 
 
 def unit_order(x: ChainElement) -> int:
-    """Smallest t >= 1 with x^t = 1; iteration is fine at desk scale."""
+    """Smallest t >= 1 with x^t = 1, in the unit group of order (p - 1) p^(k-1)."""
     if not x.is_unit:
         raise NotAUnit(f"{x} is not a unit")
     one = ChainElement.one(x.p, x.k)
-    t, acc = 1, x
-    bound = x.p ** x.k  # group of units has order p^(k-1) * (p-1) < p^k
-    while acc != one:
-        acc = acc * x
-        t += 1
-        if t > bound:
-            raise AssertionError("unit order exceeded the group order; arithmetic bug")
-    return t
+    group = factorize(x.p - 1) + (((x.p, x.k - 1),) if x.k > 1 else ())
+    return element_order(lambda t: x ** t == one, group)
 
 
 def all_elements(p: int, k: int) -> Iterable[ChainElement]:

@@ -113,12 +113,7 @@ class MixedWord:
                          tuple(a + b for a, b in zip(self.spart, other.spart)))
 
     def __sub__(self, other: "MixedWord") -> "MixedWord":
-        self._check(other)
-        p = self.profile.p
-        return MixedWord(self.profile,
-                         tuple((a - b) % p for a, b in zip(self.zp, other.zp)),
-                         tuple(a - b for a, b in zip(self.rpart, other.rpart)),
-                         tuple(a - b for a, b in zip(self.spart, other.spart)))
+        return self + mixed_scalar_mul(-1, other)
 
     @property
     def is_zero(self) -> bool:
@@ -153,27 +148,18 @@ def mixed_scalar_mul(d: UnitLike, w: MixedWord) -> MixedWord:
 
 def flatten(w: MixedWord) -> np.ndarray:
     """Coefficient expansion into Z_p^N: q singles, r pairs, s triples."""
-    out = list(w.zp)
-    for y in w.rpart:
-        out.extend(y.coeffs)
-    for z in w.spart:
-        out.extend(z.coeffs)
-    return np.array(out, dtype=np.int64)
+    return np.array(list(w.zp) + [c for x in w.rpart + w.spart for c in x.coeffs],
+                    dtype=np.int64)
 
 
 def unflatten(vec, profile: BlockProfile) -> MixedWord:
     v = [int(c) % profile.p for c in vec]
     if len(v) != profile.n:
         raise LengthMismatch(f"expected {profile.n} coordinates, got {len(v)}")
-    q, r = profile.q, profile.r
-    zp = tuple(v[:q])
-    rpart = tuple(ChainElement(profile.p, 2, (v[q + 2 * j], v[q + 2 * j + 1]))
-                  for j in range(r))
-    base = q + 2 * r
-    spart = tuple(ChainElement(profile.p, 3,
-                               (v[base + 3 * j], v[base + 3 * j + 1], v[base + 3 * j + 2]))
-                  for j in range(profile.s))
-    return MixedWord(profile, zp, rpart, spart)
+    _, rcols, scols = block_columns(profile)
+    return MixedWord(profile, tuple(v[:profile.q]),
+                     *(tuple(ChainElement(profile.p, k, tuple(v[i] for i in cols))
+                             for cols in block.tolist()) for k, block in ((2, rcols), (3, scols))))
 
 
 def constacyclic_shift(w: MixedWord,
@@ -181,20 +167,14 @@ def constacyclic_shift(w: MixedWord,
                        mu1: UnitLike = 1,
                        mu2: UnitLike = 1) -> MixedWord:
     """Rotate each block right by one; the wrapped entry picks up the block unit."""
-    pr = w.profile
-    p = pr.p
-    zp = w.zp
+    pr, p = w.profile, w.profile.p
+    zp, rpart, spart = w.zp, w.rpart, w.spart
     if pr.q:
-        u0 = as_unit(mu0, p, 1).coeffs[0]
-        zp = (u0 * w.zp[-1] % p,) + w.zp[:-1]
-    rpart = w.rpart
+        zp = (as_unit(mu0, p, 1).coeffs[0] * zp[-1] % p,) + zp[:-1]
     if pr.r:
-        u1 = as_unit(mu1, p, 2)
-        rpart = (u1 * w.rpart[-1],) + w.rpart[:-1]
-    spart = w.spart
+        rpart = (as_unit(mu1, p, 2) * rpart[-1],) + rpart[:-1]
     if pr.s:
-        u2 = as_unit(mu2, p, 3)
-        spart = (u2 * w.spart[-1],) + w.spart[:-1]
+        spart = (as_unit(mu2, p, 3) * spart[-1],) + spart[:-1]
     return MixedWord(pr, zp, rpart, spart)
 
 

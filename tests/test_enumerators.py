@@ -1,17 +1,21 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from zprs import enumerators
 from zprs.additive import AdditiveCode, span_closure
 from zprs.enumerators import (CyclotomicInt, Enumerator, _character_sums, _codeword_sums,
-                              _hamming_walk, _lee_walk, _symmetrized_walk, char_exponent_matrix,
+                              _complete_check_points, _hamming_walk, _lee_walk,
+                              _symmetrized_walk, char_exponent_matrix,
                               char_matrix_entry, character, complete_enumerator,
                               hamming_enumerator, hamming_transform, lee_enumerator,
                               lee_transform, macwilliams_complete_check, regroup, symbol_table,
                               symmetrized_enumerator, symmetrized_q_matrix,
-                              symmetrized_transform)
+                              substitute_linear, symmetrized_transform)
 from zprs.errors import BlocksUnequal, InexactDivision, TooLarge
 from zprs.words import BlockProfile, MixedWord, unflatten
 
@@ -37,6 +41,49 @@ def evaluate(enum, values):
             term = values[var] ** exp * term
         total = term + total
     return total
+
+
+def monomial(pairs):
+    """The key of the product of (var, exp) factors: equal variables merged."""
+    merged = {}
+    for var, exp in pairs:
+        if exp:
+            merged[var] = merged.get(var, 0) + exp
+    return tuple(sorted(merged.items()))
+
+
+def dict_substitute_linear(enum, rows, code_size):
+    """The substitution term by term: each monomial expanded one linear factor
+    at a time into a dict of keys, then summed and divided."""
+    total = {}
+    for key, coeff in enum.terms.items():
+        poly = {(): coeff}
+        for var, exp in key:
+            for _ in range(exp):
+                out = {}
+                for k, c in poly.items():
+                    for w, lin in enumerate(rows[var]):
+                        if lin:
+                            k2 = monomial(k + ((w, 1),))
+                            out[k2] = out.get(k2, 0) + c * lin
+                poly = out
+        for k, c in poly.items():
+            total[k] = total.get(k, 0) + c
+    if any(c % code_size for c in total.values()):
+        raise InexactDivision("not divisible")
+    return Enumerator(len(rows[0]), enum.degree,
+                      {k: c // code_size for k, c in total.items() if c // code_size})
+
+
+def dict_complete_enumerator(code):
+    """The complete enumerator with one ``monomial`` key per codeword."""
+    terms = {}
+    for chunk in enumerators._symbol_index_rows(code):
+        for row in chunk.tolist():
+            key = monomial((i, 1) for i in row)
+            terms[key] = terms.get(key, 0) + 1
+    pr = code.profile
+    return Enumerator(pr.p ** 6, pr.q, terms)
 
 
 def transform_point(point, p):
@@ -442,3 +489,128 @@ def test_complete_check_needs_a_rational_right_side(monkeypatch):
         sums = iter([[[1]] * 8, [right] * 8])
         monkeypatch.setattr(enumerators, "_codeword_sums", lambda c, t, sums=sums: next(sums))
         assert macwilliams_complete_check(code) is holds
+
+
+def test_complete_check_point_count():
+    counts = [_complete_check_points(q) for q in range(1, 98)]
+    assert counts[:8] == [8] * 8 and counts[8] == 9
+    assert counts == sorted(counts) and counts[-1] > 1000
+    for q, k in enumerate(counts, start=1):
+        assert q ** k * 2 ** 28 <= 98 ** k                              # (q/98)^k <= 2^-28
+        assert k == 8 or q ** (k - 1) * 2 ** 28 > 98 ** (k - 1)        # and k is the least
+    with pytest.raises(TooLarge):
+        _complete_check_points(98)
+    with pytest.raises(TooLarge):
+        macwilliams_complete_check(AdditiveCode.zero(BlockProfile(2, 98, 98, 98)))
+
+
+def test_complete_check_evaluates_at_the_derived_point_count(monkeypatch):
+    seen = []
+
+    def sums(code, tables):
+        seen.append(len(tables))
+        return [[0] * tables.shape[-1]] * len(tables)
+
+    monkeypatch.setattr(enumerators, "_codeword_sums", sums)
+    for q, k in ((2, 8), (9, 9), (12, 10)):
+        seen.clear()
+        pr = BlockProfile(2, q, q, q)
+        assert macwilliams_complete_check(AdditiveCode.zero(pr), AdditiveCode.full_space(pr))
+        assert seen == [k, k]
+
+
+# -- the complete enumerator and the transform matrix ------------------------------
+
+
+def test_complete_enumerator_equals_the_monomial_route():
+    c2 = c2_code()
+    p3 = span_closure([MixedWord.make(BlockProfile(3, 1, 1, 1), (1,), ((2, 1),), ((0, 1, 2),))])
+    # the last code has 3^10 words, so its histogram merges four chunks
+    for code in (c2, c2.dual(), span_closure([], profile=P2),
+                 AdditiveCode.full_space(BlockProfile(2, 1, 1, 1)), p3, p3.dual(),
+                 random_code(BlockProfile(3, 2, 2, 2), 10, seed=4)):
+        assert complete_enumerator(code) == dict_complete_enumerator(code)
+
+
+# (Q, c) with Q^2 = c I: the Hamming and Lee substitutions for p in {2, 3, 5}
+# and the symmetrized ones for p in {2, 3}
+SQUARE_ROOTS = ([([[1, p ** 6 - 1], [1, -1]], p ** 6) for p in (2, 3, 5)]
+                + [([[1, p - 1], [1, -1]], p) for p in (2, 3, 5)]
+                + [(symmetrized_q_matrix(p), p ** 6) for p in (2, 3)])
+
+
+@st.composite
+def sparse_enumerators(draw, nvars):
+    """Up to eight random monomials of a random degree <= 6 with nonzero coefficients."""
+    degree = draw(st.integers(0, 6))
+    keys = draw(st.lists(st.lists(st.integers(0, nvars - 1), min_size=degree, max_size=degree),
+                         min_size=1, max_size=8))
+    coeffs = draw(st.lists(st.integers(-40, 40).filter(bool), min_size=len(keys),
+                           max_size=len(keys)))
+    return Enumerator(nvars, degree, {monomial((v, 1) for v in key): c
+                                      for key, c in zip(keys, coeffs)})
+
+
+@st.composite
+def substitutions(draw):
+    """A named substitution or a random integer matrix, with an input for it."""
+    if draw(st.booleans()):
+        rows = draw(st.sampled_from(SQUARE_ROOTS))[0]
+    else:
+        width = draw(st.integers(1, 3))
+        rows = draw(st.lists(st.lists(st.integers(-3, 3), min_size=width, max_size=width),
+                             min_size=1, max_size=3))
+    return rows, draw(sparse_enumerators(len(rows)))
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(substitutions(), st.integers(1, 6))
+def test_substitute_linear_equals_the_dict_route(case, code_size):
+    rows, enum = case
+    try:
+        expected = dict_substitute_linear(enum, rows, code_size)
+    except InexactDivision:
+        with pytest.raises(InexactDivision):
+            substitute_linear(enum, rows, code_size)
+        return
+    assert substitute_linear(enum, rows, code_size) == expected
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(st.data())
+def test_substituting_twice_scales_by_c_to_the_degree(data):
+    rows, c = data.draw(st.sampled_from(SQUARE_ROOTS))
+    enum = data.draw(sparse_enumerators(len(rows)))
+    twice = substitute_linear(substitute_linear(enum, rows, 1), rows, 1)
+    assert twice == Enumerator(enum.nvars, enum.degree,
+                               {k: v * c ** enum.degree for k, v in enum.terms.items()})
+
+
+def test_transform_of_a_high_power():
+    # (x + 4y)^500, the Lee substitution at p = 5 of x^500, within the budget
+    out = lee_transform(Enumerator(2, 500, {((0, 500),): 1}), 1, 5)
+    assert bivariate_coeffs(out) == {w: math.comb(500, w) * 4 ** w for w in range(501)}
+
+
+def test_transform_of_a_dense_input_in_seven_variables():
+    # all C(13, 6) = 1716 monomials of degree 7 in the symmetrized variables;
+    # Q^2 = 64 I at p = 2, so substituting twice multiplies W by 64^7
+    keys = [monomial((v, 1) for v in seq)
+            for seq in itertools.combinations_with_replacement(range(7), 7)]
+    enum = Enumerator(7, 7, {key: 1 + i % 5 for i, key in enumerate(keys)})
+    once = symmetrized_transform(enum, 1, 2)
+    assert len(once.terms) == 1716
+    assert symmetrized_transform(once, 64 ** 7, 2) == enum
+
+
+def test_transform_refuses_above_the_budget(monkeypatch):
+    # (x + y)^10: index tables of 2 x C(12, 2) = 132 entries, levels of at most 2 x 11
+    enum, rows = Enumerator(2, 10, {((0, 10),): 1}), [[1, 1], [1, -1]]
+    with monkeypatch.context() as patch:
+        patch.setattr(enumerators, "TRANSFORM_BUDGET", 132)
+        assert substitute_linear(enum, rows, 1) == dict_substitute_linear(enum, rows, 1)
+        patch.setattr(enumerators, "TRANSFORM_BUDGET", 131)
+        with pytest.raises(TooLarge):
+            substitute_linear(enum, rows, 1)
+    with pytest.raises(TooLarge):       # C(66, 6) output monomials alone
+        symmetrized_transform(Enumerator(7, 60, {((0, 60),): 1}), 1, 2)

@@ -6,7 +6,7 @@ import pytest
 
 from zprs.errors import (DivisionByZero, ModulusMismatch, NoSquareRootOfMinusOne, NotAUnit,
                          NotPrime, TooLarge)
-from zprs.field import FieldElement, find_kappa, is_prime, unit_order
+from zprs.field import FieldElement, factorize, find_kappa, is_prime, unit_order
 
 
 def test_primality_checked_at_construction():
@@ -101,6 +101,51 @@ def test_unit_order_minimal_and_divides_group_order():
             assert pow(a, t, p) == 1
             assert all(pow(a, i, p) != 1 for i in range(1, t))
             assert (p - 1) % t == 0  # Lagrange
+
+
+def walk_orders(p):
+    """Orders of 1, ..., p - 1 by stepping through the powers of all of them at once."""
+    units = np.arange(1, p, dtype=np.int64)
+    acc, orders = units.copy(), np.zeros(p - 1, dtype=np.int64)
+    for t in range(1, p):
+        orders[(acc == 1) & (orders == 0)] = t
+        acc = acc * units % p
+    return orders.tolist()
+
+
+def test_unit_order_equals_the_walk_below_200():
+    for p in filter(is_prime, range(200)):
+        assert [unit_order(FieldElement(a, p)) for a in range(1, p)] == walk_orders(p), p
+
+
+def test_unit_order_large_primes_fast():
+    start = time.perf_counter()
+    assert unit_order(FieldElement(3, 998244353)) == 998244352     # 3 is a primitive root
+    big = 2 ** 61 - 1
+    t = unit_order(FieldElement(3, big))
+    assert pow(3, t, big) == 1
+    assert all(pow(3, t // q, big) != 1 for q, _ in factorize(t))
+    assert time.perf_counter() - start < 0.1
+
+
+def test_factorize():
+    for n in range(1, 2000):
+        f = factorize(n)
+        assert math.prod(q ** e for q, e in f) == n
+        assert all(is_prime(q) and e > 0 for q, e in f)
+        assert [q for q, _ in f] == sorted(q for q, _ in f)
+    assert factorize(2 ** 61 - 2) == ((2, 1), (3, 2), (5, 2), (7, 1), (11, 1), (13, 1), (31, 1),
+                                       (41, 1), (61, 1), (151, 1), (331, 1), (1321, 1))
+    assert factorize(2 * 4294967311) == ((2, 1), (4294967311, 1))   # prime cofactor
+
+
+def test_unit_order_refuses_a_composite_cofactor():
+    # p - 1 = 2 * 7 * 65537 * 65539: trial division stops at 2^16 with the
+    # composite 65537 * 65539 left over
+    p = 14 * 65537 * 65539 + 1
+    assert is_prime(p)
+    with pytest.raises(TooLarge):
+        unit_order(FieldElement(3, p))
 
 
 def test_is_prime_small():

@@ -1,4 +1,4 @@
-"""Property tests over random additive codes: duality and the enumerators.
+"""Property tests over random additive codes: duality, the Gray map and the enumerators.
 
 Hypothesis runs derandomized with a fixed example budget, so the suite stays
 deterministic and fast; the exhaustive and seeded tests live next to the
@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from zprs.additive import span_closure
 from zprs.enumerators import (_hamming_walk, _lee_walk, _symmetrized_walk, hamming_enumerator,
                               lee_enumerator, symmetrized_enumerator)
+from zprs.gray import GrayMap
 from zprs.words import BlockProfile, unflatten
 
 PROPERTY_SETTINGS = settings(derandomize=True, max_examples=40, deadline=None)
@@ -19,9 +20,9 @@ WALK_LIMIT = 3 ** 9
 
 
 @st.composite
-def codes(draw):
-    """The S-module span of up to three random words, p in {2, 3, 5}, q = r = s <= 2."""
-    p = draw(st.sampled_from((2, 3, 5)))
+def codes(draw, primes=(2, 3, 5)):
+    """The S-module span of up to three random words, p in ``primes``, q = r = s <= 2."""
+    p = draw(st.sampled_from(primes))
     n = draw(st.integers(1, 2))
     pr = BlockProfile(p, n, n, n)
     words = draw(st.lists(st.lists(st.integers(0, p - 1), min_size=pr.n, max_size=pr.n),
@@ -49,3 +50,10 @@ def test_public_enumerators_equal_their_walks(code):
     for public, walk in pairs:
         for c in (code, dual):
             assert public(c) == walk(c)
+
+
+@PROPERTY_SETTINGS
+@given(codes(primes=(5, 13)))
+def test_gray_image_of_the_dual_is_the_euclidean_dual(code):
+    gray = GrayMap(code.profile.p)
+    assert gray.image(code.dual()) == gray.image(code).euclidean_dual()

@@ -104,6 +104,16 @@ def test_is_dual_containing_matches_subcode_oracle_on_gray_images():
     assert verdicts == {True, False}
 
 
+def test_gray_image_of_the_reciprocal_code_is_the_euclidean_dual():
+    # phi(C*) = phi(C)^perp, against the kernel dual, on every assignment of
+    # three p = 1 (mod 4) grids
+    for fa in every_assignment(((5, 6), (13, 4), (17, 4))):
+        gray = GrayMap(fa.p)
+        image = gray.image(cyclic_code_from_assignment(fa))
+        reciprocal = gray.image(cyclic_code_from_assignment(fa.reciprocal_assignment()))
+        assert reciprocal == image.euclidean_dual(), (fa.p, fa.s, fa.key())
+
+
 def test_is_dual_containing_matches_subcode_oracle_on_random_codes():
     rng = np.random.default_rng(5)
     verdicts = set()

@@ -1,5 +1,6 @@
 import itertools
 
+import numpy as np
 import pytest
 
 from zprs.errors import ModulusMismatch, NotAUnit, WrongRing
@@ -86,6 +87,36 @@ def test_unit_order_is_minimal():
                 t = unit_order(x)
                 assert x ** t == one
                 assert all(x ** i != one for i in range(1, t))
+
+
+def walk_orders(p, k):
+    """Orders of all units of Z_p[u]/(u^k), in ``all_elements`` order, by
+    stepping through the powers of all of them at once."""
+    units = np.array([x.coeffs for x in all_elements(p, k) if x.is_unit], dtype=np.int64)
+    one = np.eye(1, k, dtype=np.int64)[0]
+    acc, orders = units.copy(), np.zeros(len(units), dtype=np.int64)
+    for t in range(1, (p - 1) * p ** (k - 1) + 1):
+        orders[(acc == one).all(axis=1) & (orders == 0)] = t
+        # truncated convolution: u^k = 0
+        acc = np.stack([sum(acc[:, i] * units[:, j - i] for i in range(j + 1))
+                        for j in range(k)], axis=1) % p
+    return orders.tolist()
+
+
+def test_unit_order_equals_the_walk():
+    for p in (2, 3, 5, 7, 11, 13):
+        for k in (2, 3):
+            orders = [unit_order(x) for x in all_elements(p, k) if x.is_unit]
+            assert orders == walk_orders(p, k), (p, k)
+
+
+def test_unit_order_large_prime_fast():
+    p = 998244353
+    x = ChainElement(p, 3, (3, 1, 0))
+    t = unit_order(x)
+    # 3 is a primitive root, and 1 + u Z_p[u] has exponent p for odd p
+    assert t == (p - 1) * p
+    assert x ** t == ChainElement.one(p, 3)
 
 
 def test_mul_commutative_and_associative_exhaustive():
