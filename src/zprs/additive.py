@@ -221,22 +221,26 @@ def _as_block_poly(poly, p: int, k: int, default: Poly) -> Poly:
 def _block_word(profile: BlockProfile, zp_poly: Poly | None,
                 r_poly: Poly | None, s_poly: Poly | None) -> MixedWord:
     """Generator word whose blocks carry the given (already reduced) polynomials."""
-    p = profile.p
-    zp = [0] * profile.q
-    if zp_poly is not None:
-        for j, c in enumerate(zp_poly.coeffs):
-            zp[j] = c.coeffs[0]
-    rpart: list[ChainElement] = [ChainElement.zero(p, 2)] * profile.r
-    if r_poly is not None:
-        for j in range(min(len(r_poly.coeffs), profile.r)):
-            rpart[j] = r_poly.coeffs[j]
-        rpart = rpart[:profile.r]
-    spart: list[ChainElement] = [ChainElement.zero(p, 3)] * profile.s
-    if s_poly is not None:
-        for j in range(min(len(s_poly.coeffs), profile.s)):
-            spart[j] = s_poly.coeffs[j]
-        spart = spart[:profile.s]
-    return MixedWord(profile, tuple(zp), tuple(rpart), tuple(spart))
+    def entries(poly: Poly | None, length: int, k: int) -> tuple[ChainElement, ...]:
+        coeffs = poly.coeffs[:length] if poly is not None else ()
+        return coeffs + (ChainElement.zero(profile.p, k),) * (length - len(coeffs))
+
+    zp = tuple(c.coeffs[0] for c in entries(zp_poly, profile.q, 1))
+    return MixedWord(profile, zp, entries(r_poly, profile.r, 2), entries(s_poly, profile.s, 3))
+
+
+def _divisors(given, names: tuple[str, ...], p: int, k: int, modulus: Poly, mu) -> list[Poly]:
+    """The block polynomials named in ``names`` (the modulus where omitted),
+    each required to divide the block modulus x^n - mu."""
+    given = tuple(given or ())
+    out = []
+    for i, name in enumerate(names):
+        poly = _as_block_poly(given[i] if i < len(given) else None, p, k, modulus)
+        if not divides(poly, modulus):
+            raise DivisibilityViolation(
+                f"{name} = {poly} does not divide x^{modulus.degree} - {mu}")
+        out.append(poly)
+    return out
 
 
 def _soft_check(ok: bool, message: str, policy: str) -> None:
@@ -304,18 +308,11 @@ def from_generator_polynomials(profile: BlockProfile,
     mod_s = x_pow_n_minus(mu2, pr.s, p, 3) if pr.s else None
 
     if pr.q:
-        f0p = _as_block_poly(f0, p, 1, mod_q)
-        if not divides(f0p, mod_q):
-            raise DivisibilityViolation(f"f0 = {f0p} does not divide x^{pr.q} - {mu0}")
+        (f0p,) = _divisors((f0,), ("f0",), p, 1, mod_q, mu0)
         words.append(_block_word(pr, poly_divmod(f0p, mod_q)[1], None, None))
 
     if pr.r:
-        gs = g or (None, None)
-        g0 = _as_block_poly(gs[0] if len(gs) > 0 else None, p, 2, mod_r)
-        g1 = _as_block_poly(gs[1] if len(gs) > 1 else None, p, 2, mod_r)
-        for poly, name in ((g0, "g0"), (g1, "g1")):
-            if not divides(poly, mod_r):
-                raise DivisibilityViolation(f"{name} = {poly} does not divide x^{pr.r} - {mu1}")
+        g0, g1 = _divisors(g, ("g0", "g1"), p, 2, mod_r, mu1)
         if hypotheses != "ignore":
             _soft_check(divides(g1, g0), f"chain g1 | g0 fails for g1 = {g1}, g0 = {g0}",
                         hypotheses)
@@ -325,13 +322,7 @@ def from_generator_polynomials(profile: BlockProfile,
         words.append(_block_word(pr, l1p, row_r, None))
 
     if pr.s:
-        hs = h or (None, None, None)
-        h0 = _as_block_poly(hs[0] if len(hs) > 0 else None, p, 3, mod_s)
-        h1 = _as_block_poly(hs[1] if len(hs) > 1 else None, p, 3, mod_s)
-        h2 = _as_block_poly(hs[2] if len(hs) > 2 else None, p, 3, mod_s)
-        for poly, name in ((h0, "h0"), (h1, "h1"), (h2, "h2")):
-            if not divides(poly, mod_s):
-                raise DivisibilityViolation(f"{name} = {poly} does not divide x^{pr.s} - {mu2}")
+        h0, h1, h2 = _divisors(h, ("h0", "h1", "h2"), p, 3, mod_s, mu2)
         if hypotheses != "ignore":
             _soft_check(divides(h2, h1), f"chain h2 | h1 fails for h2 = {h2}, h1 = {h1}",
                         hypotheses)
@@ -343,10 +334,7 @@ def from_generator_polynomials(profile: BlockProfile,
         row_s = poly_divmod(h0 + u_s * h1 + u_s * u_s * h2, mod_s)[1]
         words.append(_block_word(pr, l2p, l3p, row_s))
 
-    return shift_module_span(words,
-                             mu0 if pr.q else 1,
-                             mu1 if pr.r else 1,
-                             mu2 if pr.s else 1,
+    return shift_module_span(words, *(1 if m is None else m for m in (mu0, mu1, mu2)),
                              profile=pr)
 
 

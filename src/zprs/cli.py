@@ -99,19 +99,21 @@ def load_linear(spec: dict) -> LinearCode:
     return GrayMap(code.profile.p).image(code)
 
 
-def _code_summary(code: AdditiveCode) -> dict:
-    pr = code.profile
-    return {"p": pr.p, "q": pr.q, "r": pr.r, "s": pr.s, "rank": code.rank,
-            "cardinality": f"{pr.p}^{code.rank}",
-            "basis": [[int(x) for x in row] for row in code.basis]}
-
-
 def _print(payload, as_json: bool, text_lines) -> None:
     if as_json:
         print(json.dumps(payload, indent=2))
     else:
         for line in text_lines:
             print(line)
+
+
+def _print_code(code: AdditiveCode, as_json: bool, header: list[str]) -> int:
+    pr = code.profile
+    basis = [[int(x) for x in row] for row in code.basis]
+    _print({"p": pr.p, "q": pr.q, "r": pr.r, "s": pr.s, "rank": code.rank,
+            "cardinality": f"{pr.p}^{code.rank}", "basis": basis}, as_json,
+           header + ["basis (flattened coordinates):"] + [f"  {row}" for row in basis])
+    return EXIT_OK
 
 
 # -- subcommand handlers ------------------------------------------------------
@@ -129,24 +131,16 @@ def cmd_factor(args) -> int:
 
 def cmd_build(args) -> int:
     code = load_code(_read_json(args.input))
-    summary = _code_summary(code)
-    _print(summary, args.json,
-           [f"additive code over Z_{summary['p']} with (q,r,s)=({summary['q']},"
-            f"{summary['r']},{summary['s']})",
-            f"rank {summary['rank']}  (|C| = {summary['cardinality']})",
-            "basis (flattened coordinates):"]
-           + [f"  {row}" for row in summary["basis"]])
-    return EXIT_OK
+    pr = code.profile
+    return _print_code(code, args.json,
+                       [f"additive code over Z_{pr.p} with (q,r,s)=({pr.q},{pr.r},{pr.s})",
+                        f"rank {code.rank}  (|C| = {pr.p}^{code.rank})"])
 
 
 def cmd_dual(args) -> int:
     code = load_code(_read_json(args.input)).dual()
-    summary = _code_summary(code)
-    _print(summary, args.json,
-           [f"dual rank {summary['rank']}  (|C^perp| = {summary['cardinality']})",
-            "basis (flattened coordinates):"]
-           + [f"  {row}" for row in summary["basis"]])
-    return EXIT_OK
+    return _print_code(code, args.json,
+                       [f"dual rank {code.rank}  (|C^perp| = {code.profile.p}^{code.rank})"])
 
 
 def cmd_contains(args) -> int:
@@ -277,55 +271,46 @@ def build_parser() -> argparse.ArgumentParser:
                                      description="additive codes over Z_p x R x S")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, handler, **kwargs):
-        sp = sub.add_parser(name, **kwargs)
+    def add(name, handler, blurb, *, spec=True, search=False):
+        sp = sub.add_parser(name, help=blurb)
         sp.set_defaults(handler=handler)
         sp.add_argument("--json", action="store_true", help="emit JSON")
+        if spec:
+            sp.add_argument("--input", default=None, help="JSON spec file (default stdin)")
+        if search:
+            sp.add_argument("--cap", type=int, default=6, help="subset-search size cap")
+            sp.add_argument("--jobs", type=int, default=1, help="parallel workers")
         return sp
 
-    sp = add("factor", cmd_factor, help="factor x^n - lambda over Z_p")
+    sp = add("factor", cmd_factor, "factor x^n - lambda over Z_p", spec=False)
     sp.add_argument("--p", type=int, required=True)
     sp.add_argument("--n", type=int, required=True)
     sp.add_argument("--lambda", type=int, default=1)
 
-    for name, handler, blurb in (
-            ("build", cmd_build, "build an additive code from a JSON spec"),
-            ("dual", cmd_dual, "dual code under the u-weighted inner product"),
-            ("gray", cmd_gray, "Gray image generator matrix"),
-    ):
-        sp = add(name, handler, help=blurb)
-        sp.add_argument("--input", default=None, help="JSON spec file (default stdin)")
+    add("build", cmd_build, "build an additive code from a JSON spec")
+    add("dual", cmd_dual, "dual code under the u-weighted inner product")
+    add("gray", cmd_gray, "Gray image generator matrix")
 
-    sp = add("contains", cmd_contains, help="test membership of a word")
-    sp.add_argument("--input", default=None)
+    sp = add("contains", cmd_contains, "test membership of a word")
     sp.add_argument("--word", required=True, help="word as JSON [[zp], [R pairs], [S triples]]")
 
-    sp = add("distance", cmd_distance, help="exact minimum distance")
-    sp.add_argument("--input", default=None)
-    sp.add_argument("--cap", type=int, default=6, help="subset-search size cap")
-    sp.add_argument("--jobs", type=int, default=1, help="parallel workers")
+    add("distance", cmd_distance, "exact minimum distance", search=True)
 
-    sp = add("wenum", cmd_wenum, help="weight enumerator")
-    sp.add_argument("--input", default=None)
+    sp = add("wenum", cmd_wenum, "weight enumerator")
     sp.add_argument("--kind", choices=sorted(_WENUM), required=True)
 
-    sp = add("macwilliams", cmd_macwilliams, help="verify a MacWilliams identity")
-    sp.add_argument("--input", default=None)
+    sp = add("macwilliams", cmd_macwilliams, "verify a MacWilliams identity")
     sp.add_argument("--kind", choices=["complete", "hamming", "symmetrized", "lee"],
                     required=True)
 
-    sp = add("css", cmd_css, help="CSS parameters of a dual-containing code")
-    sp.add_argument("--input", default=None)
-    sp.add_argument("--cap", type=int, default=6)
-    sp.add_argument("--jobs", type=int, default=1, help="parallel workers")
+    add("css", cmd_css, "CSS parameters of a dual-containing code", search=True)
 
-    sp = add("css-search", cmd_css_search, help="search factor assignments for CSS codes")
+    sp = add("css-search", cmd_css_search, "search factor assignments for CSS codes",
+             spec=False, search=True)
     sp.add_argument("--p", type=int, required=True)
     sp.add_argument("--s", type=int, required=True)
-    sp.add_argument("--cap", type=int, default=6)
-    sp.add_argument("--jobs", type=int, default=1, help="parallel workers")
 
-    sp = add("reproduce", cmd_reproduce, help="check the built-in golden expectations")
+    sp = add("reproduce", cmd_reproduce, "check the built-in golden expectations", spec=False)
     sp.add_argument("--target", required=True,
                     choices=["example1", "example2", "example3", "example4", "example5",
                              "table1", "all"])

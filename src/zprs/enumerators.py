@@ -42,7 +42,7 @@ from .additive import AdditiveCode
 from .errors import (BlocksUnequal, InexactDivision, ModulusMismatch, RowCollapseFailure,
                      TooLarge, ZprsError)
 from .field import ensure_prime
-from .rings import ChainElement
+from .rings import ChainElement, power
 from .words import block_columns
 
 MonomialKey = tuple[tuple[int, int], ...]
@@ -123,14 +123,7 @@ class CyclotomicInt:
     def __pow__(self, e: int) -> "CyclotomicInt":
         if e < 0:
             raise ValueError("negative powers not supported")
-        result = CyclotomicInt.from_int(1, self.p)
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
+        return power(self, e, CyclotomicInt.from_int(1, self.p))
 
     def __eq__(self, other) -> bool:
         if isinstance(other, int):

@@ -102,13 +102,10 @@ class GrayMap:
         (x | a+b | kappa*b | a+b+d | kappa*(b+d) | b)."""
         if w.profile.p != self.p:
             raise WrongRing("word over a different prime")
-        p, kap = self.p, self.kappa
-        r_ab = [(y.coeffs[0] + y.coeffs[1]) % p for y in w.rpart]
-        r_kb = [kap * y.coeffs[1] % p for y in w.rpart]
-        s_abd = [(z.coeffs[0] + z.coeffs[1] + z.coeffs[2]) % p for z in w.spart]
-        s_kbd = [kap * (z.coeffs[1] + z.coeffs[2]) % p for z in w.spart]
-        s_b = [z.coeffs[1] % p for z in w.spart]
-        return np.array(list(w.zp) + r_ab + r_kb + s_abd + s_kbd + s_b, dtype=np.int64)
+        r = [self.phi1(y) for y in w.rpart]
+        s = [self.phi2(z) for z in w.spart]
+        return np.array(list(w.zp) + [g[i] for i in range(2) for g in r]
+                        + [g[i] for i in range(3) for g in s], dtype=np.int64)
 
     def image(self, code) -> LinearCode:
         """Gray image of an additive code as a Z_p linear code.
@@ -119,7 +116,7 @@ class GrayMap:
         if code.profile.p != self.p:
             raise WrongRing("code over a different prime")
         rows = code.basis @ _gray_matrix(code.profile) % self.p
-        image = LinearCode.from_rows(self.p, code.profile.gray_length, rows)
+        image = LinearCode(self.p, code.profile.gray_length, rows)
         if image.k != code.rank:
             raise AssertionError("Gray image lost rank; the map must be injective")
         return image

@@ -59,10 +59,6 @@ def rref(mat: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
     return m[:len(pivots)], pivots
 
 
-def rank(mat: np.ndarray, p: int) -> int:
-    return rref(mat, p)[0].shape[0]
-
-
 def in_row_space(basis: np.ndarray, pivots: list[int], vecs: np.ndarray, p: int) -> bool:
     """True iff the vector (or every row of the matrix) lies in the row space.
 
@@ -87,12 +83,17 @@ def iter_row_space(basis: np.ndarray, p: int, chunk: int = 1 << 14) -> Iterator[
         yield (idx[:, None] // radix[None, :]) % p @ basis % p
 
 
-def kernel_basis(mat: np.ndarray, p: int) -> np.ndarray:
-    """RREF basis of {v : mat @ v = 0 (mod p)}."""
-    ncols = mat.shape[1]
-    m, pivots = rref(mat, p)
+def standard_kernel(m: np.ndarray, pivots: list[int], p: int) -> np.ndarray:
+    """Kernel basis of an RREF matrix, read off without elimination: one row
+    per free column c, with 1 at c and minus column c of m at the pivots."""
+    ncols = m.shape[1]
     free = [c for c in range(ncols) if c not in pivots]
     out = np.zeros((len(free), ncols), dtype=np.int64)
     out[:, free] = np.eye(len(free), dtype=np.int64)
     out[:, pivots] = -m[:, free].T % p
-    return rref(out, p)[0]
+    return out
+
+
+def kernel_basis(mat: np.ndarray, p: int) -> np.ndarray:
+    """RREF basis of {v : mat @ v = 0 (mod p)}."""
+    return rref(standard_kernel(*rref(mat, p), p), p)[0]

@@ -1,13 +1,18 @@
 """Linear codes over Z_p: duals, exact minimum distance, and the cyclic /
 quasi-cyclic / quasi-twisted closure predicates.
 
+The parity check H is read off the RREF generator without elimination:
+the identity on the free columns, minus the free part of G on the pivots.
+
 Minimum distance uses the parity-check characterization: d(C) is the
 smallest w such that some w columns of H are linearly dependent.  The
 search walks independent column subsets in lexicographic order (DFS with
-one vectorized elimination per node), deepening w until a dependency
-appears, so the first hit certifies exactness.  A full codeword
-enumeration is kept as an independent oracle for small codes and as the
-fallback when the subset cap is exhausted.
+one vectorized elimination per node, the last two levels batched into
+one), deepening w until a dependency appears, so the first hit certifies
+exactness.  A checked column automorphism cuts the first level to one
+column per orbit.  A full codeword enumeration is kept as an independent
+oracle for small codes and as the fallback when the subset cap is
+exhausted.
 """
 
 from __future__ import annotations
@@ -25,23 +30,15 @@ from .field import ensure_prime
 class LinearCode:
     """[n, k] code over Z_p held as a row-reduced generator matrix."""
 
-    def __init__(self, p: int, n: int, generator: np.ndarray | Sequence, *,
-                 _reduced: bool = False):
+    def __init__(self, p: int, n: int, generator: np.ndarray | Sequence):
         ensure_prime(p)
         linalg.check_modulus(p, n)
         self.p = p
         self.n = n
         mat = linalg.as_matrix(np.asarray(generator, dtype=np.int64)
                                if len(generator) else [], n)
-        if _reduced:
-            self.generator, self.pivots = mat, _pivot_columns(mat)
-        else:
-            self.generator, self.pivots = linalg.rref(mat, p)
+        self.generator, self.pivots = linalg.rref(mat, p)
         self.generator.setflags(write=False)
-
-    @classmethod
-    def from_rows(cls, p: int, n: int, rows) -> "LinearCode":
-        return cls(p, n, rows)
 
     @classmethod
     def zero(cls, p: int, n: int) -> "LinearCode":
@@ -61,8 +58,8 @@ class LinearCode:
 
     @cached_property
     def parity_check(self) -> np.ndarray:
-        """(n-k) x n matrix H with G H^T = 0."""
-        h = linalg.kernel_basis(self.generator, self.p)
+        """(n-k) x n matrix H with G H^T = 0, in standard form (not RREF)."""
+        h = linalg.standard_kernel(self.generator, self.pivots, self.p)
         h.setflags(write=False)
         return h
 
@@ -93,7 +90,8 @@ class LinearCode:
 
     # -- minimum distance --------------------------------------------------
 
-    def min_distance(self, search_cap: int = 6, jobs: int = 1) -> int:
+    def min_distance(self, search_cap: int = 6, jobs: int = 1, *,
+                     automorphism: Sequence[int] | None = None) -> int:
         """Exact minimum Hamming weight of a nonzero codeword.
 
         Searches for the smallest dependent column subset of the parity
@@ -101,19 +99,44 @@ class LinearCode:
         full enumeration when p^k <= 2^20, else raises
         ``DistanceNotDetermined`` carrying the certified lower bound.
         ``jobs`` bounds parallel workers; the result does not depend on it.
+
+        ``automorphism`` is a permutation pi of the columns (column i goes to
+        pi[i]) that maps the code into itself; ``ZprsError`` if it is not
+        one, checked with one row-space product.  Some power of pi moves any
+        minimum-weight support onto one that contains the smallest column of
+        a cycle of pi, so the search starts only from those columns, placed
+        first.  The result does not depend on the hint.
         """
         if self.k == 0:
             raise ZprsError("minimum distance needs a nonzero code")
+        order, starts = self._search_order(automorphism)
         if self.k == self.n:
             return 1
         cap = min(search_cap, self.n - self.k + 1)  # Singleton bound
-        d = _smallest_dependent_subset(self.parity_check, self.p, cap, jobs)
+        d = _smallest_dependent_subset(self.parity_check[:, order], self.p, cap, jobs, starts)
         if d is None and self.size <= 2 ** 20:
             d = min_distance_by_enumeration(self)
         if d is None:
             raise DistanceNotDetermined(search_cap + 1)
         assert d <= self.n - self.k + 1, "Singleton bound violated; elimination bug"
         return d
+
+    def _search_order(self, automorphism) -> tuple[list[int], int]:
+        """Search column order, and how many leading columns may be chosen first:
+        the smallest column of each cycle of the automorphism, or all columns."""
+        if automorphism is None:
+            return list(range(self.n)), self.n
+        perm = np.asarray(automorphism, dtype=np.int64)
+        if perm.shape != (self.n,) or (np.sort(perm) != np.arange(self.n)).any():
+            raise ZprsError(f"an automorphism must be a permutation of 0..{self.n - 1}")
+        if not linalg.in_row_space(self.generator, self.pivots, self.generator[:, perm],
+                                   self.p):
+            raise ZprsError("the column permutation does not map the code into itself")
+        cycle_min, images = np.arange(self.n), perm
+        for _ in range(self.n):
+            cycle_min, images = np.minimum(cycle_min, images), perm[images]
+        is_rep = cycle_min == np.arange(self.n)
+        return list(np.argsort(~is_rep, kind="stable")), int(is_rep.sum())
 
     # -- shift-invariance predicates ----------------------------------------
 
@@ -154,15 +177,6 @@ class LinearCode:
         return self._closed_under(op)
 
 
-def _pivot_columns(mat: np.ndarray) -> list[int]:
-    pivots = []
-    for row in mat:
-        nz = np.flatnonzero(row)
-        if nz.size:
-            pivots.append(int(nz[0]))
-    return pivots
-
-
 def _sigma(block: np.ndarray, lam: int, p: int) -> np.ndarray:
     if block.size == 0:
         return block
@@ -185,39 +199,58 @@ def _choose_column(mat: np.ndarray, p: int, j: int) -> np.ndarray | None:
     return np.concatenate([np.zeros((mat.shape[0], j + 1), dtype=np.int64), reduced], axis=1)
 
 
-def _dependent_subtree(mat: np.ndarray, p: int, start: int, chosen: int, w: int) -> bool:
-    """DFS over independent column prefixes starting at column >= start.
+def _dependent_pair(mat: np.ndarray, p: int, start: int, stop: int) -> bool:
+    """The last two levels at once: True iff some nonzero column j in [start, stop)
+    has a later column c that reduces to zero against it, that is (i the pivot row
+    of j) m[i, j] m[:, c] = m[i, c] m[:, j]; one (J, r, n) product, no inverse."""
+    m = mat[:, start:]
+    cand = np.arange(stop - start)
+    cand = cand[m[:, cand].any(axis=0)]
+    if cand.size == 0:
+        return False
+    cols = m[:, cand]                                   # (r, J)
+    piv = (cols != 0).argmax(axis=0)                    # first nonzero row of each
+    lead = cols[piv, np.arange(cand.size)]
+    cross = (lead[:, None, None] * m[None] - cols.T[:, :, None] * m[piv][:, None, :]) % p
+    zero = ~cross.any(axis=1)                           # (J, n - start)
+    after = np.arange(m.shape[1])[None, :] > cand[:, None]
+    return bool((zero & after).any())
+
+
+def _dependent_subtree(mat: np.ndarray, p: int, start: int, stop: int, chosen: int,
+                       w: int) -> bool:
+    """DFS over independent column prefixes whose next column lies in [start, stop).
 
     ``mat`` holds every column reduced against the chosen prefix; choosing a
     column is one vectorized elimination.  Earlier deepening rounds rule out
     dependencies smaller than w, so reductions vanish only at the last level.
     """
-    ncols = mat.shape[1]
-    if chosen == w - 1:
-        # any remaining zero column completes a dependent w-subset
-        return bool((~mat[:, start:].any(axis=0)).any()) if start < ncols else False
-    for j in range(start, ncols - (w - chosen) + 1):
+    stop = min(stop, mat.shape[1] - (w - chosen) + 1)
+    if chosen == w - 2:
+        return _dependent_pair(mat, p, start, stop)
+    for j in range(start, stop):
         # a zero column means a dependency of size <= chosen+1 < w, ruled out earlier
         nxt = _choose_column(mat, p, j)
-        if nxt is not None and _dependent_subtree(nxt, p, j + 1, chosen + 1, w):
+        if nxt is not None and _dependent_subtree(nxt, p, j + 1, mat.shape[1], chosen + 1, w):
             return True
     return False
 
 
 def _dependent_branch(args) -> bool:
-    """Pool task: the depth-w search below the first chosen column j."""
+    """Pool task: the depth-w search whose first chosen column is j."""
     h_list, p, j, w = args
-    nxt = _choose_column(np.array(h_list, dtype=np.int64), p, j)
-    return nxt is not None and _dependent_subtree(nxt, p, j + 1, 1, w)
+    return _dependent_subtree(np.array(h_list, dtype=np.int64), p, j, j + 1, 0, w)
 
 
-def _smallest_dependent_subset(h: np.ndarray, p: int, cap: int,
-                               jobs: int = 1) -> int | None:
+def _smallest_dependent_subset(h: np.ndarray, p: int, cap: int, jobs: int,
+                               starts: int) -> int | None:
     """Smallest w <= cap such that w columns of h are linearly dependent.
 
-    Iterative deepening over w.  With jobs > 1 the top-level column choice
-    is partitioned across a process pool; the answer is the minimum w with
-    any dependent subset, so it does not depend on the partition.
+    Iterative deepening over w; the first chosen column of a subset is its
+    smallest, and only the first ``starts`` columns may be it.
+    With jobs > 1 the top-level column choice is partitioned across a
+    process pool; the answer is the minimum w with any dependent subset, so
+    it does not depend on the partition.
     """
     if h.shape[0] == 0:
         return 1  # no constraints: every single column is dependent
@@ -232,12 +265,12 @@ def _smallest_dependent_subset(h: np.ndarray, p: int, cap: int,
         h_list = base.tolist()
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             for w in range(2, cap + 1):
-                tasks = [(h_list, p, j, w) for j in range(0, ncols - w + 1)]
+                tasks = [(h_list, p, j, w) for j in range(min(starts, ncols - w + 1))]
                 if any(pool.map(_dependent_branch, tasks)):
                     return w
         return None
     for w in range(2, cap + 1):
-        if _dependent_subtree(base, p, 0, 0, w):
+        if _dependent_subtree(base, p, 0, starts, 0, w):
             return w
     return None
 

@@ -112,16 +112,12 @@ class QuantumParams:
         return self.n + 2 - (self.k + 2 * self.d) == 2
 
 
-def r_profile(p: int, s: int) -> BlockProfile:
-    return BlockProfile(p, 0, s, 0)
-
-
 def cyclic_code_from_assignment(fa: FactorAssignment) -> AdditiveCode:
     """The cyclic R-code < hat(F0), u hat(F1) > as an additive code (q=0, r=s, s=0),
     built on its CRT basis (module docstring): x^i hat(F0) in the a-columns and
     u x^i prod F2 in the b-columns.  The rank must equal 2 deg F0 + deg F1."""
     p, s = fa.p, fa.s
-    profile = r_profile(p, s)
+    profile = BlockProfile(p, 0, s, 0)
     d0, d1, d2 = fa.slot_degrees()
     r_cols = block_columns(profile)[1]      # (s, 2): the a and b column of each position
     rows = []
@@ -239,8 +235,10 @@ def _evaluate_assignment(args) -> tuple | None:
     image = GrayMap(p).image(code)
     if not is_dual_containing(image):
         return None
+    # the R-code is cyclic, so its image is fixed by shifting both Gray blocks at once
+    shift = [*range(1, s), 0, *range(s + 1, 2 * s), s]
     try:
-        d = image.min_distance(distance_cap)
+        d = image.min_distance(distance_cap, automorphism=shift)
         exact = True
     except DistanceNotDetermined as exc:
         d, exact = exc.lower_bound, False

@@ -97,14 +97,7 @@ class ChainElement:
     def __pow__(self, e: int) -> "ChainElement":
         if e < 0:
             return self.inverse() ** (-e)
-        result = ChainElement.one(self.p, self.k)
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
+        return power(self, e, ChainElement.one(self.p, self.k))
 
     @property
     def is_unit(self) -> bool:
@@ -161,6 +154,17 @@ class ChainElement:
         return f"ChainElement({self}, p={self.p}, k={self.k})"
 
 
+def power(x, e: int, one):
+    """x^e for e >= 0 by square-and-multiply, in any ring with ``*`` and identity ``one``."""
+    result = one
+    while e:
+        if e & 1:
+            result = result * x
+        x = x * x
+        e >>= 1
+    return result
+
+
 def eta0(x: ChainElement) -> ChainElement:
     """R -> Z_p, drop the u part."""
     if x.k != 2:
@@ -180,10 +184,6 @@ def eta2(x: ChainElement) -> ChainElement:
     if x.k != 3:
         raise WrongRing(f"eta2 expects k=3, got k={x.k}")
     return ChainElement(x.p, 2, x.coeffs[:2])
-
-
-def is_unit(x: ChainElement) -> bool:
-    return x.is_unit
 
 
 def unit_order(x: ChainElement) -> int:

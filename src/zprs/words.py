@@ -15,10 +15,11 @@ The S-valued inner product weights the blocks by u^2, u and 1:
 The shift, the scalar action and the inner product are Z_p-linear (or
 bilinear) on the flattened space, so each is one fixed N x N matrix there.
 ``map_matrix`` derives such a matrix from the word-level definition above by
-applying it to the N unit words; ``shift_matrix``, ``scalar_matrix`` and
-``form_matrices`` cache the ones the code paths use, and ``block_columns``
-gives the flattened columns of each position.  No other module knows the
-flattened layout.
+applying it to the N unit words; ``shift_matrix`` and ``scalar_matrix`` cache
+the ones the code paths use.  ``form_matrices`` writes the three matrices of
+the form straight from the block weights, and ``block_columns`` gives the
+flattened columns of each position.  No other module knows the flattened
+layout.
 """
 
 from __future__ import annotations
@@ -55,9 +56,7 @@ class BlockProfile:
         """Flattened Z_p dimension."""
         return self.q + 2 * self.r + 3 * self.s
 
-    @property
-    def gray_length(self) -> int:
-        return self.q + 2 * self.r + 3 * self.s
+    gray_length = n
 
 
 def as_unit(mu: UnitLike, p: int, k: int) -> ChainElement:
@@ -201,10 +200,6 @@ def block_columns(profile: BlockProfile) -> tuple[np.ndarray, np.ndarray, np.nda
             q + 2 * r + np.arange(3 * s).reshape(s, 3))
 
 
-def _unit_words(profile: BlockProfile) -> list[MixedWord]:
-    return [unflatten(e, profile) for e in np.eye(profile.n, dtype=np.int64)]
-
-
 def _frozen(m: np.ndarray) -> np.ndarray:
     m.setflags(write=False)
     return m
@@ -215,7 +210,7 @@ def map_matrix(profile: BlockProfile, f: Callable[[MixedWord], Sequence[int]]) -
 
     Row i is the image of the i-th unit word.
     """
-    rows = [f(w) for w in _unit_words(profile)]
+    rows = [f(unflatten(e, profile)) for e in np.eye(profile.n, dtype=np.int64)]
     return _frozen(np.array(rows, dtype=np.int64).reshape(profile.n, -1) % profile.p)
 
 
@@ -245,7 +240,16 @@ def scalar_matrix(profile: BlockProfile, d: tuple[int, ...]) -> np.ndarray:
 
 @lru_cache(maxsize=None)
 def form_matrices(profile: BlockProfile) -> np.ndarray:
-    """J of shape (3, N, N): flatten(v) @ J[t] @ flatten(w) = inner_product(v, w).coeffs[t]."""
-    units = _unit_words(profile)
-    coeffs = [[inner_product(v, w).coeffs for w in units] for v in units]
-    return _frozen(np.array(coeffs, dtype=np.int64).transpose(2, 0, 1))
+    """J of shape (3, N, N): flatten(v) @ J[t] @ flatten(w) = inner_product(v, w).coeffs[t].
+
+    The Z_p, R and S blocks (k = 1, 2, 3 coefficients per entry) carry the
+    weight u^(3-k), so coefficient a of one entry times coefficient b of the
+    other lands at u^(3-k+a+b), and vanishes from u^3 on.
+    """
+    j = np.zeros((3, profile.n, profile.n), dtype=np.int64)
+    for k, cols in enumerate(block_columns(profile), start=1):
+        cols = cols.reshape(-1, k)
+        for a in range(k):
+            for b in range(k - a):
+                j[3 - k + a + b, cols[:, a], cols[:, b]] = 1
+    return _frozen(j)

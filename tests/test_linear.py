@@ -2,12 +2,60 @@ import numpy as np
 import pytest
 
 from zprs.errors import DistanceNotDetermined, LengthMismatch, ZprsError
+from zprs.linalg import kernel_basis, rref
 from zprs.linear import LinearCode, min_distance_by_enumeration
 
 
 def random_code(rng, p, n, k_target):
     rows = rng.integers(0, p, size=(k_target, n))
     return LinearCode(p, n, rows)
+
+
+# -- the unbatched column-subset DFS, kept as the reference for the library's search
+
+
+def reference_choose_column(mat, p, j):
+    col = mat[:, j]
+    nz = np.flatnonzero(col)
+    if nz.size == 0:
+        return None
+    piv = int(nz[0])
+    scaled = col * pow(int(col[piv]), p - 2, p) % p
+    rest = mat[:, j + 1:]
+    reduced = (rest - np.outer(scaled, rest[piv])) % p
+    return np.concatenate([np.zeros((mat.shape[0], j + 1), dtype=np.int64), reduced], axis=1)
+
+
+def reference_subtree(mat, p, start, chosen, w):
+    """One elimination per node down to the last level, then a zero-column test."""
+    ncols = mat.shape[1]
+    if chosen == w - 1:
+        return bool((~mat[:, start:].any(axis=0)).any()) if start < ncols else False
+    for j in range(start, ncols - (w - chosen) + 1):
+        nxt = reference_choose_column(mat, p, j)
+        if nxt is not None and reference_subtree(nxt, p, j + 1, chosen + 1, w):
+            return True
+    return False
+
+
+def reference_distance(code):
+    """d as the smallest dependent column subset of the RREF kernel basis, by the
+    unbatched DFS over all columns; the Singleton bound caps the search."""
+    h = kernel_basis(code.generator, code.p)
+    if h.shape[0] == 0 or (~h.any(axis=0)).any():
+        return 1
+    return next(w for w in range(2, code.n - code.k + 2)
+                if reference_subtree(h, code.p, 0, 0, w))
+
+
+def cyclic_span(p, vec):
+    """The cyclic code spanned by vec and all its shifts."""
+    return LinearCode(p, len(vec), [np.roll(vec, i) for i in range(len(vec))])
+
+
+def shift(n, step=1):
+    """The column permutation i -> i + step mod n."""
+    return [(i + step) % n for i in range(n)]
 
 
 def test_dual_examples():
@@ -39,6 +87,10 @@ def test_parity_check_orthogonality():
         code = random_code(rng, p, int(rng.integers(2, 10)), 3)
         h = code.parity_check
         assert ((code.generator @ h.T) % p == 0).all()
+        # standard form: the identity on the free columns, spanning the whole kernel
+        free = [c for c in range(code.n) if c not in code.pivots]
+        assert (h[:, free] == np.eye(len(free))).all()
+        assert (rref(h, p)[0] == kernel_basis(code.generator, p)).all()
 
 
 def test_min_distance_repetition():
@@ -96,6 +148,66 @@ def test_min_distance_independent_of_jobs():
         if code.k == 0:
             continue
         assert code.min_distance(search_cap=10) == code.min_distance(search_cap=10, jobs=2)
+
+
+def test_min_distance_matches_the_unbatched_reference():
+    rng = np.random.default_rng(31)
+    for _ in range(120):
+        p = (2, 3, 5, 7, 13)[int(rng.integers(0, 5))]
+        n = int(rng.integers(3, 15))
+        code = random_code(rng, p, n, int(rng.integers(1, n)))
+        assert code.min_distance(search_cap=n) == reference_distance(code), (p, code.generator)
+
+
+def test_min_distance_with_a_shift_hint_matches_the_reference():
+    # cyclic codes under shifts by 1 (one orbit) and by 2 or 3 (several orbits)
+    rng = np.random.default_rng(32)
+    for _ in range(80):
+        p = (2, 3, 5, 13)[int(rng.integers(0, 4))]
+        n = int(rng.integers(4, 13))
+        code = cyclic_span(p, rng.integers(0, p, size=n) * (rng.random(n) < 0.6))
+        if code.k == 0:
+            continue
+        expected = reference_distance(code)
+        for step in (1, 2, 3):
+            assert code.min_distance(search_cap=n, automorphism=shift(n, step)) == expected
+
+
+def test_min_distance_hint_puts_the_orbit_representatives_first():
+    # C1 + C2 on two blocks of 4: the repetition code (d = 4) on the first, the
+    # even-weight code (d = 2) on the second; the joint shift has cycles {0..3},
+    # {4..7}, and every weight-2 word lies in the second block
+    p = 5
+    rows = [[1, 1, 1, 1, 0, 0, 0, 0]] + [[0] * 4 + list(np.roll([1, 4, 0, 0], i))
+                                         for i in range(3)]
+    code = LinearCode(p, 8, rows)
+    hint = [1, 2, 3, 0, 5, 6, 7, 4]
+    assert reference_distance(code) == 2
+    assert code.min_distance(automorphism=hint) == 2
+    assert code.min_distance(automorphism=hint, jobs=2) == 2
+
+
+def test_min_distance_refuses_a_hint_that_is_not_an_automorphism():
+    code = cyclic_span(2, np.array([1, 1, 0, 1, 0, 0, 0]))       # [7, 4, 3]
+    assert code.min_distance(automorphism=shift(7)) == 3
+    with pytest.raises(ZprsError, match="into itself"):
+        code.min_distance(automorphism=[1, 0, 2, 3, 4, 5, 6])
+    for bad in ([0, 1, 2], [0, 0, 1, 2, 3, 4, 5], list(range(1, 8))):
+        with pytest.raises(ZprsError, match="permutation"):
+            code.min_distance(automorphism=bad)
+    with pytest.raises(ZprsError, match="permutation"):
+        LinearCode.full_space(3, 4).min_distance(automorphism=[0, 0, 1, 2])
+
+
+def test_min_distance_with_a_hint_is_independent_of_jobs():
+    # the binary [7, 4, 3] Hamming, ternary [11, 6, 5] Golay and binary [15, 7, 5] BCH codes
+    for p, n, g, d in ((2, 7, [1, 1, 0, 1], 3), (3, 11, [2, 0, 1, 2, 1, 1], 5),
+                       (2, 15, [1, 0, 0, 0, 1, 0, 1, 1, 1], 5)):
+        code = cyclic_span(p, np.array(g + [0] * (n - len(g))))
+        hint = shift(n)
+        assert code.min_distance(search_cap=n, automorphism=hint) \
+            == code.min_distance(search_cap=n, automorphism=hint, jobs=2) \
+            == reference_distance(code) == d
 
 
 def test_shift_invariance_predicates_trivia():

@@ -45,11 +45,17 @@ def test_matrices_match_word_maps(dims, units):
             assert (GrayMap(p).word(w) == v @ _gray_matrix(pr) % p).all()
 
 
-@pytest.mark.parametrize("dims, units", CASES)
+# the form does not depend on the units; p = 13 and more empty blocks added
+@pytest.mark.parametrize("dims, units", CASES + [((13, 0, 0, 2), None), ((13, 2, 1, 0), None),
+                                                 ((13, 1, 0, 1), None), ((5, 0, 0, 1), None)])
 def test_form_matrices_give_inner_product(dims, units):
     rng = np.random.default_rng(12)
     pr = BlockProfile(*dims)
     j = form_matrices(pr)
+    # the oracle: inner_product on every pair of unit words
+    units = [unflatten(e, pr) for e in np.eye(pr.n, dtype=np.int64)]
+    oracle = [[inner_product(v, w).coeffs for w in units] for v in units]
+    assert (j == np.array(oracle, dtype=np.int64).transpose(2, 0, 1)).all()
     for v, w in zip(random_words(rng, pr, 20), random_words(rng, pr, 20)):
         coeffs = inner_product(v, w).coeffs
         for t in range(3):

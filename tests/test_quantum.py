@@ -7,13 +7,15 @@ import pytest
 from zprs.additive import AdditiveCode, shift_module_span, word_from_polynomials
 from zprs.errors import GcdViolation, NotDualContaining, TooManyFactors, ZprsError
 from zprs.gray import GrayMap
-from zprs.linear import LinearCode
+from zprs.linear import LinearCode, min_distance_by_enumeration
 from zprs.polynomials import Poly, factor_xn_minus_lambda, hat
 from zprs.quantum import (FactorAssignment, QuantumParams, code_from_table_generators, css,
                           cyclic_code_from_assignment, is_dual_containing,
                           reciprocal_dual, search_dual_containing,
                           separable_rs_dual_containing)
 from zprs.words import BlockProfile
+
+from test_linear import reference_distance
 
 
 def assignment(p, s, slots):
@@ -112,6 +114,27 @@ def test_gray_image_of_the_reciprocal_code_is_the_euclidean_dual():
         image = gray.image(cyclic_code_from_assignment(fa))
         reciprocal = gray.image(cyclic_code_from_assignment(fa.reciprocal_assignment()))
         assert reciprocal == image.euclidean_dual(), (fa.p, fa.s, fa.key())
+
+
+def test_min_distance_of_dual_containing_gray_images_matches_the_references():
+    # the search's joint shift of the two Gray blocks against the unbatched DFS
+    # and, where p^k <= 2^16, against codeword enumeration
+    grid = ((5, 6), (13, 4), (17, 4), (5, 8), (13, 6), (2, 7))
+    checked = enumerated = 0
+    for fa in every_assignment(grid):
+        image = GrayMap(fa.p).image(cyclic_code_from_assignment(fa))
+        if not is_dual_containing(image):
+            continue
+        s, n = fa.s, image.n
+        hint = [*range(1, s), 0, *range(s + 1, 2 * s), s]
+        d = reference_distance(image)
+        assert image.min_distance(search_cap=n) == d, (fa.p, s, fa.key())
+        assert image.min_distance(search_cap=n, automorphism=hint) == d, (fa.p, s, fa.key())
+        if image.size <= 2 ** 16:
+            assert min_distance_by_enumeration(image) == d
+            enumerated += 1
+        checked += 1
+    assert (checked, enumerated) == (364, 16)
 
 
 def test_is_dual_containing_matches_subcode_oracle_on_random_codes():
