@@ -15,8 +15,7 @@ from .enumerators import (CyclotomicInt, Enumerator, character, char_matrix_entr
                           symbol_table, symmetrized_enumerator, symmetrized_q_matrix,
                           symmetrized_transform)
 from .errors import ZprsError
-from .field import FieldElement, find_kappa, is_prime
-from .field import unit_order as field_unit_order
+from .field import find_kappa, is_prime
 from .gray import GrayMap, LeeWeightMismatchWarning, gray_hamming_weight, lee_weight
 from .linear import LinearCode, min_distance_by_enumeration
 from .polynomials import (Poly, divides, factor_xn_minus_lambda, hat, parse_poly, poly_divmod,
@@ -33,12 +32,12 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AdditiveCode", "BlockProfile", "ChainElement", "CyclotomicInt", "DualComputation",
-    "Enumerator", "FactorAssignment", "FieldElement", "GeneratorHypothesisWarning",
+    "Enumerator", "FactorAssignment", "GeneratorHypothesisWarning",
     "GrayMap", "LeeWeightMismatchWarning", "LinearCode", "MixedWord", "Poly",
     "QuantumParams", "SearchHit", "ZprsError", "character", "char_matrix_entry",
     "code_from_table_generators", "complete_enumerator", "constacyclic_shift", "css",
     "cyclic_code_from_assignment", "divides", "eta0", "eta1", "eta2",
-    "factor_xn_minus_lambda", "field_unit_order", "find_kappa", "flatten",
+    "factor_xn_minus_lambda", "find_kappa", "flatten",
     "from_generator_polynomials", "gray_hamming_weight", "hamming_enumerator",
     "hamming_transform", "hat", "inner_product", "is_dual_containing", "is_prime",
     "lee_enumerator", "lee_transform", "lee_weight", "macwilliams_complete_check",

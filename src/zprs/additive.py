@@ -108,16 +108,15 @@ class AdditiveCode:
             raise ProfileMismatch("codes over different profiles")
         return linalg.in_row_space(other.basis, other.pivots, self.basis, self.profile.p)
 
-    def iter_codeword_vectors(self, limit: int = 2 ** 24,
-                              chunk: int = 1 << 14) -> Iterator[np.ndarray]:
+    def iter_codeword_vectors(self, limit: int = 2 ** 24) -> Iterator[np.ndarray]:
         """Yield chunks of flattened codewords (all p^rank of them; rank 0 gives
         the zero word alone)."""
         if self.size > limit:
             raise TooLarge(f"code has {self.size} words, above the bound {limit}")
-        yield from linalg.iter_row_space(self.basis, self.profile.p, chunk)
+        yield from linalg.iter_row_space(self.basis, self.profile.p)
 
-    def codewords(self, limit: int = 2 ** 20) -> Iterator[MixedWord]:
-        for block in self.iter_codeword_vectors(limit):
+    def codewords(self) -> Iterator[MixedWord]:
+        for block in self.iter_codeword_vectors(2 ** 20):
             for row in block:
                 yield unflatten(row, self.profile)
 

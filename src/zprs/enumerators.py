@@ -340,27 +340,25 @@ def bivariate(coeffs_by_y_exponent: Mapping[int, int], degree: int) -> Enumerato
 # building enumerators from codes
 
 
-def _symbol_index_rows(code: AdditiveCode, limit: int = 2 ** 24):
+def _symbol_index_rows(code: AdditiveCode):
     """Yield chunks of codewords as (rows, n) symbol-index matrices."""
     pr = code.profile
     if not (pr.q == pr.r == pr.s):
         raise BlocksUnequal(f"per-coordinate symbols need q = r = s, got "
                             f"({pr.q}, {pr.r}, {pr.s})")
-    if code.size > limit:
-        raise TooLarge(f"code has {code.size} words, above the bound {limit}")
     p = pr.p
     weights = p ** np.arange(5, -1, -1, dtype=np.int64)
     cols = np.column_stack(block_columns(pr))  # row j: the six coefficients of position j
-    for block in code.iter_codeword_vectors(limit=limit):
+    for block in code.iter_codeword_vectors():
         # idx[w, j] = mixed-radix index of coordinate j of codeword w
         yield np.einsum("wjc,c->wj", block[:, cols], weights)
 
 
-def regroup(code: AdditiveCode, limit: int = 2 ** 24):
+def regroup(code: AdditiveCode):
     """All codewords as tuples of (x, y, z) coordinate triples."""
     t = symbol_table(code.profile.p)
     return [tuple(t.triple(int(i)) for i in row)
-            for chunk in _symbol_index_rows(code, limit) for row in chunk]
+            for chunk in _symbol_index_rows(code) for row in chunk]
 
 
 def _distinct_rows(rows: np.ndarray, counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

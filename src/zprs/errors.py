@@ -23,10 +23,6 @@ class ModulusMismatch(ZprsError):
     """Operands live over different moduli or different rings."""
 
 
-class DivisionByZero(ZprsError):
-    """Division by the zero element of Z_p."""
-
-
 class NoSquareRootOfMinusOne(ZprsError):
     """-1 is not a square mod p (p = 3 mod 4); the Gray maps are undefined."""
 

@@ -1,18 +1,17 @@
-"""Exact arithmetic in the prime field Z_p.
+"""Number theory for the prime field Z_p.
 
-Elements are immutable values carrying their modulus.  Primality is checked
-eagerly by deterministic Miller-Rabin, so downstream modules may assume p is
-prime.  Division uses Fermat exponentiation a / b = a * b^(p-2).
+Deterministic Miller-Rabin primality, the square root kappa of -1 that the
+Gray maps need, trial-division factorization, and the order of a group
+element read off the factorization of the group order.  Elements of Z_p
+are ``rings.ChainElement(p, 1, (a,))``, the k = 1 member of the chain.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 
-from .errors import (DivisionByZero, ModulusMismatch, NoSquareRootOfMinusOne, NotAUnit, NotPrime,
-                     TooLarge)
+from .errors import NoSquareRootOfMinusOne, NotPrime, TooLarge
 
 # Miller-Rabin with the first 13 primes as bases is exact below this bound
 # (Sorenson and Webster, Math. Comp. 2017); the first 12 only below 3.2e23.
@@ -41,64 +40,8 @@ def ensure_prime(p: int) -> int:
     return p
 
 
-@dataclass(frozen=True)
-class FieldElement:
-    """An element of Z_p, stored as the canonical representative in [0, p-1]."""
-
-    value: int
-    p: int
-
-    def __post_init__(self):
-        ensure_prime(self.p)
-        object.__setattr__(self, "value", self.value % self.p)
-
-    def _check(self, other: "FieldElement") -> None:
-        if self.p != other.p:
-            raise ModulusMismatch(f"moduli differ: {self.p} vs {other.p}")
-
-    def __add__(self, other: "FieldElement") -> "FieldElement":
-        self._check(other)
-        return FieldElement((self.value + other.value) % self.p, self.p)
-
-    def __sub__(self, other: "FieldElement") -> "FieldElement":
-        self._check(other)
-        return FieldElement((self.value - other.value) % self.p, self.p)
-
-    def __mul__(self, other: "FieldElement") -> "FieldElement":
-        self._check(other)
-        return FieldElement(self.value * other.value % self.p, self.p)
-
-    def __truediv__(self, other: "FieldElement") -> "FieldElement":
-        self._check(other)
-        if other.value == 0:
-            raise DivisionByZero(f"division by zero in Z_{self.p}")
-        return self * other.inverse()
-
-    def __neg__(self) -> "FieldElement":
-        return FieldElement(-self.value % self.p, self.p)
-
-    def __pow__(self, e: int) -> "FieldElement":
-        if e < 0:
-            return self.inverse() ** (-e)
-        return FieldElement(pow(self.value, e, self.p), self.p)
-
-    def inverse(self) -> "FieldElement":
-        if self.value == 0:
-            raise DivisionByZero(f"zero has no inverse in Z_{self.p}")
-        return FieldElement(pow(self.value, self.p - 2, self.p), self.p)
-
-    def __bool__(self) -> bool:
-        return self.value != 0
-
-    def __int__(self) -> int:
-        return self.value
-
-    def __repr__(self) -> str:
-        return f"{self.value} (mod {self.p})"
-
-
 @lru_cache(maxsize=None)
-def find_kappa(p: int) -> FieldElement:
+def find_kappa(p: int) -> int:
     """Smallest kappa in [1, p-1] with kappa^2 = -1 (mod p).
 
     Exists exactly when p = 2 or p = 1 (mod 4); otherwise raises
@@ -113,7 +56,7 @@ def find_kappa(p: int) -> FieldElement:
     while pow(c, (p - 1) // 2, p) != p - 1:
         c += 1
     k = pow(c, (p - 1) // 4, p)
-    return FieldElement(min(k, p - k), p)
+    return min(k, p - k)
 
 
 def factorize(n: int) -> tuple[tuple[int, int], ...]:
@@ -144,9 +87,3 @@ def element_order(power_is_one, group_order: tuple[tuple[int, int], ...]) -> int
             t //= q
     return t
 
-
-def unit_order(a: FieldElement) -> int:
-    """Multiplicative order of a nonzero element: smallest t >= 1 with a^t = 1."""
-    if a.value == 0:
-        raise NotAUnit(f"0 is not a unit in Z_{a.p}")
-    return element_order(lambda t: pow(a.value, t, a.p) == 1, factorize(a.p - 1))

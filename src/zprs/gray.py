@@ -56,13 +56,13 @@ def chain_lee_weight(x: ChainElement) -> int:
     return (int((a + b + d) % p != 0) + int((b + d) % p != 0) + int(b % p != 0))
 
 
-def lee_weight(w: MixedWord, *, warn: bool = True) -> int:
+def lee_weight(w: MixedWord) -> int:
     """Lee weight of a mixed word: min(x, p-x) per Z_p coordinate plus the
     Gray-image Hamming weights of the R and S coordinates."""
     p = w.profile.p
     zp_part = sum(zp_lee_weight(x, p) for x in w.zp)
     rest = sum(map(chain_lee_weight, w.rpart + w.spart))
-    if warn and p >= 5:
+    if p >= 5:
         hamming_zp = sum(1 for x in w.zp if x % p)
         if hamming_zp != zp_part:
             warnings.warn(
@@ -83,7 +83,7 @@ class GrayMap:
 
     def __init__(self, p: int):
         self.p = p
-        self.kappa = find_kappa(p).value
+        self.kappa = find_kappa(p)
 
     def phi1(self, x: ChainElement) -> tuple[int, int]:
         if (x.p, x.k) != (self.p, 2):

@@ -69,15 +69,15 @@ def in_row_space(basis: np.ndarray, pivots: list[int], vecs: np.ndarray, p: int)
     return not ((v - v[..., pivots] @ basis) % p).any()
 
 
-def iter_row_space(basis: np.ndarray, p: int, chunk: int = 1 << 14) -> Iterator[np.ndarray]:
-    """Yield all p^k vectors of the row space of a k-row basis, in chunks.
+def iter_row_space(basis: np.ndarray, p: int) -> Iterator[np.ndarray]:
+    """Yield all p^k vectors of the row space of a k-row basis, in chunks of 2^14.
 
     Vector i is the combination whose coefficients are the base-p digits of
     i, least significant first; k = 0 yields the zero vector alone.
     """
     k = basis.shape[0]
     count = p ** k
-    radix = p ** np.arange(k, dtype=np.int64)
+    radix, chunk = p ** np.arange(k, dtype=np.int64), 1 << 14
     for start in range(0, count, chunk):
         idx = np.arange(start, min(start + chunk, count), dtype=np.int64)
         yield (idx[:, None] // radix[None, :]) % p @ basis % p

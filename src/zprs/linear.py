@@ -1,6 +1,11 @@
 """Linear codes over Z_p: duals, exact minimum distance, and the cyclic /
 quasi-cyclic / quasi-twisted closure predicates.
 
+Every invariance test is one product: a code is closed under v -> v M
+iff G M lies in the row space of its RREF generator G.  The predicates
+build M as a block-diagonal matrix of twisted shifts, and a column
+automorphism hint is checked the same way with its permutation matrix.
+
 The parity check H is read off the RREF generator without elimination:
 the identity on the free columns, minus the free part of G on the pivots.
 
@@ -23,7 +28,8 @@ from typing import Sequence
 import numpy as np
 
 from . import linalg
-from .errors import DistanceNotDetermined, LengthMismatch, ProfileMismatch, ZprsError
+from .errors import (DistanceNotDetermined, LengthMismatch, NotAUnit, ProfileMismatch,
+                     ZprsError)
 from .field import ensure_prime
 
 
@@ -110,8 +116,6 @@ class LinearCode:
         if self.k == 0:
             raise ZprsError("minimum distance needs a nonzero code")
         order, starts = self._search_order(automorphism)
-        if self.k == self.n:
-            return 1
         cap = min(search_cap, self.n - self.k + 1)  # Singleton bound
         d = _smallest_dependent_subset(self.parity_check[:, order], self.p, cap, jobs, starts)
         if d is None and self.size <= 2 ** 20:
@@ -129,8 +133,7 @@ class LinearCode:
         perm = np.asarray(automorphism, dtype=np.int64)
         if perm.shape != (self.n,) or (np.sort(perm) != np.arange(self.n)).any():
             raise ZprsError(f"an automorphism must be a permutation of 0..{self.n - 1}")
-        if not linalg.in_row_space(self.generator, self.pivots, self.generator[:, perm],
-                                   self.p):
+        if not self._closed_under(np.eye(self.n, dtype=np.int64)[:, perm]):
             raise ZprsError("the column permutation does not map the code into itself")
         cycle_min, images = np.arange(self.n), perm
         for _ in range(self.n):
@@ -140,49 +143,45 @@ class LinearCode:
 
     # -- shift-invariance predicates ----------------------------------------
 
-    def _closed_under(self, op) -> bool:
-        return all(self.contains(op(row)) for row in self.generator)
+    def _closed_under(self, m: np.ndarray) -> bool:
+        """True iff v -> v m maps the code into itself: one row-space product."""
+        return linalg.in_row_space(self.generator, self.pivots, self.generator @ m % self.p,
+                                   self.p)
 
     def is_cyclic(self) -> bool:
-        return self._closed_under(lambda v: np.roll(v, 1))
+        return self.is_generalized_quasi_twisted([1], [self.n])
 
     def is_constacyclic(self, lam: int) -> bool:
-        return self._closed_under(lambda v: _sigma(v, lam, self.p))
+        return self.is_generalized_quasi_twisted([lam], [self.n])
 
     def is_quasi_cyclic(self, l: int) -> bool:
         return self.is_quasi_twisted(1, l)
 
     def is_quasi_twisted(self, lam: int, l: int) -> bool:
         """Invariance under sigma_lam applied to each of the l length-m blocks."""
-        if self.n % l:
+        if l <= 0 or self.n % l:
             raise LengthMismatch(f"l = {l} does not divide n = {self.n}")
-        m = self.n // l
-        return self.is_generalized_quasi_twisted([lam] * l, [m] * l)
+        return self.is_generalized_quasi_twisted([lam] * l, [self.n // l] * l)
 
     def is_generalized_quasi_twisted(self, lams: Sequence[int],
                                      block_lens: Sequence[int]) -> bool:
+        """Invariance under the block-diagonal X whose block i is the lams[i]-twisted
+        shift sigma(v) = (lam v[m-1], v[0], ..., v[m-2]) of its block_lens[i] columns."""
         if len(lams) != len(block_lens):
             raise LengthMismatch("one unit per block required")
+        if any(m < 0 for m in block_lens):
+            raise LengthMismatch(f"block lengths must be nonnegative, got {list(block_lens)}")
         if sum(block_lens) != self.n:
             raise LengthMismatch(f"block lengths sum to {sum(block_lens)}, not {self.n}")
-
-        def op(v: np.ndarray) -> np.ndarray:
-            out = []
-            pos = 0
-            for lam, m in zip(lams, block_lens):
-                out.append(_sigma(v[pos:pos + m], lam, self.p))
-                pos += m
-            return np.concatenate(out) if out else v
-
-        return self._closed_under(op)
-
-
-def _sigma(block: np.ndarray, lam: int, p: int) -> np.ndarray:
-    if block.size == 0:
-        return block
-    out = np.roll(block, 1)
-    out[0] = out[0] * lam % p
-    return out
+        x, pos = np.zeros((self.n, self.n), dtype=np.int64), 0
+        for lam, m in zip(lams, block_lens):
+            if lam % self.p == 0:
+                raise NotAUnit(f"the twist {lam} is not a unit mod {self.p}")
+            idx = np.arange(pos, pos + m)
+            x[idx, np.roll(idx, -1)] = 1                    # v[i] moves to i + 1 ...
+            x[idx[-1:], idx[:1]] = lam % self.p             # ... and the last wraps, twisted
+            pos += m
+        return self._closed_under(x)
 
 
 def _choose_column(mat: np.ndarray, p: int, j: int) -> np.ndarray | None:

@@ -1,5 +1,6 @@
 import json
 
+import zprs
 from zprs.cli import main
 
 C2_SPEC = {
@@ -205,3 +206,8 @@ def test_macwilliams_command_compares_two_walks(capsys, tmp_path, monkeypatch):
             m.setattr(enumerators, name, dropped)
             status, out, _ = run(capsys, ["macwilliams", "--input", path, "--kind", kind])
         assert status == 1 and out.startswith("FAIL"), (kind, status, out)
+
+
+def test_public_names_resolve_once():
+    assert len(zprs.__all__) == len(set(zprs.__all__))
+    assert all(hasattr(zprs, name) for name in zprs.__all__)

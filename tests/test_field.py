@@ -4,57 +4,65 @@ import time
 import numpy as np
 import pytest
 
-from zprs.errors import (DivisionByZero, ModulusMismatch, NoSquareRootOfMinusOne, NotAUnit,
-                         NotPrime, TooLarge)
-from zprs.field import FieldElement, factorize, find_kappa, is_prime, unit_order
+from zprs.errors import ModulusMismatch, NoSquareRootOfMinusOne, NotAUnit, NotPrime, TooLarge
+from zprs.field import factorize, find_kappa, is_prime
+from zprs.rings import ChainElement, unit_order
+
+
+def Z(a, p):
+    """a in Z_p: the k = 1 chain ring."""
+    return ChainElement(p, 1, (a,))
 
 
 def test_primality_checked_at_construction():
     with pytest.raises(NotPrime):
-        FieldElement(1, 4)
+        Z(1, 4)
     with pytest.raises(NotPrime):
-        FieldElement(0, 1)
-    FieldElement(3, 2)  # reduced mod 2, fine
+        Z(0, 1)
+    assert Z(3, 2).coeffs == (1,)  # reduced mod 2, fine
 
 
 def test_arithmetic_examples():
-    assert (FieldElement(3, 5) + FieldElement(4, 5)).value == 2
-    assert (FieldElement(1, 7) / FieldElement(1, 7)).value == 1
+    assert Z(3, 5) + Z(4, 5) == Z(2, 5)
+    assert Z(1, 7) * Z(1, 7).inverse() == Z(1, 7)
     # 2/3 mod 5: brute force 3*4 = 12 = 2 mod 5
-    assert (FieldElement(2, 5) / FieldElement(3, 5)).value == 4
-    assert (FieldElement(2, 5) - FieldElement(4, 5)).value == 3
-    assert (-FieldElement(2, 5)).value == 3
-    assert (FieldElement(2, 5) ** 4).value == 1
+    assert Z(2, 5) * Z(3, 5).inverse() == Z(4, 5)
+    assert Z(2, 5) - Z(4, 5) == Z(3, 5)
+    assert -Z(2, 5) == Z(3, 5)
+    assert Z(2, 5) ** 4 == Z(1, 5)
+    assert Z(2, 5) ** -1 == Z(3, 5)
 
 
 def test_arithmetic_errors():
     with pytest.raises(ModulusMismatch):
-        FieldElement(1, 5) + FieldElement(1, 7)
-    with pytest.raises(DivisionByZero):
-        FieldElement(1, 5) / FieldElement(0, 5)
-    with pytest.raises(DivisionByZero):
-        FieldElement(0, 5).inverse()
+        Z(1, 5) + Z(1, 7)
+    with pytest.raises(ModulusMismatch):
+        Z(1, 5) * Z(1, 7)
+    with pytest.raises(NotAUnit):
+        Z(1, 5) * Z(0, 5).inverse()
+    with pytest.raises(NotAUnit):
+        Z(0, 5).inverse()
 
 
 def test_division_matches_brute_force():
     for p in (2, 3, 5, 7, 11):
         for a in range(p):
             for b in range(1, p):
-                got = (FieldElement(a, p) / FieldElement(b, p)).value
+                (got,) = (Z(a, p) * Z(b, p).inverse()).coeffs
                 assert got * b % p == a
 
 
 def test_find_kappa_examples():
-    assert find_kappa(2).value == 1
-    assert find_kappa(5).value == 2
-    assert find_kappa(13).value == 5
-    assert find_kappa(17).value == 4
+    assert find_kappa(2) == 1
+    assert find_kappa(5) == 2
+    assert find_kappa(13) == 5
+    assert find_kappa(17) == 4
 
 
 def test_find_kappa_square_is_minus_one():
     for p in (2, 5, 13, 17, 29, 37, 41, 97, 101):
         k = find_kappa(p)
-        assert (k.value * k.value + 1) % p == 0
+        assert (k * k + 1) % p == 0
 
 
 def test_find_kappa_rejects_p_equals_3_mod_4():
@@ -68,7 +76,7 @@ def test_find_kappa_matches_exhaustive_search_below_10_4():
         ks = np.arange(1, p)
         roots = ks[ks * ks % p == p - 1]
         if roots.size:
-            assert find_kappa(p).value == roots[0]
+            assert find_kappa(p) == roots[0]
         else:
             with pytest.raises(NoSquareRootOfMinusOne):
                 find_kappa(p)
@@ -76,7 +84,7 @@ def test_find_kappa_matches_exhaustive_search_below_10_4():
 
 def test_find_kappa_large_primes_fast():
     start = time.perf_counter()
-    k = find_kappa(998244353).value
+    k = find_kappa(998244353)
     assert time.perf_counter() - start < 0.1
     assert k * k % 998244353 == 998244352 and k <= 998244353 // 2
     start = time.perf_counter()
@@ -86,18 +94,18 @@ def test_find_kappa_large_primes_fast():
 
 
 def test_unit_order_examples():
-    assert unit_order(FieldElement(1, 7)) == 1
-    assert unit_order(FieldElement(4, 5)) == 2
-    assert unit_order(FieldElement(2, 5)) == 4
+    assert unit_order(Z(1, 7)) == 1
+    assert unit_order(Z(4, 5)) == 2
+    assert unit_order(Z(2, 5)) == 4
     with pytest.raises(NotAUnit):
-        unit_order(FieldElement(0, 5))
+        unit_order(Z(0, 5))
 
 
 def test_unit_order_minimal_and_divides_group_order():
     # exhaustive over all units for a spread of primes up to 257
     for p in (2, 3, 5, 17, 101, 257):
         for a in range(1, p):
-            t = unit_order(FieldElement(a, p))
+            t = unit_order(Z(a, p))
             assert pow(a, t, p) == 1
             assert all(pow(a, i, p) != 1 for i in range(1, t))
             assert (p - 1) % t == 0  # Lagrange
@@ -115,14 +123,14 @@ def walk_orders(p):
 
 def test_unit_order_equals_the_walk_below_200():
     for p in filter(is_prime, range(200)):
-        assert [unit_order(FieldElement(a, p)) for a in range(1, p)] == walk_orders(p), p
+        assert [unit_order(Z(a, p)) for a in range(1, p)] == walk_orders(p), p
 
 
 def test_unit_order_large_primes_fast():
     start = time.perf_counter()
-    assert unit_order(FieldElement(3, 998244353)) == 998244352     # 3 is a primitive root
+    assert unit_order(Z(3, 998244353)) == 998244352     # 3 is a primitive root
     big = 2 ** 61 - 1
-    t = unit_order(FieldElement(3, big))
+    t = unit_order(Z(3, big))
     assert pow(3, t, big) == 1
     assert all(pow(3, t // q, big) != 1 for q, _ in factorize(t))
     assert time.perf_counter() - start < 0.1
@@ -145,7 +153,7 @@ def test_unit_order_refuses_a_composite_cofactor():
     p = 14 * 65537 * 65539 + 1
     assert is_prime(p)
     with pytest.raises(TooLarge):
-        unit_order(FieldElement(3, p))
+        unit_order(Z(3, p))
 
 
 def test_is_prime_small():

@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
 
-from zprs.errors import DistanceNotDetermined, LengthMismatch, ZprsError
+from zprs.additive import shift_module_span
+from zprs.errors import DistanceNotDetermined, LengthMismatch, NotAUnit, ZprsError
+from zprs.gray import GrayMap
 from zprs.linalg import kernel_basis, rref
 from zprs.linear import LinearCode, min_distance_by_enumeration
+from zprs.words import BlockProfile, unflatten
 
 
 def random_code(rng, p, n, k_target):
@@ -258,3 +261,119 @@ def test_constacyclic_predicate():
     assert code.is_constacyclic(4)          # 4 = 2^-2; sigma_4(1,2) = (3,1) = 3*(1,2)
     for lam in (1, 2, 3):
         assert not code.is_constacyclic(lam)
+
+
+# -- the per-row blockwise shift, kept as the reference for the one-product predicates
+
+
+def reference_sigma(block, lam, p):
+    if block.size == 0:
+        return block
+    out = np.roll(block, 1)
+    out[0] = out[0] * lam % p
+    return out
+
+
+def reference_shift(v, lams, block_lens, p):
+    out, pos = [], 0
+    for lam, m in zip(lams, block_lens):
+        out.append(reference_sigma(v[pos:pos + m], lam, p))
+        pos += m
+    return np.concatenate(out) if out else v
+
+
+def reference_gqt(code, lams, block_lens):
+    """Shift each generator row blockwise and test each image for membership."""
+    return all(code.contains(reference_shift(row, lams, block_lens, code.p))
+               for row in code.generator)
+
+
+def random_split(rng, n):
+    """Block lengths summing to n, zero-length blocks included."""
+    cuts = np.sort(rng.integers(0, n + 1, size=int(rng.integers(0, 4))))
+    return np.diff(np.r_[0, cuts, n]).astype(int).tolist()
+
+
+def test_generalized_quasi_twisted_matches_the_per_row_reference():
+    rng = np.random.default_rng(81)
+    invariant = 0
+    for trial in range(2400):
+        p = (2, 3, 5, 7, 13)[trial % 5]
+        n = int(rng.integers(1, 9))
+        block_lens = random_split(rng, n)
+        lams = [int(rng.integers(1, p)) + p * int(rng.integers(0, 2)) for _ in block_lens]
+        if trial % 2:       # a random code, rarely invariant
+            code = random_code(rng, p, n, int(rng.integers(0, n + 1)))
+        else:               # the orbit of a few random vectors under the twisted shift
+            rows = []
+            for v in rng.integers(0, p, size=(int(rng.integers(1, 3)), n)):
+                for _ in range(n):
+                    rows.append(v)
+                    v = reference_shift(v, lams, block_lens, p)
+            code = LinearCode(p, n, rows)
+        expected = reference_gqt(code, lams, block_lens)
+        assert code.is_generalized_quasi_twisted(lams, block_lens) == expected
+        invariant += expected
+        other = [int(rng.integers(1, p)) for _ in block_lens]
+        assert code.is_generalized_quasi_twisted(other, block_lens) \
+            == reference_gqt(code, other, block_lens)
+    assert invariant >= 1200
+
+
+def test_cyclic_predicates_match_the_per_row_reference():
+    rng = np.random.default_rng(82)
+    for trial in range(200):
+        p = (2, 3, 5, 7, 13)[trial % 5]
+        n = int(rng.integers(1, 11))
+        code = cyclic_span(p, rng.integers(0, p, size=n))
+        assert code.is_cyclic() and reference_gqt(code, [1], [n])
+        for l in (l for l in range(1, n + 1) if n % l == 0):
+            assert code.is_quasi_cyclic(l) == reference_gqt(code, [1] * l, [n // l] * l)
+            lam = int(rng.integers(1, p))
+            assert code.is_quasi_twisted(lam, l) == reference_gqt(code, [lam] * l, [n // l] * l)
+            assert code.is_constacyclic(lam) == reference_gqt(code, [lam], [n])
+
+
+def test_gray_images_are_quasi_twisted_by_the_per_row_reference():
+    # the classification of acceptance criterion 9e, compared with the reference,
+    # with the right twists and with other units
+    rng = np.random.default_rng(83)
+    for trial in range(60):
+        p = (2, 5, 13)[trial % 3]
+        q, r, s = (int(rng.integers(1, 4)) for _ in range(3))
+        q, r, s = ((0, r, 0), (0, 0, s), (q, r, s))[trial // 3 % 3]
+        mu = [int(rng.integers(1, p)) for _ in range(3)]
+        pr = BlockProfile(p, q, r, s)
+        code = shift_module_span([unflatten(rng.integers(0, p, size=pr.n), pr)],
+                                 *(m if b else 1 for m, b in zip(mu, (q, r, s))), profile=pr)
+        image = GrayMap(p).image(code)
+        block_lens = [q, r, r, s, s, s]
+        for twist in (mu, [int(rng.integers(1, p)) for _ in range(3)]):
+            lams = [twist[0], twist[1], twist[1], twist[2], twist[2], twist[2]]
+            expected = reference_gqt(image, lams, block_lens)
+            assert image.is_generalized_quasi_twisted(lams, block_lens) == expected
+            if twist is mu:
+                assert expected
+        if q == s == 0:
+            assert image.is_quasi_twisted(mu[1], 2) == reference_gqt(image, [mu[1]] * 2, [r] * 2)
+        if q == r == 0:
+            assert image.is_quasi_twisted(mu[2], 3) == reference_gqt(image, [mu[2]] * 3, [s] * 3)
+
+
+def test_predicates_refuse_a_non_unit_twist_and_a_negative_block():
+    code = LinearCode(5, 4, [[1, 2, 3, 4]])
+    with pytest.raises(NotAUnit):
+        code.is_constacyclic(0)
+    with pytest.raises(NotAUnit):
+        code.is_quasi_twisted(0, 2)
+    with pytest.raises(NotAUnit):
+        code.is_quasi_twisted(10, 4)
+    with pytest.raises(NotAUnit):
+        code.is_generalized_quasi_twisted([0, 1], [0, 4])   # even on an empty block
+    full = LinearCode.full_space(5, 4)
+    with pytest.raises(LengthMismatch):
+        full.is_generalized_quasi_twisted([1, 1], [-1, 5])
+    for l in (0, -2):
+        with pytest.raises(LengthMismatch):
+            full.is_quasi_twisted(1, l)
+    assert full.is_generalized_quasi_twisted([1, 2, 3], [0, 4, 0])
