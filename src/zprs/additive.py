@@ -49,12 +49,8 @@ class AdditiveCode:
     def __init__(self, profile: BlockProfile, rows: Sequence | np.ndarray, *,
                  _closed: bool = False):
         self.profile = profile
-        mat = linalg.as_matrix(np.asarray(rows, dtype=np.int64) if len(rows) else [],
-                               profile.n)
-        basis, pivots = linalg.rref(mat, profile.p)
-        self.basis = basis
+        self.basis, self.pivots = linalg.rref(linalg.as_matrix(rows, profile.n), profile.p)
         self.basis.setflags(write=False)
-        self.pivots = pivots
         if not _closed:
             self._verify_module_closure()
 
@@ -108,15 +104,15 @@ class AdditiveCode:
             raise ProfileMismatch("codes over different profiles")
         return linalg.in_row_space(other.basis, other.pivots, self.basis, self.profile.p)
 
-    def iter_codeword_vectors(self, limit: int = 2 ** 24) -> Iterator[np.ndarray]:
+    def iter_codeword_vectors(self) -> Iterator[np.ndarray]:
         """Yield chunks of flattened codewords (all p^rank of them; rank 0 gives
-        the zero word alone)."""
-        if self.size > limit:
-            raise TooLarge(f"code has {self.size} words, above the bound {limit}")
+        the zero word alone; ``TooLarge`` above 2^24 words)."""
         yield from linalg.iter_row_space(self.basis, self.profile.p)
 
     def codewords(self) -> Iterator[MixedWord]:
-        for block in self.iter_codeword_vectors(2 ** 20):
+        if self.size > 2 ** 20:
+            raise TooLarge(f"code has {self.size} words, above the bound {2 ** 20}")
+        for block in self.iter_codeword_vectors():
             for row in block:
                 yield unflatten(row, self.profile)
 

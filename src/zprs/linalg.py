@@ -3,7 +3,8 @@
 Small sizes only (tens of columns); all routines are exact modular
 Gaussian elimination on whole matrices.  Row-space membership tests a
 stack of vectors against an RREF basis in one product, and ``iter_row_space``
-is the one walk over all p^k vectors of a row space.
+is the one walk over all p^k vectors of a row space, as outer sums of a low
+span built once with the high words (chunks of at most 2^14).
 
 Entries stay in [0, p-1], so a product of an n-column row with a matrix sums
 n terms below (p-1)^2; ``check_modulus`` rejects the primes for which that
@@ -16,7 +17,9 @@ from typing import Iterator
 
 import numpy as np
 
-from .errors import ModulusTooLarge
+from .errors import ModulusTooLarge, TooLarge
+
+CHUNK, WALK_LIMIT = 1 << 14, 1 << 24
 
 
 def check_modulus(p: int, n: int) -> None:
@@ -70,17 +73,27 @@ def in_row_space(basis: np.ndarray, pivots: list[int], vecs: np.ndarray, p: int)
 
 
 def iter_row_space(basis: np.ndarray, p: int) -> Iterator[np.ndarray]:
-    """Yield all p^k vectors of the row space of a k-row basis, in chunks of 2^14.
+    """Yield all p^k vectors of the row space of a k-row basis, in chunks of
+    at most 2^14; ``TooLarge`` above 2^24 vectors.
 
-    Vector i is the combination whose coefficients are the base-p digits of
-    i, least significant first; k = 0 yields the zero vector alone.
+    Vector i = lo + p^a hi is the combination whose coefficients are the
+    base-p digits of i, least significant first; k = 0 yields the zero
+    vector alone.  p^a is the largest power <= 2^14 with a <= k: the span
+    of the first a rows is built once and added to each high word.
     """
-    k = basis.shape[0]
-    count = p ** k
-    radix, chunk = p ** np.arange(k, dtype=np.int64), 1 << 14
-    for start in range(0, count, chunk):
-        idx = np.arange(start, min(start + chunk, count), dtype=np.int64)
-        yield (idx[:, None] // radix[None, :]) % p @ basis % p
+    k, n = basis.shape
+    if p ** k > WALK_LIMIT:
+        raise TooLarge(f"row space has {p ** k} vectors, above the bound {WALK_LIMIT}")
+    a = next(a for a in range(k, -1, -1) if p ** a <= CHUNK)
+    radix = p ** np.arange(k, dtype=np.int64)
+    low = (np.arange(p ** a, dtype=np.int64)[:, None] // radix[:a]) % p @ basis[:a] % p
+    highs, step = p ** (k - a), CHUNK // p ** a
+    for start in range(0, highs, step):
+        hi = np.arange(start, min(start + step, highs), dtype=np.int64)
+        high = (hi[:, None] // radix[:k - a]) % p @ basis[a:] % p
+        words = high[:, None] + low
+        words %= p
+        yield words.reshape(-1, n)
 
 
 def standard_kernel(m: np.ndarray, pivots: list[int], p: int) -> np.ndarray:

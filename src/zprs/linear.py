@@ -41,9 +41,7 @@ class LinearCode:
         linalg.check_modulus(p, n)
         self.p = p
         self.n = n
-        mat = linalg.as_matrix(np.asarray(generator, dtype=np.int64)
-                               if len(generator) else [], n)
-        self.generator, self.pivots = linalg.rref(mat, p)
+        self.generator, self.pivots = linalg.rref(linalg.as_matrix(generator, n), p)
         self.generator.setflags(write=False)
 
     @classmethod
@@ -275,7 +273,7 @@ def _smallest_dependent_subset(h: np.ndarray, p: int, cap: int, jobs: int,
 
 
 def min_distance_by_enumeration(code: LinearCode) -> int:
-    """Independent oracle: scan all p^k - 1 nonzero codewords."""
+    """Independent oracle: scan all p^k - 1 nonzero codewords; ``TooLarge`` above 2^24."""
     if code.k == 0:
         raise ZprsError("minimum distance needs a nonzero code")
     best = code.n + 1

@@ -24,7 +24,6 @@ Dual-containing Gray images feed the CSS construction: a dual-containing
 from __future__ import annotations
 
 import itertools
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -263,6 +262,7 @@ def search_dual_containing(p: int, s: int, *, distance_cap: int = 6,
     assignments = ((p, s, factors, slots, distance_cap)
                    for slots in itertools.product(range(3), repeat=t))
     if jobs > 1:
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             raw = []
             while batch := list(itertools.islice(assignments, 1024 * jobs)):

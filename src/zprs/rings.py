@@ -13,6 +13,7 @@ is nonzero in Z_p.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Iterable, Sequence, Union
 
@@ -198,12 +199,4 @@ def unit_order(x: ChainElement) -> int:
 def all_elements(p: int, k: int) -> Iterable[ChainElement]:
     """All p^k elements, in coefficient-lexicographic order (constant term first)."""
     ensure_prime(p)
-
-    def rec(prefix: tuple[int, ...]) -> Iterable[ChainElement]:
-        if len(prefix) == k:
-            yield ChainElement(p, k, prefix)
-            return
-        for c in range(p):
-            yield from rec(prefix + (c,))
-
-    return rec(())
+    return (ChainElement(p, k, c) for c in itertools.product(range(p), repeat=k))

@@ -1,0 +1,68 @@
+import time
+
+import numpy as np
+import pytest
+
+from zprs.additive import AdditiveCode
+from zprs.errors import TooLarge
+from zprs.linalg import iter_row_space
+from zprs.linear import LinearCode, min_distance_by_enumeration
+from zprs.words import BlockProfile
+
+
+def digit_walk(basis, p):
+    """The reference walk: vector i is the base-p digits of i times the basis,
+    one (rows x k) @ (k x N) product per chunk of 2^14 indices."""
+    k = basis.shape[0]
+    count = p ** k
+    radix, chunk = p ** np.arange(k, dtype=np.int64), 1 << 14
+    for start in range(0, count, chunk):
+        idx = np.arange(start, min(start + chunk, count), dtype=np.int64)
+        yield (idx[:, None] // radix[None, :]) % p @ basis % p
+
+
+def check_against_digit_walk(basis, p):
+    chunks = list(iter_row_space(basis, p))
+    assert all(len(c) <= 1 << 14 for c in chunks)
+    got, want = np.concatenate(chunks), np.concatenate(list(digit_walk(basis, p)))
+    assert got.shape == want.shape == (p ** basis.shape[0], basis.shape[1])
+    assert (got == want).all()
+
+
+# k runs past the first p^k above 2^14 and stops below 2^19 vectors, so the
+# oracle's output stays a few MB (p = 7 at k = 8 would need about 1 GB)
+@pytest.mark.parametrize("p, k_max", [(2, 17), (3, 10), (5, 7), (13, 5)])
+def test_row_space_walk_matches_digit_walk(p, k_max):
+    rng = np.random.default_rng(p)
+    for k in range(k_max + 1):
+        check_against_digit_walk(rng.integers(0, p, size=(k, 6)), p)
+
+
+def test_row_space_walk_above_chunk_prime():
+    # p > 2^14: no low rows fit in a chunk, and p^2 is above the 2^24 bound
+    p = 65537
+    rng = np.random.default_rng(1)
+    for k in (0, 1):
+        check_against_digit_walk(rng.integers(0, p, size=(k, 4)), p)
+    with pytest.raises(TooLarge):
+        next(iter_row_space(rng.integers(0, p, size=(2, 4)), p))
+
+
+def test_rank_zero_walk_is_one_zero_row():
+    (chunk,) = iter_row_space(np.zeros((0, 5), dtype=np.int64), 3)
+    assert chunk.shape == (1, 5) and not chunk.any()
+
+
+def test_enumeration_oracle_refuses_large_codes_at_once():
+    start = time.perf_counter()
+    with pytest.raises(TooLarge):
+        min_distance_by_enumeration(LinearCode.full_space(2, 40))
+    assert time.perf_counter() - start < 1.0
+
+
+def test_codewords_keeps_its_lower_bound():
+    code = AdditiveCode.full_space(BlockProfile(2, 21, 0, 0))
+    assert code.size == 2 ** 21
+    with pytest.raises(TooLarge):
+        next(code.codewords())
+    assert sum(len(c) for c in code.iter_codeword_vectors()) == 2 ** 21
