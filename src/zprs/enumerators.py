@@ -4,7 +4,10 @@ Z_p x R x S, and the MacWilliams machinery relating a code to its dual.
 The p^6 alphabet symbols are ordered lexicographically by coefficient tuple
 (a; a', b'; a'', b'', d''), with index 0 the zero symbol.  All enumerator
 semantics key off symbol values, never positions, so results do not depend
-on any particular listing.
+on any particular listing.  Symbol indices are used only where the index is
+the key: the complete enumerator, its MacWilliams check and ``regroup``.  The
+Hamming, Lee and symmetrized walks weigh each chunk of codeword digits with
+``gray.position_weights``, so they build no p^6 table and run at any p.
 
 The generating character is chi(f) = zeta_p^(a + a' + b' + a'' + b'' + d'')
 with zeta_p a primitive p-th root of unity; for p = 2 this is the familiar
@@ -43,7 +46,8 @@ from .errors import (BlocksUnequal, InexactDivision, ModulusMismatch, RowCollaps
                      TooLarge, ZprsError)
 from .field import ensure_prime
 from .rings import ChainElement, power
-from .words import block_columns
+from .gray import position_weights
+from .words import BlockProfile, block_columns
 
 MonomialKey = tuple[tuple[int, int], ...]
 
@@ -161,12 +165,14 @@ class CyclotomicInt:
 class SymbolTable:
     """The p^6 symbols in coefficient-lexicographic order, with weight tables.
 
-    Index <-> digit conversions work arithmetically; the per-symbol arrays
-    (digit matrix, weight tables) materialize lazily since they have p^6 rows.
+    Index <-> digit conversions work arithmetically, at any p.  The per-symbol
+    arrays (digit matrix, weight tables) have p^6 rows and materialize lazily;
+    they serve only the p <= 3 character and Q-matrix paths, plus callers that
+    ask for them.  The enumerator walks and ``character`` never read them.
     """
 
     def __init__(self, p: int):
-        ensure_prime(p)
+        self.profile = BlockProfile(p, 1, 1, 1)     # a symbol is one coordinate triple
         self.p = p
         self.count = p ** 6
         # min(x, p-x) reaches p//2 on the Z_p part; the R and S parts reach 2 and 3
@@ -183,18 +189,9 @@ class SymbolTable:
         return out
 
     @cached_property
-    def _chain_weights(self) -> np.ndarray:
-        p, grids = self.p, self.coeffs
-        a1, b1 = grids[:, 1], grids[:, 2]
-        a2, b2, d2 = grids[:, 3], grids[:, 4], grids[:, 5]
-        return ((((a1 + b1) % p) != 0).astype(np.int64) + (b1 != 0)
-                + (((a2 + b2 + d2) % p) != 0) + (((b2 + d2) % p) != 0) + (b2 != 0))
-
-    @cached_property
     def lee_weights(self) -> np.ndarray:
         """Symbol Lee weight: min(x, p-x) plus the Gray weights of the R, S parts."""
-        a = self.coeffs[:, 0]
-        out = np.minimum(a, self.p - a) * (a != 0) + self._chain_weights
+        out = position_weights(self.coeffs, self.profile, lee=True).sum(axis=1)
         out.setflags(write=False)
         assert int(out.max()) == self.max_lee_weight
         return out
@@ -202,27 +199,21 @@ class SymbolTable:
     @cached_property
     def gray_weights(self) -> np.ndarray:
         """Hamming weight of the Gray image (identity on the Z_p part)."""
-        out = (self.coeffs[:, 0] != 0).astype(np.int64) + self._chain_weights
+        out = position_weights(self.coeffs, self.profile, lee=False).sum(axis=1)
         out.setflags(write=False)
         return out
 
     def digits(self, idx: int) -> tuple[int, ...]:
-        out = []
-        for _ in range(6):
-            idx, d = divmod(idx, self.p)
-            out.append(d)
-        return tuple(reversed(out))
+        if not 0 <= idx < self.count:
+            raise IndexError(f"symbol index {idx} is outside 0..{self.count - 1}")
+        return tuple(idx // self.p ** (5 - j) % self.p for j in range(6))
 
     def index_of(self, triple) -> int:
         x, y, z = triple
         p = self.p
-        xv = int(x) % p
-        ye = ChainElement.make(y, p, 2).coeffs
-        ze = ChainElement.make(z, p, 3).coeffs
-        idx = 0
-        for d in (xv, ye[0], ye[1], ze[0], ze[1], ze[2]):
-            idx = idx * p + d
-        return idx
+        digits = (int(x) % p, *ChainElement.make(y, p, 2).coeffs,
+                  *ChainElement.make(z, p, 3).coeffs)
+        return sum(d * p ** (5 - j) for j, d in enumerate(digits))
 
     def triple(self, idx: int) -> tuple[int, ChainElement, ChainElement]:
         row = self.digits(int(idx))
@@ -256,13 +247,10 @@ def char_exponent_matrix(p: int) -> np.ndarray:
 
 
 def character(symbol, p: int) -> CyclotomicInt:
-    """chi of a symbol (given as a triple or an index)."""
+    """chi of a symbol (given as a triple or an index): zeta^(its digit sum)."""
     t = symbol_table(p)
-    if isinstance(symbol, (int, np.integer)):
-        row = t.coeffs[int(symbol)]
-    else:
-        row = t.coeffs[t.index_of(symbol)]
-    return CyclotomicInt.root_power(int(row.sum()) % p, p)
+    idx = int(symbol) if isinstance(symbol, (int, np.integer)) else t.index_of(symbol)
+    return CyclotomicInt.root_power(sum(t.digits(idx)), p)
 
 
 def char_matrix_entry(i: int, j: int, p: int) -> CyclotomicInt:
@@ -340,18 +328,29 @@ def bivariate(coeffs_by_y_exponent: Mapping[int, int], degree: int) -> Enumerato
 # building enumerators from codes
 
 
-def _symbol_index_rows(code: AdditiveCode):
-    """Yield chunks of codewords as (rows, n) symbol-index matrices."""
+def _coordinate_chunks(code: AdditiveCode):
+    """Chunks of codewords as (rows, N) matrices, once q = r = s makes coordinates triples."""
     pr = code.profile
     if not (pr.q == pr.r == pr.s):
         raise BlocksUnequal(f"per-coordinate symbols need q = r = s, got "
                             f"({pr.q}, {pr.r}, {pr.s})")
-    p = pr.p
-    weights = p ** np.arange(5, -1, -1, dtype=np.int64)
+    return code.iter_codeword_vectors()
+
+
+def _symbol_index_rows(code: AdditiveCode):
+    """Yield chunks of codewords as (rows, n) symbol-index matrices."""
+    chunks, pr = _coordinate_chunks(code), code.profile
+    weights = pr.p ** np.arange(5, -1, -1, dtype=np.int64)
     cols = np.column_stack(block_columns(pr))  # row j: the six coefficients of position j
-    for block in code.iter_codeword_vectors():
+    for block in chunks:
         # idx[w, j] = mixed-radix index of coordinate j of codeword w
         yield np.einsum("wjc,c->wj", block[:, cols], weights)
+
+
+def _coordinate_weights(code: AdditiveCode, *, lee: bool):
+    """Chunks of codewords as (rows, n) weights of their coordinate triples."""
+    return (position_weights(c, code.profile, lee=lee).reshape(len(c), 3, -1).sum(axis=1)
+            for c in _coordinate_chunks(code))
 
 
 def regroup(code: AdditiveCode):
@@ -369,12 +368,12 @@ def _distinct_rows(rows: np.ndarray, counts: np.ndarray) -> tuple[np.ndarray, np
     return rows[first], np.add.reduceat(counts, first)
 
 
-def _histogram(code: AdditiveCode, key) -> tuple[np.ndarray, np.ndarray]:
-    """The distinct rows of ``key(chunk)`` over all codewords, in lexicographic
-    order, and how many codewords give each; ``key`` maps a symbol-index
+def _histogram(chunks, key) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct rows of ``key(chunk)`` over all codeword chunks, in
+    lexicographic order, and how many codewords give each; ``key`` maps a
     chunk to one integer row per codeword."""
     parts = [_distinct_rows(rows, np.ones(len(rows), dtype=np.int64))
-             for rows in map(key, _symbol_index_rows(code))]
+             for rows in map(key, chunks)]
     return _distinct_rows(*map(np.concatenate, zip(*parts)))
 
 
@@ -389,7 +388,7 @@ def _smaller_side(code: AdditiveCode, walk, transform) -> Enumerator:
 def complete_enumerator(code: AdditiveCode) -> Enumerator:
     """W_C(x_0, ..., x_(p^6 - 1)): codeword c contributes prod_j x_(c_j)."""
     pr = code.profile
-    rows, counts = _histogram(code, lambda chunk: np.sort(chunk, axis=1))
+    rows, counts = _histogram(_symbol_index_rows(code), lambda chunk: np.sort(chunk, axis=1))
     # a sorted row is a sequence of runs; a run of e copies of symbol i is x_i^e
     starts = np.c_[np.ones(len(rows), dtype=bool), rows[:, 1:] != rows[:, :-1]]
     first = np.flatnonzero(starts)          # row-major, and column 0 starts a run
@@ -400,7 +399,8 @@ def complete_enumerator(code: AdditiveCode) -> Enumerator:
 
 
 def _hamming_walk(code: AdditiveCode) -> Enumerator:
-    rows, counts = _histogram(code, lambda chunk: (chunk != 0).sum(axis=1, keepdims=True))
+    rows, counts = _histogram(_coordinate_weights(code, lee=False),
+                              lambda w: (w != 0).sum(axis=1, keepdims=True))
     return bivariate(dict(zip(rows[:, 0].tolist(), counts.tolist())), code.profile.q)
 
 
@@ -410,11 +410,10 @@ def hamming_enumerator(code: AdditiveCode) -> Enumerator:
 
 
 def _symmetrized_walk(code: AdditiveCode) -> Enumerator:
-    t = symbol_table(code.profile.p)
-    nvars = t.max_lee_weight + 1
+    nvars = symbol_table(code.profile.p).max_lee_weight + 1
     # row w, column i: coordinates of codeword w with symbol Lee weight i
-    rows, counts = _histogram(code, lambda chunk: (t.lee_weights[chunk][..., None]
-                                                   == np.arange(nvars)).sum(axis=1))
+    rows, counts = _histogram(_coordinate_weights(code, lee=True),
+                              lambda w: (w[..., None] == np.arange(nvars)).sum(axis=1))
     return Enumerator(nvars, code.profile.q,
                       {_key(row): c for row, c in zip(rows.tolist(), counts.tolist())})
 
@@ -432,15 +431,15 @@ def symmetrized_enumerator(code: AdditiveCode) -> Enumerator:
 
 
 def _lee_walk(code: AdditiveCode) -> Enumerator:
-    t = symbol_table(code.profile.p)
-    rows, counts = _histogram(code, lambda chunk: t.gray_weights[chunk].sum(1, keepdims=True))
+    rows, counts = _histogram(_coordinate_weights(code, lee=False),
+                              lambda w: w.sum(axis=1, keepdims=True))
     return bivariate(dict(zip(rows[:, 0].tolist(), counts.tolist())), 6 * code.profile.q)
 
 
 def lee_enumerator(code: AdditiveCode) -> Enumerator:
     """W_L(x, y): the Hamming enumerator of the Gray image, total degree 6n.
 
-    Computed from per-symbol Gray weights, which do not depend on kappa, so
+    Computed from the codewords' Gray weights, which do not depend on kappa, so
     this works even for p = 3 (mod 4) where the Gray map itself is undefined.
     """
     return _smaller_side(code, _lee_walk, lee_transform)
@@ -458,6 +457,7 @@ def _character_sums(points: np.ndarray, p: int) -> np.ndarray:
 
 
 _INT64_MAX = int(np.iinfo(np.int64).max)
+COMPLETE_CHECK_SEED = 20230817  # fixes the complete check's evaluation points
 
 
 def _codeword_sums(code: AdditiveCode, tables: np.ndarray) -> list[list[int]]:
@@ -490,8 +490,7 @@ def _complete_check_points(q: int) -> int:
 
 
 def macwilliams_complete_check(code: AdditiveCode,
-                               candidate_dual: AdditiveCode | None = None,
-                               *, seed: int = 20230817) -> bool:
+                               candidate_dual: AdditiveCode | None = None) -> bool:
     """Verify the complete-enumerator MacWilliams identity by point evaluation.
 
     Checks W_D(x) == (1/|C|) W_C(P x) at k fixed pseudo-random integer
@@ -504,7 +503,7 @@ def macwilliams_complete_check(code: AdditiveCode,
     [0, 97]^(p^6) with probability <= q/98, so k points all miss it with
     probability <= (q/98)^k.  k = ``_complete_check_points(q)`` is the
     smallest k >= 8 that makes this at most 2^-28, and q >= 98 is refused.
-    The points are fixed by ``seed``: the bound is over the choice of seed.
+    ``COMPLETE_CHECK_SEED`` fixes the points: the bound is over the choice of seed.
     For D the dual, |C| |D| = p^(6q) and both sides walk under the 2^24
     limit, so q <= 8 at p = 2 and q <= 5 at p = 3, and k = 8.
     """
@@ -515,7 +514,7 @@ def macwilliams_complete_check(code: AdditiveCode,
     dual = candidate_dual if candidate_dual is not None else code.dual()
     if dual.profile != code.profile:
         raise BlocksUnequal("dual candidate over a different profile")
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(COMPLETE_CHECK_SEED)
     points = rng.integers(0, 98, size=(count, p ** 6))
     lhs = _codeword_sums(dual, points[..., None])
     rhs = _codeword_sums(code, _character_sums(points, p))

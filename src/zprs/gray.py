@@ -11,8 +11,11 @@ image theorems depend on exactly that layout.
 
 Lee weights: a Z_p coordinate x weighs min(x, p-x); an R or S coordinate
 weighs the Hamming weight of its Gray image.  Those Hamming weights do not
-depend on kappa (kappa is a unit), so the weight functions below work for
-every p, including p = 3 mod 4 where the Gray map itself does not exist.
+depend on kappa (kappa is a unit), so ``position_weights``, the one
+definition of these weights, works for every p, including p = 3 mod 4 where
+the Gray map itself does not exist.  It weighs whole arrays of flattened
+words at once; the word weights below, the symbol tables and the enumerator
+walks all call it.
 For p >= 5 the Z_p-block convention min(x, p-x) disagrees with the Hamming
 weight of the (identity) Gray image on that block; ``lee_weight`` records
 the discrepancy with a warning instead of silently picking a side.
@@ -29,53 +32,47 @@ from .errors import WrongRing
 from .field import find_kappa
 from .linear import LinearCode
 from .rings import ChainElement
-from .words import BlockProfile, MixedWord, map_matrix
+from .words import BlockProfile, MixedWord, block_columns, flatten, map_matrix
 
-__all__ = ["GrayMap", "lee_weight", "gray_hamming_weight", "chain_lee_weight",
-           "zp_lee_weight", "LeeWeightMismatchWarning"]
+__all__ = ["GrayMap", "lee_weight", "gray_hamming_weight", "position_weights",
+           "LeeWeightMismatchWarning"]
 
 
 class LeeWeightMismatchWarning(UserWarning):
     """min(x, p-x) and the Gray-image Hamming weight disagree on a Z_p block."""
 
 
-def zp_lee_weight(x: int, p: int) -> int:
-    x %= p
-    return min(x, p - x) if x else 0
-
-
-def chain_lee_weight(x: ChainElement) -> int:
-    """Hamming weight of the Gray image of an R or S element (kappa-free)."""
-    p = x.p
-    if x.k == 1:
-        return zp_lee_weight(x.coeffs[0], p)
-    if x.k == 2:
-        a, b = x.coeffs
-        return int((a + b) % p != 0) + int(b % p != 0)
-    a, b, d = x.coeffs
-    return (int((a + b + d) % p != 0) + int((b + d) % p != 0) + int(b % p != 0))
+def position_weights(words, profile: BlockProfile, *, lee: bool) -> np.ndarray:
+    """Per-position weights (..., q + r + s) of flattened words (..., N) over [0, p): a Z_p
+    position x weighs min(x, p-x) if ``lee``, else [x != 0]; an R or S position weighs
+    the Hamming weight of its Gray image."""
+    p = profile.p
+    zcols, rcols, scols = block_columns(profile)
+    x = words[..., zcols]
+    a, b = (words[..., cols] for cols in rcols.T)
+    a2, b2, d2 = (words[..., cols] for cols in scols.T)
+    # nonzero Gray coordinates with kappa dropped: a unit leaves a coordinate's zeroness alone
+    r = ((a + b) % p != 0).astype(np.int64) + (b != 0)
+    s = ((a2 + b2 + d2) % p != 0).astype(np.int64) + ((b2 + d2) % p != 0) + (b2 != 0)
+    return np.concatenate([np.minimum(x, p - x) if lee else x != 0, r, s],
+                          axis=-1, dtype=np.int64)
 
 
 def lee_weight(w: MixedWord) -> int:
     """Lee weight of a mixed word: min(x, p-x) per Z_p coordinate plus the
     Gray-image Hamming weights of the R and S coordinates."""
-    p = w.profile.p
-    zp_part = sum(zp_lee_weight(x, p) for x in w.zp)
-    rest = sum(map(chain_lee_weight, w.rpart + w.spart))
-    if p >= 5:
-        hamming_zp = sum(1 for x in w.zp if x % p)
-        if hamming_zp != zp_part:
-            warnings.warn(
-                f"Lee weight {zp_part + rest} uses min(x, p-x) on the Z_p block; the "
-                f"Gray-image Hamming weight there is {hamming_zp + rest}",
-                LeeWeightMismatchWarning, stacklevel=2)
-    return zp_part + rest
+    lee = int(position_weights(flatten(w), w.profile, lee=True).sum())
+    # for p <= 3, min(x, p-x) = [x != 0] and the two weights agree
+    if w.profile.p >= 5 and (hamming := gray_hamming_weight(w)) != lee:
+        warnings.warn(f"Lee weight {lee} uses min(x, p-x) on the Z_p block; the "
+                      f"Gray-image Hamming weight there is {hamming}",
+                      LeeWeightMismatchWarning, stacklevel=2)
+    return lee
 
 
 def gray_hamming_weight(w: MixedWord) -> int:
     """Hamming weight of the Gray image (kappa-free; identity on the Z_p block)."""
-    p = w.profile.p
-    return sum(1 for x in w.zp if x % p) + sum(map(chain_lee_weight, w.rpart + w.spart))
+    return int(position_weights(flatten(w), w.profile, lee=False).sum())
 
 
 class GrayMap:

@@ -103,10 +103,6 @@ class Poly:
         self._check(other)
         if self.is_zero or other.is_zero:
             return Poly.zero(self.p, self.k)
-        if self.k == 1:
-            conv = np.convolve(np.array(self.int_coeffs(), dtype=np.int64),
-                               np.array(other.int_coeffs(), dtype=np.int64)) % self.p
-            return Poly.make([int(c) for c in conv], self.p)
         out = [ChainElement.zero(self.p, self.k)] * (len(self.coeffs) + len(other.coeffs) - 1)
         for i, a in enumerate(self.coeffs):
             if a.is_zero:

@@ -244,8 +244,11 @@ def _evaluate_assignment(args) -> tuple | None:
     return (slots, image.n, image.k, d, exact)
 
 
+MAX_FACTORS = 20  # search_dual_containing refuses x^s - 1 with more irreducible factors
+
+
 def search_dual_containing(p: int, s: int, *, distance_cap: int = 6,
-                           max_factors: int = 20, jobs: int = 1) -> list[SearchHit]:
+                           jobs: int = 1) -> list[SearchHit]:
     """All CSS codes from dual-containing cyclic R-codes of length s.
 
     Enumerates every assignment of the irreducible factors of x^s - 1 to the
@@ -257,8 +260,8 @@ def search_dual_containing(p: int, s: int, *, distance_cap: int = 6,
     """
     factors = factor_xn_minus_lambda(p, s, 1)
     t = len(factors)
-    if t > max_factors:
-        raise TooManyFactors(f"{t} irreducible factors; bound is {max_factors}")
+    if t > MAX_FACTORS:
+        raise TooManyFactors(f"{t} irreducible factors; bound is {MAX_FACTORS}")
     assignments = ((p, s, factors, slots, distance_cap)
                    for slots in itertools.product(range(3), repeat=t))
     if jobs > 1:

@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -92,12 +93,13 @@ def transform_point(point, p):
     return [CyclotomicInt(p, row) for row in sums[:, : p - 1] - sums[:, p - 1:]]
 
 
-def dict_complete_check(code, dual, num_points=8, seed=20230817):
+def dict_complete_check(code, dual, num_points=8):
     """The complete check through both complete enumerators and term-by-term
     evaluation, at the same points as ``macwilliams_complete_check``."""
     p = code.profile.p
     w_primal, w_dual = complete_enumerator(code), complete_enumerator(dual)
-    points = np.random.default_rng(seed).integers(0, 98, size=(num_points, p ** 6))
+    rng = np.random.default_rng(enumerators.COMPLETE_CHECK_SEED)
+    points = rng.integers(0, 98, size=(num_points, p ** 6))
     return all(evaluate(w_primal, transform_point(pt, p))
                == code.size * evaluate(w_dual, [int(v) for v in pt]) for pt in points)
 
@@ -187,6 +189,23 @@ def test_character_examples():
     assert character((1, 0, 0), 2) == -1
     assert character((0, (0, 1), 0), 2) == -1
     assert character((0, 0, 0), 5) == 1
+
+
+def test_character_reads_digits_at_large_p():
+    # no p^6 table: at p = 29 that table alone is about 28 GB
+    t = symbol_table(29)
+    symbol = (1, (0, 1), (0, 0, 3))         # digit sum 5
+    tracemalloc.start()
+    try:
+        values = [character((0, 0, 0), 29), character(symbol, 29),
+                  character(t.index_of(symbol), 29)]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 << 20
+    assert values == [1] + [CyclotomicInt.root_power(5, 29)] * 2
+    with pytest.raises(IndexError):
+        character(t.count, 29)
 
 
 def test_character_orthogonality():
@@ -365,6 +384,37 @@ def test_symmetrized_transform_example():
     code = c2_code()
     ws = symmetrized_enumerator(code)
     assert symmetrized_transform(ws, 64, 2) == symmetrized_enumerator(code.dual())
+
+
+def triple_code(p):
+    """The rank-3 code spanned by (1 | 1 | 1) over Z_p R S with (q, r, s) = (1, 1, 1)."""
+    pr = BlockProfile(p, 1, 1, 1)
+    code = span_closure([MixedWord.make(pr, (1,), ((1, 0),), ((1, 0, 0),))], profile=pr)
+    assert code.rank == 3
+    return code
+
+
+@pytest.mark.parametrize("p", [13, 29])
+def test_weight_enumerators_at_large_p_stay_small(p):
+    # the walks weigh codeword digits; p^6-row symbol tables would take
+    # hundreds of MB at p = 13 and about 28 GB at p = 29
+    code = triple_code(p)
+    tracemalloc.start()
+    try:
+        enums = [f(code) for f in (hamming_enumerator, lee_enumerator, symmetrized_enumerator)]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 << 20
+    assert [e.coefficient_sum() for e in enums] == [code.size] * 3
+
+
+@pytest.mark.parametrize("p", [5, 13, 29])
+def test_large_p_walks_satisfy_macwilliams(p):
+    code = triple_code(p)
+    dual = code.dual()
+    for walk, transform in ((_hamming_walk, hamming_transform), (_lee_walk, lee_transform)):
+        assert transform(walk(code), code.size, p) == walk(dual)
 
 
 def test_symmetrized_q_matrix_values():

@@ -5,7 +5,9 @@ import pytest
 
 from zprs.additive import span_closure
 from zprs.errors import NoSquareRootOfMinusOne
-from zprs.gray import GrayMap, LeeWeightMismatchWarning, gray_hamming_weight, lee_weight
+from zprs.enumerators import symbol_table
+from zprs.gray import (GrayMap, LeeWeightMismatchWarning, _gray_matrix, gray_hamming_weight,
+                       lee_weight, position_weights)
 from zprs.rings import ChainElement
 from zprs.words import BlockProfile, MixedWord, constacyclic_shift, inner_product, unflatten
 
@@ -96,6 +98,29 @@ def test_gray_weight_equals_hamming_weight_of_image():
         for _ in range(200):
             w = unflatten(rng.integers(0, p, size=pr.n), pr)
             assert gray_hamming_weight(w) == int((g.word(w) != 0).sum())
+
+
+def _gray_image_weights(symbols, p):
+    """Nonzero count of the Gray image of each digit row (a; a', b'; a'', b'', d''),
+    through the matrix of GrayMap(p).word."""
+    return (symbols @ _gray_matrix(BlockProfile(p, 1, 1, 1)) % p != 0).sum(axis=1)
+
+
+@pytest.mark.parametrize("p", [2, 5])
+def test_symbol_gray_weights_count_the_gray_image(p):
+    # every one of the p^6 symbols
+    t = symbol_table(p)
+    image = _gray_image_weights(t.coeffs, p)
+    assert (t.gray_weights == image).all()
+    x = t.coeffs[:, 0]
+    assert (t.lee_weights - t.gray_weights == np.minimum(x, p - x) - (x != 0)).all()
+
+
+def test_symbol_gray_weights_count_the_gray_image_sampled():
+    p = 13
+    symbols = np.random.default_rng(13).integers(0, p, size=(10 ** 4, 6))
+    weights = position_weights(symbols, BlockProfile(p, 1, 1, 1), lee=False)
+    assert (weights.sum(axis=1) == _gray_image_weights(symbols, p)).all()
 
 
 def test_distance_preservation_small_p():

@@ -1,5 +1,9 @@
 import itertools
+import os
+import subprocess
+import sys
 from functools import reduce
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -256,8 +260,21 @@ def test_search_small_necessary_condition():
 
 
 def test_search_too_many_factors():
+    # x^40 - 1 splits into 40 linear factors over Z_41
     with pytest.raises(TooManyFactors):
-        search_dual_containing(2, 7, max_factors=2)
+        search_dual_containing(41, 40)
+
+
+def test_import_loads_no_process_pool():
+    # only jobs > 1 needs the pool, so importing zprs must not pay for it
+    import zprs
+    paths = [str(Path(zprs.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
+    probe = ("import sys, zprs; print(sorted(m for m in sys.modules "
+             "if m.startswith(('multiprocessing', 'concurrent.futures'))))")
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                         env=env, check=True)
+    assert out.stdout.strip() == "[]"
 
 
 def test_search_p17_s8_reproduces_worked_example():
