@@ -20,10 +20,8 @@ from .gray import GrayMap, LeeWeightMismatchWarning, gray_hamming_weight, lee_we
 from .linear import LinearCode, min_distance_by_enumeration
 from .polynomials import (Poly, divides, factor_xn_minus_lambda, hat, parse_poly, poly_divmod,
                           reciprocal, rho_substitute)
-from .quantum import (DualComputation, FactorAssignment, QuantumParams, SearchHit, css,
-                      code_from_table_generators, cyclic_code_from_assignment,
-                      is_dual_containing, reciprocal_dual, search_dual_containing,
-                      separable_rs_dual_containing)
+from .quantum import (FactorAssignment, QuantumParams, SearchHit, code_from_table_generators,
+                      css, cyclic_code_from_assignment, is_dual_containing, search_dual_containing)
 from .rings import ChainElement, eta0, eta1, eta2, unit_order
 from .words import (BlockProfile, MixedWord, constacyclic_shift, flatten, inner_product,
                     mixed_scalar_mul, unflatten)
@@ -31,8 +29,8 @@ from .words import (BlockProfile, MixedWord, constacyclic_shift, flatten, inner_
 __version__ = "0.1.0"
 
 __all__ = [
-    "AdditiveCode", "BlockProfile", "ChainElement", "CyclotomicInt", "DualComputation",
-    "Enumerator", "FactorAssignment", "GeneratorHypothesisWarning",
+    "AdditiveCode", "BlockProfile", "ChainElement", "CyclotomicInt", "Enumerator",
+    "FactorAssignment", "GeneratorHypothesisWarning",
     "GrayMap", "LeeWeightMismatchWarning", "LinearCode", "MixedWord", "Poly",
     "QuantumParams", "SearchHit", "ZprsError", "character", "char_matrix_entry",
     "code_from_table_generators", "complete_enumerator", "constacyclic_shift", "css",
@@ -42,8 +40,7 @@ __all__ = [
     "hamming_transform", "hat", "inner_product", "is_dual_containing", "is_prime",
     "lee_enumerator", "lee_transform", "lee_weight", "macwilliams_complete_check",
     "min_distance_by_enumeration", "mixed_scalar_mul", "parse_poly", "poly_divmod",
-    "reciprocal", "reciprocal_dual", "regroup", "rho_substitute", "search_dual_containing",
-    "separable_rs_dual_containing", "shift_module_span", "span_closure", "symbol_table",
-    "symmetrized_enumerator", "symmetrized_q_matrix", "symmetrized_transform", "unflatten",
-    "unit_order", "word_from_polynomials",
+    "reciprocal", "regroup", "rho_substitute", "search_dual_containing", "shift_module_span",
+    "span_closure", "symbol_table", "symmetrized_enumerator", "symmetrized_q_matrix",
+    "symmetrized_transform", "unflatten", "unit_order", "word_from_polynomials",
 ]

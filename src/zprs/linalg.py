@@ -41,23 +41,28 @@ def as_matrix(rows, ncols: int) -> np.ndarray:
 
 
 def rref(mat: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
-    """Reduced row echelon form over Z_p; returns (nonzero rows, pivot columns)."""
+    """Reduced row echelon form over Z_p; returns (nonzero rows, pivot columns).
+
+    A pivot column that is already the unit vector e_rank is taken without
+    elimination, so an input already in RREF is only checked, not reduced.
+    """
     m = mat.astype(np.int64) % p
     pivots: list[int] = []
     for col in range(m.shape[1]):
         rank = len(pivots)
         if rank == m.shape[0]:
             break
-        nz = np.flatnonzero(m[rank:, col])
+        nz = m[rank:, col].nonzero()[0]
         if nz.size == 0:
             continue
-        piv = rank + int(nz[0])
-        if piv != rank:
-            m[[rank, piv]] = m[[piv, rank]]
-        row = m[rank] * pow(int(m[rank, col]), p - 2, p) % p
-        m -= np.outer(m[:, col], row)
-        m %= p
-        m[rank] = row
+        if nz.size > 1 or nz[0] or m[rank, col] != 1 or np.count_nonzero(m[:rank, col]):
+            piv = rank + int(nz[0])
+            if piv != rank:
+                m[[rank, piv]] = m[[piv, rank]]
+            row = m[rank] * pow(int(m[rank, col]), p - 2, p) % p
+            m -= m[:, col, None] * row
+            m %= p
+            m[rank] = row
         pivots.append(col)
     return m[:len(pivots)], pivots
 

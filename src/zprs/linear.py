@@ -186,13 +186,13 @@ def _choose_column(mat: np.ndarray, p: int, j: int) -> np.ndarray | None:
     """Reduce the columns after j against column j and zero the rest; None
     when column j is already zero (reduced to nothing by earlier choices)."""
     col = mat[:, j]
-    nz = np.flatnonzero(col)
+    nz = col.nonzero()[0]
     if nz.size == 0:
         return None
     piv = int(nz[0])
     scaled = col * pow(int(col[piv]), p - 2, p) % p
     rest = mat[:, j + 1:]
-    reduced = (rest - np.outer(scaled, rest[piv])) % p
+    reduced = (rest - scaled[:, None] * rest[piv]) % p
     return np.concatenate([np.zeros((mat.shape[0], j + 1), dtype=np.int64), reduced], axis=1)
 
 

@@ -6,16 +6,20 @@ partition of the monic irreducible factors of x^s - 1 into three slots
 full component on factors in F0, to the ideal (u) on factors in F1 and to
 zero on factors in F2, where hat(F) = (x^s - 1) / F is the product of the
 other two slots.  Hence C = A + uB over Z_p, with A = < hat(F0) > and
-B = < prod F2 > = < hat(F0), hat(F1) >, and C has the explicit basis
+B = < prod F2 > = < hat(F0), hat(F1) >, and C is spanned by
 
     x^i hat(F0)   (i < deg F0),     u x^i prod F2   (i < s - deg F2),
 
-of size 2 deg F0 + deg F1; no basis row wraps around x^s - 1.
+2 deg F0 + deg F1 rows, none of which wraps around x^s - 1.  The code is
+built on the systematic form of these rows, which is already its RREF: for a
+generator g | x^s - 1 with c = s - deg g, row i < c is 1 at x^i and 0 at
+every other x^j with j < c (MacWilliams-Sloane, ch. 7).
 
-Duality swaps the F0 and F2 slots and replaces every factor by its monic
-reciprocal; that formula is a fast path only -- the kernel dual computed by
-``AdditiveCode.dual`` is always the authority, and any disagreement is
-reported, not trusted.
+The search builds thousands of codes from the subset products of one
+factorization, so two LRU caches of 2048 entries each hold read-only arrays:
+the product of a multiset of factors (at most s + 1 coefficients), keyed by
+their sorted coefficient tuples with repeats kept, and the systematic rows
+of that product (at most s x s).  A search over t <= 10 factors never evicts.
 
 Dual-containing Gray images feed the CSS construction: a dual-containing
 [n, k, d] code over Z_p yields a quantum [[n, 2k - n, d]] code.
@@ -23,6 +27,7 @@ Dual-containing Gray images feed the CSS construction: a dual-containing
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 
@@ -37,12 +42,42 @@ from .polynomials import Poly, divides, factor_xn_minus_lambda, hat, reciprocal
 from .words import BlockProfile, block_columns
 
 
-def _product(fs, p: int) -> np.ndarray:
-    """Z_p coefficients, lowest degree first, of the product of the Z_p polynomials fs."""
+def _key(fs) -> tuple[tuple[int, ...], ...]:
+    """The sorted coefficient tuples of the Z_p polynomials fs, repeats kept."""
+    return tuple(sorted(tuple(f.int_coeffs()) for f in fs))
+
+
+@functools.lru_cache(maxsize=1 << 11)
+def _product(key: tuple[tuple[int, ...], ...], p: int) -> np.ndarray:
+    """Z_p coefficients, lowest degree first, of the product of the polynomials
+    with the coefficient tuples in key (read-only)."""
     out = np.ones(1, dtype=np.int64)
-    for f in fs:
-        out = np.convolve(out, f.int_coeffs() or [0]) % p
+    for c in key:
+        out = np.convolve(out, c or [0]) % p
+    out.setflags(write=False)
     return out
+
+
+@functools.lru_cache(maxsize=1 << 11)
+def _systematic_rows(key: tuple[tuple[int, ...], ...], p: int, s: int) -> np.ndarray:
+    """RREF basis (read-only, c x s) of the cyclic code < g > of length s, where
+    g = _product(key) divides x^s - 1 and c = s - deg g.  With v = g^-1 mod x^c,
+    row i is ((x^i v) mod x^c) g: 1 at x^i, 0 at every other x^j with j < c,
+    and of degree below s, so it does not wrap."""
+    g = _product(key, p)
+    c = s - g.size + 1
+    padded = np.zeros(s + 1, dtype=np.int64)
+    padded[:g.size] = g
+    inv, v = pow(int(g[0]), p - 2, p), np.zeros(c, dtype=np.int64)
+    v[:1] = inv
+    for k in range(1, c):           # power-series inverse: (g v)_k = 0 for 0 < k < c
+        v[k] = -inv * (padded[1:k + 1] @ v[k - 1::-1]) % p
+    i = np.arange(c)[:, None]
+    shifted = np.zeros((c, s), dtype=np.int64)
+    shifted[i, i + np.arange(g.size)] = g                   # x^i g
+    rows = np.triu(v[np.arange(c) - i]) @ shifted % p       # v[j - i] for j >= i
+    rows.setflags(write=False)
+    return rows
 
 
 @dataclass(frozen=True)
@@ -60,7 +95,7 @@ class FactorAssignment:
         if self.s % self.p == 0:
             raise GcdViolation(f"gcd(p, s) must be 1, got p={self.p}, s={self.s}")
         modulus = [self.p - 1] + [0] * (self.s - 1) + [1]
-        if _product(self.f0 + self.f1 + self.f2, self.p).tolist() != modulus:
+        if _product(_key(self.f0 + self.f1 + self.f2), self.p).tolist() != modulus:
             raise ZprsError("slot product must equal x^s - 1 exactly")
 
     @classmethod
@@ -71,12 +106,13 @@ class FactorAssignment:
         return cls(p, s, norm(f0), norm(f1), norm(f2))
 
     def slot_product(self, slot: int) -> Poly:
-        return Poly.make(_product((self.f0, self.f1, self.f2)[slot], self.p).tolist(), self.p)
+        return Poly.make(_product(_key((self.f0, self.f1, self.f2)[slot]), self.p).tolist(),
+                         self.p)
 
     def hat(self, slot: int) -> Poly:
         """(x^s - 1) / (slot product): the product of the other two slots."""
         others = [f for i, fs in enumerate((self.f0, self.f1, self.f2)) if i != slot for f in fs]
-        return Poly.make(_product(others, self.p).tolist(), self.p)
+        return Poly.make(_product(_key(others), self.p).tolist(), self.p)
 
     def slot_degrees(self) -> tuple[int, int, int]:
         return tuple(sum(f.degree for f in fs) for fs in (self.f0, self.f1, self.f2))
@@ -113,50 +149,25 @@ class QuantumParams:
 
 def cyclic_code_from_assignment(fa: FactorAssignment) -> AdditiveCode:
     """The cyclic R-code < hat(F0), u hat(F1) > as an additive code (q=0, r=s, s=0),
-    built on its CRT basis (module docstring): x^i hat(F0) in the a-columns and
-    u x^i prod F2 in the b-columns.  The rank must equal 2 deg F0 + deg F1."""
+    built on its CRT basis (module docstring) already in RREF: the systematic
+    rows of hat(F0) in the a-columns and of prod F2 in the b-columns, interleaved
+    so that the pivots increase.  The rank must equal 2 deg F0 + deg F1."""
     p, s = fa.p, fa.s
     profile = BlockProfile(p, 0, s, 0)
-    d0, d1, d2 = fa.slot_degrees()
-    r_cols = block_columns(profile)[1]      # (s, 2): the a and b column of each position
-    rows = []
-    for gen, part, count in ((_product(fa.f1 + fa.f2, p), 0, d0),   # x^i hat(F0)
-                             (_product(fa.f2, p), 1, s - d2)):      # u x^i prod F2
-        i = np.arange(count)[:, None]
-        block = np.zeros((count, profile.n), dtype=np.int64)
-        block[i, r_cols[i + np.arange(gen.size), part]] = gen
-        rows.append(block)
-    code = AdditiveCode(profile, np.concatenate(rows), _closed=True)
+    d0, d1, _ = fa.slot_degrees()
+    a_cols, b_cols = block_columns(profile)[1].T
+    a = _systematic_rows(_key(fa.f1 + fa.f2), p, s)        # d0 rows of hat(F0)
+    b = _systematic_rows(_key(fa.f2), p, s)                # d0 + d1 rows of prod F2
+    rows = np.zeros((d0 + len(b), profile.n), dtype=np.int64)
+    rows[:2 * d0:2, a_cols] = a
+    rows[1:2 * d0:2, b_cols] = b[:d0]
+    rows[2 * d0:, b_cols] = b[d0:]
+    code = AdditiveCode(profile, rows, _closed=True)
     expected = 2 * d0 + d1
     if code.rank != expected:
         raise AssertionError(
             f"cyclic code rank {code.rank} differs from CRT count {expected}")
     return code
-
-
-@dataclass(frozen=True)
-class DualComputation:
-    """Oracle-validated dual of a cyclic R-code."""
-
-    code: AdditiveCode
-    formula_matched: bool
-    discrepancy: str | None
-
-
-def reciprocal_dual(fa: FactorAssignment) -> DualComputation:
-    """Dual of the cyclic code, cross-validated against the kernel dual.
-
-    The reciprocal-slot construction is only a candidate; the kernel dual of
-    the primal is authoritative.  On mismatch the oracle result is returned
-    together with a report.
-    """
-    oracle = cyclic_code_from_assignment(fa).dual()
-    candidate = cyclic_code_from_assignment(fa.reciprocal_assignment())
-    if candidate == oracle:
-        return DualComputation(oracle, True, None)
-    report = ("reciprocal-slot formula disagrees with the kernel dual: "
-              f"formula rank {candidate.rank}, kernel rank {oracle.rank}")
-    return DualComputation(oracle, False, report)
 
 
 def is_dual_containing(code: LinearCode) -> bool:
@@ -169,40 +180,12 @@ def is_dual_containing(code: LinearCode) -> bool:
     return not (h @ h.T % code.p).any()
 
 
-def additive_dual_containing(code: AdditiveCode) -> bool:
-    """Dual-containing with respect to the u-weighted additive inner product."""
-    return code.dual().is_subcode_of(code)
-
-
 def css(code: LinearCode, *, search_cap: int = 6, jobs: int = 1) -> QuantumParams:
     """CSS parameters [[n, 2k - n, d]]_p of a dual-containing code."""
     if not is_dual_containing(code):
         raise NotDualContaining(f"{code!r} does not contain its dual")
     d = code.min_distance(search_cap, jobs=jobs)
     return QuantumParams(code.n, 2 * code.k - code.n, d, code.p)
-
-
-def separable_rs_dual_containing(code_r: AdditiveCode, code_s: AdditiveCode) -> bool:
-    """Dual-containing verdict for the product code C_r x C_s over RS.
-
-    Also computes the componentwise verdicts and asserts the biconditional:
-    the product is dual-containing iff both components are.
-    """
-    if code_r.profile.p != code_s.profile.p:
-        raise ZprsError("components over different primes")
-    if code_r.profile.q or code_r.profile.s or code_s.profile.q or code_s.profile.r:
-        raise ZprsError("expected an R-only and an S-only component")
-    profile = BlockProfile(code_r.profile.p, 0, code_r.profile.r, code_s.profile.s)
-    _, r_cols, s_cols = block_columns(profile)
-    rows = np.zeros((code_r.rank + code_s.rank, profile.n), dtype=np.int64)
-    rows[:code_r.rank, r_cols.ravel()] = code_r.basis
-    rows[code_r.rank:, s_cols.ravel()] = code_s.basis
-    product = AdditiveCode(profile, rows)
-    verdict = additive_dual_containing(product)
-    componentwise = additive_dual_containing(code_r) and additive_dual_containing(code_s)
-    if verdict != componentwise:
-        raise AssertionError("separable dual-containing biconditional failed")
-    return verdict
 
 
 # ---------------------------------------------------------------------------

@@ -1,0 +1,91 @@
+"""Independent implementations that only the tests call.
+
+The library computes these results another way; each function here is the
+slower or more direct route that a fast path is compared against.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+
+import numpy as np
+
+from zprs.additive import AdditiveCode
+from zprs.errors import ZprsError
+from zprs.quantum import FactorAssignment, cyclic_code_from_assignment
+from zprs.words import BlockProfile, block_columns
+
+
+def reference_rref(mat: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
+    """Reduced row echelon form over Z_p by full elimination on every pivot column."""
+    m = mat.astype(np.int64) % p
+    pivots: list[int] = []
+    for col in range(m.shape[1]):
+        rank = len(pivots)
+        if rank == m.shape[0]:
+            break
+        nz = np.flatnonzero(m[rank:, col])
+        if nz.size == 0:
+            continue
+        piv = rank + int(nz[0])
+        if piv != rank:
+            m[[rank, piv]] = m[[piv, rank]]
+        row = m[rank] * pow(int(m[rank, col]), p - 2, p) % p
+        m -= np.outer(m[:, col], row)
+        m %= p
+        m[rank] = row
+        pivots.append(col)
+    return m[:len(pivots)], pivots
+
+
+@dataclass(frozen=True)
+class DualComputation:
+    """Oracle-validated dual of a cyclic R-code."""
+
+    code: AdditiveCode
+    formula_matched: bool
+    discrepancy: str | None
+
+
+def reciprocal_dual(fa: FactorAssignment) -> DualComputation:
+    """Dual of the cyclic code, cross-validated against the kernel dual.
+
+    The reciprocal-slot construction is only a candidate; the kernel dual of
+    the primal is authoritative.  On mismatch the oracle result is returned
+    together with a report.
+    """
+    oracle = cyclic_code_from_assignment(fa).dual()
+    candidate = cyclic_code_from_assignment(fa.reciprocal_assignment())
+    if candidate == oracle:
+        return DualComputation(oracle, True, None)
+    report = ("reciprocal-slot formula disagrees with the kernel dual: "
+              f"formula rank {candidate.rank}, kernel rank {oracle.rank}")
+    return DualComputation(oracle, False, report)
+
+
+def additive_dual_containing(code: AdditiveCode) -> bool:
+    """Dual-containing with respect to the u-weighted additive inner product."""
+    return code.dual().is_subcode_of(code)
+
+
+def separable_rs_dual_containing(code_r: AdditiveCode, code_s: AdditiveCode) -> bool:
+    """Dual-containing verdict for the product code C_r x C_s over RS.
+
+    Also computes the componentwise verdicts and asserts the biconditional:
+    the product is dual-containing iff both components are.
+    """
+    if code_r.profile.p != code_s.profile.p:
+        raise ZprsError("components over different primes")
+    if code_r.profile.q or code_r.profile.s or code_s.profile.q or code_s.profile.r:
+        raise ZprsError("expected an R-only and an S-only component")
+    profile = BlockProfile(code_r.profile.p, 0, code_r.profile.r, code_s.profile.s)
+    _, r_cols, s_cols = block_columns(profile)
+    rows = np.zeros((code_r.rank + code_s.rank, profile.n), dtype=np.int64)
+    rows[:code_r.rank, r_cols.ravel()] = code_r.basis
+    rows[code_r.rank:, s_cols.ravel()] = code_s.basis
+    product = AdditiveCode(profile, rows)
+    verdict = additive_dual_containing(product)
+    componentwise = additive_dual_containing(code_r) and additive_dual_containing(code_s)
+    if verdict != componentwise:
+        raise AssertionError("separable dual-containing biconditional failed")
+    return verdict

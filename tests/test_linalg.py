@@ -5,9 +5,11 @@ import pytest
 
 from zprs.additive import AdditiveCode
 from zprs.errors import TooLarge
-from zprs.linalg import iter_row_space
+from zprs.linalg import iter_row_space, rref
 from zprs.linear import LinearCode, min_distance_by_enumeration
 from zprs.words import BlockProfile
+
+from oracles import reference_rref
 
 
 def digit_walk(basis, p):
@@ -66,3 +68,34 @@ def test_codewords_keeps_its_lower_bound():
     with pytest.raises(TooLarge):
         next(code.codewords())
     assert sum(len(c) for c in code.iter_codeword_vectors()) == 2 ** 21
+
+
+def check_rref(m, p):
+    rows, pivots = rref(m, p)
+    want_rows, want_pivots = reference_rref(m, p)
+    assert pivots == want_pivots
+    assert rows.shape == want_rows.shape and (rows == want_rows).all()
+    again, again_pivots = rref(rows, p)
+    assert again_pivots == pivots and again.shape == rows.shape and (again == rows).all()
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 13, 17])
+def test_rref_matches_reference_elimination(p):
+    rng = np.random.default_rng(100 + p)
+    for shape in ((0, 5), (4, 0), (0, 0)):
+        check_rref(np.zeros(shape, dtype=np.int64), p)
+    for _ in range(200):
+        r, n = rng.integers(1, 9), rng.integers(1, 13)
+        # sparse entries, so that pivot columns that are unit vectors occur often
+        m = rng.integers(0, p, size=(r, n)) * (rng.random((r, n)) < rng.random())
+        m[rng.random(r) < 0.2] = 0                                  # zero rows
+        m = np.concatenate([m, m[rng.integers(0, r, size=rng.integers(0, 3))]])  # duplicates
+        check_rref(m, p)
+        check_rref(reference_rref(m, p)[0], p)                      # already reduced
+        check_rref(m + p * rng.integers(-2, 3, size=m.shape), p)    # unreduced residues
+
+
+def test_rref_eliminates_above_a_unit_pivot():
+    # column 1 is 1 at the pivot row and nothing below, but 1 above: not e_rank
+    rows, pivots = rref(np.array([[1, 1, 2], [0, 1, 1]]), 3)
+    assert pivots == [0, 1] and rows.tolist() == [[1, 0, 1], [0, 1, 1]]

@@ -8,6 +8,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import zprs.quantum as quantum
+from zprs import linalg
 from zprs.additive import AdditiveCode, shift_module_span, word_from_polynomials
 from zprs.errors import GcdViolation, NotDualContaining, TooManyFactors, ZprsError
 from zprs.gray import GrayMap
@@ -15,10 +17,10 @@ from zprs.linear import LinearCode, min_distance_by_enumeration
 from zprs.polynomials import Poly, factor_xn_minus_lambda, hat
 from zprs.quantum import (FactorAssignment, QuantumParams, code_from_table_generators, css,
                           cyclic_code_from_assignment, is_dual_containing,
-                          reciprocal_dual, search_dual_containing,
-                          separable_rs_dual_containing)
+                          search_dual_containing)
 from zprs.words import BlockProfile
 
+from oracles import additive_dual_containing, reciprocal_dual, separable_rs_dual_containing
 from test_linear import reference_distance
 
 
@@ -89,6 +91,68 @@ def span_oracle(fa):
 def test_crt_basis_equals_span_closure_exhaustive():
     for fa in every_assignment():
         assert cyclic_code_from_assignment(fa) == span_oracle(fa), (fa.p, fa.s, fa.key())
+
+
+# the grids of the systematic-form tests: factors of degree 1 to 3, up to
+# t = 8 of them, including the (17, 8) grid of the search benchmark
+SYSTEMATIC_GRID = ((2, 7), (3, 8), (5, 6), (13, 4), (17, 8))
+
+
+def test_systematic_rows_are_the_rref_of_the_shifted_generator():
+    # every subset product g of the factors of x^s - 1: the closed form against
+    # row reduction of the rows x^i g, i < s - deg g
+    for p, s in SYSTEMATIC_GRID:
+        factors = factor_xn_minus_lambda(p, s, 1)
+        for mask in itertools.product((False, True), repeat=len(factors)):
+            subset = [f for f, keep in zip(factors, mask) if keep]
+            g = reduce(lambda a, b: a * b, subset, Poly.one(p)).int_coeffs()
+            c = s - len(g) + 1
+            shifted = np.zeros((c, s), dtype=np.int64)
+            for i in range(c):
+                shifted[i, i:i + len(g)] = g
+            rows = quantum._systematic_rows(quantum._key(subset), p, s)
+            assert not rows.flags.writeable
+            assert rows.shape == (c, s)
+            assert (rows == linalg.rref(shifted, p)[0]).all(), (p, s, mask)
+
+
+def test_constructed_basis_is_already_reduced(monkeypatch):
+    # rref hands back the basis that cyclic_code_from_assignment builds, unchanged
+    handed = []
+
+    def recording(profile, rows, **kwargs):
+        handed.append(rows)
+        return AdditiveCode(profile, rows, **kwargs)
+
+    monkeypatch.setattr(quantum, "AdditiveCode", recording)
+    for p, s in SYSTEMATIC_GRID:
+        factors = factor_xn_minus_lambda(p, s, 1)
+        for slots in itertools.product(range(3), repeat=len(factors)):
+            code = cyclic_code_from_assignment(FactorAssignment.from_slots(
+                p, s, *quantum._split_slots(factors, slots)))
+            basis, pivots = linalg.rref(handed[-1], p)
+            assert basis.shape == handed[-1].shape and (basis == handed[-1]).all(), slots
+            assert pivots == code.pivots == sorted(pivots)
+
+
+def test_caches_cannot_change_an_answer():
+    def serialized(p, s):
+        return repr(search_dual_containing(p, s))
+
+    quantum._product.cache_clear()
+    quantum._systematic_rows.cache_clear()
+    first = serialized(5, 8)
+    serialized(13, 6)
+    assert serialized(5, 8) == first
+    factors = factor_xn_minus_lambda(5, 8, 1)
+    assert not quantum._product(quantum._key(factors), 5).flags.writeable
+    # a factor repeated and another left out: the same count and degree, a wrong product
+    wrong = [factors[0], factors[0], *factors[2:]]
+    assert [f.degree for f in wrong] == [f.degree for f in factors]
+    with pytest.raises(ZprsError):
+        FactorAssignment.from_slots(5, 8, wrong, [], [])
+    with pytest.raises(ZprsError):
+        FactorAssignment.from_slots(5, 8, wrong[:3], wrong[3:], [])
 
 
 def test_hat_equals_division_exhaustive():
@@ -341,7 +405,6 @@ def test_separable_rs_dual_containing_random():
         pr_s = BlockProfile(p, 0, 0, 2)
         cr = span_closure([unflatten(rng.integers(0, p, size=pr_r.n), pr_r)], profile=pr_r)
         cs = span_closure([unflatten(rng.integers(0, p, size=pr_s.n), pr_s)], profile=pr_s)
-        from zprs.quantum import additive_dual_containing
         expected = additive_dual_containing(cr) and additive_dual_containing(cs)
         assert separable_rs_dual_containing(cr, cs) == expected
 
