@@ -9,11 +9,10 @@ codes from dual-containing cyclic codes over R.
 
 from .additive import (AdditiveCode, GeneratorHypothesisWarning, from_generator_polynomials,
                        shift_module_span, span_closure, word_from_polynomials)
-from .enumerators import (CyclotomicInt, Enumerator, character, char_matrix_entry,
-                          complete_enumerator, hamming_enumerator, hamming_transform,
-                          lee_enumerator, lee_transform, macwilliams_complete_check, regroup,
-                          symbol_table, symmetrized_enumerator, symmetrized_q_matrix,
-                          symmetrized_transform)
+from .enumerators import (CyclotomicInt, Enumerator, character, complete_enumerator,
+                          hamming_enumerator, hamming_transform, lee_enumerator, lee_transform,
+                          macwilliams_complete_check, symbol_table, symmetrized_enumerator,
+                          symmetrized_q_matrix, symmetrized_transform)
 from .errors import ZprsError
 from .field import find_kappa, is_prime
 from .gray import GrayMap, LeeWeightMismatchWarning, gray_hamming_weight, lee_weight
@@ -32,7 +31,7 @@ __all__ = [
     "AdditiveCode", "BlockProfile", "ChainElement", "CyclotomicInt", "Enumerator",
     "FactorAssignment", "GeneratorHypothesisWarning",
     "GrayMap", "LeeWeightMismatchWarning", "LinearCode", "MixedWord", "Poly",
-    "QuantumParams", "SearchHit", "ZprsError", "character", "char_matrix_entry",
+    "QuantumParams", "SearchHit", "ZprsError", "character",
     "code_from_table_generators", "complete_enumerator", "constacyclic_shift", "css",
     "cyclic_code_from_assignment", "divides", "eta0", "eta1", "eta2",
     "factor_xn_minus_lambda", "find_kappa", "flatten",
@@ -40,7 +39,7 @@ __all__ = [
     "hamming_transform", "hat", "inner_product", "is_dual_containing", "is_prime",
     "lee_enumerator", "lee_transform", "lee_weight", "macwilliams_complete_check",
     "min_distance_by_enumeration", "mixed_scalar_mul", "parse_poly", "poly_divmod",
-    "reciprocal", "regroup", "rho_substitute", "search_dual_containing", "shift_module_span",
+    "reciprocal", "rho_substitute", "search_dual_containing", "shift_module_span",
     "span_closure", "symbol_table", "symmetrized_enumerator", "symmetrized_q_matrix",
     "symmetrized_transform", "unflatten", "unit_order", "word_from_polynomials",
 ]

@@ -5,9 +5,10 @@ The p^6 alphabet symbols are ordered lexicographically by coefficient tuple
 (a; a', b'; a'', b'', d''), with index 0 the zero symbol.  All enumerator
 semantics key off symbol values, never positions, so results do not depend
 on any particular listing.  Symbol indices are used only where the index is
-the key: the complete enumerator, its MacWilliams check and ``regroup``.  The
+the key: the complete enumerator and its MacWilliams check, which map the low
+span's indices through each high word of ``linalg.row_space_split``.  The
 Hamming, Lee and symmetrized walks weigh each chunk of codeword digits with
-``gray.position_weights``, so they build no p^6 table and run at any p.
+``gray.position_weights``.  Neither builds a p^6 table, so both run at any p.
 
 The generating character is chi(f) = zeta_p^(a + a' + b' + a'' + b'' + d'')
 with zeta_p a primitive p-th root of unity; for p = 2 this is the familiar
@@ -41,6 +42,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
+from . import linalg
 from .additive import AdditiveCode
 from .errors import (BlocksUnequal, InexactDivision, ModulusMismatch, RowCollapseFailure,
                      TooLarge, ZprsError)
@@ -253,13 +255,6 @@ def character(symbol, p: int) -> CyclotomicInt:
     return CyclotomicInt.root_power(sum(t.digits(idx)), p)
 
 
-def char_matrix_entry(i: int, j: int, p: int) -> CyclotomicInt:
-    """P_ij = chi(f_i f_j), served entry-on-demand for arbitrary p."""
-    t = symbol_table(p)
-    digits = np.array([t.digits(int(i)), t.digits(int(j))], dtype=object)
-    return CyclotomicInt.root_power(int(_product_exponent(digits[0], digits[1], p)), p)
-
-
 # ---------------------------------------------------------------------------
 # sparse exact enumerators
 
@@ -328,36 +323,36 @@ def bivariate(coeffs_by_y_exponent: Mapping[int, int], degree: int) -> Enumerato
 # building enumerators from codes
 
 
-def _coordinate_chunks(code: AdditiveCode):
-    """Chunks of codewords as (rows, N) matrices, once q = r = s makes coordinates triples."""
-    pr = code.profile
+def _check_triples(pr: BlockProfile) -> None:
     if not (pr.q == pr.r == pr.s):
-        raise BlocksUnequal(f"per-coordinate symbols need q = r = s, got "
-                            f"({pr.q}, {pr.r}, {pr.s})")
-    return code.iter_codeword_vectors()
+        raise BlocksUnequal(f"per-coordinate symbols need q = r = s, got ({pr.q}, {pr.r}, {pr.s})")
 
 
 def _symbol_index_rows(code: AdditiveCode):
-    """Yield chunks of codewords as (rows, n) symbol-index matrices."""
-    chunks, pr = _coordinate_chunks(code), code.profile
-    weights = pr.p ** np.arange(5, -1, -1, dtype=np.int64)
+    """Yield chunks of codewords as (rows, n) symbol-index matrices, in walk order:
+    high word h maps each distinct low symbol s of coordinate j to idx(h_j + s),
+    and each low word reads its index there, so no codeword is flattened and
+    nothing of size p^6 is formed.  Indices must fit int64: p >= 1451 is refused."""
+    pr, p = code.profile, code.profile.p
+    _check_triples(pr)
+    if p ** 6 > _INT64_MAX:
+        raise TooLarge(f"symbol indices below {p}^6 do not fit int64")
+    low, highs = linalg.row_space_split(code.basis, p)
     cols = np.column_stack(block_columns(pr))  # row j: the six coefficients of position j
-    for block in chunks:
-        # idx[w, j] = mixed-radix index of coordinate j of codeword w
-        yield np.einsum("wjc,c->wj", block[:, cols], weights)
+    radix = p ** np.arange(5, -1, -1, dtype=np.int64)
+    # per coordinate: its distinct low symbols as digits, and which one each low word has
+    symbols = [(s[:, None] // radix % p, where) for s, where in
+               (np.unique(low[:, c] @ radix, return_inverse=True) for c in cols)]
+    for high in highs:
+        yield np.array([((high[:, None, c] + s) % p @ radix).take(where, axis=1).ravel()
+                        for c, (s, where) in zip(cols, symbols)]).T
 
 
 def _coordinate_weights(code: AdditiveCode, *, lee: bool):
     """Chunks of codewords as (rows, n) weights of their coordinate triples."""
+    _check_triples(code.profile)
     return (position_weights(c, code.profile, lee=lee).reshape(len(c), 3, -1).sum(axis=1)
-            for c in _coordinate_chunks(code))
-
-
-def regroup(code: AdditiveCode):
-    """All codewords as tuples of (x, y, z) coordinate triples."""
-    t = symbol_table(code.profile.p)
-    return [tuple(t.triple(int(i)) for i in row)
-            for chunk in _symbol_index_rows(code) for row in chunk]
+            for c in code.iter_codeword_vectors())
 
 
 def _distinct_rows(rows: np.ndarray, counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -464,21 +459,22 @@ def _codeword_sums(code: AdditiveCode, tables: np.ndarray) -> list[list[int]]:
     """For each m, the sum over codewords c of prod_j tables[m, c_j] in
     Z[y]/(y^k - 1); ``tables`` is (m, p^6, k), the result m rows of k ints.
 
-    The l1 norm is submultiplicative, so a chunk's products and sums stay
-    within rows * B^n, B the largest l1 norm of a table row: int64 when that
-    is below 2^63, exact Python ints (object arrays) otherwise."""
-    k = tables.shape[-1]
-    row_bound = int(np.abs(tables).sum(axis=-1).max()) ** code.profile.q
+    Each coordinate of a chunk gathers one (m, rows, k) block of the tables;
+    the blocks multiply elementwise at k = 1, as cyclic convolutions otherwise.
+    The l1 norm is submultiplicative, so a chunk's products and sums stay within
+    rows * B^n, B the largest l1 norm of a table row: the tables are cast once
+    to int64 when that is below 2^63, to exact Python ints otherwise."""
+    k, rows = tables.shape[-1], min(code.size, linalg.CHUNK)    # the most rows of a chunk
+    bound = rows * int(np.abs(tables).sum(axis=-1).max()) ** code.profile.q
+    tables = tables.astype(np.int64 if bound <= _INT64_MAX else object)
     totals = np.zeros((len(tables), k), dtype=object)
     for chunk in _symbol_index_rows(code):
-        dtype = np.int64 if len(chunk) * row_bound <= _INT64_MAX else object
-        factors = tables.astype(dtype)[:, chunk]           # (m, rows, n, k)
-        prod = factors[:, :, 0]
+        prod = tables.take(chunk[:, 0], axis=1)
         for j in range(1, chunk.shape[1]):
-            f = factors[:, :, j]
-            prod = np.stack([sum(prod[..., i] * f[..., (t - i) % k] for i in range(k))
-                             for t in range(k)], axis=-1)
-        totals += prod.sum(axis=1).astype(object)      # Python ints from here on
+            f = tables.take(chunk[:, j], axis=1)
+            prod = prod * f if k == 1 else sum(prod[..., i, None] * np.roll(f, i, axis=-1)
+                                               for i in range(k))
+        totals += prod.sum(axis=1).astype(object)          # Python ints from here on
     return totals.tolist()
 
 

@@ -2,9 +2,9 @@
 
 Small sizes only (tens of columns); all routines are exact modular
 Gaussian elimination on whole matrices.  Row-space membership tests a
-stack of vectors against an RREF basis in one product, and ``iter_row_space``
-is the one walk over all p^k vectors of a row space, as outer sums of a low
-span built once with the high words (chunks of at most 2^14).
+stack of vectors against an RREF basis in one product.  ``row_space_split``
+is the one walk over a row space, a low span and chunks of high words: their
+sums are ``iter_row_space``, and the complete enumerator reads them apart.
 
 Entries stay in [0, p-1], so a product of an n-column row with a matrix sums
 n terms below (p-1)^2; ``check_modulus`` rejects the primes for which that
@@ -77,28 +77,30 @@ def in_row_space(basis: np.ndarray, pivots: list[int], vecs: np.ndarray, p: int)
     return not ((v - v[..., pivots] @ basis) % p).any()
 
 
-def iter_row_space(basis: np.ndarray, p: int) -> Iterator[np.ndarray]:
-    """Yield all p^k vectors of the row space of a k-row basis, in chunks of
-    at most 2^14; ``TooLarge`` above 2^24 vectors.
-
-    Vector i = lo + p^a hi is the combination whose coefficients are the
-    base-p digits of i, least significant first; k = 0 yields the zero
-    vector alone.  p^a is the largest power <= 2^14 with a <= k: the span
-    of the first a rows is built once and added to each high word.
-    """
-    k, n = basis.shape
+def row_space_split(basis: np.ndarray, p: int) -> tuple[np.ndarray, Iterator[np.ndarray]]:
+    """All p^k vectors of the row space of a k-row basis as a low span and chunks of
+    high words; ``TooLarge`` above 2^24.  Vector i = lo + p^a hi has the base-p digits
+    of i as coefficients, least significant first, with p^a the largest power <= 2^14
+    and a <= k: the low span is the vectors lo, a chunk 2^14 / p^a vectors p^a hi."""
+    k = basis.shape[0]
     if p ** k > WALK_LIMIT:
         raise TooLarge(f"row space has {p ** k} vectors, above the bound {WALK_LIMIT}")
     a = next(a for a in range(k, -1, -1) if p ** a <= CHUNK)
     radix = p ** np.arange(k, dtype=np.int64)
     low = (np.arange(p ** a, dtype=np.int64)[:, None] // radix[:a]) % p @ basis[:a] % p
     highs, step = p ** (k - a), CHUNK // p ** a
-    for start in range(0, highs, step):
-        hi = np.arange(start, min(start + step, highs), dtype=np.int64)
-        high = (hi[:, None] // radix[:k - a]) % p @ basis[a:] % p
+    return low, ((np.arange(start, min(start + step, highs), dtype=np.int64)[:, None]
+                  // radix[:k - a]) % p @ basis[a:] % p for start in range(0, highs, step))
+
+
+def iter_row_space(basis: np.ndarray, p: int) -> Iterator[np.ndarray]:
+    """Yield all p^k vectors of the row space in chunks of at most 2^14, each high
+    word of ``row_space_split`` plus the low span (k = 0: the zero vector alone)."""
+    low, chunks = row_space_split(basis, p)
+    for high in chunks:
         words = high[:, None] + low
         words %= p
-        yield words.reshape(-1, n)
+        yield words.reshape(-1, basis.shape[1])
 
 
 def standard_kernel(m: np.ndarray, pivots: list[int], p: int) -> np.ndarray:

@@ -193,16 +193,17 @@ def inner_product(v: MixedWord, w: MixedWord) -> ChainElement:
     return acc
 
 
-def block_columns(profile: BlockProfile) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Flattened column indices per position: shapes (q,), (r, 2) and (s, 3)."""
-    q, r, s = profile.q, profile.r, profile.s
-    return (np.arange(q), q + np.arange(2 * r).reshape(r, 2),
-            q + 2 * r + np.arange(3 * s).reshape(s, 3))
-
-
 def _frozen(m: np.ndarray) -> np.ndarray:
     m.setflags(write=False)
     return m
+
+
+@lru_cache(maxsize=None)
+def block_columns(profile: BlockProfile) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Flattened column indices per position: shapes (q,), (r, 2) and (s, 3), read-only."""
+    q, r, s = profile.q, profile.r, profile.s
+    return (_frozen(np.arange(q)), _frozen(q + np.arange(2 * r).reshape(r, 2)),
+            _frozen(q + 2 * r + np.arange(3 * s).reshape(s, 3)))
 
 
 def map_matrix(profile: BlockProfile, f: Callable[[MixedWord], Sequence[int]]) -> np.ndarray:

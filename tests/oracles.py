@@ -11,6 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from zprs.additive import AdditiveCode
+from zprs.enumerators import CyclotomicInt, _product_exponent, _symbol_index_rows, symbol_table
 from zprs.errors import ZprsError
 from zprs.quantum import FactorAssignment, cyclic_code_from_assignment
 from zprs.words import BlockProfile, block_columns
@@ -89,3 +90,54 @@ def separable_rs_dual_containing(code_r: AdditiveCode, code_s: AdditiveCode) -> 
     if verdict != componentwise:
         raise AssertionError("separable dual-containing biconditional failed")
     return verdict
+
+
+def symbol_rows_by_digits(code: AdditiveCode) -> list[list[int]]:
+    """The symbol indices of every codeword in walk order, read off its flattened
+    digits in plain Python: coordinate j is the base-p number with the digits
+    (x_j; y_j0, y_j1; z_j0, z_j1, z_j2), most significant first."""
+    pr = code.profile
+    p, n = pr.p, pr.q
+    rows = []
+    for chunk in code.iter_codeword_vectors():
+        for w in chunk.tolist():
+            row = []
+            for j in range(n):
+                index = 0
+                for d in (w[j], w[n + 2 * j], w[n + 2 * j + 1],
+                          w[3 * n + 3 * j], w[3 * n + 3 * j + 1], w[3 * n + 3 * j + 2]):
+                    index = index * p + d
+                row.append(index)
+            rows.append(row)
+    return rows
+
+
+def codeword_sums_by_words(rows: list[list[int]], tables: np.ndarray) -> list[list[int]]:
+    """For each m, the sum over the index rows of the product of tables[m, i] over
+    the row's indices i in Z[y]/(y^k - 1), one Python int at a time."""
+    k = tables.shape[-1]
+    out = []
+    for table in tables.tolist():
+        total = [0] * k
+        for row in rows:
+            prod = [1] + [0] * (k - 1)
+            for i in row:
+                f = table[i]
+                prod = [sum(prod[a] * f[(t - a) % k] for a in range(k)) for t in range(k)]
+            total = [x + y for x, y in zip(total, prod)]
+        out.append(total)
+    return out
+
+
+def regroup(code: AdditiveCode):
+    """All codewords as tuples of (x, y, z) coordinate triples."""
+    t = symbol_table(code.profile.p)
+    return [tuple(t.triple(int(i)) for i in row)
+            for chunk in _symbol_index_rows(code) for row in chunk]
+
+
+def char_matrix_entry(i: int, j: int, p: int) -> CyclotomicInt:
+    """P_ij = chi(f_i f_j) for one pair of symbol indices, at any p."""
+    t = symbol_table(p)
+    digits = np.array([t.digits(int(i)), t.digits(int(j))], dtype=object)
+    return CyclotomicInt.root_power(int(_product_exponent(digits[0], digits[1], p)), p)

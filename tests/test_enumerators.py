@@ -11,14 +11,16 @@ from zprs import enumerators
 from zprs.additive import AdditiveCode, span_closure
 from zprs.enumerators import (CyclotomicInt, Enumerator, _character_sums, _codeword_sums,
                               _complete_check_points, _hamming_walk, _lee_walk,
-                              _symmetrized_walk, char_exponent_matrix,
-                              char_matrix_entry, character, complete_enumerator,
-                              hamming_enumerator, hamming_transform, lee_enumerator,
-                              lee_transform, macwilliams_complete_check, regroup, symbol_table,
-                              symmetrized_enumerator, symmetrized_q_matrix,
+                              _symmetrized_walk, char_exponent_matrix, character,
+                              complete_enumerator, hamming_enumerator, hamming_transform,
+                              lee_enumerator, lee_transform, macwilliams_complete_check,
+                              symbol_table, symmetrized_enumerator, symmetrized_q_matrix,
                               substitute_linear, symmetrized_transform)
 from zprs.errors import BlocksUnequal, InexactDivision, TooLarge
+from zprs.linalg import row_space_split
 from zprs.words import BlockProfile, MixedWord, unflatten
+
+from oracles import char_matrix_entry, codeword_sums_by_words, regroup, symbol_rows_by_digits
 
 P2 = BlockProfile(2, 2, 2, 2)
 
@@ -79,10 +81,9 @@ def dict_substitute_linear(enum, rows, code_size):
 def dict_complete_enumerator(code):
     """The complete enumerator with one ``monomial`` key per codeword."""
     terms = {}
-    for chunk in enumerators._symbol_index_rows(code):
-        for row in chunk.tolist():
-            key = monomial((i, 1) for i in row)
-            terms[key] = terms.get(key, 0) + 1
+    for row in symbol_rows_by_digits(code):
+        key = monomial((i, 1) for i in row)
+        terms[key] = terms.get(key, 0) + 1
     pr = code.profile
     return Enumerator(pr.p ** 6, pr.q, terms)
 
@@ -578,8 +579,68 @@ def test_complete_enumerator_equals_the_monomial_route():
     # the last code has 3^10 words, so its histogram merges four chunks
     for code in (c2, c2.dual(), span_closure([], profile=P2),
                  AdditiveCode.full_space(BlockProfile(2, 1, 1, 1)), p3, p3.dual(),
-                 random_code(BlockProfile(3, 2, 2, 2), 10, seed=4)):
+                 random_code(BlockProfile(3, 2, 2, 2), 10, seed=4), z29_code()):
         assert complete_enumerator(code) == dict_complete_enumerator(code)
+
+
+def z29_code():
+    """The rank-3 Z_29 code spanned by (1 | 1 | 1): 24,389 words in two chunks."""
+    return span_closure([MixedWord.make(BlockProfile(29, 1, 1, 1), (1,), ((1, 0),),
+                                        ((1, 0, 0),))])
+
+
+# (p, (q, r, s), rank, seed, chunks of the walk, (points, k) of the tables, table bound):
+# rank 0, one high word (p^rank <= 2^14) and several high chunks at p = 2, 3, 5; the
+# seeds of the last are chosen so that high and low words overlap, and digits carry
+SPLIT_CASES = [
+    (2, (3, 3, 3), 0, 0, 1, (2, 3), 50),
+    (2, (2, 2, 2), 6, 1, 1, (2, 2), 50),
+    (2, (5, 5, 5), 16, 2, 4, (1, 1), 2 ** 40),     # object arrays: 2^14 (2^40)^5 > 2^63
+    (3, (2, 2, 2), 4, 3, 1, (2, 3), 50),
+    (3, (3, 3, 3), 10, 2, 5, (1, 2), 50),
+    (5, (2, 2, 2), 3, 5, 1, (2, 3), 50),
+    (5, (3, 3, 3), 7, 0, 5, (2, 1), 50),
+]
+SPLIT_IDS = [f"p{case[0]}-rank{case[2]}" for case in SPLIT_CASES]
+
+
+@pytest.mark.parametrize("p, qrs, rank, seed, chunks, shape, bound", SPLIT_CASES,
+                         ids=SPLIT_IDS)
+def test_symbol_index_rows_match_the_digit_oracle(p, qrs, rank, seed, chunks, shape, bound):
+    code = random_code(BlockProfile(p, *qrs), rank, seed)
+    low, highs = row_space_split(code.basis, p)
+    assert any(((low[:, None] + high) >= p).any() for high in highs) == (chunks > 1)
+    got = list(enumerators._symbol_index_rows(code))
+    assert len(got) == chunks and all(len(c) <= 1 << 14 for c in got)
+    assert np.concatenate(got).tolist() == symbol_rows_by_digits(code)
+
+
+def test_symbol_index_rows_at_p29_match_the_digit_oracle():
+    code = z29_code()
+    got = list(enumerators._symbol_index_rows(code))
+    assert len(got) == 2
+    assert np.concatenate(got).tolist() == symbol_rows_by_digits(code)
+
+
+@pytest.mark.parametrize("p, qrs, rank, seed, chunks, shape, bound", SPLIT_CASES,
+                         ids=SPLIT_IDS)
+def test_codeword_sums_match_a_python_int_evaluation(p, qrs, rank, seed, chunks, shape, bound):
+    code = random_code(BlockProfile(p, *qrs), rank, seed)
+    m, k = shape
+    tables = np.random.default_rng(seed).integers(-bound, bound + 1, size=(m, p ** 6, k))
+    assert _codeword_sums(code, tables) == codeword_sums_by_words(symbol_rows_by_digits(code),
+                                                                  tables)
+
+
+def test_symbol_indices_refuse_primes_beyond_int64():
+    # 1451^6 > 2^63: indices near x_j = p - 1 would wrap
+    code = span_closure([MixedWord.make(BlockProfile(1451, 1, 1, 1), (1,), ((0, 0),),
+                                        ((0, 0, 0),))])
+    assert code.rank == 1
+    with pytest.raises(TooLarge):
+        complete_enumerator(code)
+    assert complete_enumerator(span_closure([], profile=BlockProfile(1447, 1, 1, 1))).terms == {
+        ((0, 1),): 1}
 
 
 # (Q, c) with Q^2 = c I: the Hamming and Lee substitutions for p in {2, 3, 5}

@@ -5,7 +5,7 @@ import pytest
 
 from zprs.additive import AdditiveCode
 from zprs.errors import TooLarge
-from zprs.linalg import iter_row_space, rref
+from zprs.linalg import iter_row_space, row_space_split, rref
 from zprs.linear import LinearCode, min_distance_by_enumeration
 from zprs.words import BlockProfile
 
@@ -38,6 +38,17 @@ def test_row_space_walk_matches_digit_walk(p, k_max):
     rng = np.random.default_rng(p)
     for k in range(k_max + 1):
         check_against_digit_walk(rng.integers(0, p, size=(k, 6)), p)
+
+
+@pytest.mark.parametrize("p, k", [(2, 0), (2, 9), (2, 17), (3, 10), (5, 7), (29, 3)])
+def test_split_is_the_first_words_and_every_p_to_the_a_th(p, k):
+    # vector lo + p^a hi: the low span is vectors 0 .. p^a - 1, high word hi is vector p^a hi
+    basis = np.random.default_rng(k).integers(0, p, size=(k, 6))
+    low, chunks = row_space_split(basis, p)
+    highs = np.concatenate(list(chunks))
+    want = np.concatenate(list(digit_walk(basis, p)))
+    assert len(low) * len(highs) == p ** k and len(low) <= 1 << 14
+    assert (low == want[:len(low)]).all() and (highs == want[::len(low)]).all()
 
 
 def test_row_space_walk_above_chunk_prime():

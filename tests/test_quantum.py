@@ -2,7 +2,7 @@ import itertools
 import os
 import subprocess
 import sys
-from functools import reduce
+from functools import lru_cache, reduce
 from pathlib import Path
 
 import numpy as np
@@ -24,8 +24,14 @@ from oracles import additive_dual_containing, reciprocal_dual, separable_rs_dual
 from test_linear import reference_distance
 
 
+@lru_cache(maxsize=None)
+def factors_of(p, s):
+    """The factors of x^s - 1, factored once per grid point."""
+    return tuple(factor_xn_minus_lambda(p, s, 1))
+
+
 def assignment(p, s, slots):
-    factors = factor_xn_minus_lambda(p, s, 1)
+    factors = factors_of(p, s)
     return FactorAssignment.from_slots(
         p, s,
         [f for f, k in zip(factors, slots) if k == 0],

@@ -5,8 +5,8 @@ import pytest
 
 from zprs.errors import LengthMismatch, NotAUnit, ProfileMismatch
 from zprs.rings import ChainElement
-from zprs.words import (BlockProfile, MixedWord, constacyclic_shift, flatten, inner_product,
-                        mixed_scalar_mul, unflatten)
+from zprs.words import (BlockProfile, MixedWord, block_columns, constacyclic_shift, flatten,
+                        inner_product, mixed_scalar_mul, unflatten)
 
 
 def all_words(profile):
@@ -21,6 +21,17 @@ def test_profile_validation():
     with pytest.raises(ProfileMismatch):
         BlockProfile(2, -1, 1, 0)
     assert BlockProfile(3, 1, 2, 1).n == 1 + 4 + 3
+
+
+def test_block_columns_are_cached_and_read_only():
+    cols = block_columns(BlockProfile(3, 2, 1, 2))
+    assert cols is block_columns(BlockProfile(3, 2, 1, 2))
+    assert [c.tolist() for c in cols] == [[0, 1], [[2, 3]], [[4, 5, 6], [7, 8, 9]]]
+    for c in cols:
+        with pytest.raises(ValueError):
+            c[...] = 0
+    empty_blocks = block_columns(BlockProfile(2, 0, 0, 1))
+    assert [c.shape for c in empty_blocks] == [(0,), (0, 2), (1, 3)]
 
 
 def test_flatten_examples():
