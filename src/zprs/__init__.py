@@ -9,8 +9,8 @@ codes from dual-containing cyclic codes over R.
 
 from .additive import (AdditiveCode, GeneratorHypothesisWarning, from_generator_polynomials,
                        shift_module_span, span_closure, word_from_polynomials)
-from .enumerators import (CyclotomicInt, Enumerator, character, complete_enumerator,
-                          hamming_enumerator, hamming_transform, lee_enumerator, lee_transform,
+from .enumerators import (Enumerator, complete_enumerator, hamming_enumerator,
+                          hamming_transform, lee_enumerator, lee_transform,
                           macwilliams_complete_check, symbol_table, symmetrized_enumerator,
                           symmetrized_q_matrix, symmetrized_transform)
 from .errors import ZprsError
@@ -28,10 +28,10 @@ from .words import (BlockProfile, MixedWord, constacyclic_shift, flatten, inner_
 __version__ = "0.1.0"
 
 __all__ = [
-    "AdditiveCode", "BlockProfile", "ChainElement", "CyclotomicInt", "Enumerator",
+    "AdditiveCode", "BlockProfile", "ChainElement", "Enumerator",
     "FactorAssignment", "GeneratorHypothesisWarning",
     "GrayMap", "LeeWeightMismatchWarning", "LinearCode", "MixedWord", "Poly",
-    "QuantumParams", "SearchHit", "ZprsError", "character",
+    "QuantumParams", "SearchHit", "ZprsError",
     "code_from_table_generators", "complete_enumerator", "constacyclic_shift", "css",
     "cyclic_code_from_assignment", "divides", "eta0", "eta1", "eta2",
     "factor_xn_minus_lambda", "find_kappa", "flatten",

@@ -12,8 +12,9 @@ Hamming, Lee and symmetrized walks weigh each chunk of codeword digits with
 
 The generating character is chi(f) = zeta_p^(a + a' + b' + a'' + b'' + d'')
 with zeta_p a primitive p-th root of unity; for p = 2 this is the familiar
-(-1)^sum.  Character sums are computed exactly in Z[zeta_p], represented on
-the integral basis 1, zeta, ..., zeta^(p-2).
+(-1)^sum.  So chi(f g) = zeta^(coefficient sum of <f, g>), the u-weighted
+inner product of one triple (``words.form_matrices``), and all character sums
+come from one Fourier transform over Z_p^6, exact in Z[y]/(y^p - 1).
 
 Four enumerators are provided: complete (p^6 variables), Hamming (x, y),
 symmetrized (W_0..W_M grouped by symbol Lee weight) and Lee (x, y; the
@@ -44,120 +45,12 @@ import numpy as np
 
 from . import linalg
 from .additive import AdditiveCode
-from .errors import (BlocksUnequal, InexactDivision, ModulusMismatch, RowCollapseFailure,
-                     TooLarge, ZprsError)
-from .field import ensure_prime
-from .rings import ChainElement, power
+from .errors import BlocksUnequal, InexactDivision, RowCollapseFailure, TooLarge, ZprsError
+from .rings import ChainElement
 from .gray import position_weights
-from .words import BlockProfile, block_columns
+from .words import BlockProfile, block_columns, form_matrices
 
 MonomialKey = tuple[tuple[int, int], ...]
-
-
-# ---------------------------------------------------------------------------
-# exact cyclotomic integers
-
-
-class CyclotomicInt:
-    """Element of Z[zeta_p] on the basis 1, zeta, ..., zeta^(p-2).
-
-    For p = 2 this degenerates to a plain integer with zeta = -1.
-    """
-
-    __slots__ = ("p", "coeffs")
-
-    def __init__(self, p: int, coeffs: Sequence[int]):
-        ensure_prime(p)
-        if len(coeffs) != p - 1:
-            raise ModulusMismatch(f"need {p - 1} basis coefficients, got {len(coeffs)}")
-        self.p = p
-        self.coeffs = tuple(int(c) for c in coeffs)
-
-    @classmethod
-    def zero(cls, p: int) -> "CyclotomicInt":
-        return cls(p, (0,) * (p - 1))
-
-    @classmethod
-    def from_int(cls, n: int, p: int) -> "CyclotomicInt":
-        return cls(p, (n,) + (0,) * (p - 2))
-
-    @classmethod
-    def root_power(cls, e: int, p: int, scale: int = 1) -> "CyclotomicInt":
-        """scale * zeta^e, reduced by 1 + zeta + ... + zeta^(p-1) = 0."""
-        e %= p
-        if e < p - 1:
-            v = [0] * (p - 1)
-            v[e] = scale
-        else:
-            v = [-scale] * (p - 1)
-        return cls(p, v)
-
-    def _check(self, other: "CyclotomicInt") -> None:
-        if self.p != other.p:
-            raise ModulusMismatch("cyclotomic integers over different primes")
-
-    def __add__(self, other):
-        if isinstance(other, int):
-            other = CyclotomicInt.from_int(other, self.p)
-        self._check(other)
-        return CyclotomicInt(self.p, tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return self + -other
-
-    def __neg__(self):
-        return CyclotomicInt(self.p, tuple(-a for a in self.coeffs))
-
-    def __mul__(self, other):
-        if isinstance(other, int):
-            return CyclotomicInt(self.p, tuple(a * other for a in self.coeffs))
-        self._check(other)
-        p = self.p
-        buckets = [0] * p
-        for i, a in enumerate(self.coeffs):
-            if a:
-                for j, b in enumerate(other.coeffs):
-                    if b:
-                        buckets[(i + j) % p] += a * b
-        top = buckets[p - 1]
-        return CyclotomicInt(p, tuple(buckets[i] - top for i in range(p - 1)))
-
-    __rmul__ = __mul__
-
-    def __pow__(self, e: int) -> "CyclotomicInt":
-        if e < 0:
-            raise ValueError("negative powers not supported")
-        return power(self, e, CyclotomicInt.from_int(1, self.p))
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, int):
-            return self.is_rational_integer and self.coeffs[0] == other
-        return (isinstance(other, CyclotomicInt) and self.p == other.p
-                and self.coeffs == other.coeffs)
-
-    def __hash__(self) -> int:
-        return hash((self.p, self.coeffs))
-
-    def __bool__(self) -> bool:
-        return any(self.coeffs)
-
-    @property
-    def is_rational_integer(self) -> bool:
-        return all(c == 0 for c in self.coeffs[1:])
-
-    def exact_div(self, m: int) -> "CyclotomicInt":
-        if any(c % m for c in self.coeffs):
-            raise InexactDivision(f"{self} is not divisible by {m}")
-        return CyclotomicInt(self.p, tuple(c // m for c in self.coeffs))
-
-    def __repr__(self) -> str:
-        if self.p == 2:
-            return str(self.coeffs[0])
-        terms = [str(self.coeffs[0])] + [f"{c}*z^{i}" for i, c in
-                 enumerate(self.coeffs[1:], start=1) if c]
-        return " + ".join(terms)
 
 
 # ---------------------------------------------------------------------------
@@ -169,8 +62,8 @@ class SymbolTable:
 
     Index <-> digit conversions work arithmetically, at any p.  The per-symbol
     arrays (digit matrix, weight tables) have p^6 rows and materialize lazily;
-    they serve only the p <= 3 character and Q-matrix paths, plus callers that
-    ask for them.  The enumerator walks and ``character`` never read them.
+    they serve the character sums and the Q matrix (p <= 7), plus callers that
+    ask for them.  The enumerator walks never read them.
     """
 
     def __init__(self, p: int):
@@ -230,29 +123,23 @@ def symbol_table(p: int) -> SymbolTable:
 
 
 def _product_exponent(f, g, p: int):
-    """Coefficient sum mod p (the character exponent) of the product of the
-    symbols with digits f and g (last axis a; a', b'; a'', b'', d''); broadcasts."""
-    f, g = np.moveaxis(f, -1, 0), np.moveaxis(g, -1, 0)
-    return (f[0] * g[0] + f[1] * (g[1] + g[2]) + f[2] * g[1]
-            + f[3] * (g[3] + g[4] + g[5]) + f[4] * (g[3] + g[4]) + f[5] * g[3]) % p
+    """The character exponent f B g mod p of the product of the symbols with digits
+    f and g (last axis a; a', b'; a'', b'', d''), B the coefficient sum of the
+    u-weighted inner product of one triple (symmetric, invertible); broadcasts."""
+    form = form_matrices(BlockProfile(p, 1, 1, 1)).sum(axis=0)
+    return ((f @ form)[..., None, :] @ g[..., None])[..., 0, 0] % p
 
 
 @lru_cache(maxsize=None)
 def char_exponent_matrix(p: int) -> np.ndarray:
-    """E[i, j] with chi(f_i f_j) = zeta^E[i, j]; materialized for p <= 3 only."""
+    """E[i, j] with chi(f_i f_j) = zeta^E[i, j], p^12 entries: the reference table
+    of the tests for p <= 3.  The library never reads it; the benchmark setup warms it."""
     if p > 3:
         raise TooLarge("the full character matrix is materialized for p <= 3 only")
     c = symbol_table(p).coeffs
     e = _product_exponent(c[:, None], c[None, :], p)
     e.setflags(write=False)
     return e
-
-
-def character(symbol, p: int) -> CyclotomicInt:
-    """chi of a symbol (given as a triple or an index): zeta^(its digit sum)."""
-    t = symbol_table(p)
-    idx = int(symbol) if isinstance(symbol, (int, np.integer)) else t.index_of(symbol)
-    return CyclotomicInt.root_power(sum(t.digits(idx)), p)
 
 
 # ---------------------------------------------------------------------------
@@ -418,7 +305,7 @@ def symmetrized_enumerator(code: AdditiveCode) -> Enumerator:
 
     M = 6 for p in {2, 3}; floor(p/2) + 5 otherwise (the Z_p block can then
     contribute up to floor(p/2) by itself).  The dual side is used only
-    where the transform exists, p <= 3.
+    where the transform exists, p <= 3; above, C itself is walked.
     """
     if code.profile.p > 3:
         return _symmetrized_walk(code)
@@ -444,11 +331,26 @@ def lee_enumerator(code: AdditiveCode) -> Enumerator:
 # MacWilliams identities
 
 
+# the most entries that the index tables or Horner levels of substitute_linear,
+# or the m p^7 character sums of m points, may hold
+TRANSFORM_BUDGET = 2 ** 24
+
+
 def _character_sums(points: np.ndarray, p: int) -> np.ndarray:
-    """S[m, i, t] = sum of points[m, j] over the symbols j with chi(f_i f_j) = zeta^t,
-    so that (P x)_i = sum_t S[m, i, t] zeta^t for x = points[m] (p <= 3)."""
-    e = char_exponent_matrix(p)
-    return np.stack([points @ (e == t).T.astype(np.int64) for t in range(p)], axis=-1)
+    """S[..., i, t] = sum of points[..., j] over the symbols j with chi(f_i f_j) = zeta^t:
+    the Fourier transform over Z_p^6, in Z[y]/(y^p - 1), of the points moved from
+    f_j to f_j B, read at f_i.  One digit at a time, out[k, t] = sum_j in[j, t - k j],
+    in int64 over m p^7 entries for m points."""
+    lead = points.shape[:-1]
+    out = np.zeros((*lead, p ** 6, p), dtype=np.int64)
+    # row j: the digits of f_j B, its exponents against the six unit symbols
+    moved = _product_exponent(symbol_table(p).coeffs[:, None], np.eye(6, dtype=np.int64), p)
+    out[..., moved @ p ** np.arange(5, -1, -1), 0] = points
+    shift = (np.arange(p) - np.arange(p)[:, None, None] * np.arange(p)[:, None]) % p
+    for _ in range(6):      # the leading digit j goes, the trailing digit k comes
+        digit = out.reshape(*lead, p, p ** 5, p)
+        out = sum(digit[..., j, :, :][..., shift[j]] for j in range(p)).reshape(out.shape)
+    return out
 
 
 _INT64_MAX = int(np.iinfo(np.int64).max)
@@ -501,12 +403,16 @@ def macwilliams_complete_check(code: AdditiveCode,
     smallest k >= 8 that makes this at most 2^-28, and q >= 98 is refused.
     ``COMPLETE_CHECK_SEED`` fixes the points: the bound is over the choice of seed.
     For D the dual, |C| |D| = p^(6q) and both sides walk under the 2^24
-    limit, so q <= 8 at p = 2 and q <= 5 at p = 3, and k = 8.
+    limit, so q <= 8 at p = 2, 5 at p = 3, 3 at p = 5 and 2 at p = 7, and
+    k = 8.  The character sums of the k points, k p^7 entries, must fit
+    ``TRANSFORM_BUDGET``, so p >= 11 is refused up front with ``TooLarge``.
+    At p = 5, q = 3 the right side's sums leave int64 and the check takes
+    about 98 s in Python integers; q <= 2 takes well under a second.
     """
     p = code.profile.p
-    if p > 3:
-        raise TooLarge("complete MacWilliams check materializes P; p <= 3 only")
     count = _complete_check_points(code.profile.q)
+    if count * p ** 7 > TRANSFORM_BUDGET:
+        raise TooLarge(f"the character sums of {count} points over Z_{p}^6 exceed the budget")
     dual = candidate_dual if candidate_dual is not None else code.dual()
     if dual.profile != code.profile:
         raise BlocksUnequal("dual candidate over a different profile")
@@ -519,11 +425,6 @@ def macwilliams_complete_check(code: AdditiveCode,
         if len(set(right[1:])) > 1 or right[0] - right[-1] != code.size * left:
             return False
     return True
-
-
-# substitute_linear refuses a transform whose index tables or Horner levels
-# could hold more than this many entries
-TRANSFORM_BUDGET = 2 ** 24
 
 
 @lru_cache(maxsize=8)
@@ -615,20 +516,19 @@ def symmetrized_q_matrix(p: int) -> tuple[tuple[int, ...], ...]:
     Row w is the common value of sum_j chi(f_i f_j) X_(wt(f_j)) over all
     symbols f_i of Lee weight w.  Raises ``RowCollapseFailure`` if symbols
     of equal weight disagree (they never do for p in {2, 3}) or if an entry
-    fails to be a rational integer.
+    fails to be a rational integer (p = 5, 7: the transform does not exist),
+    and ``TooLarge`` for p >= 11, above ``TRANSFORM_BUDGET``.
     """
-    if p > 3:
-        raise TooLarge("the symmetrized transform is defined for p in {2, 3}")
     t = symbol_table(p)
-    e = char_exponent_matrix(p)
     nw = t.max_lee_weight + 1
-    onehot = (t.lee_weights[:, None] == np.arange(nw)).astype(np.int64)
-    # sums[i, w, tau] = #{j : wt(f_j) = w, E[i, j] = tau}
-    sums = np.stack([np.where(e == tau, 1, 0) @ onehot for tau in range(p)], axis=2)
-    coeffs = sums[:, :, : p - 1] - sums[:, :, p - 1:]
-    if p > 2 and coeffs[:, :, 1:].any():
-        raise RowCollapseFailure("a symmetrized transform entry is not a rational integer")
-    values = coeffs[:, :, 0]
+    if nw * p ** 7 > TRANSFORM_BUDGET:
+        raise TooLarge(f"the character sums of {nw} classes over Z_{p}^6 exceed the budget")
+    # sums[w, i, tau] = #{j : wt(f_j) = w, chi(f_i f_j) = zeta^tau}
+    sums = _character_sums((t.lee_weights == np.arange(nw)[:, None]).astype(np.int64), p)
+    coeffs = sums[..., : p - 1] - sums[..., p - 1:]
+    if p > 2 and coeffs[..., 1:].any():
+        raise RowCollapseFailure("irrational Q entries: Lee classes are not Fourier-invariant")
+    values = coeffs[..., 0].T
     first = [int(np.argmax(t.lee_weights == w)) for w in range(nw)]
     if (values != values[first][t.lee_weights]).any():
         raise RowCollapseFailure("symbols of equal Lee weight produce different transform rows")

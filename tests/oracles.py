@@ -7,13 +7,16 @@ slower or more direct route that a fast path is compared against.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
 from zprs.additive import AdditiveCode
-from zprs.enumerators import CyclotomicInt, _product_exponent, _symbol_index_rows, symbol_table
-from zprs.errors import ZprsError
+from zprs.enumerators import _product_exponent, _symbol_index_rows, symbol_table
+from zprs.errors import InexactDivision, ModulusMismatch, ZprsError
+from zprs.field import ensure_prime
 from zprs.quantum import FactorAssignment, cyclic_code_from_assignment
+from zprs.rings import power
 from zprs.words import BlockProfile, block_columns
 
 
@@ -141,3 +144,114 @@ def char_matrix_entry(i: int, j: int, p: int) -> CyclotomicInt:
     t = symbol_table(p)
     digits = np.array([t.digits(int(i)), t.digits(int(j))], dtype=object)
     return CyclotomicInt.root_power(int(_product_exponent(digits[0], digits[1], p)), p)
+
+
+class CyclotomicInt:
+    """Element of Z[zeta_p] on the basis 1, zeta, ..., zeta^(p-2).
+
+    For p = 2 this degenerates to a plain integer with zeta = -1.
+    """
+
+    __slots__ = ("p", "coeffs")
+
+    def __init__(self, p: int, coeffs: Sequence[int]):
+        ensure_prime(p)
+        if len(coeffs) != p - 1:
+            raise ModulusMismatch(f"need {p - 1} basis coefficients, got {len(coeffs)}")
+        self.p = p
+        self.coeffs = tuple(int(c) for c in coeffs)
+
+    @classmethod
+    def zero(cls, p: int) -> "CyclotomicInt":
+        return cls(p, (0,) * (p - 1))
+
+    @classmethod
+    def from_int(cls, n: int, p: int) -> "CyclotomicInt":
+        return cls(p, (n,) + (0,) * (p - 2))
+
+    @classmethod
+    def root_power(cls, e: int, p: int, scale: int = 1) -> "CyclotomicInt":
+        """scale * zeta^e, reduced by 1 + zeta + ... + zeta^(p-1) = 0."""
+        e %= p
+        if e < p - 1:
+            v = [0] * (p - 1)
+            v[e] = scale
+        else:
+            v = [-scale] * (p - 1)
+        return cls(p, v)
+
+    def _check(self, other: "CyclotomicInt") -> None:
+        if self.p != other.p:
+            raise ModulusMismatch("cyclotomic integers over different primes")
+
+    def __add__(self, other):
+        if isinstance(other, int):
+            other = CyclotomicInt.from_int(other, self.p)
+        self._check(other)
+        return CyclotomicInt(self.p, tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        return self + -other
+
+    def __neg__(self):
+        return CyclotomicInt(self.p, tuple(-a for a in self.coeffs))
+
+    def __mul__(self, other):
+        if isinstance(other, int):
+            return CyclotomicInt(self.p, tuple(a * other for a in self.coeffs))
+        self._check(other)
+        p = self.p
+        buckets = [0] * p
+        for i, a in enumerate(self.coeffs):
+            if a:
+                for j, b in enumerate(other.coeffs):
+                    if b:
+                        buckets[(i + j) % p] += a * b
+        top = buckets[p - 1]
+        return CyclotomicInt(p, tuple(buckets[i] - top for i in range(p - 1)))
+
+    __rmul__ = __mul__
+
+    def __pow__(self, e: int) -> "CyclotomicInt":
+        if e < 0:
+            raise ValueError("negative powers not supported")
+        return power(self, e, CyclotomicInt.from_int(1, self.p))
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, int):
+            return self.is_rational_integer and self.coeffs[0] == other
+        return (isinstance(other, CyclotomicInt) and self.p == other.p
+                and self.coeffs == other.coeffs)
+
+    def __hash__(self) -> int:
+        return hash((self.p, self.coeffs))
+
+    def __bool__(self) -> bool:
+        return any(self.coeffs)
+
+    @property
+    def is_rational_integer(self) -> bool:
+        return all(c == 0 for c in self.coeffs[1:])
+
+    def exact_div(self, m: int) -> "CyclotomicInt":
+        if any(c % m for c in self.coeffs):
+            raise InexactDivision(f"{self} is not divisible by {m}")
+        return CyclotomicInt(self.p, tuple(c // m for c in self.coeffs))
+
+    def __repr__(self) -> str:
+        if self.p == 2:
+            return str(self.coeffs[0])
+        terms = [str(self.coeffs[0])] + [f"{c}*z^{i}" for i, c in
+                 enumerate(self.coeffs[1:], start=1) if c]
+        return " + ".join(terms)
+
+
+
+
+def character(symbol, p: int) -> CyclotomicInt:
+    """chi of a symbol (given as a triple or an index): zeta^(its digit sum)."""
+    t = symbol_table(p)
+    idx = int(symbol) if isinstance(symbol, (int, np.integer)) else t.index_of(symbol)
+    return CyclotomicInt.root_power(sum(t.digits(idx)), p)

@@ -125,6 +125,21 @@ def test_macwilliams_command(capsys, tmp_path):
         assert out.startswith("PASS")
 
 
+Z5_SPEC = {"p": 5, "q": 1, "r": 1, "s": 1,
+           "generators": [[[1], [[2, 1]], [[0, 1, 3]]]]}
+
+
+def test_macwilliams_at_p5(capsys, tmp_path):
+    # the complete identity is checked at p = 5; the symmetrized one does not
+    # exist there, and the refusal names the reason
+    path = spec_file(tmp_path, Z5_SPEC)
+    status, out, _ = run(capsys, ["macwilliams", "--input", path, "--kind", "complete"])
+    assert status == 0 and out.startswith("PASS")
+    status, out, err = run(capsys, ["macwilliams", "--input", path, "--kind", "symmetrized"])
+    assert status == 2 and out == ""
+    assert json.loads(err)["error"]["code"] == "RowCollapseFailure"
+
+
 def test_css_command(capsys, tmp_path):
     path = spec_file(tmp_path, R_ONLY_SPEC)
     status, out, _ = run(capsys, ["css", "--input", path, "--json"])

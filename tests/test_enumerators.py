@@ -9,18 +9,19 @@ from hypothesis import strategies as st
 
 from zprs import enumerators
 from zprs.additive import AdditiveCode, span_closure
-from zprs.enumerators import (CyclotomicInt, Enumerator, _character_sums, _codeword_sums,
-                              _complete_check_points, _hamming_walk, _lee_walk,
-                              _symmetrized_walk, char_exponent_matrix, character,
-                              complete_enumerator, hamming_enumerator, hamming_transform,
+from zprs.enumerators import (Enumerator, _character_sums, _codeword_sums,
+                              _complete_check_points, _hamming_walk, _lee_walk, _product_exponent,
+                              _symmetrized_walk, char_exponent_matrix, complete_enumerator,
+                              hamming_enumerator, hamming_transform,
                               lee_enumerator, lee_transform, macwilliams_complete_check,
                               symbol_table, symmetrized_enumerator, symmetrized_q_matrix,
                               substitute_linear, symmetrized_transform)
-from zprs.errors import BlocksUnequal, InexactDivision, TooLarge
+from zprs.errors import BlocksUnequal, InexactDivision, RowCollapseFailure, TooLarge
 from zprs.linalg import row_space_split
 from zprs.words import BlockProfile, MixedWord, unflatten
 
-from oracles import char_matrix_entry, codeword_sums_by_words, regroup, symbol_rows_by_digits
+from oracles import (CyclotomicInt, char_matrix_entry, character, codeword_sums_by_words, regroup,
+                     symbol_rows_by_digits)
 
 P2 = BlockProfile(2, 2, 2, 2)
 
@@ -89,14 +90,18 @@ def dict_complete_enumerator(code):
 
 
 def transform_point(point, p):
-    """P . point as exact cyclotomic integers (p <= 3)."""
+    """P . point as exact cyclotomic integers.  It reads ``_character_sums``, so it
+    is no independent oracle for those sums; their own tests compare them with
+    ``char_exponent_matrix`` and ``_product_exponent``."""
     sums = _character_sums(np.asarray(point, dtype=np.int64), p)
     return [CyclotomicInt(p, row) for row in sums[:, : p - 1] - sums[:, p - 1:]]
 
 
 def dict_complete_check(code, dual, num_points=8):
     """The complete check through both complete enumerators and term-by-term
-    evaluation, at the same points as ``macwilliams_complete_check``."""
+    evaluation, at the same points as ``macwilliams_complete_check``.  Its
+    character side is ``transform_point``, so it checks the walks and the
+    evaluation, not ``_character_sums``."""
     p = code.profile.p
     w_primal, w_dual = complete_enumerator(code), complete_enumerator(dual)
     rng = np.random.default_rng(enumerators.COMPLETE_CHECK_SEED)
@@ -233,6 +238,41 @@ def test_char_matrix_entry_on_demand_large_p():
     assert isinstance(val, CyclotomicInt)
     with pytest.raises(TooLarge):
         char_exponent_matrix(5)
+
+
+def test_product_exponent_is_the_digit_sum_of_the_product():
+    # chi(f g) reads the coefficients of the componentwise ChainElement product
+    rng = np.random.default_rng(13)
+    for p, pairs in ((2, itertools.product(range(64), repeat=2)),
+                     (3, rng.integers(0, 3 ** 6, size=(300, 2)).tolist()),
+                     (5, rng.integers(0, 5 ** 6, size=(300, 2)).tolist())):
+        t = symbol_table(p)
+        for i, j in pairs:
+            (x, y, z), (x2, y2, z2) = t.triple(i), t.triple(j)
+            digit_sum = (x * x2 + sum((y * y2).coeffs) + sum((z * z2).coeffs)) % p
+            f, g = np.array(t.digits(i)), np.array(t.digits(j))
+            assert _product_exponent(f, g, p) == digit_sum
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_character_sums_equal_the_exponent_matrix(p):
+    e = char_exponent_matrix(p)
+    points = np.random.default_rng(p).integers(0, 98, size=(3, p ** 6))
+    expected = np.stack([points @ (e == t).T for t in range(p)], axis=-1)
+    assert (_character_sums(points, p) == expected).all()
+    assert (_character_sums(points[1], p) == expected[1]).all()
+
+
+@pytest.mark.parametrize("p, m", [(5, 2), (7, 1)])
+def test_character_sums_equal_the_definition_on_sampled_rows(p, m):
+    rng = np.random.default_rng(p)
+    points = rng.integers(0, 98, size=(m, p ** 6))
+    sums = _character_sums(points, p)
+    digits = symbol_table(p).coeffs
+    for i in rng.integers(0, p ** 6, size=20):
+        e = _product_exponent(digits[i], digits, p)
+        assert (sums[:, i] == np.stack([points[:, e == t].sum(axis=1)
+                                        for t in range(p)], axis=-1)).all()
 
 
 # -- enumerators ---------------------------------------------------------------
@@ -418,6 +458,34 @@ def test_large_p_walks_satisfy_macwilliams(p):
         assert transform(walk(code), code.size, p) == walk(dual)
 
 
+def test_symmetrized_transform_fails_to_exist_at_p5():
+    # 12,500 of the 15,625 symbols see an irrational Q entry: the Lee-weight
+    # classes are not Fourier-invariant for this character at p = 5
+    t = symbol_table(5)
+    nw = t.max_lee_weight + 1
+    sums = _character_sums((t.lee_weights == np.arange(nw)[:, None]).astype(np.int64), 5)
+    assert int((sums[..., 1:4] != sums[..., 4:]).any(axis=(0, 2)).sum()) == 12500
+    with pytest.raises(RowCollapseFailure):
+        symmetrized_q_matrix(5)
+    code = triple_code(5)
+    with pytest.raises(RowCollapseFailure):
+        symmetrized_transform(_symmetrized_walk(code), code.size, 5)
+
+
+@pytest.mark.parametrize("refused", [lambda: macwilliams_complete_check(triple_code(13)),
+                                     lambda: symmetrized_q_matrix(11)],
+                         ids=["complete-check-p13", "q-matrix-p11"])
+def test_character_sums_above_the_budget_are_refused_up_front(refused):
+    tracemalloc.start()
+    try:
+        with pytest.raises(TooLarge):
+            refused()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 << 20
+
+
 def test_symmetrized_q_matrix_values():
     q2 = symmetrized_q_matrix(2)
     assert q2[0] == (1, 6, 15, 20, 15, 6, 1)    # row 0 lists the class sizes
@@ -503,6 +571,25 @@ def test_complete_check_matches_dict_route():
     for code, dual, holds in cases:
         assert macwilliams_complete_check(code, dual) is holds
         assert dict_complete_check(code, dual) is holds
+
+
+@pytest.mark.parametrize("q, rank", [(1, 3), (2, 6), (2, 5)])
+def test_complete_check_at_p5(q, rank):
+    pr = BlockProfile(5, q, q, q)
+    code = random_code(pr, rank, seed=0)
+    dual = code.dual()
+    words = dual.basis_words()
+    # the closure of the dual's basis without one row, the first that loses rank
+    dropped = next(c for c in (span_closure(words[:i] + words[i + 1:], profile=pr)
+                               for i in range(len(words))) if c.rank < dual.rank)
+    cand = random_code(pr, dual.rank, seed=5)
+    assert cand != dual
+    cases = [(dual, True), (dropped, False), (cand, False)]
+    for candidate, holds in cases:
+        assert macwilliams_complete_check(code, candidate) is holds
+    if q == 1:
+        for candidate, holds in cases:
+            assert dict_complete_check(code, candidate) is holds
 
 
 def test_complete_check_rejects_non_dual_candidate_p3():
