@@ -14,6 +14,8 @@ and J_0, J_1, J_2 for the 1, u and u^2 coefficients of the u-weighted
 S-valued inner product (u^2 on the Z_p block, u on the R block, 1 on the S
 block).  The dual is the kernel of [B J_0; B J_1; B J_2], never a codeword
 enumeration.
+
+``linear.LinearCode`` is the Z_p-only case, the profile (p, n, 0, 0).
 """
 
 from __future__ import annotations
@@ -24,8 +26,8 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from . import linalg
-from .errors import (DivisibilityViolation, GcdViolation, ProfileMismatch, TooLarge,
-                     ZprsError)
+from .errors import (DivisibilityViolation, GcdViolation, LengthMismatch, ProfileMismatch,
+                     TooLarge, ZprsError)
 from .polynomials import Poly, divides, poly_divmod, x_pow_n_minus
 from .rings import ChainElement, unit_order
 from .words import (BlockProfile, MixedWord, UnitLike, as_unit, block_columns, flatten,
@@ -97,6 +99,8 @@ class AdditiveCode:
             vec = flatten(w)
         else:
             vec = np.asarray(w, dtype=np.int64)
+            if vec.shape != (self.profile.n,):
+                raise LengthMismatch(f"expected a length-{self.profile.n} vector")
         return linalg.in_row_space(self.basis, self.pivots, vec, self.profile.p)
 
     def is_subcode_of(self, other: "AdditiveCode") -> bool:

@@ -1,10 +1,12 @@
 """Linear codes over Z_p: duals, exact minimum distance, and the cyclic /
 quasi-cyclic / quasi-twisted closure predicates.
 
-Every invariance test is one product: a code is closed under v -> v M
-iff G M lies in the row space of its RREF generator G.  The predicates
-build M as a block-diagonal matrix of twisted shifts, and a column
-automorphism hint is checked the same way with its permutation matrix.
+A linear code of length n is the additive code of the profile (p, n, 0, 0):
+u acts as 0 there, so every subspace is a module, and the u-weighted form is
+u^2 times the dot product, so the inherited ``dual()`` is the Euclidean dual.
+Invariance under v -> v M is the inherited one-product test; the predicates
+build M block-diagonal from the twisted shifts of ``words.shift_matrix``,
+and a column automorphism hint is checked with its permutation matrix.
 
 The parity check H is read off the RREF generator without elimination:
 the identity on the free columns, minus the free part of G on the pivots.
@@ -22,27 +24,28 @@ exhausted.
 
 from __future__ import annotations
 
+import operator
 from functools import cached_property
 from typing import Sequence
 
 import numpy as np
 
 from . import linalg
-from .errors import (DistanceNotDetermined, LengthMismatch, NotAUnit, ProfileMismatch,
-                     ZprsError)
-from .field import ensure_prime
+from .additive import AdditiveCode
+from .errors import DistanceNotDetermined, LengthMismatch, ZprsError
+from .words import BlockProfile, as_unit, shift_matrix
 
 
-class LinearCode:
-    """[n, k] code over Z_p held as a row-reduced generator matrix."""
+class LinearCode(AdditiveCode):
+    """[n, k] code over Z_p: the additive code of (p, n, 0, 0), ``generator`` its RREF basis."""
 
     def __init__(self, p: int, n: int, generator: np.ndarray | Sequence):
-        ensure_prime(p)
-        linalg.check_modulus(p, n)
-        self.p = p
-        self.n = n
-        self.generator, self.pivots = linalg.rref(linalg.as_matrix(generator, n), p)
-        self.generator.setflags(write=False)
+        super().__init__(BlockProfile(p, n, 0, 0), generator, _closed=True)
+
+    p = property(lambda self: self.profile.p)
+    n = property(lambda self: self.profile.q)
+    k = property(lambda self: self.rank)
+    generator = property(lambda self: self.basis)
 
     @classmethod
     def zero(cls, p: int, n: int) -> "LinearCode":
@@ -51,14 +54,6 @@ class LinearCode:
     @classmethod
     def full_space(cls, p: int, n: int) -> "LinearCode":
         return cls(p, n, np.eye(n, dtype=np.int64))
-
-    @property
-    def k(self) -> int:
-        return self.generator.shape[0]
-
-    @property
-    def size(self) -> int:
-        return self.p ** self.k
 
     @cached_property
     def parity_check(self) -> np.ndarray:
@@ -69,25 +64,6 @@ class LinearCode:
 
     def euclidean_dual(self) -> "LinearCode":
         return LinearCode(self.p, self.n, self.parity_check)
-
-    def contains(self, vec) -> bool:
-        v = np.asarray(vec, dtype=np.int64)
-        if v.shape != (self.n,):
-            raise LengthMismatch(f"expected a length-{self.n} vector")
-        return linalg.in_row_space(self.generator, self.pivots, v, self.p)
-
-    def is_subcode_of(self, other: "LinearCode") -> bool:
-        if (self.p, self.n) != (other.p, other.n):
-            raise ProfileMismatch("codes over different spaces")
-        return linalg.in_row_space(other.generator, other.pivots, self.generator, self.p)
-
-    def __eq__(self, other) -> bool:
-        return (isinstance(other, LinearCode) and (self.p, self.n) == (other.p, other.n)
-                and self.generator.shape == other.generator.shape
-                and bool((self.generator == other.generator).all()))
-
-    def __hash__(self) -> int:
-        return hash((self.p, self.n, self.generator.tobytes()))
 
     def __repr__(self) -> str:
         return f"LinearCode([{self.n}, {self.k}] over Z_{self.p})"
@@ -141,16 +117,8 @@ class LinearCode:
 
     # -- shift-invariance predicates ----------------------------------------
 
-    def _closed_under(self, m: np.ndarray) -> bool:
-        """True iff v -> v m maps the code into itself: one row-space product."""
-        return linalg.in_row_space(self.generator, self.pivots, self.generator @ m % self.p,
-                                   self.p)
-
     def is_cyclic(self) -> bool:
         return self.is_generalized_quasi_twisted([1], [self.n])
-
-    def is_constacyclic(self, lam: int) -> bool:
-        return self.is_generalized_quasi_twisted([lam], [self.n])
 
     def is_quasi_cyclic(self, l: int) -> bool:
         return self.is_quasi_twisted(1, l)
@@ -164,7 +132,8 @@ class LinearCode:
     def is_generalized_quasi_twisted(self, lams: Sequence[int],
                                      block_lens: Sequence[int]) -> bool:
         """Invariance under the block-diagonal X whose block i is the lams[i]-twisted
-        shift sigma(v) = (lam v[m-1], v[0], ..., v[m-2]) of its block_lens[i] columns."""
+        shift sigma(v) = (lam v[m-1], v[0], ..., v[m-2]) of its block_lens[i] columns,
+        the ``shift_matrix`` of the profile (p, block_lens[i], 0, 0)."""
         if len(lams) != len(block_lens):
             raise LengthMismatch("one unit per block required")
         if any(m < 0 for m in block_lens):
@@ -173,11 +142,9 @@ class LinearCode:
             raise LengthMismatch(f"block lengths sum to {sum(block_lens)}, not {self.n}")
         x, pos = np.zeros((self.n, self.n), dtype=np.int64), 0
         for lam, m in zip(lams, block_lens):
-            if lam % self.p == 0:
-                raise NotAUnit(f"the twist {lam} is not a unit mod {self.p}")
-            idx = np.arange(pos, pos + m)
-            x[idx, np.roll(idx, -1)] = 1                    # v[i] moves to i + 1 ...
-            x[idx[-1:], idx[:1]] = lam % self.p             # ... and the last wraps, twisted
+            unit = as_unit(operator.index(lam), self.p, 1)  # refused even on an empty block
+            if m:
+                x[pos:pos + m, pos:pos + m] = shift_matrix(BlockProfile(self.p, m, 0, 0), unit)
             pos += m
         return self._closed_under(x)
 

@@ -3,7 +3,8 @@ import pytest
 
 from zprs.additive import (AdditiveCode, GeneratorHypothesisWarning, from_generator_polynomials,
                            shift_module_span, span_closure, word_from_polynomials)
-from zprs.errors import DivisibilityViolation, GcdViolation, ProfileMismatch
+from zprs.errors import DivisibilityViolation, GcdViolation, LengthMismatch, ProfileMismatch
+from zprs.linear import LinearCode
 from zprs.polynomials import Poly
 from zprs.rings import ChainElement
 from zprs.words import BlockProfile, MixedWord, inner_product, unflatten
@@ -50,6 +51,16 @@ def test_contains_and_mismatch():
         assert code.contains(w)
     with pytest.raises(ProfileMismatch):
         code.contains(MixedWord.zero(BlockProfile(2, 1, 1, 1)))
+    # a vector must have shape (N,), or numpy broadcasting answers for [1] and [0]
+    z2 = BlockProfile(2, 6, 0, 0)
+    repetition = span_closure([MixedWord.make(z2, (1,) * 6)])
+    cases = [(repetition, [1]), (AdditiveCode.zero(z2), [0]),
+             (AdditiveCode.full_space(BlockProfile(2, 1, 1, 1)), [0] * 5),
+             (LinearCode(2, 6, [[1] * 6]), [1]), (code, [[0] * 12]), (code, [0] * 13)]
+    for c, vec in cases:
+        with pytest.raises(LengthMismatch):
+            c.contains(vec)
+    assert repetition.contains([1] * 6) and not repetition.contains([1] + [0] * 5)
 
 
 def test_closure_verification_rejects_raw_subspaces():

@@ -183,6 +183,11 @@ def test_exit_codes(capsys, monkeypatch):
     status, _, err = run(capsys, ["factor", "--p", "2", "--n", "4"])
     assert status == 2
     assert json.loads(err)["error"]["code"] == "GcdViolation"
+    # a length-0 linear code is no code: refused when it is built
+    empty = json.dumps({"p": 2, "n": 0, "generator": []})
+    status, _, err = run(capsys, ["distance"], stdin=empty, monkeypatch=monkeypatch)
+    assert status == 2
+    assert json.loads(err)["error"]["code"] == "ProfileMismatch"
 
 
 def test_deterministic_output(capsys, tmp_path):

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from zprs.additive import shift_module_span
-from zprs.errors import DistanceNotDetermined, LengthMismatch, NotAUnit, ZprsError
+from zprs.additive import AdditiveCode, shift_module_span
+from zprs.errors import (DistanceNotDetermined, LengthMismatch, NotAUnit, ProfileMismatch,
+                         ZprsError)
 from zprs.gray import GrayMap
 from zprs.linalg import kernel_basis, rref
 from zprs.linear import LinearCode, min_distance_by_enumeration
@@ -81,6 +82,21 @@ def test_dual_involution_random():
         assert code.k + dual.k == n
         assert dual.euclidean_dual() == code
         assert ((code.generator @ dual.generator.T) % p == 0).all()
+
+
+def test_a_linear_code_is_the_additive_code_of_its_profile():
+    rng = np.random.default_rng(7)
+    for trial in range(60):
+        p = (2, 3, 5)[trial % 3]
+        n = int(rng.integers(1, 10))
+        rows = rng.integers(0, p, size=(int(rng.integers(0, n + 1)), n))
+        code, additive = LinearCode(p, n, rows), AdditiveCode(BlockProfile(p, n, 0, 0), rows)
+        assert code == additive and additive == code and hash(code) == hash(additive)
+        assert code.generator is code.basis and code.k == additive.rank
+        # u acts as 0 and the form is u^2 times the dot product: the duals agree
+        assert code.dual() == code.euclidean_dual()
+    with pytest.raises(ProfileMismatch):
+        LinearCode(2, 0, [])
 
 
 def test_parity_check_orthogonality():
@@ -377,3 +393,4 @@ def test_predicates_refuse_a_non_unit_twist_and_a_negative_block():
         with pytest.raises(LengthMismatch):
             full.is_quasi_twisted(1, l)
     assert full.is_generalized_quasi_twisted([1, 2, 3], [0, 4, 0])
+    assert full.is_quasi_twisted(np.int64(2), 2)           # numpy integers are units too
