@@ -20,6 +20,7 @@ enumeration.
 
 from __future__ import annotations
 
+import itertools
 import warnings
 from typing import Iterable, Iterator, Sequence
 
@@ -29,7 +30,7 @@ from . import linalg
 from .errors import (DivisibilityViolation, GcdViolation, LengthMismatch, ProfileMismatch,
                      TooLarge, ZprsError)
 from .polynomials import Poly, divides, poly_divmod, x_pow_n_minus
-from .rings import ChainElement, unit_order
+from .rings import unit_order
 from .words import (BlockProfile, MixedWord, UnitLike, as_unit, block_columns, flatten,
                     form_matrices, scalar_matrix, shift_matrix, unflatten)
 
@@ -207,39 +208,12 @@ def shift_module_span(generators: Iterable[MixedWord],
     return AdditiveCode(profile, np.concatenate(krylov), _closed=True)
 
 
-def _as_block_poly(poly, p: int, k: int, default: Poly) -> Poly:
-    if poly is None:
-        return default
+def _as_block_poly(poly, p: int, k: int) -> Poly:
     if isinstance(poly, Poly):
         if poly.p != p:
             raise ProfileMismatch("polynomial modulus differs from the profile")
         return poly.lift(k) if poly.k < k else poly
     return Poly.make(list(poly), p, k)
-
-
-def _block_word(profile: BlockProfile, zp_poly: Poly | None,
-                r_poly: Poly | None, s_poly: Poly | None) -> MixedWord:
-    """Generator word whose blocks carry the given (already reduced) polynomials."""
-    def entries(poly: Poly | None, length: int, k: int) -> tuple[ChainElement, ...]:
-        coeffs = poly.coeffs[:length] if poly is not None else ()
-        return coeffs + (ChainElement.zero(profile.p, k),) * (length - len(coeffs))
-
-    zp = tuple(c.coeffs[0] for c in entries(zp_poly, profile.q, 1))
-    return MixedWord(profile, zp, entries(r_poly, profile.r, 2), entries(s_poly, profile.s, 3))
-
-
-def _divisors(given, names: tuple[str, ...], p: int, k: int, modulus: Poly, mu) -> list[Poly]:
-    """The block polynomials named in ``names`` (the modulus where omitted),
-    each required to divide the block modulus x^n - mu."""
-    given = tuple(given or ())
-    out = []
-    for i, name in enumerate(names):
-        poly = _as_block_poly(given[i] if i < len(given) else None, p, k, modulus)
-        if not divides(poly, modulus):
-            raise DivisibilityViolation(
-                f"{name} = {poly} does not divide x^{modulus.degree} - {mu}")
-        out.append(poly)
-    return out
 
 
 def _soft_check(ok: bool, message: str, policy: str) -> None:
@@ -251,14 +225,15 @@ def _soft_check(ok: bool, message: str, policy: str) -> None:
         warnings.warn(message, GeneratorHypothesisWarning, stacklevel=3)
 
 
+# Row k: the divisors d_i of the block-k modulus, whose sum of u^i d_i fills
+# block k, and the mixing polynomials that fill blocks 1, ..., k-1.
+_ROWS = ((("f0",), ()), (("g0", "g1"), ("l1",)), (("h0", "h1", "h2"), ("l2", "l3")))
+
+
 def from_generator_polynomials(profile: BlockProfile,
-                               mu: tuple[UnitLike, UnitLike, UnitLike] = (1, 1, 1),
-                               *,
-                               f0=None,
-                               g: tuple | None = None,
-                               h: tuple | None = None,
-                               l: tuple | None = None,
-                               hypotheses: str = "warn") -> AdditiveCode:
+                               mu: tuple[UnitLike, UnitLike, UnitLike] = (1, 1, 1), *,
+                               f0=None, g: tuple | None = None, h: tuple | None = None,
+                               l: tuple | None = None, hypotheses: str = "warn") -> AdditiveCode:
     """Build a constacyclic code from generator-polynomial data.
 
     The generator rows are, per block profile (absent blocks drop out):
@@ -268,73 +243,76 @@ def from_generator_polynomials(profile: BlockProfile,
     ``g`` is (g0, g1), ``h`` is (h0, h1, h2), ``l`` is (l1, l2, l3) with
     l1, l2 over Z_p and l3 over R.  Polynomials may be given as coefficient
     sequences (ints for Z_p, pairs/triples for R/S) or Poly values; an
-    omitted polynomial defaults to the block modulus, which is zero in the
-    quotient and contributes nothing.
+    omitted divisor defaults to the block modulus, which is zero in the
+    quotient and contributes nothing, and an omitted mixing polynomial is 0.
 
-    Hard preconditions (always enforced): gcd(p, block length) = 1 for each
-    nonzero block, and every supplied polynomial divides its block modulus.
-    The structure-theorem hypotheses -- the ord-congruences on the block
+    Hard preconditions (always enforced): ``mu`` has three entries, ``g``,
+    ``h`` and ``l`` at most 2, 3 and 3; no polynomial is given for a row or
+    a block the profile lacks; gcd(p, block length) = 1 for each nonzero
+    block; and every supplied divisor divides its block modulus.  The
+    structure-theorem hypotheses -- the ord-congruences on the block
     lengths and the divisor chains g1 | g0 and h2 | h1 | h0 -- are *not*
     needed by the construction, which row-reduces the shift-and-scalar span
     directly; they are checked under ``hypotheses`` in {"warn", "reject",
     "ignore"} (default "warn").
     """
-    pr = profile
-    p = pr.p
+    p, lengths = profile.p, profile.lengths
     if hypotheses not in ("warn", "reject", "ignore"):
         raise ValueError("hypotheses must be 'warn', 'reject' or 'ignore'")
-    for n_block, name in ((pr.q, "q"), (pr.r, "r"), (pr.s, "s")):
+    if len(mu) != 3:
+        raise LengthMismatch(f"mu needs one unit per block, got {len(mu)} entries")
+    given = {}
+    for polys, names in zip(((f0,), g, h, l), [d for d, _ in _ROWS] + [("l1", "l2", "l3")]):
+        polys = tuple(polys or ())
+        if len(polys) > len(names):
+            raise LengthMismatch(f"{len(polys)} polynomials given for {', '.join(names)}")
+        given.update(itertools.zip_longest(names, polys))
+    for k, (names, mixing_names) in enumerate(_ROWS, 1):
+        # a divisor lives in block k, the j-th mixing polynomial in block j
+        for name, j in zip(names + mixing_names, (k,) * k + tuple(range(1, k))):
+            empty = [b for b in (k, j) if not lengths[b - 1]]
+            if given[name] is not None and empty:
+                raise ProfileMismatch(f"{name} is given, but {'qrs'[empty[0] - 1]} = 0")
+    for n_block, name in zip(lengths, "qrs"):
         if n_block and n_block % p == 0:
             raise GcdViolation(f"gcd(p, {name}) must be 1 (p={p}, {name}={n_block})")
-    mu0 = as_unit(mu[0], p, 1) if pr.q else None
-    mu1 = as_unit(mu[1], p, 2) if pr.r else None
-    mu2 = as_unit(mu[2], p, 3) if pr.s else None
+    units = [as_unit(m, p, k) if n_block else None
+             for k, (m, n_block) in enumerate(zip(mu, lengths), 1)]
 
     if hypotheses != "ignore":
-        for n_block, unit, name in ((pr.q, mu0, "q"), (pr.r, mu1, "r"), (pr.s, mu2, "s")):
-            if n_block and unit is not None:
+        for n_block, unit, name in zip(lengths, units, "qrs"):
+            if n_block:
                 t = unit_order(unit)
                 _soft_check(n_block % t == 1 % t,
                             f"{name} = {n_block} violates {name} = 1 (mod ord(mu)) "
                             f"with ord(mu) = {t}", hypotheses)
 
-    l = l or (None, None, None)
-    l1, l2, l3 = (tuple(l) + (None,) * 3)[:3]
+    moduli = [x_pow_n_minus(unit, n_block, p, k) if n_block else None
+              for k, (unit, n_block) in enumerate(zip(units, lengths), 1)]
     words = []
-
-    mod_q = x_pow_n_minus(mu0, pr.q, p, 1) if pr.q else None
-    mod_r = x_pow_n_minus(mu1, pr.r, p, 2) if pr.r else None
-    mod_s = x_pow_n_minus(mu2, pr.s, p, 3) if pr.s else None
-
-    if pr.q:
-        (f0p,) = _divisors((f0,), ("f0",), p, 1, mod_q, mu0)
-        words.append(_block_word(pr, poly_divmod(f0p, mod_q)[1], None, None))
-
-    if pr.r:
-        g0, g1 = _divisors(g, ("g0", "g1"), p, 2, mod_r, mu1)
+    for k, (names, mixing_names) in enumerate(_ROWS, 1):
+        modulus = moduli[k - 1]
+        if modulus is None:
+            continue
+        ds = []
+        for name in names:
+            d = modulus if given[name] is None else _as_block_poly(given[name], p, k)
+            if not divides(d, modulus):
+                raise DivisibilityViolation(
+                    f"{name} = {d} does not divide x^{modulus.degree} - {units[k - 1]}")
+            ds.append(d)
         if hypotheses != "ignore":
-            _soft_check(divides(g1, g0), f"chain g1 | g0 fails for g1 = {g1}, g0 = {g0}",
-                        hypotheses)
-        l1p = poly_divmod(_as_block_poly(l1, p, 1, Poly.zero(p)), mod_q)[1] if pr.q else None
-        u_r = Poly(p, 2, (ChainElement(p, 2, (0, 1)),))
-        row_r = poly_divmod(g0 + u_r * g1, mod_r)[1]
-        words.append(_block_word(pr, l1p, row_r, None))
+            for i in range(k - 1, 0, -1):
+                _soft_check(divides(ds[i], ds[i - 1]),
+                            f"chain {names[i]} | {names[i - 1]} fails for "
+                            f"{names[i]} = {ds[i]}, {names[i - 1]} = {ds[i - 1]}", hypotheses)
+        mixed = [None if given[name] is None
+                 else poly_divmod(_as_block_poly(given[name], p, j), moduli[j - 1])[1]
+                 for j, name in enumerate(mixing_names, 1)]
+        chain = sum((d.scale((0,) * i + (1,)) for i, d in enumerate(ds)), Poly.zero(p, k))
+        words.append(word_from_polynomials(profile, *mixed, poly_divmod(chain, modulus)[1]))
 
-    if pr.s:
-        h0, h1, h2 = _divisors(h, ("h0", "h1", "h2"), p, 3, mod_s, mu2)
-        if hypotheses != "ignore":
-            _soft_check(divides(h2, h1), f"chain h2 | h1 fails for h2 = {h2}, h1 = {h1}",
-                        hypotheses)
-            _soft_check(divides(h1, h0), f"chain h1 | h0 fails for h1 = {h1}, h0 = {h0}",
-                        hypotheses)
-        l2p = poly_divmod(_as_block_poly(l2, p, 1, Poly.zero(p)), mod_q)[1] if pr.q else None
-        l3p = poly_divmod(_as_block_poly(l3, p, 2, Poly.zero(p, 2)), mod_r)[1] if pr.r else None
-        u_s = Poly(p, 3, (ChainElement(p, 3, (0, 1, 0)),))
-        row_s = poly_divmod(h0 + u_s * h1 + u_s * u_s * h2, mod_s)[1]
-        words.append(_block_word(pr, l2p, l3p, row_s))
-
-    return shift_module_span(words, *(1 if m is None else m for m in (mu0, mu1, mu2)),
-                             profile=pr)
+    return shift_module_span(words, *(1 if m is None else m for m in units), profile=profile)
 
 
 def word_from_polynomials(profile: BlockProfile,
@@ -344,12 +322,11 @@ def word_from_polynomials(profile: BlockProfile,
     Degrees must fit inside their blocks; callers reduce mod the block
     modulus beforehand when starting from larger-degree data.
     """
-    p = profile.p
-    zp = _as_block_poly(zp_poly, p, 1, Poly.zero(p)) if zp_poly is not None else None
-    rp = _as_block_poly(r_poly, p, 2, Poly.zero(p, 2)) if r_poly is not None else None
-    sp = _as_block_poly(s_poly, p, 3, Poly.zero(p, 3)) if s_poly is not None else None
-    for poly, n_block, name in ((zp, profile.q, "q"), (rp, profile.r, "r"),
-                                (sp, profile.s, "s")):
-        if poly is not None and poly.degree >= n_block:
+    p, lengths = profile.p, profile.lengths
+    polys = [Poly.zero(p, k) if poly is None else _as_block_poly(poly, p, k)
+             for k, poly in enumerate((zp_poly, r_poly, s_poly), 1)]
+    for poly, n_block, name in zip(polys, lengths, "qrs"):
+        if poly.degree >= n_block:
             raise DivisibilityViolation(f"polynomial degree exceeds block length {name}")
-    return _block_word(profile, zp, rp, sp)
+    return MixedWord.of(profile, ([poly.coefficient(j) for j in range(n_block)]
+                                  for poly, n_block in zip(polys, lengths)))

@@ -52,12 +52,6 @@ def _read_json(path: str | None):
     return json.loads(text)
 
 
-def _word_from_json(profile: BlockProfile, blocks) -> MixedWord:
-    zp, rpart, spart = blocks
-    zp = [b[0] if isinstance(b, (list, tuple)) else b for b in zp]
-    return MixedWord.make(profile, zp, rpart, spart)
-
-
 def load_code(spec: dict) -> AdditiveCode:
     """Build an additive code from its JSON spec.
 
@@ -71,9 +65,8 @@ def load_code(spec: dict) -> AdditiveCode:
     profile = BlockProfile(int(spec["p"]), int(spec.get("q", 0)),
                            int(spec.get("r", 0)), int(spec.get("s", 0)))
     mu = spec.get("mu", [1, 1, 1])
-    mu = [m if not isinstance(m, list) else tuple(m) for m in mu]
     if "generators" in spec:
-        words = [_word_from_json(profile, blocks) for blocks in spec["generators"]]
+        words = [MixedWord.make(profile, *blocks) for blocks in spec["generators"]]
         if spec.get("constacyclic_closure"):
             from .additive import shift_module_span
             return shift_module_span(words, *mu, profile=profile)
@@ -146,7 +139,7 @@ def cmd_dual(args) -> int:
 def cmd_contains(args) -> int:
     spec = _read_json(args.input)
     code = load_code(spec)
-    word = _word_from_json(code.profile, json.loads(args.word))
+    word = MixedWord.make(code.profile, *json.loads(args.word))
     verdict = code.contains(word)
     _print({"contains": verdict}, args.json, [str(verdict).lower()])
     return EXIT_OK

@@ -14,6 +14,7 @@ is nonzero in Z_p.
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 from typing import Iterable, Sequence, Union
 
@@ -37,20 +38,22 @@ class ChainElement:
             raise WrongRing(f"nilpotency index must be 1, 2 or 3, got {self.k}")
         if len(self.coeffs) != self.k:
             raise WrongRing(f"expected {self.k} coefficients, got {len(self.coeffs)}")
-        object.__setattr__(self, "coeffs", tuple(c % self.p for c in self.coeffs))
+        try:
+            coeffs = tuple(operator.index(c) % self.p for c in self.coeffs)
+        except TypeError:
+            raise WrongRing(f"coefficients must be integers, got {self.coeffs}") from None
+        object.__setattr__(self, "coeffs", coeffs)
 
     @classmethod
     def make(cls, value: CoeffsLike, p: int, k: int) -> "ChainElement":
-        """Coerce an int, a coefficient sequence, or a smaller-ring element."""
+        """Coerce an integer, a coefficient sequence, or a smaller-ring element."""
         if isinstance(value, ChainElement):
             if value.p != p:
                 raise ModulusMismatch(f"moduli differ: {value.p} vs {p}")
             if value.k > k:
                 raise WrongRing(f"cannot shrink ring: k={value.k} into k={k}")
             return cls(p, k, value.coeffs + (0,) * (k - value.k))
-        if isinstance(value, int):
-            return cls(p, k, (value,) + (0,) * (k - 1))
-        coeffs = tuple(value)
+        coeffs = tuple(value) if hasattr(value, "__iter__") else (value,)
         if len(coeffs) > k:
             raise WrongRing(f"{len(coeffs)} coefficients do not fit in k={k}")
         return cls(p, k, coeffs + (0,) * (k - len(coeffs)))

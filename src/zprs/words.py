@@ -2,13 +2,15 @@
 
 A word carries a block profile (p, q, r, s).  Any block length may be zero,
 so codes over R, S, RS, Z_pR, ... are the same machinery with empty blocks.
-The flattened coordinate space over Z_p has dimension N = q + 2r + 3s and
-lists the q singles, then r coefficient pairs (a, b), then s triples
-(a, b, d).
+The three rings are one chain: block k = 1, 2, 3 lives in Z_p[u]/(u^k), and
+each word operation below is one loop over k.  The flattened coordinate
+space over Z_p has dimension N = q + 2r + 3s and lists the q singles, then
+r coefficient pairs (a, b), then s triples (a, b, d).
 
-Scalars from S act blockwise through the projections: d scales the Z_p
-block by eta1(d), the R block by eta2(d) and the S block by d itself.
-The S-valued inner product weights the blocks by u^2, u and 1:
+Scalars from S act blockwise through the projections: d scales block k by
+d mod u^k, that is the Z_p block by eta1(d), the R block by eta2(d) and the
+S block by d itself.  The S-valued inner product weights block k by
+u^(3-k), that is by u^2, u and 1:
 
     <v, w> = u^2 * sum x_i x_i' + u * sum y_i y_i' + sum z_i z_i'.
 
@@ -33,7 +35,7 @@ import numpy as np
 from . import linalg
 from .errors import LengthMismatch, ModulusMismatch, NotAUnit, ProfileMismatch
 from .field import ensure_prime
-from .rings import ChainElement, eta1, eta2
+from .rings import ChainElement
 
 UnitLike = Union[int, Sequence[int], ChainElement]
 
@@ -50,6 +52,11 @@ class BlockProfile:
         if min(self.q, self.r, self.s) < 0 or self.q + self.r + self.s < 1:
             raise ProfileMismatch(f"invalid block profile (q={self.q}, r={self.r}, s={self.s})")
         linalg.check_modulus(self.p, self.n)
+
+    @property
+    def lengths(self) -> tuple[int, int, int]:
+        """Block lengths (q, r, s); block k = 1, 2, 3 lives in Z_p[u]/(u^k)."""
+        return self.q, self.r, self.s
 
     @property
     def n(self) -> int:
@@ -76,28 +83,34 @@ class MixedWord:
 
     def __post_init__(self):
         pr = self.profile
-        if len(self.zp) != pr.q or len(self.rpart) != pr.r or len(self.spart) != pr.s:
-            raise LengthMismatch("block lengths do not match the profile")
-        object.__setattr__(self, "zp", tuple(c % pr.p for c in self.zp))
-        for x in self.rpart:
-            if (x.p, x.k) != (pr.p, 2):
-                raise ModulusMismatch("R-block entries must live in Z_p[u]/(u^2)")
-        for x in self.spart:
-            if (x.p, x.k) != (pr.p, 3):
-                raise ModulusMismatch("S-block entries must live in Z_p[u]/(u^3)")
+        zp = tuple(ChainElement.make(c, pr.p, 1) for c in self.zp)
+        object.__setattr__(self, "zp", tuple(x.coeffs[0] for x in zp))
+        for k, (block, length) in enumerate(zip((zp, self.rpart, self.spart), pr.lengths), start=1):
+            if len(block) != length:
+                raise LengthMismatch("block lengths do not match the profile")
+            if any((x.p, x.k) != (pr.p, k) for x in block):
+                raise ModulusMismatch(f"block {k} entries must live in Z_p[u]/(u^{k})")
+
+    @classmethod
+    def of(cls, profile: BlockProfile, blocks) -> "MixedWord":
+        """The word with the given three blocks, block k over Z_p[u]/(u^k)."""
+        return cls(profile, *(tuple(block) for block in blocks))
 
     @classmethod
     def make(cls, profile: BlockProfile, zp=(), rpart=(), spart=()) -> "MixedWord":
-        p = profile.p
-        return cls(profile,
-                   tuple(int(c) % p for c in zp),
-                   tuple(ChainElement.make(x, p, 2) for x in rpart),
-                   tuple(ChainElement.make(x, p, 3) for x in spart))
+        """Coerce every entry of block k into Z_p[u]/(u^k) (see ``ChainElement.make``)."""
+        return cls.of(profile, ([ChainElement.make(x, profile.p, k) for x in block]
+                                for k, block in enumerate((zp, rpart, spart), start=1)))
 
     @classmethod
     def zero(cls, profile: BlockProfile) -> "MixedWord":
-        return cls.make(profile,
-                        (0,) * profile.q, (0,) * profile.r, (0,) * profile.s)
+        return cls.make(profile, *((0,) * length for length in profile.lengths))
+
+    @property
+    def blocks(self) -> tuple[tuple[ChainElement, ...], ...]:
+        """Block k as elements of Z_p[u]/(u^k); ``zp`` keeps the Z_p entries as ints."""
+        p = self.profile.p
+        return (tuple(ChainElement(p, 1, (a,)) for a in self.zp), self.rpart, self.spart)
 
     def _check(self, other: "MixedWord") -> None:
         if self.profile != other.profile:
@@ -105,44 +118,26 @@ class MixedWord:
 
     def __add__(self, other: "MixedWord") -> "MixedWord":
         self._check(other)
-        p = self.profile.p
-        return MixedWord(self.profile,
-                         tuple((a + b) % p for a, b in zip(self.zp, other.zp)),
-                         tuple(a + b for a, b in zip(self.rpart, other.rpart)),
-                         tuple(a + b for a, b in zip(self.spart, other.spart)))
+        return MixedWord.of(self.profile, ([x + y for x, y in zip(a, b)]
+                                           for a, b in zip(self.blocks, other.blocks)))
 
     def __sub__(self, other: "MixedWord") -> "MixedWord":
         return self + mixed_scalar_mul(-1, other)
 
     @property
     def is_zero(self) -> bool:
-        return (not any(self.zp) and all(x.is_zero for x in self.rpart)
-                and all(x.is_zero for x in self.spart))
-
-    def coordinates(self) -> list[tuple[int, ChainElement, ChainElement]]:
-        """Per-position triples (x_j, y_j, z_j); requires q = r = s."""
-        pr = self.profile
-        if not (pr.q == pr.r == pr.s):
-            raise LengthMismatch("coordinate triples need q = r = s")
-        return [(self.zp[j], self.rpart[j], self.spart[j]) for j in range(pr.q)]
+        return all(x.is_zero for block in self.blocks for x in block)
 
     def __str__(self) -> str:
-        blocks = [",".join(str(c) for c in self.zp),
-                  ",".join(str(x) for x in self.rpart),
-                  ",".join(str(x) for x in self.spart)]
-        return "(" + " | ".join(blocks) + ")"
+        return "(" + " | ".join(",".join(map(str, block)) for block in self.blocks) + ")"
 
 
 def mixed_scalar_mul(d: UnitLike, w: MixedWord) -> MixedWord:
-    """Scale by d in S: the Z_p block by eta1(d), the R block by eta2(d)."""
+    """Scale by d in S: block k by d mod u^k."""
     p = w.profile.p
     ds = ChainElement.make(d, p, 3)
-    d1 = eta1(ds).coeffs[0]
-    d2 = eta2(ds)
-    return MixedWord(w.profile,
-                     tuple(d1 * c % p for c in w.zp),
-                     tuple(d2 * y for y in w.rpart),
-                     tuple(ds * z for z in w.spart))
+    return MixedWord.of(w.profile, ([ChainElement(p, k, ds.coeffs[:k]) * x for x in block]
+                                    for k, block in enumerate(w.blocks, start=1)))
 
 
 def flatten(w: MixedWord) -> np.ndarray:
@@ -155,41 +150,29 @@ def unflatten(vec, profile: BlockProfile) -> MixedWord:
     v = [int(c) % profile.p for c in vec]
     if len(v) != profile.n:
         raise LengthMismatch(f"expected {profile.n} coordinates, got {len(v)}")
-    _, rcols, scols = block_columns(profile)
-    return MixedWord(profile, tuple(v[:profile.q]),
-                     *(tuple(ChainElement(profile.p, k, tuple(v[i] for i in cols))
-                             for cols in block.tolist()) for k, block in ((2, rcols), (3, scols))))
+    return MixedWord.of(profile, ([ChainElement(profile.p, k, tuple(v[i] for i in cols))
+                                   for cols in block.reshape(-1, k).tolist()]
+                                  for k, block in enumerate(block_columns(profile), start=1)))
 
 
-def constacyclic_shift(w: MixedWord,
-                       mu0: UnitLike = 1,
-                       mu1: UnitLike = 1,
+def constacyclic_shift(w: MixedWord, mu0: UnitLike = 1, mu1: UnitLike = 1,
                        mu2: UnitLike = 1) -> MixedWord:
     """Rotate each block right by one; the wrapped entry picks up the block unit."""
-    pr, p = w.profile, w.profile.p
-    zp, rpart, spart = w.zp, w.rpart, w.spart
-    if pr.q:
-        zp = (as_unit(mu0, p, 1).coeffs[0] * zp[-1] % p,) + zp[:-1]
-    if pr.r:
-        rpart = (as_unit(mu1, p, 2) * rpart[-1],) + rpart[:-1]
-    if pr.s:
-        spart = (as_unit(mu2, p, 3) * spart[-1],) + spart[:-1]
-    return MixedWord(pr, zp, rpart, spart)
+    p, units = w.profile.p, (mu0, mu1, mu2)
+    return MixedWord.of(w.profile, ((as_unit(units[k - 1], p, k) * block[-1],) + block[:-1]
+                                    if block else block
+                                    for k, block in enumerate(w.blocks, start=1)))
 
 
 def inner_product(v: MixedWord, w: MixedWord) -> ChainElement:
-    """The S-valued form u^2 sum x x' + u sum y y' + sum z z'."""
+    """The S-valued form u^2 sum x x' + u sum y y' + sum z z': block k weighs u^(3-k)."""
     v._check(w)
     p = v.profile.p
     acc = ChainElement.zero(p, 3)
-    u1 = ChainElement(p, 3, (0, 1, 0))
-    u2 = ChainElement(p, 3, (0, 0, 1))
-    for a, b in zip(v.zp, w.zp):
-        acc = acc + u2.scale(a * b % p)
-    for y, y2 in zip(v.rpart, w.rpart):
-        acc = acc + u1 * (y.lift(3) * y2.lift(3))
-    for z, z2 in zip(v.spart, w.spart):
-        acc = acc + z * z2
+    for k, (xs, ys) in enumerate(zip(v.blocks, w.blocks), start=1):
+        weight = ChainElement.make((0,) * (3 - k) + (1,), p, 3)
+        for x, y in zip(xs, ys):
+            acc = acc + weight * x.lift(3) * y.lift(3)
     return acc
 
 
@@ -220,8 +203,7 @@ def shift_matrix(profile: BlockProfile, mu0: UnitLike = 1, mu1: UnitLike = 1,
     """X with flatten(constacyclic_shift(w, mu0, mu1, mu2)) = flatten(w) @ X mod p."""
     p = profile.p
     units = tuple(as_unit(mu, p, k) if length else None
-                  for mu, k, length in ((mu0, 1, profile.q), (mu1, 2, profile.r),
-                                        (mu2, 3, profile.s)))
+                  for k, (mu, length) in enumerate(zip((mu0, mu1, mu2), profile.lengths), start=1))
     return _shift_matrix(profile, units)
 
 

@@ -1,3 +1,6 @@
+import re
+import warnings
+
 import numpy as np
 import pytest
 
@@ -5,7 +8,7 @@ from zprs.additive import (AdditiveCode, GeneratorHypothesisWarning, from_genera
                            shift_module_span, span_closure, word_from_polynomials)
 from zprs.errors import DivisibilityViolation, GcdViolation, LengthMismatch, ProfileMismatch
 from zprs.linear import LinearCode
-from zprs.polynomials import Poly
+from zprs.polynomials import Poly, factor_xn_minus_lambda, poly_divmod, x_pow_n_minus
 from zprs.rings import ChainElement
 from zprs.words import BlockProfile, MixedWord, inner_product, unflatten
 
@@ -282,3 +285,104 @@ def test_word_from_polynomials_rejects_overflow():
         word_from_polynomials(pr, zp_poly=[1, 1])
     w = word_from_polynomials(pr, zp_poly=[1], r_poly=Poly.make([(0, 1)], 2, 2))
     assert w == MixedWord.make(pr, (1,), ((0, 1),), (0,))
+
+
+def test_units_and_coefficients_may_be_numpy_integers():
+    pr = BlockProfile(5, 1, 1, 1)
+    assert AdditiveCode.full_space(pr).is_constacyclic(np.int64(2))
+    w = MixedWord.make(pr, (np.int64(1),), ((np.int64(2), 0),), ((0, np.int64(1), 0),))
+    plain = MixedWord.make(pr, (1,), ((2, 0),), ((0, 1, 0),))
+    assert shift_module_span([w], np.int64(2), profile=pr) == shift_module_span([plain], 2,
+                                                                                profile=pr)
+
+
+def test_from_generator_polynomials_refuses_what_it_cannot_place():
+    # a polynomial for a row or a block the profile lacks
+    for profile, kwargs in ((BlockProfile(2, 3, 0, 0), dict(g=([1, 1], [1]))),
+                            (BlockProfile(2, 0, 3, 3), dict(f0=[1, 1])),
+                            (BlockProfile(2, 0, 3, 3), dict(l=([1],))),            # l1 in Z_p
+                            (BlockProfile(2, 3, 0, 3), dict(l=(None, None, [1]))),  # l3 in R
+                            (BlockProfile(2, 3, 3, 0), dict(l=(None, [1])))):       # l2's row
+        with pytest.raises(ProfileMismatch):
+            from_generator_polynomials(profile, (1, 1, 1), **kwargs)
+    # more polynomials than the rows have
+    pr = BlockProfile(2, 1, 1, 1)
+    for kwargs in (dict(g=([1], [1], [1])), dict(h=([1],) * 4), dict(l=([1],) * 4)):
+        with pytest.raises(LengthMismatch):
+            from_generator_polynomials(pr, (1, 1, 1), **kwargs)
+    # one unit per block
+    for mu in ((1,), (1, 1), (1, 1, 1, 1)):
+        with pytest.raises(LengthMismatch):
+            from_generator_polynomials(pr, mu, h=([1],))
+    # None still marks an omitted polynomial, for an absent block too
+    code = from_generator_polynomials(BlockProfile(2, 3, 0, 0), (1, 1, 1), f0=[1], g=(None,))
+    assert code.rank == 3
+
+
+def test_from_generator_polynomials_spans_the_displayed_rows():
+    # oracle: (f0, 0, 0), (l1, g0 + u g1, 0) and (l2, l3, h0 + u h1 + u^2 h2), each block
+    # reduced by poly_divmod mod x^n - mu and the rows spanned by shift_module_span
+    rng = np.random.default_rng(15)
+    ranks = set()
+    for trial in range(36):
+        p = (2, 3, 5)[trial % 3]
+        choices = [n for n in range(6) if n % p or n == 0]
+        lengths = [int(rng.choice(choices)) for _ in range(3)]
+        lengths[trial % 3] = lengths[trial % 3] or 1
+        q, r, s = lengths
+        pr = BlockProfile(p, q, r, s)
+        mus = [int(rng.integers(1, p)) for _ in range(3)]
+
+        def divisor(block):
+            d = Poly.one(p)
+            for f in factor_xn_minus_lambda(p, lengths[block - 1], mus[block - 1]):
+                if rng.random() < 0.5:
+                    d = d * f
+            return d.lift(block) if block > 1 else d
+
+        def mixing(block):
+            return Poly.make([rng.integers(0, p, block) for _ in range(int(rng.integers(1, 8)))],
+                             p, block)
+
+        f0 = divisor(1) if q else None
+        g = (divisor(2), divisor(2)) if r else None
+        h = (divisor(3), divisor(3), divisor(3)) if s else None
+        l = (mixing(1) if q and r else None, mixing(1) if q and s else None,
+             mixing(2) if r and s else None)
+        code = from_generator_polynomials(pr, mus, f0=f0, g=g, h=h, l=l, hypotheses="ignore")
+
+        def entries(poly, block):
+            n = lengths[block - 1]
+            if poly is None or not n:
+                return [0] * n
+            rem = poly_divmod(poly, x_pow_n_minus(mus[block - 1], n, p, block))[1]
+            return [rem.coefficient(j) for j in range(n)]
+
+        u2, u3 = Poly.make([(0, 1)], p, 2), Poly.make([(0, 1, 0)], p, 3)
+        rows = []
+        if q:
+            rows.append(MixedWord.make(pr, entries(f0, 1), [0] * r, [0] * s))
+        if r:
+            rows.append(MixedWord.make(pr, entries(l[0], 1), entries(g[0] + u2 * g[1], 2),
+                                       [0] * s))
+        if s:
+            rows.append(MixedWord.make(pr, entries(l[1], 1), entries(l[2], 2),
+                                       entries(h[0] + u3 * h[1] + u3 * u3 * h[2], 3)))
+        assert code == shift_module_span(rows, *mus, profile=pr), (trial, pr, mus)
+        ranks.add(code.rank)
+    assert len(ranks) > 5
+
+
+def test_chain_warnings_come_in_row_order():
+    pr = BlockProfile(2, 0, 3, 3)
+    a, b = [1, 1], [1, 1, 1]          # x + 1 and x^2 + x + 1: coprime divisors of x^3 - 1
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        from_generator_polynomials(pr, (1, 1, 1), g=(a, b), h=(a, b, a))
+    assert [str(w.message).split(" fails")[0] for w in caught] == [
+        "chain g1 | g0", "chain h2 | h1", "chain h1 | h0"]
+    assert all(w.category is GeneratorHypothesisWarning and w.filename == __file__
+               for w in caught)
+    with pytest.raises(DivisibilityViolation, match=re.escape("chain g1 | g0")):
+        from_generator_polynomials(pr, (1, 1, 1), g=(a, b), h=(a, b, a), hypotheses="reject")
+

@@ -188,6 +188,23 @@ def test_exit_codes(capsys, monkeypatch):
     status, _, err = run(capsys, ["distance"], stdin=empty, monkeypatch=monkeypatch)
     assert status == 2
     assert json.loads(err)["error"]["code"] == "ProfileMismatch"
+    # a Z_p entry of a word is one coefficient: [1, 5] is refused, [] reads as 0
+    spec = json.dumps(C2_SPEC)
+    word = json.dumps([[[1, 5], 0], [[0, 0], [0, 0]], [[0, 0, 0], [0, 0, 0]]])
+    status, _, err = run(capsys, ["contains", "--word", word], stdin=spec, monkeypatch=monkeypatch)
+    assert status == 2
+    assert json.loads(err)["error"]["code"] == "WrongRing"
+    word = json.dumps([[[], []], [[], [0, 0]], [[0, 1, 0], []]])
+    status, out, _ = run(capsys, ["contains", "--word", word], stdin=spec, monkeypatch=monkeypatch)
+    assert status == 0 and out.strip() == "true"
+    # malformed polynomial specs: two units for three blocks, g without an R block, and a
+    # coefficient that is not an integer
+    for bad, code in (({"p": 2, "q": 1, "r": 1, "s": 1, "mu": [1], "f0": [1]}, "LengthMismatch"),
+                      ({"p": 2, "q": 3, "g": [[1, 1], [1]]}, "ProfileMismatch"),
+                      ({"p": 5, "q": 1, "r": 1, "s": 1, "f0": [1.5, 1]}, "WrongRing")):
+        status, _, err = run(capsys, ["build"], stdin=json.dumps(bad), monkeypatch=monkeypatch)
+        assert status == 2
+        assert json.loads(err)["error"]["code"] == code
 
 
 def test_deterministic_output(capsys, tmp_path):

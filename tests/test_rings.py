@@ -155,3 +155,16 @@ def test_lift_and_make():
     assert ChainElement.make(7, 5, 2) == R((2, 0), p=5)
     with pytest.raises(WrongRing):
         S((1, 0, 0)).lift(2)
+
+
+def test_coefficients_are_read_as_integers():
+    # numpy integers are integers: read with operator.index and stored as int
+    x = ChainElement.make(np.int64(7), 5, 2)
+    assert x == R((2, 0), p=5) and type(x.coeffs[0]) is int
+    assert ChainElement(5, 2, (np.int64(3), np.int32(6))).coeffs == (3, 1)
+    # a non-integer coefficient is refused, never truncated or stored
+    for bad in (lambda: ChainElement(5, 2, (1.5, 0)), lambda: ChainElement.make(1.5, 5, 1),
+                lambda: ChainElement.make([2.5, 0], 5, 2), lambda: ChainElement.make("1", 5, 1)):
+        with pytest.raises(WrongRing):
+            bad()
+

@@ -3,7 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
-from zprs.errors import LengthMismatch, NotAUnit, ProfileMismatch
+from zprs.errors import LengthMismatch, ModulusMismatch, NotAUnit, ProfileMismatch, WrongRing
 from zprs.rings import ChainElement
 from zprs.words import (BlockProfile, MixedWord, block_columns, constacyclic_shift, flatten,
                         inner_product, mixed_scalar_mul, unflatten)
@@ -119,3 +119,25 @@ def test_inner_product_is_symmetric_and_s_bilinear():
         assert inner_product(v, w) == inner_product(w, v)
         for d in scalars:
             assert inner_product(v, mixed_scalar_mul(d, w)) == d * inner_product(v, w)
+
+
+def test_blocks_hold_each_entry_in_its_chain_ring():
+    pr = BlockProfile(5, 2, 1, 1)
+    w = MixedWord.make(pr, (7, np.int64(3)), ((1, 2),), (4,))
+    assert w.zp == (2, 3) and all(type(c) is int for c in w.zp)
+    assert [[(x.k, x.coeffs) for x in block] for block in w.blocks] == [
+        [(1, (2,)), (1, (3,))], [(2, (1, 2))], [(3, (4, 0, 0))]]
+    assert MixedWord.of(pr, w.blocks) == w
+    # an entry from another ring of the chain is refused, not truncated
+    with pytest.raises(WrongRing):
+        MixedWord.of(pr, (w.rpart * 2, w.rpart, w.spart))
+    with pytest.raises(ModulusMismatch):
+        MixedWord.of(pr, (w.blocks[0], w.spart, w.spart))
+    # so is a non-integer coefficient, and a Z_p entry with two coefficients
+    with pytest.raises(WrongRing):
+        MixedWord.make(BlockProfile(5, 1, 1, 1), (1.5,), ((2.5, 0),), ((0, 0, 0),))
+    with pytest.raises(WrongRing):
+        MixedWord.make(pr, ([1, 5], 0), (0,), (0,))
+    # an empty entry reads as 0 in every block
+    assert MixedWord.make(pr, ([], [3]), ([],), ([],)) == MixedWord.make(pr, (0, 3), (0,), (0,))
+
