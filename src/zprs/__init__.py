@@ -18,7 +18,7 @@ from .field import find_kappa, is_prime
 from .gray import GrayMap, LeeWeightMismatchWarning, gray_hamming_weight, lee_weight
 from .linear import LinearCode, min_distance_by_enumeration
 from .polynomials import (Poly, divides, factor_xn_minus_lambda, hat, parse_poly, poly_divmod,
-                          reciprocal, rho_substitute)
+                          reciprocal)
 from .quantum import (FactorAssignment, QuantumParams, SearchHit, code_from_table_generators,
                       css, cyclic_code_from_assignment, is_dual_containing, search_dual_containing)
 from .rings import ChainElement, eta0, eta1, eta2, unit_order
@@ -39,7 +39,7 @@ __all__ = [
     "hamming_transform", "hat", "inner_product", "is_dual_containing", "is_prime",
     "lee_enumerator", "lee_transform", "lee_weight", "macwilliams_complete_check",
     "min_distance_by_enumeration", "mixed_scalar_mul", "parse_poly", "poly_divmod",
-    "reciprocal", "rho_substitute", "search_dual_containing", "shift_module_span",
+    "reciprocal", "search_dual_containing", "shift_module_span",
     "span_closure", "symbol_table", "symmetrized_enumerator", "symmetrized_q_matrix",
     "symmetrized_transform", "unflatten", "unit_order", "word_from_polynomials",
 ]

@@ -99,7 +99,7 @@ class AdditiveCode:
                 raise ProfileMismatch("word profile differs from the code profile")
             vec = flatten(w)
         else:
-            vec = np.asarray(w, dtype=np.int64)
+            vec = linalg.as_integers(w)
             if vec.shape != (self.profile.n,):
                 raise LengthMismatch(f"expected a length-{self.profile.n} vector")
         return linalg.in_row_space(self.basis, self.pivots, vec, self.profile.p)
@@ -225,6 +225,13 @@ def _soft_check(ok: bool, message: str, policy: str) -> None:
         warnings.warn(message, GeneratorHypothesisWarning, stacklevel=3)
 
 
+def block_units(mu) -> tuple:
+    """``mu`` as (mu0, mu1, mu2), one unit per block; else ``LengthMismatch``."""
+    if not isinstance(mu, Sequence) or isinstance(mu, str) or len(mu) != 3:
+        raise LengthMismatch(f"mu needs one unit per block, got {mu!r}")
+    return tuple(mu)
+
+
 # Row k: the divisors d_i of the block-k modulus, whose sum of u^i d_i fills
 # block k, and the mixing polynomials that fill blocks 1, ..., k-1.
 _ROWS = ((("f0",), ()), (("g0", "g1"), ("l1",)), (("h0", "h1", "h2"), ("l2", "l3")))
@@ -259,8 +266,7 @@ def from_generator_polynomials(profile: BlockProfile,
     p, lengths = profile.p, profile.lengths
     if hypotheses not in ("warn", "reject", "ignore"):
         raise ValueError("hypotheses must be 'warn', 'reject' or 'ignore'")
-    if len(mu) != 3:
-        raise LengthMismatch(f"mu needs one unit per block, got {len(mu)} entries")
+    mu = block_units(mu)
     given = {}
     for polys, names in zip(((f0,), g, h, l), [d for d, _ in _ROWS] + [("l1", "l2", "l3")]):
         polys = tuple(polys or ())

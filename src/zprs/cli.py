@@ -25,7 +25,8 @@ import sys
 from pathlib import Path
 
 from . import reproduce as _reproduce
-from .additive import AdditiveCode, from_generator_polynomials, span_closure
+from .additive import (AdditiveCode, block_units, from_generator_polynomials,
+                       shift_module_span, span_closure)
 from .enumerators import (_hamming_walk, _lee_walk, _symmetrized_walk, complete_enumerator,
                           hamming_enumerator, hamming_transform, lee_enumerator, lee_transform,
                           macwilliams_complete_check, symbol_table, symmetrized_enumerator,
@@ -62,13 +63,11 @@ def load_code(spec: dict) -> AdditiveCode:
     "constacyclic_closure": true to also close under the (mu0, mu1, mu2)
     shift.  The polynomial form accepts Z_p polynomials as text.
     """
-    profile = BlockProfile(int(spec["p"]), int(spec.get("q", 0)),
-                           int(spec.get("r", 0)), int(spec.get("s", 0)))
-    mu = spec.get("mu", [1, 1, 1])
+    profile = BlockProfile(spec["p"], spec.get("q", 0), spec.get("r", 0), spec.get("s", 0))
+    mu = block_units(spec.get("mu", [1, 1, 1]))
     if "generators" in spec:
         words = [MixedWord.make(profile, *blocks) for blocks in spec["generators"]]
         if spec.get("constacyclic_closure"):
-            from .additive import shift_module_span
             return shift_module_span(words, *mu, profile=profile)
         return span_closure(words, profile=profile)
     def coerce(poly):
@@ -78,7 +77,7 @@ def load_code(spec: dict) -> AdditiveCode:
     polys = {key: tuple(map(coerce, spec[key])) for key in ("g", "h", "l") if key in spec}
     if "f0" in spec:
         polys["f0"] = coerce(spec["f0"])
-    return from_generator_polynomials(profile, tuple(mu), **polys,
+    return from_generator_polynomials(profile, mu, **polys,
                                       hypotheses=spec.get("hypotheses", "warn"))
 
 
@@ -86,8 +85,7 @@ def load_linear(spec: dict) -> LinearCode:
     """Linear code from {"p", "n", "generator": rows} or an additive spec + Gray."""
     if "generator" in spec:
         rows = spec["generator"]
-        n = int(spec.get("n", len(rows[0]) if rows else 0))
-        return LinearCode(int(spec["p"]), n, rows)
+        return LinearCode(spec["p"], spec.get("n", len(rows[0]) if rows else 0), rows)
     code = load_code(spec)
     return GrayMap(code.profile.p).image(code)
 
@@ -168,20 +166,15 @@ _WENUM = {"complete": complete_enumerator, "hamming": hamming_enumerator,
           "symmetrized": symmetrized_enumerator, "lee": lee_enumerator}
 
 
-def _enum_names(kind: str, code: AdditiveCode):
-    if kind in ("hamming", "lee"):
-        return ["x", "y"]
-    if kind == "symmetrized":
-        t = symbol_table(code.profile.p)
-        return [f"W_{i}" for i in range(t.max_lee_weight + 1)]
-    return None  # complete: x_<index>
+# the variable names of each kind; complete prints x_<index>
+_ENUM_NAMES = {"hamming": ["x", "y"], "lee": ["x", "y"],
+               "symmetrized": [f"W_{i}" for i in range(7)]}
 
 
 def cmd_wenum(args) -> int:
     code = load_code(_read_json(args.input))
     enum = _WENUM[args.kind](code)
-    names = _enum_names(args.kind, code)
-    lines = [enum.text(names)]
+    lines = [enum.text(_ENUM_NAMES.get(args.kind))]
     if args.kind == "complete":
         t = symbol_table(code.profile.p)
         used = sorted({var for key in enum.terms for var, _ in key})

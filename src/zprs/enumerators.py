@@ -17,20 +17,24 @@ inner product of one triple (``words.form_matrices``), and all character sums
 come from one Fourier transform over Z_p^6, exact in Z[y]/(y^p - 1).
 
 Four enumerators are provided: complete (p^6 variables), Hamming (x, y),
-symmetrized (W_0..W_M grouped by symbol Lee weight) and Lee (x, y; the
-Hamming enumerator of the Gray image).  Each has an exact dual transform;
-the complete identity is verified by evaluation at fixed pseudo-random
-integer points instead of materializing the p^6-variate transform.
-Hamming, Lee and (p <= 3) symmetrized walk the smaller of C and C^perp and
-transform back; the ``_*_walk`` routines always walk C, so the MacWilliams
-verifiers compare two independent walks.
+symmetrized (W_0..W_6, W_i counting coordinates whose symbol has Gray weight
+i) and Lee (x, y; the Hamming enumerator of the Gray image).  Each has an
+exact dual transform; the complete identity is verified by evaluation at
+fixed pseudo-random integer points instead of materializing the p^6-variate
+transform.  Hamming, Lee and symmetrized walk the smaller of C and C^perp
+and transform back; the ``_*_walk`` routines always walk C, so the
+MacWilliams verifiers compare two independent walks.
 
-The three transforms are one routine, ``substitute_linear``.  At degree n
-the substitution of Q X for X is the integer matrix T = Sym^n(Q) on the
-monomial basis (for the bivariate Hamming and Lee forms, the Krawtchouk
-matrix), so a transform is T times the coefficient vector, in exact
-integers, divided by the code size, evaluated by Horner's rule on the
-input's monomials without forming T.
+Naming: here "Lee" and the symmetrized classes count the Hamming weight of
+the kappa-free Gray image, [x != 0] on a Z_p digit.  ``gray.lee_weight``
+keeps min(x, p-x) on the Z_p block.  The two agree only at p <= 3.
+
+The three transforms are one routine, ``substitute_linear``, with a
+Krawtchouk matrix as Q: K_1 over an alphabet of p^6 (Hamming) or p (Lee),
+and K_6 over p (symmetrized).  At degree n the substitution of Q X for X
+is the integer matrix T = Sym^n(Q) on the monomial basis, so a transform is
+T times the coefficient vector, in exact integers, divided by the code
+size, evaluated by Horner's rule on the input's monomials without forming T.
 """
 
 from __future__ import annotations
@@ -45,7 +49,7 @@ import numpy as np
 
 from . import linalg
 from .additive import AdditiveCode
-from .errors import BlocksUnequal, InexactDivision, RowCollapseFailure, TooLarge, ZprsError
+from .errors import BlocksUnequal, InexactDivision, TooLarge, ZprsError
 from .rings import ChainElement
 from .gray import position_weights
 from .words import BlockProfile, block_columns, form_matrices
@@ -62,16 +66,15 @@ class SymbolTable:
 
     Index <-> digit conversions work arithmetically, at any p.  The per-symbol
     arrays (digit matrix, weight tables) have p^6 rows and materialize lazily;
-    they serve the character sums and the Q matrix (p <= 7), plus callers that
-    ask for them.  The enumerator walks never read them.
+    the digit matrix serves the complete check's character sums (p <= 7), the
+    weight tables only callers that ask for them.  The enumerator walks and
+    the transforms never read them.
     """
 
     def __init__(self, p: int):
         self.profile = BlockProfile(p, 1, 1, 1)     # a symbol is one coordinate triple
         self.p = p
         self.count = p ** 6
-        # min(x, p-x) reaches p//2 on the Z_p part; the R and S parts reach 2 and 3
-        self.max_lee_weight = p // 2 + 5
 
     @cached_property
     def coeffs(self) -> np.ndarray:
@@ -88,12 +91,11 @@ class SymbolTable:
         """Symbol Lee weight: min(x, p-x) plus the Gray weights of the R, S parts."""
         out = position_weights(self.coeffs, self.profile, lee=True).sum(axis=1)
         out.setflags(write=False)
-        assert int(out.max()) == self.max_lee_weight
         return out
 
     @cached_property
     def gray_weights(self) -> np.ndarray:
-        """Hamming weight of the Gray image (identity on the Z_p part)."""
+        """Hamming weight of the Gray image (identity on the Z_p part): the symmetrized class."""
         out = position_weights(self.coeffs, self.profile, lee=False).sum(axis=1)
         out.setflags(write=False)
         return out
@@ -235,10 +237,10 @@ def _symbol_index_rows(code: AdditiveCode):
                         for c, (s, where) in zip(cols, symbols)]).T
 
 
-def _coordinate_weights(code: AdditiveCode, *, lee: bool):
-    """Chunks of codewords as (rows, n) weights of their coordinate triples."""
+def _coordinate_weights(code: AdditiveCode):
+    """Chunks of codewords as (rows, n) Gray weights of their coordinate triples."""
     _check_triples(code.profile)
-    return (position_weights(c, code.profile, lee=lee).reshape(len(c), 3, -1).sum(axis=1)
+    return (position_weights(c, code.profile, lee=False).reshape(len(c), 3, -1).sum(axis=1)
             for c in code.iter_codeword_vectors())
 
 
@@ -281,7 +283,7 @@ def complete_enumerator(code: AdditiveCode) -> Enumerator:
 
 
 def _hamming_walk(code: AdditiveCode) -> Enumerator:
-    rows, counts = _histogram(_coordinate_weights(code, lee=False),
+    rows, counts = _histogram(_coordinate_weights(code),
                               lambda w: (w != 0).sum(axis=1, keepdims=True))
     return bivariate(dict(zip(rows[:, 0].tolist(), counts.tolist())), code.profile.q)
 
@@ -292,28 +294,22 @@ def hamming_enumerator(code: AdditiveCode) -> Enumerator:
 
 
 def _symmetrized_walk(code: AdditiveCode) -> Enumerator:
-    nvars = symbol_table(code.profile.p).max_lee_weight + 1
-    # row w, column i: coordinates of codeword w with symbol Lee weight i
-    rows, counts = _histogram(_coordinate_weights(code, lee=True),
-                              lambda w: (w[..., None] == np.arange(nvars)).sum(axis=1))
-    return Enumerator(nvars, code.profile.q,
+    # row w, column i: coordinates of codeword w whose symbol has Gray weight i
+    rows, counts = _histogram(_coordinate_weights(code),
+                              lambda w: (w[..., None] == np.arange(7)).sum(axis=1))
+    return Enumerator(7, code.profile.q,
                       {_key(row): c for row, c in zip(rows.tolist(), counts.tolist())})
 
 
 def symmetrized_enumerator(code: AdditiveCode) -> Enumerator:
-    """W_S(W_0, ..., W_M): variable W_i counts coordinates of symbol Lee weight i.
-
-    M = 6 for p in {2, 3}; floor(p/2) + 5 otherwise (the Z_p block can then
-    contribute up to floor(p/2) by itself).  The dual side is used only
-    where the transform exists, p <= 3; above, C itself is walked.
-    """
-    if code.profile.p > 3:
-        return _symmetrized_walk(code)
+    """W_S(W_0, ..., W_6): W_i counts coordinates whose symbol has Gray weight i, the
+    Hamming weight of its kappa-free Gray image.  These classes are Fourier-invariant
+    at every p (``symmetrized_q_matrix``), so the smaller side is walked at every p."""
     return _smaller_side(code, _symmetrized_walk, symmetrized_transform)
 
 
 def _lee_walk(code: AdditiveCode) -> Enumerator:
-    rows, counts = _histogram(_coordinate_weights(code, lee=False),
+    rows, counts = _histogram(_coordinate_weights(code),
                               lambda w: w.sum(axis=1, keepdims=True))
     return bivariate(dict(zip(rows[:, 0].tolist(), counts.tolist())), 6 * code.profile.q)
 
@@ -449,12 +445,15 @@ def substitute_linear(enum: Enumerator, rows: Sequence[Sequence[int]],
     polynomial of a length-(k - 1) prefix is the sum, over its extensions by
     v, of L_v times the extension's polynomial.  Level k holds a vector of
     degree-(n - k) monomials per distinct length-k prefix; T is never formed.
-    Raises ``TooLarge`` when the index tables or a level could exceed
+    Raises ``ZprsError`` unless ``rows`` has one row per variable of ``enum``,
+    ``TooLarge`` when the index tables or a level could exceed
     ``TRANSFORM_BUDGET`` = 2^24 entries (for rows without zeros, expanding
     term by term takes about as many multiply-adds), and
     ``InexactDivision`` when the result is not an exact code_size-multiple:
     the input was not the enumerator of a code of that size.
     """
+    if enum.nvars != len(rows):
+        raise ZprsError(f"expected {len(rows)} variables, got {enum.nvars}")
     q = np.array([[int(c) for c in row] for row in rows], dtype=object)
     m, n = q.shape[1], enum.degree
     size = [math.comb(d + m - 1, d) for d in range(n + 1)]     # monomials of degree d
@@ -491,53 +490,47 @@ def substitute_linear(enum: Enumerator, rows: Sequence[Sequence[int]],
                              zip(exps[nonzero].tolist(), total[nonzero].tolist())})
 
 
+@lru_cache(maxsize=None)
+def _krawtchouk(alphabet: int, length: int) -> tuple[tuple[int, ...], ...]:
+    """K[w][i] = sum_j (-1)^j (alphabet - 1)^(i - j) C(w, j) C(length - w, i - j), the sum
+    of prod_k psi_k(f_k g_k) over the g of weight i in alphabet^length for any f of
+    weight w, psi_k nontrivial additive characters (MacWilliams-Sloane, ch. 5)."""
+    return tuple(tuple(sum((-1) ** j * (alphabet - 1) ** (i - j) * math.comb(w, j)
+                           * math.comb(length - w, i - j) for j in range(i + 1))
+                       for i in range(length + 1)) for w in range(length + 1))
+
+
 def hamming_transform(enum: Enumerator, code_size: int, p: int) -> Enumerator:
-    """Dual Hamming enumerator: substitute (x + (p^6 - 1) y, x - y) and divide."""
-    if enum.nvars != 2:
-        raise ZprsError("Hamming transform expects a bivariate enumerator")
-    return substitute_linear(enum, [[1, p ** 6 - 1], [1, -1]], code_size)
+    """Dual Hamming enumerator: substitute (x + (p^6 - 1) y, x - y), K_1 over p^6, and divide."""
+    return substitute_linear(enum, _krawtchouk(p ** 6, 1), code_size)
 
 
 def lee_transform(enum: Enumerator, code_size: int, p: int) -> Enumerator:
-    """Dual Lee enumerator: substitute (x + (p - 1) y, x - y) and divide.
+    """Dual Lee enumerator: substitute (x + (p - 1) y, x - y), K_1 over Z_p, and divide.
 
-    The Gray image lives over Z_p, whose MacWilliams substitution is
-    (x + (p-1)y, x - y); at p = 2 this is the classical (x + y, x - y).
+    The Gray image lives over Z_p; at p = 2 this is the classical (x + y, x - y).
     """
-    if enum.nvars != 2:
-        raise ZprsError("Lee transform expects a bivariate enumerator")
-    return substitute_linear(enum, [[1, p - 1], [1, -1]], code_size)
+    return substitute_linear(enum, _krawtchouk(p, 1), code_size)
 
 
-@lru_cache(maxsize=None)
 def symmetrized_q_matrix(p: int) -> tuple[tuple[int, ...], ...]:
-    """The (M+1) x (M+1) coefficient matrix Q of the symmetrized transform.
+    """The 7 x 7 matrix Q of the symmetrized transform: K_6 over an alphabet of size p.
 
-    Row w is the common value of sum_j chi(f_i f_j) X_(wt(f_j)) over all
-    symbols f_i of Lee weight w.  Raises ``RowCollapseFailure`` if symbols
-    of equal weight disagree (they never do for p in {2, 3}) or if an entry
-    fails to be a rational integer (p = 5, 7: the transform does not exist),
-    and ``TooLarge`` for p >= 11, above ``TRANSFORM_BUDGET``.
+    Row w is the common value of sum_j chi(f_i f_j) X_(wt(f_j)) over the
+    symbols f_i of Gray weight w.  Why it is K_6 at every p: write the
+    kappa-free Gray map on digits f = (x; a, b; a'', b'', d'') as f M, with
+    M the unimodular integer matrix taking f to (x; a+b, b; a+b+d, b+d, b),
+    and B the character form (``form_matrices`` of one triple, summed over
+    the powers of u).  Then M^-1 B M^-T = diag(1, 1, -1, 1, -1, 1) over Z,
+    so chi(f g) = prod_k zeta^(e_k f'_k g'_k) with f' = f M, g' = g M and
+    e_k = +-1: a product of six nontrivial additive characters of Z_p, one
+    per Gray digit.  As g runs over the symbols, g' runs over Z_p^6, so the
+    sum over the g of Gray weight i is the Krawtchouk value K_6[wt(f')][i].
+    At p <= 3, min(x, p-x) = [x != 0], so these are also the Lee classes.
     """
-    t = symbol_table(p)
-    nw = t.max_lee_weight + 1
-    if nw * p ** 7 > TRANSFORM_BUDGET:
-        raise TooLarge(f"the character sums of {nw} classes over Z_{p}^6 exceed the budget")
-    # sums[w, i, tau] = #{j : wt(f_j) = w, chi(f_i f_j) = zeta^tau}
-    sums = _character_sums((t.lee_weights == np.arange(nw)[:, None]).astype(np.int64), p)
-    coeffs = sums[..., : p - 1] - sums[..., p - 1:]
-    if p > 2 and coeffs[..., 1:].any():
-        raise RowCollapseFailure("irrational Q entries: Lee classes are not Fourier-invariant")
-    values = coeffs[..., 0].T
-    first = [int(np.argmax(t.lee_weights == w)) for w in range(nw)]
-    if (values != values[first][t.lee_weights]).any():
-        raise RowCollapseFailure("symbols of equal Lee weight produce different transform rows")
-    return tuple(tuple(int(v) for v in values[i]) for i in first)
+    return _krawtchouk(p, 6)
 
 
 def symmetrized_transform(enum: Enumerator, code_size: int, p: int) -> Enumerator:
     """Dual symmetrized enumerator via the Q-matrix substitution."""
-    q = symmetrized_q_matrix(p)
-    if enum.nvars != len(q):
-        raise ZprsError(f"expected {len(q)} weight-class variables, got {enum.nvars}")
-    return substitute_linear(enum, q, code_size)
+    return substitute_linear(enum, symmetrized_q_matrix(p), code_size)

@@ -75,10 +75,6 @@ class InexactDivision(ZprsError):
     """An enumerator transform did not divide exactly by the code size."""
 
 
-class RowCollapseFailure(ZprsError):
-    """Two symbols of equal Lee weight produced different transform rows."""
-
-
 class NotDualContaining(ZprsError):
     """The CSS construction needs a dual-containing code."""
 

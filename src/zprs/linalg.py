@@ -13,11 +13,12 @@ can leave int64.
 
 from __future__ import annotations
 
+import operator
 from typing import Iterator
 
 import numpy as np
 
-from .errors import ModulusTooLarge, TooLarge
+from .errors import ModulusTooLarge, TooLarge, WrongRing
 
 CHUNK, WALK_LIMIT = 1 << 14, 1 << 24
 
@@ -29,10 +30,25 @@ def check_modulus(p: int, n: int) -> None:
                               f"on {n} coordinates: n (p-1)^2 >= 2^63")
 
 
+def as_integers(values) -> np.ndarray:
+    """``values`` as an int64 array, never truncated: Python ints and numpy integer
+    and bool arrays pass, object arrays are read entry by entry with
+    ``operator.index``, and anything else raises ``WrongRing``."""
+    a = np.asarray(values)
+    if a.dtype == object:
+        try:
+            a = np.array([operator.index(x) for x in a.ravel()], np.int64).reshape(a.shape)
+        except TypeError:
+            raise WrongRing("entries must be integers, got a non-integer object") from None
+    if a.dtype.kind not in "iub" and a.size:
+        raise WrongRing(f"entries must be integers, got {a.dtype} entries")
+    return a.astype(np.int64)
+
+
 def as_matrix(rows, ncols: int) -> np.ndarray:
     if len(rows) == 0:
         return np.zeros((0, ncols), dtype=np.int64)
-    m = np.array(rows, dtype=np.int64)
+    m = as_integers(rows)
     if m.ndim == 1:
         m = m.reshape(1, -1)
     if m.shape[1] != ncols:

@@ -22,7 +22,7 @@ from typing import Sequence, Union
 import numpy as np
 
 from .errors import (GcdViolation, ModulusMismatch, NonUnitLeadingCoefficient, NotADivisor,
-                     NotAUnit, ZeroConstantTerm)
+                     ZeroConstantTerm)
 from .field import ensure_prime
 from .linalg import check_modulus, kernel_basis
 from .rings import ChainElement
@@ -306,18 +306,3 @@ def hat(f: Poly, p: int, n: int, lam: int) -> Poly:
         raise NotADivisor(f"{f} does not divide x^{n} - {lam % p}")
     return q
 
-
-def rho_substitute(f: Poly, mu: CoeffLike, n: int) -> Poly:
-    """f(mu^-1 x) reduced mod x^n - mu.
-
-    This is the ring isomorphism carrying ideals of R[x]/(x^n - 1) to ideals
-    of R[x]/(x^n - mu): cyclic codes become mu-constacyclic codes.
-    """
-    mu_e = ChainElement.make(mu, f.p, f.k)
-    if not mu_e.is_unit:
-        raise NotAUnit(f"{mu_e} is not a unit")
-    # x^j -> mu^-j x^j, and x^j = mu^(j div n) x^(j mod n) mod x^n - mu
-    out = [ChainElement.zero(f.p, f.k)] * min(n, len(f.coeffs))
-    for j, c in enumerate(f.coeffs):
-        out[j % n] = out[j % n] + c * mu_e ** (j // n - j)
-    return Poly(f.p, f.k, tuple(out))

@@ -26,6 +26,7 @@ layout.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Sequence, Union
@@ -48,6 +49,11 @@ class BlockProfile:
     s: int
 
     def __post_init__(self):
+        try:
+            for name in ("p", "q", "r", "s"):
+                object.__setattr__(self, name, operator.index(getattr(self, name)))
+        except TypeError:
+            raise ProfileMismatch(f"{name} is not an integer: {getattr(self, name)!r}") from None
         ensure_prime(self.p)
         if min(self.q, self.r, self.s) < 0 or self.q + self.r + self.s < 1:
             raise ProfileMismatch(f"invalid block profile (q={self.q}, r={self.r}, s={self.s})")
@@ -147,9 +153,10 @@ def flatten(w: MixedWord) -> np.ndarray:
 
 
 def unflatten(vec, profile: BlockProfile) -> MixedWord:
-    v = [int(c) % profile.p for c in vec]
-    if len(v) != profile.n:
-        raise LengthMismatch(f"expected {profile.n} coordinates, got {len(v)}")
+    v = linalg.as_integers(vec) % profile.p
+    if v.shape != (profile.n,):
+        raise LengthMismatch(f"expected {profile.n} coordinates, got shape {v.shape}")
+    v = v.tolist()
     return MixedWord.of(profile, ([ChainElement(profile.p, k, tuple(v[i] for i in cols))
                                    for cols in block.reshape(-1, k).tolist()]
                                   for k, block in enumerate(block_columns(profile), start=1)))

@@ -13,10 +13,11 @@ import numpy as np
 
 from zprs.additive import AdditiveCode
 from zprs.enumerators import _product_exponent, _symbol_index_rows, symbol_table
-from zprs.errors import InexactDivision, ModulusMismatch, ZprsError
+from zprs.errors import InexactDivision, ModulusMismatch, NotAUnit, ZprsError
 from zprs.field import ensure_prime
+from zprs.polynomials import Poly
 from zprs.quantum import FactorAssignment, cyclic_code_from_assignment
-from zprs.rings import power
+from zprs.rings import ChainElement, power
 from zprs.words import BlockProfile, block_columns
 
 
@@ -255,3 +256,19 @@ def character(symbol, p: int) -> CyclotomicInt:
     t = symbol_table(p)
     idx = int(symbol) if isinstance(symbol, (int, np.integer)) else t.index_of(symbol)
     return CyclotomicInt.root_power(sum(t.digits(idx)), p)
+
+
+def rho_substitute(f: Poly, mu, n: int) -> Poly:
+    """f(mu^-1 x) reduced mod x^n - mu.
+
+    This is the ring isomorphism carrying ideals of R[x]/(x^n - 1) to ideals
+    of R[x]/(x^n - mu): cyclic codes become mu-constacyclic codes.
+    """
+    mu_e = ChainElement.make(mu, f.p, f.k)
+    if not mu_e.is_unit:
+        raise NotAUnit(f"{mu_e} is not a unit")
+    # x^j -> mu^-j x^j, and x^j = mu^(j div n) x^(j mod n) mod x^n - mu
+    out = [ChainElement.zero(f.p, f.k)] * min(n, len(f.coeffs))
+    for j, c in enumerate(f.coeffs):
+        out[j % n] = out[j % n] + c * mu_e ** (j // n - j)
+    return Poly(f.p, f.k, tuple(out))

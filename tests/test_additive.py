@@ -6,7 +6,8 @@ import pytest
 
 from zprs.additive import (AdditiveCode, GeneratorHypothesisWarning, from_generator_polynomials,
                            shift_module_span, span_closure, word_from_polynomials)
-from zprs.errors import DivisibilityViolation, GcdViolation, LengthMismatch, ProfileMismatch
+from zprs.errors import (DivisibilityViolation, GcdViolation, LengthMismatch, ProfileMismatch,
+                         WrongRing)
 from zprs.linear import LinearCode
 from zprs.polynomials import Poly, factor_xn_minus_lambda, poly_divmod, x_pow_n_minus
 from zprs.rings import ChainElement
@@ -64,6 +65,15 @@ def test_contains_and_mismatch():
         with pytest.raises(LengthMismatch):
             c.contains(vec)
     assert repetition.contains([1] * 6) and not repetition.contains([1] + [0] * 5)
+
+
+def test_contains_refuses_non_integer_coordinates():
+    # 0.7 was truncated to 0, so the zero code contained it
+    zero = AdditiveCode.zero(BlockProfile(2, 1, 1, 1))
+    for vec in ([0.7, 0, 0, 0, 0, 0], np.zeros(6), np.array([0, 0, 0, 0, 0, 0.5], dtype=object)):
+        with pytest.raises(WrongRing):
+            zero.contains(vec)
+    assert zero.contains(np.zeros(6, dtype=np.uint8)) and zero.contains([False] * 6)
 
 
 def test_closure_verification_rejects_raw_subspaces():
@@ -311,7 +321,7 @@ def test_from_generator_polynomials_refuses_what_it_cannot_place():
         with pytest.raises(LengthMismatch):
             from_generator_polynomials(pr, (1, 1, 1), **kwargs)
     # one unit per block
-    for mu in ((1,), (1, 1), (1, 1, 1, 1)):
+    for mu in ((1,), (1, 1), (1, 1, 1, 1), 2):
         with pytest.raises(LengthMismatch):
             from_generator_polynomials(pr, mu, h=([1],))
     # None still marks an omitted polynomial, for an absent block too

@@ -130,14 +130,12 @@ Z5_SPEC = {"p": 5, "q": 1, "r": 1, "s": 1,
 
 
 def test_macwilliams_at_p5(capsys, tmp_path):
-    # the complete identity is checked at p = 5; the symmetrized one does not
-    # exist there, and the refusal names the reason
+    # the complete identity is checked at p = 5, and the symmetrized one holds
+    # there with the Gray-weight classes and K_6
     path = spec_file(tmp_path, Z5_SPEC)
-    status, out, _ = run(capsys, ["macwilliams", "--input", path, "--kind", "complete"])
-    assert status == 0 and out.startswith("PASS")
-    status, out, err = run(capsys, ["macwilliams", "--input", path, "--kind", "symmetrized"])
-    assert status == 2 and out == ""
-    assert json.loads(err)["error"]["code"] == "RowCollapseFailure"
+    for kind in ("complete", "symmetrized"):
+        status, out, _ = run(capsys, ["macwilliams", "--input", path, "--kind", kind])
+        assert status == 0 and out.startswith("PASS")
 
 
 def test_css_command(capsys, tmp_path):
@@ -205,6 +203,29 @@ def test_exit_codes(capsys, monkeypatch):
         status, _, err = run(capsys, ["build"], stdin=json.dumps(bad), monkeypatch=monkeypatch)
         assert status == 2
         assert json.loads(err)["error"]["code"] == code
+
+
+def test_malformed_specs_exit_2(capsys, monkeypatch):
+    # each of these was read by truncation, or died with a traceback and exit 1
+    z5 = {"p": 5, "q": 1, "r": 1, "s": 1}
+    gens = dict(z5, generators=Z5_SPEC["generators"])
+    cases = [("build", dict(gens, p=5.7), "ProfileMismatch"),
+             ("build", dict(gens, q=1.5), "ProfileMismatch"),
+             ("build", dict(gens, constacyclic_closure=True, mu=[1, 1, 1, 1]), "LengthMismatch"),
+             ("build", dict(gens, constacyclic_closure=True, mu=[1]), "LengthMismatch"),
+             ("build", dict(gens, mu=2), "LengthMismatch"),
+             ("build", dict(z5, f0=[1, 1], mu=2), "LengthMismatch"),
+             ("distance", {"p": 2, "n": 3, "generator": [[1.5, 0, 1]]}, "WrongRing"),
+             ("distance", {"p": 2.0, "n": 3, "generator": [[1, 0, 1]]}, "ProfileMismatch"),
+             ("distance", {"p": 2, "n": 3.5, "generator": [[1, 0, 1]]}, "ProfileMismatch")]
+    for command, spec, code in cases:
+        status, out, err = run(capsys, [command], stdin=json.dumps(spec), monkeypatch=monkeypatch)
+        assert (status, out) == (2, ""), spec
+        assert json.loads(err)["error"]["code"] == code, spec
+    status, _, _ = run(capsys, ["build"], stdin=json.dumps(dict(gens, constacyclic_closure=True,
+                                                                  mu=[1, 1, 1])),
+                       monkeypatch=monkeypatch)
+    assert status == 0
 
 
 def test_deterministic_output(capsys, tmp_path):

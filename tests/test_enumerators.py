@@ -10,15 +10,18 @@ from hypothesis import strategies as st
 from zprs import enumerators
 from zprs.additive import AdditiveCode, span_closure
 from zprs.enumerators import (Enumerator, _character_sums, _codeword_sums,
-                              _complete_check_points, _hamming_walk, _lee_walk, _product_exponent,
+                              _complete_check_points, _hamming_walk, _krawtchouk, _lee_walk,
+                              _product_exponent,
                               _symmetrized_walk, char_exponent_matrix, complete_enumerator,
                               hamming_enumerator, hamming_transform,
                               lee_enumerator, lee_transform, macwilliams_complete_check,
                               symbol_table, symmetrized_enumerator, symmetrized_q_matrix,
                               substitute_linear, symmetrized_transform)
-from zprs.errors import BlocksUnequal, InexactDivision, RowCollapseFailure, TooLarge
+from zprs.errors import BlocksUnequal, InexactDivision, TooLarge, ZprsError
+from zprs.field import find_kappa, is_prime
+from zprs.gray import _gray_matrix
 from zprs.linalg import row_space_split
-from zprs.words import BlockProfile, MixedWord, unflatten
+from zprs.words import BlockProfile, MixedWord, form_matrices, unflatten
 
 from oracles import (CyclotomicInt, char_matrix_entry, character, codeword_sums_by_words, regroup,
                      symbol_rows_by_digits)
@@ -185,9 +188,6 @@ def test_symbol_lee_weights():
     assert t.lee_weights[t.index_of((0, 0, (0, 1, 0)))] == 3
     assert t.lee_weights[t.index_of((0, (1, 0), 0))] == 1
     assert t.lee_weights[t.index_of((1, (0, 1), (0, 1, 0)))] == 6
-    assert t.max_lee_weight == 6
-    t13 = symbol_table(13)
-    assert t13.max_lee_weight == 6 + 5  # floor(13/2) + 5 - 6... min(x,p-x) max 6 on Z_p
 
 
 def test_character_examples():
@@ -450,31 +450,96 @@ def test_weight_enumerators_at_large_p_stay_small(p):
     assert [e.coefficient_sum() for e in enums] == [code.size] * 3
 
 
+# per p: (q = r = s, rank) of random codes with at most 29^3 words on either side
+LARGE_P_RANDOM = {5: [(1, 2), (2, 6)], 13: [(1, 2), (1, 4)], 29: [(1, 3)]}
+
+
 @pytest.mark.parametrize("p", [5, 13, 29])
 def test_large_p_walks_satisfy_macwilliams(p):
-    code = triple_code(p)
-    dual = code.dual()
-    for walk, transform in ((_hamming_walk, hamming_transform), (_lee_walk, lee_transform)):
-        assert transform(walk(code), code.size, p) == walk(dual)
+    codes = [triple_code(p)] + [random_code(BlockProfile(p, q, q, q), rank, seed)
+                                for q, rank in LARGE_P_RANDOM[p] for seed in range(2)]
+    for code in codes:
+        dual = code.dual()
+        for walk, transform in ((_hamming_walk, hamming_transform), (_lee_walk, lee_transform),
+                                (_symmetrized_walk, symmetrized_transform)):
+            assert transform(walk(code), code.size, p) == walk(dual)
 
 
-def test_symmetrized_transform_fails_to_exist_at_p5():
-    # 12,500 of the 15,625 symbols see an irrational Q entry: the Lee-weight
-    # classes are not Fourier-invariant for this character at p = 5
+def test_lee_classes_are_not_fourier_invariant_at_p5():
+    # why the symmetrized classes are Gray weights: 12,500 of the 15,625 symbols
+    # see an irrational Q entry when they are classed by Lee weight min(x, p-x)
     t = symbol_table(5)
-    nw = t.max_lee_weight + 1
+    nw = 5 // 2 + 6
     sums = _character_sums((t.lee_weights == np.arange(nw)[:, None]).astype(np.int64), 5)
     assert int((sums[..., 1:4] != sums[..., 4:]).any(axis=(0, 2)).sum()) == 12500
-    with pytest.raises(RowCollapseFailure):
-        symmetrized_q_matrix(5)
-    code = triple_code(5)
-    with pytest.raises(RowCollapseFailure):
-        symmetrized_transform(_symmetrized_walk(code), code.size, 5)
 
 
-@pytest.mark.parametrize("refused", [lambda: macwilliams_complete_check(triple_code(13)),
-                                     lambda: symmetrized_q_matrix(11)],
-                         ids=["complete-check-p13", "q-matrix-p11"])
+# the kappa-free Gray map on one triple's digits (x; a, b; a'', b'', d''):
+# g = f GRAY = (x; a + b, b; a'' + b'' + d'', b'' + d'', b'')
+GRAY = np.array([[1, 0, 0, 0, 0, 0],
+                 [0, 1, 0, 0, 0, 0],
+                 [0, 1, 1, 0, 0, 0],
+                 [0, 0, 0, 1, 0, 0],
+                 [0, 0, 0, 1, 1, 1],
+                 [0, 0, 0, 1, 1, 0]], dtype=np.int64)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 13])
+def test_gray_map_diagonalizes_the_character_form(p):
+    # GRAY is unimodular and GRAY^-1 B GRAY^-T = diag(1, 1, -1, 1, -1, 1) over Z
+    inverse = np.rint(np.linalg.inv(GRAY)).astype(np.int64)
+    assert (GRAY @ inverse == np.eye(6, dtype=np.int64)).all()
+    form = form_matrices(BlockProfile(p, 1, 1, 1)).sum(axis=0)
+    assert (inverse @ form @ inverse.T == np.diag([1, 1, -1, 1, -1, 1])).all()
+    if p % 4 != 3:      # the library's Gray map is GRAY with kappa on two digits
+        kappa = np.diag([1, 1, find_kappa(p), 1, find_kappa(p), 1])
+        assert (_gray_matrix(BlockProfile(p, 1, 1, 1)) == GRAY @ kappa % p).all()
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_gray_classes_have_the_krawtchouk_q_matrix(p):
+    # the character sums of the seven Gray-weight classes are rational, constant on
+    # each class, and K_6 over Z_p
+    t = symbol_table(p)
+    sums = _character_sums((t.gray_weights == np.arange(7)[:, None]).astype(np.int64), p)
+    coeffs = sums[..., : p - 1] - sums[..., p - 1:]
+    assert not coeffs[..., 1:].any()
+    assert (coeffs[..., 0].T == np.array(_krawtchouk(p, 6))[t.gray_weights]).all()
+
+
+def brute_krawtchouk(p, length):
+    """K[w][i] from the counts, over all words g of Z_p^length, of weight i and of
+    f.g = t for f = (1^w 0^(length - w)): the sum of zeta^t, which must be rational."""
+    rows = []
+    for w in range(length + 1):
+        counts = np.zeros((length + 1, p), dtype=object)
+        counts[0, 0] = 1
+        for k in range(length):
+            new = np.zeros_like(counts)
+            for g in range(p):
+                new[int(g != 0):length + 1] += np.roll(counts, g * (k < w), axis=1)[
+                    : length + 1 - int(g != 0)]
+            counts = new
+        assert (counts[:, 1:] == counts[:, 1:2]).all()
+        rows.append(tuple(int(c) for c in counts[:, 0] - counts[:, -1]))
+    return tuple(rows)
+
+
+def test_symmetrized_q_matrix_is_the_brute_krawtchouk_sum():
+    for p in filter(is_prime, range(2, 32)):
+        assert symmetrized_q_matrix(p) == brute_krawtchouk(p, 6)
+    assert _krawtchouk(7, 1) == ((1, 6), (1, -1)) == brute_krawtchouk(7, 1)
+
+
+def test_transforms_refuse_the_wrong_number_of_variables():
+    enum = Enumerator(3, 1, {((0, 1),): 1})
+    for transform in (hamming_transform, lee_transform, symmetrized_transform):
+        with pytest.raises(ZprsError, match="variables"):
+            transform(enum, 1, 5)
+
+
+@pytest.mark.parametrize("refused", [lambda: macwilliams_complete_check(triple_code(13))],
+                         ids=["complete-check-p13"])
 def test_character_sums_above_the_budget_are_refused_up_front(refused):
     tracemalloc.start()
     try:
@@ -494,6 +559,8 @@ def test_symmetrized_q_matrix_values():
     assert q3[0] == (1, 12, 60, 160, 240, 192, 64)
     sizes = np.bincount(symbol_table(3).lee_weights, minlength=7)
     assert tuple(sizes) == q3[0]
+    for p in (2, 3, 5):     # row 0 lists the sizes of the Gray-weight classes
+        assert tuple(np.bincount(symbol_table(p).gray_weights)) == symmetrized_q_matrix(p)[0]
 
 
 def test_transform_soundness_exhaustive_small_codes():
@@ -542,7 +609,7 @@ def test_public_enumerators_equal_walks_on_lopsided_codes(p, n, rank):
         code = random_code(BlockProfile(p, n, n, n), rank, seed)
         dual = code.dual()
         assert dual.rank == code.profile.n - rank < rank
-        for public, walk in WALKS[: 3 if p <= 3 else 2]:
+        for public, walk in WALKS:
             assert public(code) == walk(code)
             assert public(dual) == walk(dual)
 
@@ -730,11 +797,10 @@ def test_symbol_indices_refuse_primes_beyond_int64():
         ((0, 1),): 1}
 
 
-# (Q, c) with Q^2 = c I: the Hamming and Lee substitutions for p in {2, 3, 5}
-# and the symmetrized ones for p in {2, 3}
+# (Q, c) with Q^2 = c I: the Hamming, Lee and symmetrized substitutions for p in {2, 3, 5}
 SQUARE_ROOTS = ([([[1, p ** 6 - 1], [1, -1]], p ** 6) for p in (2, 3, 5)]
                 + [([[1, p - 1], [1, -1]], p) for p in (2, 3, 5)]
-                + [(symmetrized_q_matrix(p), p ** 6) for p in (2, 3)])
+                + [(symmetrized_q_matrix(p), p ** 6) for p in (2, 3, 5)])
 
 
 @st.composite

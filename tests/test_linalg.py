@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 
 from zprs.additive import AdditiveCode
-from zprs.errors import TooLarge
-from zprs.linalg import iter_row_space, row_space_split, rref
+from fractions import Fraction
+
+from zprs.errors import TooLarge, WrongRing
+from zprs.linalg import as_integers, as_matrix, iter_row_space, row_space_split, rref
 from zprs.linear import LinearCode, min_distance_by_enumeration
 from zprs.words import BlockProfile
 
@@ -110,3 +112,24 @@ def test_rref_eliminates_above_a_unit_pivot():
     # column 1 is 1 at the pivot row and nothing below, but 1 above: not e_rank
     rows, pivots = rref(np.array([[1, 1, 2], [0, 1, 1]]), 3)
     assert pivots == [0, 1] and rows.tolist() == [[1, 0, 1], [0, 1, 1]]
+
+
+def test_as_integers_refuses_what_it_would_truncate():
+    assert as_integers([1, np.int64(2), True]).tolist() == [1, 2, 1]
+    assert as_integers(np.array([[3, 4]], dtype=np.uint8)).dtype == np.int64
+    assert as_integers(np.array([5, 2 ** 40], dtype=object)).tolist() == [5, 2 ** 40]
+    assert as_integers([]).shape == (0,)
+    for bad in ([1.5, 0], np.array([1.0, 2.0]), np.array([1, 0.5], dtype=object),
+                ["1"], [None, 1], [Fraction(1), 2], [1 + 0j]):
+        with pytest.raises(WrongRing):
+            as_integers(bad)
+
+
+def test_linear_codes_refuse_non_integer_generators():
+    # [[1.5, 0, 1]] was the code of (1, 0, 1)
+    with pytest.raises(WrongRing):
+        as_matrix([[1.5, 0, 1]], 3)
+    with pytest.raises(WrongRing):
+        LinearCode(2, 3, [[1.5, 0, 1]])
+    assert LinearCode(2, 3, np.array([[1, 0, 1]], dtype=np.int8)).k == 1
+

@@ -105,9 +105,8 @@ def test_public_enumerators_equal_their_walks(code):
     dual = code.dual()
     if max(code.size, dual.size) > WALK_LIMIT:
         return
-    pairs = [(hamming_enumerator, _hamming_walk), (lee_enumerator, _lee_walk)]
-    if code.profile.p <= 3:
-        pairs.append((symmetrized_enumerator, _symmetrized_walk))
+    pairs = [(hamming_enumerator, _hamming_walk), (lee_enumerator, _lee_walk),
+             (symmetrized_enumerator, _symmetrized_walk)]
     for public, walk in pairs:
         for c in (code, dual):
             assert public(c) == walk(c)

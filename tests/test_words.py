@@ -53,6 +53,24 @@ def test_unflatten_round_trip():
         unflatten([0, 1], BlockProfile(2, 1, 1, 1))
 
 
+def test_unflatten_refuses_non_integer_coordinates():
+    # 1.5 was read as 1
+    pr = BlockProfile(2, 1, 1, 1)
+    for vec in ([1.5, 0, 0, 0, 0, 0], np.ones(6), ["1", 0, 0, 0, 0, 0]):
+        with pytest.raises(WrongRing):
+            unflatten(vec, pr)
+    assert unflatten(np.array([3, 0, 0, 0, 0, 1], dtype=object), pr) == unflatten(
+        [1, 0, 0, 0, 0, 1], pr)
+
+
+def test_profile_entries_are_integers():
+    for entries in ((5, 1.5, 1, 1), (5.0, 1, 1, 1), ("5", 1, 1, 1), (5, 1, 1, None)):
+        with pytest.raises(ProfileMismatch):
+            BlockProfile(*entries)
+    pr = BlockProfile(np.int64(5), np.int32(1), True, 1)
+    assert pr == BlockProfile(5, 1, 1, 1) and type(pr.p) is int and type(pr.r) is int
+
+
 def test_mixed_scalar_mul_examples():
     pr = BlockProfile(2, 1, 1, 1)
     w = MixedWord.make(pr, (1,), (1,), (1,))
