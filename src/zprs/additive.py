@@ -27,8 +27,8 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from . import linalg
-from .errors import (DivisibilityViolation, GcdViolation, LengthMismatch, ProfileMismatch,
-                     TooLarge, ZprsError)
+from .errors import (DivisibilityViolation, GcdViolation, LengthMismatch, MalformedInput,
+                     ProfileMismatch, TooLarge, ZprsError)
 from .polynomials import Poly, divides, poly_divmod, x_pow_n_minus
 from .rings import unit_order
 from .words import (BlockProfile, MixedWord, UnitLike, as_unit, block_columns, flatten,
@@ -265,7 +265,8 @@ def from_generator_polynomials(profile: BlockProfile,
     """
     p, lengths = profile.p, profile.lengths
     if hypotheses not in ("warn", "reject", "ignore"):
-        raise ValueError("hypotheses must be 'warn', 'reject' or 'ignore'")
+        raise MalformedInput(f"hypotheses must be 'warn', 'reject' or 'ignore', "
+                             f"got {hypotheses!r}")
     mu = block_units(mu)
     given = {}
     for polys, names in zip(((f0,), g, h, l), [d for d, _ in _ROWS] + [("l1", "l2", "l3")]):

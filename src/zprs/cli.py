@@ -12,9 +12,13 @@ coefficient arrays, lowest degree first; R and S coefficients are nested
 arrays [a, b] and [a, b, d].  Every subcommand is deterministic: the same
 inputs produce byte-identical output.
 
-Exit codes: 0 success; 1 a verification reported FAIL; 2 precondition
-violation (structured error on stderr); 64 unknown subcommand; 65
-malformed JSON.
+Specs and words are checked where they are read (``MalformedInput``).
+``wenum`` and ``macwilliams`` read their kinds from ``enumerators.ENUMERATORS``,
+and ``macwilliams`` prints the verdict of ``enumerators.macwilliams_holds``.
+
+Exit codes: 0 success; 1 a verification reported FAIL; 2 a precondition
+violation or a malformed spec or word (structured error on stderr, nothing
+on stdout); 64 unknown subcommand; 65 malformed JSON.
 """
 
 from __future__ import annotations
@@ -27,11 +31,8 @@ from pathlib import Path
 from . import reproduce as _reproduce
 from .additive import (AdditiveCode, block_units, from_generator_polynomials,
                        shift_module_span, span_closure)
-from .enumerators import (_hamming_walk, _lee_walk, _symmetrized_walk, complete_enumerator,
-                          hamming_enumerator, hamming_transform, lee_enumerator, lee_transform,
-                          macwilliams_complete_check, symbol_table, symmetrized_enumerator,
-                          symmetrized_transform)
-from .errors import ZprsError
+from .enumerators import ENUMERATORS, VARIABLES, macwilliams_holds, symbol_table
+from .errors import MalformedInput, ZprsError
 from .gray import GrayMap
 from .linear import LinearCode
 from .polynomials import factor_xn_minus_lambda, parse_poly
@@ -48,9 +49,29 @@ COMMANDS = ("factor", "build", "dual", "contains", "gray", "distance", "wenum",
             "macwilliams", "css", "css-search", "reproduce")
 
 
-def _read_json(path: str | None):
+def _read_spec(path: str | None) -> dict:
     text = sys.stdin.read() if path in (None, "-") else Path(path).read_text()
-    return json.loads(text)
+    spec = json.loads(text)
+    if not isinstance(spec, dict):
+        raise MalformedInput(f"a spec is a JSON object, got {spec!r}")
+    return spec
+
+
+def _entry(spec: dict, key: str, kind: type = object):
+    """``spec[key]``, which must be present and a ``kind``."""
+    if key not in spec:
+        raise MalformedInput(f"the spec has no {key!r}")
+    if not isinstance(spec[key], kind):
+        raise MalformedInput(f"{key!r} must be a {kind.__name__}, got {spec[key]!r}")
+    return spec[key]
+
+
+def _read_word(profile: BlockProfile, blocks) -> MixedWord:
+    """A word from JSON: at most three arrays, the Z_p, R and S blocks."""
+    if not (isinstance(blocks, list) and len(blocks) <= 3
+            and all(isinstance(block, list) for block in blocks)):
+        raise MalformedInput(f"a word is at most three arrays of entries, got {blocks!r}")
+    return MixedWord.make(profile, *blocks)
 
 
 def load_code(spec: dict) -> AdditiveCode:
@@ -61,22 +82,30 @@ def load_code(spec: dict) -> AdditiveCode:
     "f0", "g", "h", "l".  Both carry p, q, r, s and optionally "mu".  The
     generators form spans the plain S-module closure; set
     "constacyclic_closure": true to also close under the (mu0, mu1, mu2)
-    shift.  The polynomial form accepts Z_p polynomials as text.
+    shift.  The polynomial form accepts Z_p polynomials as text.  A spec of
+    any other shape raises ``MalformedInput``.
     """
-    profile = BlockProfile(spec["p"], spec.get("q", 0), spec.get("r", 0), spec.get("s", 0))
+    profile = BlockProfile(_entry(spec, "p"), spec.get("q", 0), spec.get("r", 0),
+                           spec.get("s", 0))
     mu = block_units(spec.get("mu", [1, 1, 1]))
     if "generators" in spec:
-        words = [MixedWord.make(profile, *blocks) for blocks in spec["generators"]]
+        words = [_read_word(profile, blocks) for blocks in _entry(spec, "generators", list)]
         if spec.get("constacyclic_closure"):
             return shift_module_span(words, *mu, profile=profile)
         return span_closure(words, profile=profile)
-    def coerce(poly):
-        # accept coefficient arrays or Z_p polynomial text like "x^3 + 3x^2 + 5x + 4"
-        return parse_poly(poly, profile.p) if isinstance(poly, str) else poly
 
-    polys = {key: tuple(map(coerce, spec[key])) for key in ("g", "h", "l") if key in spec}
+    def poly(value):
+        # a coefficient array, or Z_p polynomial text like "x^3 + 3x^2 + 5x + 4"
+        if isinstance(value, str):
+            return parse_poly(value, profile.p)
+        if not isinstance(value, list):
+            raise MalformedInput(f"a polynomial is an array or text, got {value!r}")
+        return value
+
+    polys = {key: tuple(map(poly, _entry(spec, key, list))) for key in ("g", "h", "l")
+             if key in spec}
     if "f0" in spec:
-        polys["f0"] = coerce(spec["f0"])
+        polys["f0"] = poly(spec["f0"])
     return from_generator_polynomials(profile, mu, **polys,
                                       hypotheses=spec.get("hypotheses", "warn"))
 
@@ -84,8 +113,10 @@ def load_code(spec: dict) -> AdditiveCode:
 def load_linear(spec: dict) -> LinearCode:
     """Linear code from {"p", "n", "generator": rows} or an additive spec + Gray."""
     if "generator" in spec:
-        rows = spec["generator"]
-        return LinearCode(spec["p"], spec.get("n", len(rows[0]) if rows else 0), rows)
+        rows = _entry(spec, "generator", list)
+        if not all(isinstance(row, list) for row in rows):
+            raise MalformedInput(f"'generator' must be an array of rows, got {rows!r}")
+        return LinearCode(_entry(spec, "p"), spec.get("n", len(rows[0]) if rows else 0), rows)
     code = load_code(spec)
     return GrayMap(code.profile.p).image(code)
 
@@ -121,7 +152,7 @@ def cmd_factor(args) -> int:
 
 
 def cmd_build(args) -> int:
-    code = load_code(_read_json(args.input))
+    code = load_code(_read_spec(args.input))
     pr = code.profile
     return _print_code(code, args.json,
                        [f"additive code over Z_{pr.p} with (q,r,s)=({pr.q},{pr.r},{pr.s})",
@@ -129,22 +160,21 @@ def cmd_build(args) -> int:
 
 
 def cmd_dual(args) -> int:
-    code = load_code(_read_json(args.input)).dual()
+    code = load_code(_read_spec(args.input)).dual()
     return _print_code(code, args.json,
                        [f"dual rank {code.rank}  (|C^perp| = {code.profile.p}^{code.rank})"])
 
 
 def cmd_contains(args) -> int:
-    spec = _read_json(args.input)
-    code = load_code(spec)
-    word = MixedWord.make(code.profile, *json.loads(args.word))
+    code = load_code(_read_spec(args.input))
+    word = _read_word(code.profile, json.loads(args.word))
     verdict = code.contains(word)
     _print({"contains": verdict}, args.json, [str(verdict).lower()])
     return EXIT_OK
 
 
 def cmd_gray(args) -> int:
-    code = load_code(_read_json(args.input))
+    code = load_code(_read_spec(args.input))
     image = GrayMap(code.profile.p).image(code)
     payload = {"p": image.p, "n": image.n, "k": image.k,
                "generator": [[int(x) for x in row] for row in image.generator]}
@@ -155,26 +185,17 @@ def cmd_gray(args) -> int:
 
 
 def cmd_distance(args) -> int:
-    code = load_linear(_read_json(args.input))
+    code = load_linear(_read_spec(args.input))
     d = code.min_distance(args.cap, jobs=args.jobs)
     payload = {"n": code.n, "k": code.k, "d": d}
     _print(payload, args.json, [f"[{code.n}, {code.k}, {d}] over Z_{code.p}"])
     return EXIT_OK
 
 
-_WENUM = {"complete": complete_enumerator, "hamming": hamming_enumerator,
-          "symmetrized": symmetrized_enumerator, "lee": lee_enumerator}
-
-
-# the variable names of each kind; complete prints x_<index>
-_ENUM_NAMES = {"hamming": ["x", "y"], "lee": ["x", "y"],
-               "symmetrized": [f"W_{i}" for i in range(7)]}
-
-
 def cmd_wenum(args) -> int:
-    code = load_code(_read_json(args.input))
-    enum = _WENUM[args.kind](code)
-    lines = [enum.text(_ENUM_NAMES.get(args.kind))]
+    code = load_code(_read_spec(args.input))
+    enum = ENUMERATORS[args.kind](code)
+    lines = [enum.text(VARIABLES.get(args.kind))]
     if args.kind == "complete":
         t = symbol_table(code.profile.p)
         used = sorted({var for key in enum.terms for var, _ in key})
@@ -187,25 +208,16 @@ def cmd_wenum(args) -> int:
 
 
 def cmd_macwilliams(args) -> int:
-    code = load_code(_read_json(args.input))
-    dual = code.dual()
-    if args.kind == "complete":
-        holds = macwilliams_complete_check(code)
-        detail = "point evaluation over Z[zeta_p]"
-    else:
-        # two walks: a public enumerator of C may be the transform of the dual's walk
-        walk, transform = {"hamming": (_hamming_walk, hamming_transform),
-                           "symmetrized": (_symmetrized_walk, symmetrized_transform),
-                           "lee": (_lee_walk, lee_transform)}[args.kind]
-        holds = transform(walk(code), code.size, code.profile.p) == walk(dual)
-        detail = "exact transform comparison"
+    holds = macwilliams_holds(load_code(_read_spec(args.input)), args.kind)
+    detail = ("point evaluation over Z[zeta_p]" if args.kind == "complete"
+              else "exact transform comparison")
     _print({"kind": args.kind, "holds": holds}, args.json,
            [f"{'PASS' if holds else 'FAIL'} MacWilliams ({args.kind}; {detail})"])
     return EXIT_OK if holds else EXIT_FAIL
 
 
 def cmd_css(args) -> int:
-    code = load_linear(_read_json(args.input))
+    code = load_linear(_read_spec(args.input))
     params = css(code, search_cap=args.cap, jobs=args.jobs)
     payload = {"n": params.n, "k": params.k, "d": params.d, "p": params.p}
     _print(payload, args.json, [str(params)])
@@ -283,11 +295,10 @@ def build_parser() -> argparse.ArgumentParser:
     add("distance", cmd_distance, "exact minimum distance", search=True)
 
     sp = add("wenum", cmd_wenum, "weight enumerator")
-    sp.add_argument("--kind", choices=sorted(_WENUM), required=True)
+    sp.add_argument("--kind", choices=sorted(ENUMERATORS), required=True)
 
     sp = add("macwilliams", cmd_macwilliams, "verify a MacWilliams identity")
-    sp.add_argument("--kind", choices=["complete", "hamming", "symmetrized", "lee"],
-                    required=True)
+    sp.add_argument("--kind", choices=sorted(ENUMERATORS), required=True)
 
     add("css", cmd_css, "CSS parameters of a dual-containing code", search=True)
 

@@ -22,8 +22,9 @@ i) and Lee (x, y; the Hamming enumerator of the Gray image).  Each has an
 exact dual transform; the complete identity is verified by evaluation at
 fixed pseudo-random integer points instead of materializing the p^6-variate
 transform.  Hamming, Lee and symmetrized walk the smaller of C and C^perp
-and transform back; the ``_*_walk`` routines always walk C, so the
-MacWilliams verifiers compare two independent walks.
+and transform back; ``walk(code, kind)`` always walks C, so
+``macwilliams_holds`` compares two independent walks.  ``ENUMERATORS``,
+``TRANSFORMS`` and ``VARIABLES`` are the one table of the kinds.
 
 Naming: here "Lee" and the symmetrized classes count the Hamming weight of
 the kappa-free Gray image, [x != 0] on a Z_p digit.  ``gray.lee_weight``
@@ -202,12 +203,6 @@ def _key(exponents: Sequence[int]) -> MonomialKey:
     return tuple((var, exp) for var, exp in enumerate(exponents) if exp)
 
 
-def bivariate(coeffs_by_y_exponent: Mapping[int, int], degree: int) -> Enumerator:
-    """Helper: enumerator sum c_w x^(degree-w) y^w from {w: c_w}."""
-    return Enumerator(2, degree, {_key((degree - w, w)): c
-                                  for w, c in coeffs_by_y_exponent.items() if c})
-
-
 # ---------------------------------------------------------------------------
 # building enumerators from codes
 
@@ -261,12 +256,29 @@ def _histogram(chunks, key) -> tuple[np.ndarray, np.ndarray]:
     return _distinct_rows(*map(np.concatenate, zip(*parts)))
 
 
-def _smaller_side(code: AdditiveCode, walk, transform) -> Enumerator:
-    """``walk(code)``, or the transform of ``walk(dual)`` if 2 rank > N (|C^perp| < |C|)."""
+# per kind: one histogram row per codeword, from its triples' Gray weights w
+_WALK_KEYS = {"hamming": lambda w: (w != 0).sum(axis=1, keepdims=True),
+              "lee": lambda w: w.sum(axis=1, keepdims=True),
+              "symmetrized": lambda w: (w[..., None] == np.arange(7)).sum(axis=1)}
+
+
+def walk(code: AdditiveCode, kind: str) -> Enumerator:
+    """The ``kind`` enumerator ("hamming", "lee" or "symmetrized") of C's own codewords.
+    A one-column key y (Hamming, Lee) becomes x^(degree - y) y^y on the distinct rows."""
+    rows, counts = _histogram(_coordinate_weights(code), _WALK_KEYS[kind])
+    degree = 6 * code.profile.q if kind == "lee" else code.profile.q
+    if rows.shape[1] == 1:
+        rows = np.c_[degree - rows, rows]
+    return Enumerator(rows.shape[1], degree,
+                      {_key(row): c for row, c in zip(rows.tolist(), counts.tolist())})
+
+
+def _smaller_side(code: AdditiveCode, kind: str) -> Enumerator:
+    """``walk(code, kind)``, or the transform of the dual's walk if |C^perp| < |C|."""
     if 2 * code.rank <= code.profile.n:
-        return walk(code)
+        return walk(code, kind)
     dual = code.dual()
-    return transform(walk(dual), dual.size, code.profile.p)
+    return TRANSFORMS[kind](walk(dual, kind), dual.size, code.profile.p)
 
 
 def complete_enumerator(code: AdditiveCode) -> Enumerator:
@@ -282,36 +294,16 @@ def complete_enumerator(code: AdditiveCode) -> Enumerator:
     return Enumerator(pr.p ** 6, pr.q, dict(zip(keys, counts.tolist())))
 
 
-def _hamming_walk(code: AdditiveCode) -> Enumerator:
-    rows, counts = _histogram(_coordinate_weights(code),
-                              lambda w: (w != 0).sum(axis=1, keepdims=True))
-    return bivariate(dict(zip(rows[:, 0].tolist(), counts.tolist())), code.profile.q)
-
-
 def hamming_enumerator(code: AdditiveCode) -> Enumerator:
     """W_H(x, y) over coordinate triples: weight = number of nonzero triples."""
-    return _smaller_side(code, _hamming_walk, hamming_transform)
-
-
-def _symmetrized_walk(code: AdditiveCode) -> Enumerator:
-    # row w, column i: coordinates of codeword w whose symbol has Gray weight i
-    rows, counts = _histogram(_coordinate_weights(code),
-                              lambda w: (w[..., None] == np.arange(7)).sum(axis=1))
-    return Enumerator(7, code.profile.q,
-                      {_key(row): c for row, c in zip(rows.tolist(), counts.tolist())})
+    return _smaller_side(code, "hamming")
 
 
 def symmetrized_enumerator(code: AdditiveCode) -> Enumerator:
     """W_S(W_0, ..., W_6): W_i counts coordinates whose symbol has Gray weight i, the
     Hamming weight of its kappa-free Gray image.  These classes are Fourier-invariant
     at every p (``symmetrized_q_matrix``), so the smaller side is walked at every p."""
-    return _smaller_side(code, _symmetrized_walk, symmetrized_transform)
-
-
-def _lee_walk(code: AdditiveCode) -> Enumerator:
-    rows, counts = _histogram(_coordinate_weights(code),
-                              lambda w: w.sum(axis=1, keepdims=True))
-    return bivariate(dict(zip(rows[:, 0].tolist(), counts.tolist())), 6 * code.profile.q)
+    return _smaller_side(code, "symmetrized")
 
 
 def lee_enumerator(code: AdditiveCode) -> Enumerator:
@@ -320,7 +312,7 @@ def lee_enumerator(code: AdditiveCode) -> Enumerator:
     Computed from the codewords' Gray weights, which do not depend on kappa, so
     this works even for p = 3 (mod 4) where the Gray map itself is undefined.
     """
-    return _smaller_side(code, _lee_walk, lee_transform)
+    return _smaller_side(code, "lee")
 
 
 # ---------------------------------------------------------------------------
@@ -534,3 +526,23 @@ def symmetrized_q_matrix(p: int) -> tuple[tuple[int, ...], ...]:
 def symmetrized_transform(enum: Enumerator, code_size: int, p: int) -> Enumerator:
     """Dual symmetrized enumerator via the Q-matrix substitution."""
     return substitute_linear(enum, symmetrized_q_matrix(p), code_size)
+
+
+# the kind table: every public enumerator, the transform of each kind that has
+# one, and the variable names of each kind (complete prints x_<symbol index>)
+ENUMERATORS = {"complete": complete_enumerator, "hamming": hamming_enumerator,
+               "lee": lee_enumerator, "symmetrized": symmetrized_enumerator}
+TRANSFORMS = {"hamming": hamming_transform, "lee": lee_transform,
+              "symmetrized": symmetrized_transform}
+VARIABLES = {"hamming": ("x", "y"), "lee": ("x", "y"),
+             "symmetrized": tuple(f"W_{i}" for i in range(7))}
+
+
+def macwilliams_holds(code: AdditiveCode, kind: str) -> bool:
+    """Whether the ``kind`` MacWilliams identity holds for C and its dual: "complete" is
+    ``macwilliams_complete_check``, any other kind compares the transform of C's walk
+    with the walk of C^perp.  Never a public enumerator with its own transform: it may
+    be the transform of the dual's walk, so that would only test an involution."""
+    if kind == "complete":
+        return macwilliams_complete_check(code)
+    return TRANSFORMS[kind](walk(code, kind), code.size, code.profile.p) == walk(code.dual(), kind)

@@ -11,6 +11,10 @@ class ZprsError(Exception):
     """Base class for all errors raised by this package."""
 
 
+class MalformedInput(ZprsError, ValueError):
+    """A JSON spec or word, a polynomial text or an option is not of its documented form."""
+
+
 class NotPrime(ZprsError):
     """The modulus is not a prime number."""
 

@@ -18,7 +18,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .errors import ModulusTooLarge, TooLarge, WrongRing
+from .errors import LengthMismatch, ModulusTooLarge, TooLarge, WrongRing
 
 CHUNK, WALK_LIMIT = 1 << 14, 1 << 24
 
@@ -31,28 +31,35 @@ def check_modulus(p: int, n: int) -> None:
 
 
 def as_integers(values) -> np.ndarray:
-    """``values`` as an int64 array, never truncated: Python ints and numpy integer
-    and bool arrays pass, object arrays are read entry by entry with
-    ``operator.index``, and anything else raises ``WrongRing``."""
-    a = np.asarray(values)
-    if a.dtype == object:
+    """``values`` as an int64 array, never truncated or wrapped: Python ints and
+    numpy integer and bool arrays pass, object and uint64 arrays are read entry by
+    entry with ``operator.index``, and anything else, or an entry beyond int64,
+    raises ``WrongRing``.  Ragged nesting raises ``LengthMismatch``."""
+    try:
+        a = np.asarray(values)
+    except ValueError:
+        raise LengthMismatch("entries do not form a rectangular array") from None
+    if a.dtype in (object, np.uint64):
         try:
             a = np.array([operator.index(x) for x in a.ravel()], np.int64).reshape(a.shape)
         except TypeError:
             raise WrongRing("entries must be integers, got a non-integer object") from None
+        except OverflowError:
+            raise WrongRing("entries must fit int64; reduce them mod p first") from None
     if a.dtype.kind not in "iub" and a.size:
         raise WrongRing(f"entries must be integers, got {a.dtype} entries")
     return a.astype(np.int64)
 
 
 def as_matrix(rows, ncols: int) -> np.ndarray:
+    """``rows`` as an int64 matrix of ``ncols`` columns (one vector is one row)."""
     if len(rows) == 0:
         return np.zeros((0, ncols), dtype=np.int64)
     m = as_integers(rows)
     if m.ndim == 1:
         m = m.reshape(1, -1)
-    if m.shape[1] != ncols:
-        raise ValueError(f"expected {ncols} columns, got {m.shape[1]}")
+    if m.ndim != 2 or m.shape[1] != ncols:
+        raise LengthMismatch(f"expected rows of {ncols} entries, got shape {m.shape}")
     return m
 
 

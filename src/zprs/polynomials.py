@@ -21,8 +21,8 @@ from typing import Sequence, Union
 
 import numpy as np
 
-from .errors import (GcdViolation, ModulusMismatch, NonUnitLeadingCoefficient, NotADivisor,
-                     ZeroConstantTerm)
+from .errors import (GcdViolation, MalformedInput, ModulusMismatch, NonUnitLeadingCoefficient,
+                     NotADivisor, ZeroConstantTerm)
 from .field import ensure_prime
 from .linalg import check_modulus, kernel_basis
 from .rings import ChainElement
@@ -172,7 +172,7 @@ def parse_poly(text: str, p: int) -> Poly:
             sign, term = -1, term[1:]
         m = _TERM_RE.match(term)
         if not m or not term:
-            raise ValueError(f"cannot parse polynomial term {term!r}")
+            raise MalformedInput(f"cannot parse polynomial term {term!r}")
         digits, xpart, expo = m.groups()
         coef = int(digits) if digits else 1
         deg = 0 if xpart is None else (int(expo) if expo else 1)

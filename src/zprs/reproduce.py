@@ -11,10 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .additive import span_closure
-from .enumerators import (_hamming_walk, _lee_walk, _symmetrized_walk, hamming_enumerator,
-                          hamming_transform, lee_enumerator, lee_transform,
-                          macwilliams_complete_check, symmetrized_enumerator,
-                          symmetrized_transform)
+from .enumerators import ENUMERATORS, TRANSFORMS, VARIABLES, macwilliams_complete_check, walk
 from .errors import ZprsError
 from .gray import GrayMap
 from .polynomials import Poly, hat
@@ -101,11 +98,13 @@ def _bivariate_terms(enum):
     return {dict(key).get(1, 0): c for key, c in enum.terms.items()}
 
 
-def _walks(walk, transform):
-    """The worked code's walk, its dual's walk, and the transform of the first."""
+def _walks(kind):
+    """Whether the worked code's public enumerator equals its walk, that walk,
+    the dual's walk, and the transform of the first."""
     code = _p2_code()
-    primal = walk(code)
-    return code, primal, walk(code.dual()), transform(primal, code.size, 2)
+    primal = walk(code, kind)
+    return (ENUMERATORS[kind](code) == primal, primal, walk(code.dual(), kind),
+            TRANSFORMS[kind](primal, code.size, 2))
 
 
 def run_example1() -> list[ReproItem]:
@@ -130,25 +129,23 @@ def run_example2() -> list[ReproItem]:
 
 def run_example3() -> list[ReproItem]:
     # .transform compares two walks; .primal also checks the public enumerator
-    code, primal, dual, transformed = _walks(_hamming_walk, hamming_transform)
+    public, primal, dual, transformed = _walks("hamming")
     return [
-        ReproItem("example3.primal", hamming_enumerator(code) == primal
-                  and _bivariate_terms(primal) == EXAMPLE3_HAMMING,
-                  f"W_H = {primal.text(['x', 'y'])}"),
+        ReproItem("example3.primal", public and _bivariate_terms(primal) == EXAMPLE3_HAMMING,
+                  f"W_H = {primal.text(VARIABLES['hamming'])}"),
         ReproItem("example3.dual", _bivariate_terms(dual) == EXAMPLE3_HAMMING,
-                  f"W_H of the dual = {dual.text(['x', 'y'])}"),
+                  f"W_H of the dual = {dual.text(VARIABLES['hamming'])}"),
         ReproItem("example3.transform", transformed == dual,
                   "transform with substitution (x + 63y, x - y) / 64"),
     ]
 
 
 def run_example4() -> list[ReproItem]:
-    code, primal, dual, transformed = _walks(_symmetrized_walk, symmetrized_transform)
+    public, primal, dual, transformed = _walks("symmetrized")
     want_primal = {tuple(sorted(k)): v for k, v in EXAMPLE4_PRIMAL.items()}
     want_dual = {tuple(sorted(k)): v for k, v in EXAMPLE4_DUAL.items()}
     return [
-        ReproItem("example4.primal", symmetrized_enumerator(code) == primal
-                  and _sym_terms(primal) == want_primal,
+        ReproItem("example4.primal", public and _sym_terms(primal) == want_primal,
                   f"{len(primal.terms)} terms, coefficient {primal.coefficient(((3, 1), (4, 1)))} "
                   "on W_4 W_3"),
         ReproItem("example4.dual", _sym_terms(dual) == want_dual,
@@ -159,13 +156,12 @@ def run_example4() -> list[ReproItem]:
 
 
 def run_example5() -> list[ReproItem]:
-    code, primal, dual, transformed = _walks(_lee_walk, lee_transform)
+    public, primal, dual, transformed = _walks("lee")
     return [
-        ReproItem("example5.primal", lee_enumerator(code) == primal
-                  and _bivariate_terms(primal) == EXAMPLE5_PRIMAL,
-                  f"W_L = {primal.text(['x', 'y'])}"),
+        ReproItem("example5.primal", public and _bivariate_terms(primal) == EXAMPLE5_PRIMAL,
+                  f"W_L = {primal.text(VARIABLES['lee'])}"),
         ReproItem("example5.dual", _bivariate_terms(dual) == EXAMPLE5_DUAL,
-                  f"W_L of the dual = {dual.text(['x', 'y'])}"),
+                  f"W_L of the dual = {dual.text(VARIABLES['lee'])}"),
         ReproItem("example5.transform", transformed == dual,
                   "transform with substitution (x + y, x - y) / 64"),
     ]

@@ -1,7 +1,17 @@
+import contextlib
+import copy
+import io
 import json
+import warnings
+from unittest import mock
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import zprs
+from zprs.additive import GeneratorHypothesisWarning
 from zprs.cli import main
+from zprs.enumerators import ENUMERATORS
 
 C2_SPEC = {
     "p": 2, "q": 2, "r": 2, "s": 2,
@@ -209,6 +219,8 @@ def test_malformed_specs_exit_2(capsys, monkeypatch):
     # each of these was read by truncation, or died with a traceback and exit 1
     z5 = {"p": 5, "q": 1, "r": 1, "s": 1}
     gens = dict(z5, generators=Z5_SPEC["generators"])
+    z5_2 = {"p": 5, "q": 2, "r": 2, "s": 0}
+    word = ["contains", "--word"]
     cases = [("build", dict(gens, p=5.7), "ProfileMismatch"),
              ("build", dict(gens, q=1.5), "ProfileMismatch"),
              ("build", dict(gens, constacyclic_closure=True, mu=[1, 1, 1, 1]), "LengthMismatch"),
@@ -217,15 +229,88 @@ def test_malformed_specs_exit_2(capsys, monkeypatch):
              ("build", dict(z5, f0=[1, 1], mu=2), "LengthMismatch"),
              ("distance", {"p": 2, "n": 3, "generator": [[1.5, 0, 1]]}, "WrongRing"),
              ("distance", {"p": 2.0, "n": 3, "generator": [[1, 0, 1]]}, "ProfileMismatch"),
-             ("distance", {"p": 2, "n": 3.5, "generator": [[1, 0, 1]]}, "ProfileMismatch")]
-    for command, spec, code in cases:
-        status, out, err = run(capsys, [command], stdin=json.dumps(spec), monkeypatch=monkeypatch)
-        assert (status, out) == (2, ""), spec
-        assert json.loads(err)["error"]["code"] == code, spec
+             ("distance", {"p": 2, "n": 3.5, "generator": [[1, 0, 1]]}, "ProfileMismatch"),
+             # each of these exited 1 with a traceback, or (uint64) wrapped to -1 mod 3
+             ("distance", {"p": 2, "n": 3, "generator": [[10 ** 20, 0, 1]]}, "WrongRing"),
+             ("distance", {"p": 3, "n": 1, "generator": [[2 ** 64 - 1]]}, "WrongRing"),
+             ("distance", {"p": 2, "n": 3, "generator": [[1, 0]]}, "LengthMismatch"),
+             ("distance", {"p": 2, "n": 3, "generator": [1, 0, 1]}, "MalformedInput"),
+             ("distance", {"p": 2, "generator": [1, 0, 1]}, "MalformedInput"),
+             ("build", {"q": 1}, "MalformedInput"),
+             ("build", [1, 2], "MalformedInput"),
+             ("build", None, "MalformedInput"),
+             ("build", dict(gens, generators=[1]), "MalformedInput"),
+             ("build", dict(z5, f0=7), "MalformedInput"),
+             ("build", dict(z5_2, g=[1, 1]), "MalformedInput"),
+             ("build", dict(z5_2, f0="x^^2"), "MalformedInput"),
+             ("build", dict(z5_2, f0=[1, 1], hypotheses="bogus"), "MalformedInput"),
+             (word + ["[1]"], gens, "MalformedInput"),
+             (word + ["[[1], [[2, 1]], [[0, 1, 3]], [1]]"], gens, "MalformedInput")]
+    for argv, spec, code in cases:
+        argv = [argv] if isinstance(argv, str) else argv
+        status, out, err = run(capsys, argv, stdin=json.dumps(spec), monkeypatch=monkeypatch)
+        assert (status, out) == (2, ""), (argv, spec)
+        assert json.loads(err)["error"]["code"] == code, (argv, spec)
     status, _, _ = run(capsys, ["build"], stdin=json.dumps(dict(gens, constacyclic_closure=True,
                                                                   mu=[1, 1, 1])),
                        monkeypatch=monkeypatch)
     assert status == 0
+
+
+# valid specs of each form: additive by generators, additive by polynomials, linear
+MUTATION_BASES = (
+    Z5_SPEC,
+    {"p": 5, "q": 1, "r": 1, "s": 1, "mu": [1, 1, 1], "f0": "x + 4", "g": [[1], [4, 1]],
+     "h": [[1], [1], [4, 1]], "l": [[2], [3], [[1, 1]]], "hypotheses": "ignore"},
+    {"p": 2, "n": 4, "generator": [[1, 1, 0, 0], [0, 0, 1, 1]]},
+)
+REPLACEMENTS = (-1, 1.5, 10 ** 20, "x", None, [], {}, [1])
+SPEC_COMMANDS = (["build"], ["dual"], ["contains", "--word", "[[1], [[2, 1]], [[0, 1, 3]]]"],
+                 ["gray"], ["distance"], ["css"]) + tuple(
+    [command, "--kind", kind] for command in ("wenum", "macwilliams")
+    for kind in sorted(ENUMERATORS))
+
+
+def node_paths(node, at=()):
+    """The path of every node of a JSON tree, the root's first."""
+    yield at
+    if isinstance(node, (dict, list)):
+        for key, child in (node.items() if isinstance(node, dict) else enumerate(node)):
+            yield from node_paths(child, at + (key,))
+
+
+@st.composite
+def mutated_specs(draw):
+    """A base spec with one dict key dropped or one node replaced by a REPLACEMENTS value."""
+    spec = copy.deepcopy(draw(st.sampled_from(MUTATION_BASES)))
+    path = draw(st.sampled_from(list(node_paths(spec))))
+    drop = bool(path) and isinstance(path[-1], str) and draw(st.booleans())
+    value = copy.deepcopy(draw(st.sampled_from(REPLACEMENTS)))
+    if not path:
+        return value
+    parent = spec
+    for key in path[:-1]:
+        parent = parent[key]
+    if drop:
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = value
+    return spec
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(mutated_specs(), st.sampled_from(SPEC_COMMANDS))
+def test_mutated_specs_exit_0_or_2(spec, argv):
+    out, err = io.StringIO(), io.StringIO()
+    with mock.patch("sys.stdin", io.StringIO(json.dumps(spec))), \
+            contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+            warnings.catch_warnings():
+        warnings.simplefilter("ignore", GeneratorHypothesisWarning)
+        status = main(list(argv))
+    assert status in (0, 2), (argv, spec, status)
+    if status == 2:
+        assert out.getvalue() == ""
+        assert set(json.loads(err.getvalue())["error"]) == {"code", "message"}
 
 
 def test_deterministic_output(capsys, tmp_path):
@@ -247,21 +332,19 @@ def test_macwilliams_command_compares_two_walks(capsys, tmp_path, monkeypatch):
                 + [[[1, 1], [[1, 0], [0, 1]], [[0, 1, 0], [1, 0, 0]]]])
     path = spec_file(tmp_path, spec)
     assert cli.load_code(spec).rank == 7
+    real = enumerators.walk
+
+    def dropped(code, kind):
+        enum = real(code, kind)
+        if 2 * code.rank > code.profile.n:
+            return enum
+        top = max(enum.terms)          # drop one term of the smaller side only
+        return enumerators.Enumerator(enum.nvars, enum.degree,
+                                      {k: c for k, c in enum.terms.items() if k != top})
+
     for kind in ("hamming", "symmetrized", "lee"):
-        name = f"_{kind}_walk"
-        real = getattr(enumerators, name)
-
-        def dropped(code, real=real):
-            enum = real(code)
-            if 2 * code.rank > code.profile.n:
-                return enum
-            top = max(enum.terms)          # drop one term of the smaller side only
-            return enumerators.Enumerator(enum.nvars, enum.degree,
-                                          {k: c for k, c in enum.terms.items() if k != top})
-
         with monkeypatch.context() as m:
-            m.setattr(cli, name, dropped)
-            m.setattr(enumerators, name, dropped)
+            m.setattr(enumerators, "walk", dropped)
             status, out, _ = run(capsys, ["macwilliams", "--input", path, "--kind", kind])
         assert status == 1 and out.startswith("FAIL"), (kind, status, out)
 

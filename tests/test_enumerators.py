@@ -9,14 +9,14 @@ from hypothesis import strategies as st
 
 from zprs import enumerators
 from zprs.additive import AdditiveCode, span_closure
-from zprs.enumerators import (Enumerator, _character_sums, _codeword_sums,
-                              _complete_check_points, _hamming_walk, _krawtchouk, _lee_walk,
-                              _product_exponent,
-                              _symmetrized_walk, char_exponent_matrix, complete_enumerator,
+from zprs.enumerators import (ENUMERATORS, TRANSFORMS, VARIABLES, Enumerator, _character_sums,
+                              _codeword_sums, _complete_check_points, _krawtchouk,
+                              _product_exponent, char_exponent_matrix, complete_enumerator,
                               hamming_enumerator, hamming_transform,
                               lee_enumerator, lee_transform, macwilliams_complete_check,
+                              macwilliams_holds,
                               symbol_table, symmetrized_enumerator, symmetrized_q_matrix,
-                              substitute_linear, symmetrized_transform)
+                              substitute_linear, symmetrized_transform, walk)
 from zprs.errors import BlocksUnequal, InexactDivision, TooLarge, ZprsError
 from zprs.field import find_kappa, is_prime
 from zprs.gray import _gray_matrix
@@ -460,9 +460,8 @@ def test_large_p_walks_satisfy_macwilliams(p):
                                 for q, rank in LARGE_P_RANDOM[p] for seed in range(2)]
     for code in codes:
         dual = code.dual()
-        for walk, transform in ((_hamming_walk, hamming_transform), (_lee_walk, lee_transform),
-                                (_symmetrized_walk, symmetrized_transform)):
-            assert transform(walk(code), code.size, p) == walk(dual)
+        for kind, transform in TRANSFORMS.items():
+            assert transform(walk(code, kind), code.size, p) == walk(dual, kind)
 
 
 def test_lee_classes_are_not_fourier_invariant_at_p5():
@@ -577,10 +576,8 @@ def test_transform_soundness_exhaustive_small_codes():
                 continue
             seen.add(key)
             dual = code.dual()
-            assert hamming_transform(_hamming_walk(code), code.size, 2) == _hamming_walk(dual)
-            assert lee_transform(_lee_walk(code), code.size, 2) == _lee_walk(dual)
-            assert symmetrized_transform(_symmetrized_walk(code), code.size, 2) \
-                == _symmetrized_walk(dual)
+            for kind, transform in TRANSFORMS.items():
+                assert transform(walk(code, kind), code.size, 2) == walk(dual, kind)
 
 
 def test_enumerator_text_and_json():
@@ -596,8 +593,8 @@ def test_enumerator_text_and_json():
 # -- smaller side and the chunked complete check --------------------------------
 
 
-WALKS = ((hamming_enumerator, _hamming_walk), (lee_enumerator, _lee_walk),
-         (symmetrized_enumerator, _symmetrized_walk))
+# the kinds whose public enumerator may walk the dual and transform back
+WALKS = tuple(TRANSFORMS)
 
 
 @pytest.mark.parametrize("p, n, rank", [(2, 1, 5), (2, 2, 9), (3, 1, 4), (3, 2, 8),
@@ -609,9 +606,9 @@ def test_public_enumerators_equal_walks_on_lopsided_codes(p, n, rank):
         code = random_code(BlockProfile(p, n, n, n), rank, seed)
         dual = code.dual()
         assert dual.rank == code.profile.n - rank < rank
-        for public, walk in WALKS:
-            assert public(code) == walk(code)
-            assert public(dual) == walk(dual)
+        for kind in WALKS:
+            assert ENUMERATORS[kind](code) == walk(code, kind)
+            assert ENUMERATORS[kind](dual) == walk(dual, kind)
 
 
 def test_enumerators_above_walk_limit_through_small_dual():
@@ -619,9 +616,9 @@ def test_enumerators_above_walk_limit_through_small_dual():
     code = random_code(pr, 4, seed=11).dual()
     assert code.rank == 26 and code.size > 2 ** 24
     with pytest.raises(TooLarge):
-        _hamming_walk(code)
-    for public, _ in WALKS:
-        assert public(code).coefficient_sum() == code.size
+        walk(code, "hamming")
+    for kind in WALKS:
+        assert ENUMERATORS[kind](code).coefficient_sum() == code.size
 
 
 def test_complete_check_matches_dict_route():
@@ -878,3 +875,15 @@ def test_transform_refuses_above_the_budget(monkeypatch):
             substitute_linear(enum, rows, 1)
     with pytest.raises(TooLarge):       # C(66, 6) output monomials alone
         symmetrized_transform(Enumerator(7, 60, {((0, 60),): 1}), 1, 2)
+
+
+def test_kind_table_and_macwilliams_verdict():
+    # one table names every kind: the transform kinds plus the complete enumerator
+    assert set(ENUMERATORS) == set(TRANSFORMS) | {"complete"} and set(VARIABLES) == set(TRANSFORMS)
+    code = c2_code()
+    for kind, names in VARIABLES.items():
+        assert walk(code, kind).nvars == len(names)
+    for kind in ENUMERATORS:
+        assert macwilliams_holds(code, kind) is True
+    with pytest.raises(BlocksUnequal):
+        macwilliams_holds(AdditiveCode.full_space(BlockProfile(2, 1, 2, 1)), "hamming")

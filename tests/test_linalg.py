@@ -6,7 +6,7 @@ import pytest
 from zprs.additive import AdditiveCode
 from fractions import Fraction
 
-from zprs.errors import TooLarge, WrongRing
+from zprs.errors import LengthMismatch, TooLarge, WrongRing
 from zprs.linalg import as_integers, as_matrix, iter_row_space, row_space_split, rref
 from zprs.linear import LinearCode, min_distance_by_enumeration
 from zprs.words import BlockProfile
@@ -120,9 +120,17 @@ def test_as_integers_refuses_what_it_would_truncate():
     assert as_integers(np.array([5, 2 ** 40], dtype=object)).tolist() == [5, 2 ** 40]
     assert as_integers([]).shape == (0,)
     for bad in ([1.5, 0], np.array([1.0, 2.0]), np.array([1, 0.5], dtype=object),
-                ["1"], [None, 1], [Fraction(1), 2], [1 + 0j]):
+                ["1"], [None, 1], [Fraction(1), 2], [1 + 0j],
+                [10 ** 20, 0], [2 ** 64 - 1], np.array([2 ** 63], dtype=np.uint64)):
         with pytest.raises(WrongRing):
             as_integers(bad)
+    # beyond int64 an entry was an OverflowError, or (uint64) wrapped to a negative
+    assert as_integers(np.array([2 ** 63 - 1], dtype=np.uint64)).tolist() == [2 ** 63 - 1]
+    for ragged in ([[1, 0], [1]], [[1, 0], 1]):
+        with pytest.raises(LengthMismatch):
+            as_integers(ragged)
+    with pytest.raises(LengthMismatch):
+        as_matrix([[[1], [0], [1]]], 3)
 
 
 def test_linear_codes_refuse_non_integer_generators():

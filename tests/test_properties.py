@@ -10,8 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from zprs.additive import span_closure
-from zprs.enumerators import (_hamming_walk, _lee_walk, _symmetrized_walk, hamming_enumerator,
-                              lee_enumerator, symmetrized_enumerator)
+from zprs.enumerators import ENUMERATORS, TRANSFORMS, walk
 from zprs.gray import GrayMap
 from zprs.rings import ChainElement, eta0, eta1, eta2
 from zprs.words import BlockProfile, unflatten
@@ -105,11 +104,9 @@ def test_public_enumerators_equal_their_walks(code):
     dual = code.dual()
     if max(code.size, dual.size) > WALK_LIMIT:
         return
-    pairs = [(hamming_enumerator, _hamming_walk), (lee_enumerator, _lee_walk),
-             (symmetrized_enumerator, _symmetrized_walk)]
-    for public, walk in pairs:
+    for kind in TRANSFORMS:
         for c in (code, dual):
-            assert public(c) == walk(c)
+            assert ENUMERATORS[kind](c) == walk(c, kind)
 
 
 @PROPERTY_SETTINGS
