@@ -29,7 +29,7 @@ import numpy as np
 from . import linalg
 from .errors import (DivisibilityViolation, GcdViolation, LengthMismatch, MalformedInput,
                      ProfileMismatch, TooLarge, ZprsError)
-from .polynomials import Poly, divides, poly_divmod, x_pow_n_minus
+from .polynomials import Poly, divides, parse_poly, poly_divmod, x_pow_n_minus
 from .rings import unit_order
 from .words import (BlockProfile, MixedWord, UnitLike, as_unit, block_columns, flatten,
                     form_matrices, scalar_matrix, shift_matrix, unflatten)
@@ -209,10 +209,16 @@ def shift_module_span(generators: Iterable[MixedWord],
 
 
 def _as_block_poly(poly, p: int, k: int) -> Poly:
+    """A Poly, a coefficient sequence or Z_p polynomial text as a polynomial over
+    block k; anything else raises ``MalformedInput``."""
+    if isinstance(poly, str):
+        poly = parse_poly(poly, p)
     if isinstance(poly, Poly):
         if poly.p != p:
             raise ProfileMismatch("polynomial modulus differs from the profile")
         return poly.lift(k) if poly.k < k else poly
+    if not isinstance(poly, (Sequence, np.ndarray)):
+        raise MalformedInput(f"a polynomial is a coefficient array or text, got {poly!r}")
     return Poly.make(list(poly), p, k)
 
 
@@ -249,9 +255,11 @@ def from_generator_polynomials(profile: BlockProfile,
 
     ``g`` is (g0, g1), ``h`` is (h0, h1, h2), ``l`` is (l1, l2, l3) with
     l1, l2 over Z_p and l3 over R.  Polynomials may be given as coefficient
-    sequences (ints for Z_p, pairs/triples for R/S) or Poly values; an
-    omitted divisor defaults to the block modulus, which is zero in the
-    quotient and contributes nothing, and an omitted mixing polynomial is 0.
+    sequences (ints for Z_p, pairs/triples for R/S), Z_p polynomial text such
+    as "x^3 + 3x^2 + 5x + 4", or Poly values; an omitted (or None) divisor
+    defaults to the block modulus, which is zero in the quotient and
+    contributes nothing, and an omitted (or None) mixing polynomial is 0.
+    A polynomial or tuple of any other form raises ``MalformedInput``.
 
     Hard preconditions (always enforced): ``mu`` has three entries, ``g``,
     ``h`` and ``l`` at most 2, 3 and 3; no polynomial is given for a row or
@@ -270,6 +278,9 @@ def from_generator_polynomials(profile: BlockProfile,
     mu = block_units(mu)
     given = {}
     for polys, names in zip(((f0,), g, h, l), [d for d, _ in _ROWS] + [("l1", "l2", "l3")]):
+        if polys is not None and (isinstance(polys, str) or not isinstance(polys, Sequence)):
+            raise MalformedInput(f"{', '.join(names)} must be a sequence of polynomials, "
+                                 f"got {polys!r}")
         polys = tuple(polys or ())
         if len(polys) > len(names):
             raise LengthMismatch(f"{len(polys)} polynomials given for {', '.join(names)}")

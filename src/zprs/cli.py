@@ -12,9 +12,12 @@ coefficient arrays, lowest degree first; R and S coefficients are nested
 arrays [a, b] and [a, b, d].  Every subcommand is deterministic: the same
 inputs produce byte-identical output.
 
-Specs and words are checked where they are read (``MalformedInput``).
-``wenum`` and ``macwilliams`` read their kinds from ``enumerators.ENUMERATORS``,
-and ``macwilliams`` prints the verdict of ``enumerators.macwilliams_holds``.
+A spec or word of the wrong shape raises ``MalformedInput``: this module
+checks JSON objects and arrays, ``MixedWord.make`` the blocks of a word and
+``from_generator_polynomials`` its polynomials.  ``wenum`` and
+``macwilliams`` read their kinds from ``enumerators.ENUMERATORS``, and
+``macwilliams`` prints the verdict of ``enumerators.macwilliams_holds`` and
+its ``MACWILLIAMS_METHODS`` entry.
 
 Exit codes: 0 success; 1 a verification reported FAIL; 2 a precondition
 violation or a malformed spec or word (structured error on stderr, nothing
@@ -31,11 +34,12 @@ from pathlib import Path
 from . import reproduce as _reproduce
 from .additive import (AdditiveCode, block_units, from_generator_polynomials,
                        shift_module_span, span_closure)
-from .enumerators import ENUMERATORS, VARIABLES, macwilliams_holds, symbol_table
+from .enumerators import (ENUMERATORS, MACWILLIAMS_METHODS, VARIABLES, macwilliams_holds,
+                          symbol_table)
 from .errors import MalformedInput, ZprsError
 from .gray import GrayMap
 from .linear import LinearCode
-from .polynomials import factor_xn_minus_lambda, parse_poly
+from .polynomials import factor_xn_minus_lambda
 from .quantum import css, search_dual_containing
 from .words import BlockProfile, MixedWord
 
@@ -57,21 +61,18 @@ def _read_spec(path: str | None) -> dict:
     return spec
 
 
-def _entry(spec: dict, key: str, kind: type = object):
-    """``spec[key]``, which must be present and a ``kind``."""
+def _entry(spec: dict, key: str):
+    """``spec[key]``, which must be present."""
     if key not in spec:
         raise MalformedInput(f"the spec has no {key!r}")
-    if not isinstance(spec[key], kind):
-        raise MalformedInput(f"{key!r} must be a {kind.__name__}, got {spec[key]!r}")
     return spec[key]
 
 
-def _read_word(profile: BlockProfile, blocks) -> MixedWord:
-    """A word from JSON: at most three arrays, the Z_p, R and S blocks."""
-    if not (isinstance(blocks, list) and len(blocks) <= 3
-            and all(isinstance(block, list) for block in blocks)):
-        raise MalformedInput(f"a word is at most three arrays of entries, got {blocks!r}")
-    return MixedWord.make(profile, *blocks)
+def _array(value, what: str) -> list:
+    """``value``, which must be a JSON array."""
+    if not isinstance(value, list):
+        raise MalformedInput(f"{what} must be an array, got {value!r}")
+    return value
 
 
 def load_code(spec: dict) -> AdditiveCode:
@@ -82,30 +83,20 @@ def load_code(spec: dict) -> AdditiveCode:
     "f0", "g", "h", "l".  Both carry p, q, r, s and optionally "mu".  The
     generators form spans the plain S-module closure; set
     "constacyclic_closure": true to also close under the (mu0, mu1, mu2)
-    shift.  The polynomial form accepts Z_p polynomials as text.  A spec of
-    any other shape raises ``MalformedInput``.
+    shift.  The polynomial form accepts Z_p polynomials as text, and a null
+    polynomial is an omitted one.  A spec of any other shape raises
+    ``MalformedInput``.
     """
     profile = BlockProfile(_entry(spec, "p"), spec.get("q", 0), spec.get("r", 0),
                            spec.get("s", 0))
     mu = block_units(spec.get("mu", [1, 1, 1]))
     if "generators" in spec:
-        words = [_read_word(profile, blocks) for blocks in _entry(spec, "generators", list)]
+        words = [MixedWord.make(profile, *_array(blocks, "a word"))
+                 for blocks in _array(spec["generators"], "'generators'")]
         if spec.get("constacyclic_closure"):
             return shift_module_span(words, *mu, profile=profile)
         return span_closure(words, profile=profile)
-
-    def poly(value):
-        # a coefficient array, or Z_p polynomial text like "x^3 + 3x^2 + 5x + 4"
-        if isinstance(value, str):
-            return parse_poly(value, profile.p)
-        if not isinstance(value, list):
-            raise MalformedInput(f"a polynomial is an array or text, got {value!r}")
-        return value
-
-    polys = {key: tuple(map(poly, _entry(spec, key, list))) for key in ("g", "h", "l")
-             if key in spec}
-    if "f0" in spec:
-        polys["f0"] = poly(spec["f0"])
+    polys = {key: spec[key] for key in ("f0", "g", "h", "l") if key in spec}
     return from_generator_polynomials(profile, mu, **polys,
                                       hypotheses=spec.get("hypotheses", "warn"))
 
@@ -113,9 +104,8 @@ def load_code(spec: dict) -> AdditiveCode:
 def load_linear(spec: dict) -> LinearCode:
     """Linear code from {"p", "n", "generator": rows} or an additive spec + Gray."""
     if "generator" in spec:
-        rows = _entry(spec, "generator", list)
-        if not all(isinstance(row, list) for row in rows):
-            raise MalformedInput(f"'generator' must be an array of rows, got {rows!r}")
+        rows = [_array(row, "a generator row")
+                for row in _array(spec["generator"], "'generator'")]
         return LinearCode(_entry(spec, "p"), spec.get("n", len(rows[0]) if rows else 0), rows)
     code = load_code(spec)
     return GrayMap(code.profile.p).image(code)
@@ -167,7 +157,7 @@ def cmd_dual(args) -> int:
 
 def cmd_contains(args) -> int:
     code = load_code(_read_spec(args.input))
-    word = _read_word(code.profile, json.loads(args.word))
+    word = MixedWord.make(code.profile, *_array(json.loads(args.word), "a word"))
     verdict = code.contains(word)
     _print({"contains": verdict}, args.json, [str(verdict).lower()])
     return EXIT_OK
@@ -209,10 +199,9 @@ def cmd_wenum(args) -> int:
 
 def cmd_macwilliams(args) -> int:
     holds = macwilliams_holds(load_code(_read_spec(args.input)), args.kind)
-    detail = ("point evaluation over Z[zeta_p]" if args.kind == "complete"
-              else "exact transform comparison")
     _print({"kind": args.kind, "holds": holds}, args.json,
-           [f"{'PASS' if holds else 'FAIL'} MacWilliams ({args.kind}; {detail})"])
+           [f"{'PASS' if holds else 'FAIL'} MacWilliams "
+            f"({args.kind}; {MACWILLIAMS_METHODS[args.kind]})"])
     return EXIT_OK if holds else EXIT_FAIL
 
 

@@ -24,7 +24,8 @@ fixed pseudo-random integer points instead of materializing the p^6-variate
 transform.  Hamming, Lee and symmetrized walk the smaller of C and C^perp
 and transform back; ``walk(code, kind)`` always walks C, so
 ``macwilliams_holds`` compares two independent walks.  ``ENUMERATORS``,
-``TRANSFORMS`` and ``VARIABLES`` are the one table of the kinds.
+``TRANSFORMS``, ``VARIABLES`` and ``MACWILLIAMS_METHODS`` are the one table of
+the kinds.
 
 Naming: here "Lee" and the symmetrized classes count the Hamming weight of
 the kappa-free Gray image, [x != 0] on a Z_p digit.  ``gray.lee_weight``
@@ -256,17 +257,19 @@ def _histogram(chunks, key) -> tuple[np.ndarray, np.ndarray]:
     return _distinct_rows(*map(np.concatenate, zip(*parts)))
 
 
-# per kind: one histogram row per codeword, from its triples' Gray weights w
-_WALK_KEYS = {"hamming": lambda w: (w != 0).sum(axis=1, keepdims=True),
-              "lee": lambda w: w.sum(axis=1, keepdims=True),
-              "symmetrized": lambda w: (w[..., None] == np.arange(7)).sum(axis=1)}
+# per kind: one histogram row per codeword, from its triples' Gray weights w, and
+# the degree of the enumerator per coordinate triple
+_WALK_KEYS = {"hamming": (lambda w: (w != 0).sum(axis=1, keepdims=True), 1),
+              "lee": (lambda w: w.sum(axis=1, keepdims=True), 6),
+              "symmetrized": (lambda w: (w[..., None] == np.arange(7)).sum(axis=1), 1)}
 
 
 def walk(code: AdditiveCode, kind: str) -> Enumerator:
     """The ``kind`` enumerator ("hamming", "lee" or "symmetrized") of C's own codewords.
     A one-column key y (Hamming, Lee) becomes x^(degree - y) y^y on the distinct rows."""
-    rows, counts = _histogram(_coordinate_weights(code), _WALK_KEYS[kind])
-    degree = 6 * code.profile.q if kind == "lee" else code.profile.q
+    key, per_triple = _WALK_KEYS[kind]
+    rows, counts = _histogram(_coordinate_weights(code), key)
+    degree = per_triple * code.profile.q
     if rows.shape[1] == 1:
         rows = np.c_[degree - rows, rows]
     return Enumerator(rows.shape[1], degree,
@@ -529,13 +532,16 @@ def symmetrized_transform(enum: Enumerator, code_size: int, p: int) -> Enumerato
 
 
 # the kind table: every public enumerator, the transform of each kind that has
-# one, and the variable names of each kind (complete prints x_<symbol index>)
+# one, the variable names of each kind (complete prints x_<symbol index>), and how
+# ``macwilliams_holds`` checks each kind
 ENUMERATORS = {"complete": complete_enumerator, "hamming": hamming_enumerator,
                "lee": lee_enumerator, "symmetrized": symmetrized_enumerator}
 TRANSFORMS = {"hamming": hamming_transform, "lee": lee_transform,
               "symmetrized": symmetrized_transform}
 VARIABLES = {"hamming": ("x", "y"), "lee": ("x", "y"),
              "symmetrized": tuple(f"W_{i}" for i in range(7))}
+MACWILLIAMS_METHODS = {"complete": "point evaluation over Z[zeta_p]",
+                       **dict.fromkeys(TRANSFORMS, "exact transform comparison")}
 
 
 def macwilliams_holds(code: AdditiveCode, kind: str) -> bool:

@@ -34,7 +34,7 @@ from typing import Callable, Sequence, Union
 import numpy as np
 
 from . import linalg
-from .errors import LengthMismatch, ModulusMismatch, NotAUnit, ProfileMismatch
+from .errors import LengthMismatch, MalformedInput, ModulusMismatch, NotAUnit, ProfileMismatch
 from .field import ensure_prime
 from .rings import ChainElement
 
@@ -103,10 +103,15 @@ class MixedWord:
         return cls(profile, *(tuple(block) for block in blocks))
 
     @classmethod
-    def make(cls, profile: BlockProfile, zp=(), rpart=(), spart=()) -> "MixedWord":
-        """Coerce every entry of block k into Z_p[u]/(u^k) (see ``ChainElement.make``)."""
+    def make(cls, profile: BlockProfile, *blocks) -> "MixedWord":
+        """Coerce every entry of block k into Z_p[u]/(u^k) (see ``ChainElement.make``).
+        At most three blocks, each a sequence; a missing block is empty."""
+        if len(blocks) > 3 or not all(isinstance(block, (Sequence, np.ndarray))
+                                      and not isinstance(block, str) for block in blocks):
+            raise MalformedInput(f"a word is at most three sequences of entries, got {blocks!r}")
         return cls.of(profile, ([ChainElement.make(x, profile.p, k) for x in block]
-                                for k, block in enumerate((zp, rpart, spart), start=1)))
+                                for k, block in enumerate(blocks + ((),) * (3 - len(blocks)),
+                                                          start=1)))
 
     @classmethod
     def zero(cls, profile: BlockProfile) -> "MixedWord":

@@ -6,8 +6,8 @@ import pytest
 
 from zprs.additive import (AdditiveCode, GeneratorHypothesisWarning, from_generator_polynomials,
                            shift_module_span, span_closure, word_from_polynomials)
-from zprs.errors import (DivisibilityViolation, GcdViolation, LengthMismatch, ProfileMismatch,
-                         WrongRing)
+from zprs.errors import (DivisibilityViolation, GcdViolation, LengthMismatch, MalformedInput,
+                         ProfileMismatch, WrongRing)
 from zprs.linear import LinearCode
 from zprs.polynomials import Poly, factor_xn_minus_lambda, poly_divmod, x_pow_n_minus
 from zprs.rings import ChainElement
@@ -327,6 +327,17 @@ def test_from_generator_polynomials_refuses_what_it_cannot_place():
     # None still marks an omitted polynomial, for an absent block too
     code = from_generator_polynomials(BlockProfile(2, 3, 0, 0), (1, 1, 1), f0=[1], g=(None,))
     assert code.rank == 3
+
+
+def test_from_generator_polynomials_reads_text_and_refuses_other_forms():
+    pr = BlockProfile(5, 1, 1, 1)
+    assert (from_generator_polynomials(pr, f0="x + 4", g=(None, "x + 4"))
+            == from_generator_polynomials(pr, f0=[4, 1], g=(None, [4, 1])))
+    # a scalar or a mapping as a polynomial, a flat or text tuple, malformed text
+    for kwargs in (dict(f0=7), dict(g=([1], 1)), dict(h=({},)), dict(g=[1, 1]),
+                   dict(l="x"), dict(g=5), dict(f0="x^^2")):
+        with pytest.raises(MalformedInput):
+            from_generator_polynomials(pr, (1, 1, 1), hypotheses="ignore", **kwargs)
 
 
 def test_from_generator_polynomials_spans_the_displayed_rows():

@@ -9,9 +9,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import zprs
-from zprs.additive import GeneratorHypothesisWarning
+from zprs.additive import GeneratorHypothesisWarning, from_generator_polynomials
 from zprs.cli import main
 from zprs.enumerators import ENUMERATORS
+from zprs.words import BlockProfile
 
 C2_SPEC = {
     "p": 2, "q": 2, "r": 2, "s": 2,
@@ -255,6 +256,24 @@ def test_malformed_specs_exit_2(capsys, monkeypatch):
                                                                   mu=[1, 1, 1])),
                        monkeypatch=monkeypatch)
     assert status == 0
+
+
+def test_null_polynomials_are_omitted(capsys, monkeypatch):
+    # null in f0, g, h or l is an omitted polynomial, as in from_generator_polynomials
+    rs = {"p": 2, "q": 0, "r": 3, "s": 3, "g": [[1, 1], [1, 1]], "h": [[1, 1], [1, 1], [1, 1]]}
+    pr = BlockProfile(2, 0, 3, 3)
+    cases = [(dict(rs, l=[None, None, [1]]),
+              from_generator_polynomials(pr, g=([1, 1], [1, 1]), h=([1, 1],) * 3,
+                                         l=(None, None, [1]))),
+             ({"p": 2, "q": 0, "r": 3, "s": 0, "g": [None, [1, 1]]},
+              from_generator_polynomials(BlockProfile(2, 0, 3, 0), g=(None, [1, 1]))),
+             ({"p": 2, "q": 3, "r": 0, "s": 0, "f0": None},
+              from_generator_polynomials(BlockProfile(2, 3, 0, 0)))]
+    for spec, code in cases:
+        status, out, _ = run(capsys, ["build", "--json"], stdin=json.dumps(spec),
+                             monkeypatch=monkeypatch)
+        assert status == 0, spec
+        assert json.loads(out)["basis"] == code.basis.tolist(), spec
 
 
 # valid specs of each form: additive by generators, additive by polynomials, linear

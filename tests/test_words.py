@@ -3,7 +3,8 @@ import itertools
 import numpy as np
 import pytest
 
-from zprs.errors import LengthMismatch, ModulusMismatch, NotAUnit, ProfileMismatch, WrongRing
+from zprs.errors import (LengthMismatch, MalformedInput, ModulusMismatch, NotAUnit, ProfileMismatch,
+                         WrongRing)
 from zprs.rings import ChainElement
 from zprs.words import (BlockProfile, MixedWord, block_columns, constacyclic_shift, flatten,
                         inner_product, mixed_scalar_mul, unflatten)
@@ -69,6 +70,14 @@ def test_profile_entries_are_integers():
             BlockProfile(*entries)
     pr = BlockProfile(np.int64(5), np.int32(1), True, 1)
     assert pr == BlockProfile(5, 1, 1, 1) and type(pr.p) is int and type(pr.r) is int
+
+
+def test_make_reads_at_most_three_sequences():
+    pr = BlockProfile(5, 1, 1, 0)
+    assert MixedWord.make(pr, [1], [[2, 1]]) == MixedWord.make(pr, (1,), ((2, 1),), ())
+    for blocks in (([1], [[2, 1]], [], [1]), (1,), ("1",), ([1], {})):
+        with pytest.raises(MalformedInput):
+            MixedWord.make(pr, *blocks)
 
 
 def test_mixed_scalar_mul_examples():
