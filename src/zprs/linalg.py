@@ -8,7 +8,7 @@ sums are ``iter_row_space``, and the complete enumerator reads them apart.
 
 Entries stay in [0, p-1], so a product of an n-column row with a matrix sums
 n terms below (p-1)^2; ``check_modulus`` rejects the primes for which that
-can leave int64.
+can leave int64, and lengths above 2048.
 """
 
 from __future__ import annotations
@@ -20,11 +20,17 @@ import numpy as np
 
 from .errors import LengthMismatch, ModulusTooLarge, TooLarge, WrongRing
 
-CHUNK, WALK_LIMIT = 1 << 14, 1 << 24
+CHUNK, WALK_LIMIT, LENGTH_LIMIT = 1 << 14, 1 << 24, 1 << 11
 
 
 def check_modulus(p: int, n: int) -> None:
-    """Reject p when n products of two residues can overflow int64."""
+    """Reject a length n above ``LENGTH_LIMIT`` = 2048 with ``TooLarge`` before
+    anything of size n^2 is built, so each dense n x n map of a block profile
+    (``words.map_matrix``, ``form_matrices``) and the Berlekamp matrix of
+    x^n - lambda stays within 32 MiB of int64.  Reject p when n products of two
+    residues can overflow int64."""
+    if n > LENGTH_LIMIT:
+        raise TooLarge(f"length {n} is above the bound {LENGTH_LIMIT}")
     if n * (p - 1) ** 2 >= 2 ** 63:
         raise ModulusTooLarge(f"p = {p} is too large for exact int64 arithmetic "
                               f"on {n} coordinates: n (p-1)^2 >= 2^63")

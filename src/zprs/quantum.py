@@ -22,7 +22,8 @@ their sorted coefficient tuples with repeats kept, and the systematic rows
 of that product (at most s x s).  A search over t <= 10 factors never evicts.
 
 Dual-containing Gray images feed the CSS construction: a dual-containing
-[n, k, d] code over Z_p yields a quantum [[n, 2k - n, d]] code.
+[n, k, d] code over Z_p yields a quantum [[n, 2k - n, d]] code.  The search
+and the reproduced table evaluate each cyclic R-code with ``cyclic_css``.
 """
 
 from __future__ import annotations
@@ -34,8 +35,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .additive import AdditiveCode
-from .errors import (DistanceNotDetermined, GcdViolation, NotDualContaining, TooManyFactors,
-                     ZprsError)
+from .errors import (DistanceNotDetermined, GcdViolation, NotDualContaining, ProfileMismatch,
+                     TooManyFactors, ZprsError)
 from .gray import GrayMap
 from .linear import LinearCode
 from .polynomials import Poly, divides, factor_xn_minus_lambda, hat, reciprocal
@@ -188,6 +189,27 @@ def css(code: LinearCode, *, search_cap: int = 6, jobs: int = 1) -> QuantumParam
     return QuantumParams(code.n, 2 * code.k - code.n, d, code.p)
 
 
+def cyclic_css(code: AdditiveCode, *, distance_cap: int = 6
+               ) -> tuple[LinearCode, QuantumParams, bool] | None:
+    """(Gray image, its CSS parameters, whether d is exact) of a cyclic R-code of
+    profile (p, 0, s, 0), or None if the image does not contain its dual.  The
+    image is fixed by shifting both Gray blocks at once: the checked automorphism
+    hint of its distance search, so a code that is not cyclic raises ``ZprsError``
+    there.  Beyond ``distance_cap``, d is the certified lower bound."""
+    p, s = code.profile.p, code.profile.r
+    if code.profile.lengths != (0, s, 0):
+        raise ProfileMismatch(f"a cyclic R-code has profile (p, 0, s, 0), got {code.profile}")
+    image = GrayMap(p).image(code)
+    if not is_dual_containing(image):
+        return None
+    try:
+        d, exact = image.min_distance(distance_cap, automorphism=[
+            *range(1, s), 0, *range(s + 1, 2 * s), s]), True
+    except DistanceNotDetermined as exc:
+        d, exact = exc.lower_bound, False
+    return image, QuantumParams(image.n, 2 * image.k - image.n, d, p), exact
+
+
 # ---------------------------------------------------------------------------
 # the search driver
 
@@ -212,19 +234,11 @@ def _evaluate_assignment(args) -> tuple | None:
     p, s, factors, slots, distance_cap = args
     if sum((2, 1, 0)[slot] * f.degree for slot, f in zip(slots, factors)) < s:
         return None  # a Gray image [2s, k] with k < s cannot contain its dual
-    code = cyclic_code_from_assignment(FactorAssignment.from_slots(
-        p, s, *_split_slots(factors, slots)))
-    image = GrayMap(p).image(code)
-    if not is_dual_containing(image):
-        return None
-    # the R-code is cyclic, so its image is fixed by shifting both Gray blocks at once
-    shift = [*range(1, s), 0, *range(s + 1, 2 * s), s]
-    try:
-        d = image.min_distance(distance_cap, automorphism=shift)
-        exact = True
-    except DistanceNotDetermined as exc:
-        d, exact = exc.lower_bound, False
-    return (slots, image.n, image.k, d, exact)
+    if found := cyclic_css(cyclic_code_from_assignment(FactorAssignment.from_slots(
+            p, s, *_split_slots(factors, slots))), distance_cap=distance_cap):
+        image, params, exact = found
+        return (slots, image.n, image.k, params.d, exact)
+    return None
 
 
 MAX_FACTORS = 20  # search_dual_containing refuses x^s - 1 with more irreducible factors

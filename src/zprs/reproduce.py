@@ -12,10 +12,9 @@ from dataclasses import dataclass
 
 from .additive import span_closure
 from .enumerators import ENUMERATORS, TRANSFORMS, VARIABLES, macwilliams_complete_check, walk
-from .errors import ZprsError
-from .gray import GrayMap
+from .errors import NotDualContaining, ZprsError
 from .polynomials import Poly, hat
-from .quantum import code_from_table_generators, css
+from .quantum import QuantumParams, code_from_table_generators, cyclic_css
 from .words import BlockProfile, MixedWord
 
 
@@ -175,19 +174,19 @@ def run_table1() -> list[ReproItem]:
         if isinstance(f1_hat, tuple):
             f1_hat = hat(Poly.make(f1_hat[1], p), p, s, 1).int_coeffs()
         try:
-            fa, code = code_from_table_generators(p, s, f0_hat, f1_hat)
-            image = GrayMap(p).image(code)
-            params = css(image)   # raises NotDualContaining; d is the image's distance
-            got_gray = (image.n, image.k, params.d)
-            got_css = (params.n, params.k, params.d)
-            ok = got_gray == gray_expected and got_css == css_expected
+            found = cyclic_css(code_from_table_generators(p, s, f0_hat, f1_hat)[1])
+            if found is None:
+                raise NotDualContaining("the Gray image does not contain its dual")
+            image, params, exact = found
+            ok = (exact and (image.n, image.k, params.d) == gray_expected
+                  and (params.n, params.k, params.d) == css_expected)
             detail = (f"Gray [{image.n},{image.k},{params.d}], {params}"
+                      + ("" if exact else " (d is a lower bound)")
                       + ("" if ok else f"; expected Gray {gray_expected}, "
-                                       f"[[{css_expected[0]},{css_expected[1]},"
-                                       f"{css_expected[2]}]]_{p}"))
-            items.append(ReproItem(name, ok, detail))
+                                       f"{QuantumParams(*css_expected, p)}"))
         except ZprsError as exc:
-            items.append(ReproItem(name, False, f"discrepancy: {type(exc).__name__}: {exc}"))
+            ok, detail = False, f"discrepancy: {type(exc).__name__}: {exc}"
+        items.append(ReproItem(name, ok, detail))
     return items
 
 

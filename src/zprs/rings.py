@@ -46,14 +46,20 @@ class ChainElement:
 
     @classmethod
     def make(cls, value: CoeffsLike, p: int, k: int) -> "ChainElement":
-        """Coerce an integer, a coefficient sequence, or a smaller-ring element."""
+        """Coerce an integer, a coefficient sequence, or a smaller-ring element.
+        Text, mappings and sets are not coefficient sequences: ``WrongRing``."""
         if isinstance(value, ChainElement):
             if value.p != p:
                 raise ModulusMismatch(f"moduli differ: {value.p} vs {p}")
             if value.k > k:
                 raise WrongRing(f"cannot shrink ring: k={value.k} into k={k}")
             return cls(p, k, value.coeffs + (0,) * (k - value.k))
-        coeffs = tuple(value) if hasattr(value, "__iter__") else (value,)
+        if not hasattr(value, "__iter__"):
+            coeffs = (value,)
+        elif isinstance(value, (str, bytes, dict, set, frozenset)):
+            raise WrongRing(f"coefficients must be integers or a sequence of them, got {value!r}")
+        else:
+            coeffs = tuple(value)
         if len(coeffs) > k:
             raise WrongRing(f"{len(coeffs)} coefficients do not fit in k={k}")
         return cls(p, k, coeffs + (0,) * (k - len(coeffs)))

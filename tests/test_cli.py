@@ -2,6 +2,7 @@ import contextlib
 import copy
 import io
 import json
+import tracemalloc
 import warnings
 from unittest import mock
 
@@ -245,6 +246,8 @@ def test_malformed_specs_exit_2(capsys, monkeypatch):
              ("build", dict(z5_2, g=[1, 1]), "MalformedInput"),
              ("build", dict(z5_2, f0="x^^2"), "MalformedInput"),
              ("build", dict(z5_2, f0=[1, 1], hypotheses="bogus"), "MalformedInput"),
+             # an empty JSON object as a coefficient was read as 0
+             ("build", dict(gens, generators=[[[{}], [[2, 1]], [[0, 1, 3]]]]), "WrongRing"),
              (word + ["[1]"], gens, "MalformedInput"),
              (word + ["[[1], [[2, 1]], [[0, 1, 3]], [1]]"], gens, "MalformedInput")]
     for argv, spec, code in cases:
@@ -256,6 +259,27 @@ def test_malformed_specs_exit_2(capsys, monkeypatch):
                                                                   mu=[1, 1, 1])),
                        monkeypatch=monkeypatch)
     assert status == 0
+
+
+def test_oversized_lengths_are_refused_before_allocating(capsys, monkeypatch):
+    # these died with a MemoryError traceback (a 74.5 GiB np.eye for the first)
+    specs = [{"p": 13, "q": 100000, "r": 0, "s": 0, "generators": []},
+             {"p": 13, "q": 10 ** 7, "r": 0, "s": 0, "f0": [1], "hypotheses": "ignore"},
+             {"p": 13, "q": 0, "r": 1000, "s": 20, "generators": []},
+             {"p": 2, "n": 2049, "generator": [[1] * 2049]}]
+    tracemalloc.start()
+    try:
+        for argv, spec in [("build", spec) for spec in specs[:3]] + [("distance", specs[3])]:
+            status, out, err = run(capsys, [argv], stdin=json.dumps(spec),
+                                   monkeypatch=monkeypatch)
+            assert (status, out) == (2, "") and json.loads(err)["error"]["code"] == "TooLarge"
+        assert main(["factor", "--p", "2", "--n", "100001"]) == 2
+        assert json.loads(capsys.readouterr().err)["error"]["code"] == "TooLarge"
+        assert tracemalloc.get_traced_memory()[1] < 1 << 22
+    finally:
+        tracemalloc.stop()
+    # the bound itself is accepted: 2048 = 0 + 2 * 1024 + 0
+    assert BlockProfile(13, 0, 1024, 0).n == 2048
 
 
 def test_null_polynomials_are_omitted(capsys, monkeypatch):

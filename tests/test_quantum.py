@@ -10,15 +10,16 @@ import pytest
 
 import zprs.quantum as quantum
 from zprs import linalg
-from zprs.additive import AdditiveCode, shift_module_span, word_from_polynomials
-from zprs.errors import GcdViolation, NotDualContaining, TooManyFactors, ZprsError
+from zprs.additive import AdditiveCode, shift_module_span, span_closure, word_from_polynomials
+from zprs.errors import (GcdViolation, NotDualContaining, ProfileMismatch, TooManyFactors,
+                         ZprsError)
 from zprs.gray import GrayMap
 from zprs.linear import LinearCode, min_distance_by_enumeration
 from zprs.polynomials import Poly, factor_xn_minus_lambda, hat
 from zprs.quantum import (FactorAssignment, QuantumParams, code_from_table_generators, css,
-                          cyclic_code_from_assignment, is_dual_containing,
+                          cyclic_code_from_assignment, cyclic_css, is_dual_containing,
                           search_dual_containing)
-from zprs.words import BlockProfile
+from zprs.words import BlockProfile, unflatten
 
 from oracles import additive_dual_containing, reciprocal_dual, separable_rs_dual_containing
 from test_linear import reference_distance
@@ -191,24 +192,46 @@ def test_gray_image_of_the_reciprocal_code_is_the_euclidean_dual():
 
 
 def test_min_distance_of_dual_containing_gray_images_matches_the_references():
-    # the search's joint shift of the two Gray blocks against the unbatched DFS
-    # and, where p^k <= 2^16, against codeword enumeration
+    # the search's joint shift of the two Gray blocks, through cyclic_css, against the
+    # unbatched DFS and, where p^k <= 2^16, against codeword enumeration
     grid = ((5, 6), (13, 4), (17, 4), (5, 8), (13, 6), (2, 7))
     checked = enumerated = 0
     for fa in every_assignment(grid):
-        image = GrayMap(fa.p).image(cyclic_code_from_assignment(fa))
-        if not is_dual_containing(image):
+        code = cyclic_code_from_assignment(fa)
+        image = GrayMap(fa.p).image(code)
+        found = cyclic_css(code, distance_cap=image.n)
+        assert (found is not None) == is_dual_containing(image), (fa.p, fa.s, fa.key())
+        if found is None:
             continue
         s, n = fa.s, image.n
         hint = [*range(1, s), 0, *range(s + 1, 2 * s), s]
         d = reference_distance(image)
         assert image.min_distance(search_cap=n) == d, (fa.p, s, fa.key())
         assert image.min_distance(search_cap=n, automorphism=hint) == d, (fa.p, s, fa.key())
+        assert found[0] == image and found[2], (fa.p, s, fa.key())
+        assert found[1] == QuantumParams(n, 2 * image.k - n, d, fa.p), (fa.p, s, fa.key())
         if image.size <= 2 ** 16:
             assert min_distance_by_enumeration(image) == d
             enumerated += 1
         checked += 1
     assert (checked, enumerated) == (364, 16)
+
+
+def test_cyclic_css_refuses_codes_that_are_not_cyclic_r_codes():
+    fa, code = code_from_table_generators(17, 8, [4, 5, 3, 1], [9, 14, 14, 8, 10, 12, 1])
+    # a word outside the cyclic code: the span still contains the image's dual, so a
+    # distance would be searched with a hint that is no automorphism
+    extra = np.zeros(code.profile.n, dtype=np.int64)
+    extra[[0, 2]] = 1
+    wider = span_closure([unflatten(row, code.profile) for row in [*code.basis, extra]])
+    assert wider.rank > code.rank and not wider.is_constacyclic()
+    assert is_dual_containing(GrayMap(17).image(wider))
+    with pytest.raises(ZprsError, match="does not map the code into itself"):
+        cyclic_css(wider)
+    # a Z_p or S block is no R-code
+    for profile in (BlockProfile(5, 1, 2, 0), BlockProfile(5, 0, 2, 1), BlockProfile(5, 2, 0, 0)):
+        with pytest.raises(ProfileMismatch):
+            cyclic_css(AdditiveCode.full_space(profile))
 
 
 def test_is_dual_containing_matches_subcode_oracle_on_random_codes():

@@ -167,4 +167,8 @@ def test_coefficients_are_read_as_integers():
                 lambda: ChainElement.make([2.5, 0], 5, 2), lambda: ChainElement.make("1", 5, 1)):
         with pytest.raises(WrongRing):
             bad()
+    # text, mappings and sets are no coefficient sequences, even empty ones (not read as 0)
+    for bad in ("", "12", {}, {1: 2}, set(), {1, 2}, frozenset()):
+        with pytest.raises(WrongRing):
+            ChainElement.make(bad, 5, 2)
 
