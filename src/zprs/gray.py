@@ -9,6 +9,12 @@ The coordinatewise extensions are block-transposed: all first Gray
 coordinates of a block, then all second, and so on.  The quasi-twisted
 image theorems depend on exactly that layout.
 
+An R-code whose RREF rows each lie wholly in the a- or the b-columns is
+C = A x uB with A in B (closure under u), as every cyclic R-code is.  Its
+image {(a + b | kappa b)} has the RREF [[B, kappa (B - B[:, piv_A] A)], [0, A]]
+mod p (A, B in RREF, piv_A the pivots of A), read off without elimination;
+any other code's image is its basis times the Gray matrix, row-reduced.
+
 Lee weights: a Z_p coordinate x weighs min(x, p-x); an R or S coordinate
 weighs the Hamming weight of its Gray image.  Those Hamming weights do not
 depend on kappa (kappa is a unit), so ``position_weights``, the one
@@ -28,7 +34,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import WrongRing
+from . import linalg
+from .errors import WrongRing, ZprsError
 from .field import find_kappa
 from .linear import LinearCode
 from .rings import ChainElement
@@ -108,15 +115,38 @@ class GrayMap:
         """Gray image of an additive code as a Z_p linear code.
 
         The map is Z_p-linear and injective, so the image is the span of the
-        basis times the Gray matrix and keeps the Z_p-dimension.
+        basis times the Gray matrix and keeps the Z_p-dimension; a split
+        R-code takes the closed form of the module docstring.
         """
         if code.profile.p != self.p:
             raise WrongRing("code over a different prime")
-        rows = code.basis @ _gray_matrix(code.profile) % self.p
+        rows = self._split_image(code)
+        if rows is None:
+            rows = code.basis @ _gray_matrix(code.profile) % self.p
         image = LinearCode(self.p, code.profile.gray_length, rows)
         if image.k != code.rank:
             raise AssertionError("Gray image lost rank; the map must be injective")
         return image
+
+    def _split_image(self, code) -> np.ndarray | None:
+        """RREF of the image of an R-code C = A x uB, or None for any other code;
+        ``ZprsError`` if A does not lie in B, which no u-closed code allows."""
+        p, r = self.p, code.profile.r
+        if code.profile.lengths != (0, r, 0):
+            return None
+        ab = code.basis[:, block_columns(code.profile)[1].T.ravel()]   # (a-part | b-part)
+        a_zero, b_zero = ~ab.reshape(len(ab), 2, r).any(axis=2).T
+        if not (a_zero | b_zero).all():
+            return None
+        piv = (ab != 0).argmax(axis=1)
+        a, b = ab[b_zero, :r], ab[~b_zero, r:]
+        if not linalg.in_row_space(b, piv[~b_zero] - r, a, p):
+            raise ZprsError("A is not in B: the code is not closed under u")
+        rows = np.zeros_like(ab)
+        rows[:len(b), :r] = b
+        rows[:len(b), r:] = (b - b[:, piv[b_zero]] @ a) % p * self.kappa % p
+        rows[len(b):, r:] = a
+        return rows
 
 
 @lru_cache(maxsize=None)

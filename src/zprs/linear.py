@@ -14,18 +14,20 @@ the identity on the free columns, minus the free part of G on the pivots.
 Minimum distance uses the parity-check characterization: d(C) is the
 smallest w such that some w columns of H are linearly dependent.  The
 search walks independent column subsets in lexicographic order (DFS with
-one vectorized elimination per node, the last two levels batched into
-one), deepening w until a dependency appears, so the first hit certifies
-exactness.  A checked column automorphism cuts the first level to one
-column per orbit.  A full codeword enumeration is kept as an independent
-oracle for small codes and as the fallback when the subset cap is
-exhausted.
+one vectorized elimination per node), deepening w until a dependency
+appears, so the first hit certifies exactness.  The last two levels are
+one step: scaled by the inverse of its leading entry, a column equals a
+later one exactly when that one is a multiple of it, and the candidates
+are compared in blocks of at most PAIR_BLOCK booleans.  A checked column
+automorphism cuts the first level to one column per orbit.  A full
+codeword enumeration is kept as an independent oracle for small codes and
+as the fallback when the subset cap is exhausted.
 """
 
 from __future__ import annotations
 
 import operator
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -34,6 +36,9 @@ from . import linalg
 from .additive import AdditiveCode
 from .errors import DistanceNotDetermined, LengthMismatch, ZprsError
 from .words import BlockProfile, as_unit, shift_matrix
+
+# entries of one boolean block of the pair check; primes with a cached inverse table
+PAIR_BLOCK, INVERSE_TABLE_LIMIT = 1 << 22, 1 << 16
 
 
 class LinearCode(AdditiveCode):
@@ -164,21 +169,31 @@ def _choose_column(mat: np.ndarray, p: int, j: int) -> np.ndarray | None:
 
 
 def _dependent_pair(mat: np.ndarray, p: int, start: int, stop: int) -> bool:
-    """The last two levels at once: True iff some nonzero column j in [start, stop)
-    has a later column c that reduces to zero against it, that is (i the pivot row
-    of j) m[i, j] m[:, c] = m[i, c] m[:, j]; one (J, r, n) product, no inverse."""
+    """The last two levels at once: True iff some column j in [start, stop) has a
+    later column that reduces to zero against it, a multiple of it.  Scaled by the
+    inverse of its leading entry, a column then equals another one, and conversely
+    one equal to an earlier column c makes c such a j.  No column is zero here (that
+    is a dependency below w), so each candidate block, of at most PAIR_BLOCK
+    booleans, holds such a pair iff it has more equalities than its self-matches."""
     m = mat[:, start:]
-    cand = np.arange(stop - start)
-    cand = cand[m[:, cand].any(axis=0)]
-    if cand.size == 0:
-        return False
-    cols = m[:, cand]                                   # (r, J)
-    piv = (cols != 0).argmax(axis=0)                    # first nonzero row of each
-    lead = cols[piv, np.arange(cand.size)]
-    cross = (lead[:, None, None] * m[None] - cols.T[:, :, None] * m[piv][:, None, :]) % p
-    zero = ~cross.any(axis=1)                           # (J, n - start)
-    after = np.arange(m.shape[1])[None, :] > cand[:, None]
-    return bool((zero & after).any())
+    lead = m[(m != 0).argmax(axis=0), np.arange(m.shape[1])]
+    inverse = (_inverse_table(p)[lead] if p <= INVERSE_TABLE_LIMIT
+               else np.array([pow(int(a), p - 2, p) for a in lead]))
+    norm = m * inverse % p
+    step = max(1, PAIR_BLOCK // m.size)
+    for i in range(0, stop - start, step):
+        equal = (norm[:, i:min(i + step, stop - start), None] == norm[:, None, :]).all(axis=0)
+        if np.count_nonzero(equal) > len(equal):
+            return True
+    return False
+
+
+@lru_cache(maxsize=16)
+def _inverse_table(p: int) -> np.ndarray:
+    """a^(p-2) mod p for a in [0, p) (read-only): the inverse of each unit, 0 for 0."""
+    table = np.array([pow(a, p - 2, p) for a in range(p)], dtype=np.int64)
+    table.setflags(write=False)
+    return table
 
 
 def _dependent_subtree(mat: np.ndarray, p: int, start: int, stop: int, chosen: int,

@@ -182,13 +182,17 @@ def parse_poly(text: str, p: int) -> Poly:
 
 
 def poly_divmod(f: Poly, g: Poly) -> tuple[Poly, Poly]:
-    """f = q*g + r with deg r < deg g; g must have a unit leading coefficient."""
+    """f = q*g + r with deg r < deg g; g must have a unit leading coefficient.
+    Over Z_p (k = 1) the division runs on integer arrays."""
     f._check(g)
     if g.is_zero:
         raise NonUnitLeadingCoefficient("division by the zero polynomial")
     lead = g.coeffs[-1]
     if not lead.is_unit:
         raise NonUnitLeadingCoefficient(f"leading coefficient {lead} is not a unit")
+    if f.k == 1:
+        q, r = _zp_divide(f, g)
+        return Poly.make(q.tolist(), f.p), Poly.make(r.tolist(), f.p)
     inv = lead.inverse()
     rem = list(f.coeffs)
     dq = len(f.coeffs) - len(g.coeffs)
@@ -209,6 +213,8 @@ def divides(f: Poly, g: Poly) -> bool:
     """True iff f | g (f needs a unit leading coefficient)."""
     if f.is_zero:
         return g.is_zero
+    if f.k == g.k == 1 and f.p == g.p:
+        return not _zp_divide(g, f)[1].any()
     return poly_divmod(g, f)[1].is_zero
 
 
@@ -216,17 +222,27 @@ def x_pow_n_minus(lam: CoeffLike, n: int, p: int, k: int = 1) -> Poly:
     """The block modulus x^n - lam over Z_p[u]/(u^k), n >= 1."""
     if n < 1:
         raise GcdViolation("n must be positive")
-    return Poly.make([-ChainElement.make(lam, p, k)] + [0] * (n - 1) + [1], p, k)
+    return Poly(p, k, (-ChainElement.make(lam, p, k),) + (ChainElement.zero(p, k),) * (n - 1)
+                + (ChainElement.one(p, k),))
 
 
-def _zp_rem(a: np.ndarray, g: np.ndarray, p: int) -> np.ndarray:
-    """a mod the monic g over Z_p as deg g coefficients; arrays lowest degree first."""
+def _zp_divmod(a: np.ndarray, g: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
+    """(quotient, remainder of deg g coefficients) of a by the monic g over Z_p, arrays
+    lowest degree first; each quotient coefficient stays where it cleared a term."""
     d = len(g) - 1
-    r = a % p
+    r, low = a % p, g[:d]
     for i in range(len(a) - 1, d - 1, -1):
         if r[i]:
-            r[i - d:i + 1] = (r[i - d:i + 1] - r[i] * g) % p
-    return r[:d]
+            r[i - d:i] = (r[i - d:i] - r[i] * low) % p
+    return r[d:], r[:d]
+
+
+def _zp_divide(f: Poly, g: Poly) -> tuple[np.ndarray, np.ndarray]:
+    """(quotient, remainder) arrays of the Z_p polynomials f by the nonzero g."""
+    p, divisor = f.p, np.array(g.int_coeffs(), dtype=np.int64)
+    c = pow(int(divisor[-1]), p - 2, p)
+    q, r = _zp_divmod(np.array(f.int_coeffs(), dtype=np.int64), divisor * c % p, p)
+    return q * c % p, r
 
 
 def _zp_gcd(g: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
@@ -234,7 +250,7 @@ def _zp_gcd(g: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
     b = np.trim_zeros(b, "b")
     while b.size:
         g, b = b * pow(int(b[-1]), p - 2, p) % p, g
-        b = np.trim_zeros(_zp_rem(b, g, p), "b")
+        b = np.trim_zeros(_zp_divmod(b, g, p)[1], "b")
     return g
 
 
@@ -243,10 +259,10 @@ def _berlekamp_split(g: np.ndarray, v: np.ndarray, p: int) -> list[np.ndarray]:
     of w: a product of distinct y - c as v^p = v mod g, so the gcds are pairwise
     coprime with product g.  That polynomial, of degree <= min(deg g, p), is the
     last row of the RREF kernel of w^k, ..., w^0; it is evaluated on Z_p in chunks."""
-    w = _zp_rem(v, g, p)
+    w = _zp_divmod(v, g, p)[1]
     powers = [np.eye(1, len(w), dtype=np.int64)[0]]
     for _ in range(min(len(w), p)):
-        powers.append(_zp_rem(np.convolve(powers[-1], w) % p, g, p))
+        powers.append(_zp_divmod(np.convolve(powers[-1], w) % p, g, p)[1])
     mu = kernel_basis(np.array(powers[::-1]).T, p)[-1]
     parts = []
     for start in range(0, p, 1 << 16):

@@ -3,13 +3,17 @@ import itertools
 import numpy as np
 import pytest
 
-from zprs.additive import span_closure
-from zprs.errors import NoSquareRootOfMinusOne
+from oracles import reference_rref
+from zprs.additive import AdditiveCode, span_closure
+from zprs.errors import NoSquareRootOfMinusOne, ZprsError
 from zprs.enumerators import symbol_table
 from zprs.gray import (GrayMap, LeeWeightMismatchWarning, _gray_matrix, gray_hamming_weight,
                        lee_weight, position_weights)
+from zprs.polynomials import factor_xn_minus_lambda
+from zprs.quantum import FactorAssignment, cyclic_code_from_assignment
 from zprs.rings import ChainElement
-from zprs.words import BlockProfile, MixedWord, constacyclic_shift, inner_product, unflatten
+from zprs.words import (BlockProfile, MixedWord, block_columns, constacyclic_shift,
+                        inner_product, unflatten)
 
 
 def test_phi1_examples():
@@ -214,3 +218,51 @@ def test_gray_image_dimensions():
                          MixedWord.make(pr, (0, 1), ((1, 1), (0, 0)), ((0, 0, 0), (1, 1, 0)))])
     img = g.image(code)
     assert (img.n, img.k) == (12, 6)
+
+
+def _image_by_words(g, code):
+    """Oracle: the Gray word of each basis word, row-reduced by full elimination."""
+    words = np.array([g.word(w) for w in code.basis_words()], dtype=np.int64)
+    return reference_rref(words.reshape(-1, code.profile.gray_length), g.p)[0]
+
+
+@pytest.mark.parametrize("p, s", [(2, 7), (5, 8), (13, 6), (5, 6), (13, 4)])
+def test_cyclic_r_codes_are_imaged_in_closed_form(p, s):
+    g = GrayMap(p)
+    factors = factor_xn_minus_lambda(p, s, 1)
+    for slots in itertools.product(range(3), repeat=len(factors)):
+        code = cyclic_code_from_assignment(FactorAssignment.from_slots(
+            p, s, *([f for f, j in zip(factors, slots) if j == i] for i in range(3))))
+        rows = g._split_image(code)
+        # already in RREF, so the LinearCode constructor only checks it
+        assert np.array_equal(rows, reference_rref(rows, p)[0])
+        assert np.array_equal(g.image(code).generator, _image_by_words(g, code))
+
+
+def test_other_codes_take_the_generic_image():
+    rng = np.random.default_rng(23)
+    generic_r_codes = 0
+    for p in (2, 5, 13):
+        g = GrayMap(p)
+        for trial in range(40):
+            q, r, s = (0, int(rng.integers(1, 5)), 0) if trial % 2 else \
+                (int(rng.integers(0, 3)), int(rng.integers(0, 3)), int(rng.integers(1, 3)))
+            pr = BlockProfile(p, q, r, s)
+            code = span_closure([unflatten(rng.integers(0, p, size=pr.n), pr)
+                                 for _ in range(int(rng.integers(1, 3)))], profile=pr)
+            a_cols, b_cols = block_columns(pr)[1].T
+            split = pr.lengths == (0, r, 0) and not (
+                code.basis[:, a_cols].any(axis=1) & code.basis[:, b_cols].any(axis=1)).any()
+            assert (g._split_image(code) is not None) == split
+            generic_r_codes += pr.lengths == (0, r, 0) and not split
+            assert np.array_equal(g.image(code).generator, _image_by_words(g, code))
+    assert generic_r_codes >= 20
+
+
+def test_a_split_basis_with_a_outside_b_is_refused():
+    # C = A x uB needs A in B (closure under u); these bases skip that check
+    pr, g = BlockProfile(5, 0, 2, 0), GrayMap(5)
+    for rows in ([[1, 0, 0, 0]], [[1, 0, 0, 0], [0, 0, 0, 1]], [[0, 0, 1, 0], [0, 1, 0, 0]]):
+        code = AdditiveCode(pr, rows, _closed=True)
+        with pytest.raises(ZprsError, match="not closed under u"):
+            g.image(code)

@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -171,11 +176,50 @@ def test_min_distance_independent_of_jobs():
 
 def test_min_distance_matches_the_unbatched_reference():
     rng = np.random.default_rng(31)
+    codes = []
     for _ in range(120):
         p = (2, 3, 5, 7, 13)[int(rng.integers(0, 5))]
         n = int(rng.integers(3, 15))
-        code = random_code(rng, p, n, int(rng.integers(1, n)))
-        assert code.min_distance(search_cap=n) == reference_distance(code), (p, code.generator)
+        codes.append(random_code(rng, p, n, int(rng.integers(1, n))))
+    # zero, repeated and proportional columns in the generator, and through the
+    # dual in the parity check; 65537 is above the cached inverse table
+    for p in (2, 3, 5, 7, 13, 65537):
+        for _ in range(6):
+            n, k = int(rng.integers(3, 9)), int(rng.integers(1, 5))
+            m = rng.integers(0, p, size=(k, n))
+            picked = rng.integers(0, n, size=3)
+            g = np.hstack([m, np.zeros((k, 1), dtype=np.int64), m[:, picked[:1]],
+                           m[:, picked] * rng.integers(1, p, size=3) % p])
+            code = LinearCode(p, n + 5, g)
+            codes += [c for c in (code, code.euclidean_dual()) if c.k]
+    for code in codes:
+        assert code.min_distance(search_cap=code.n) == reference_distance(code), \
+            (code.p, code.generator)
+
+
+def test_pair_check_runs_in_bounded_memory():
+    # the pair check compares blocks of columns: one (499, 250, 500) int64 array
+    # crossing every column with every later one is 476 MiB and does not fit
+    # twice in 1 GB of address space, and even as booleans it is over 32 MiB
+    import zprs
+    paths = [str(Path(zprs.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
+    probe = (
+        "import resource; resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
+        "import numpy as np\n"
+        "from zprs import LinearCode\n"
+        "from zprs.errors import DistanceNotDetermined\n"
+        "import tracemalloc\n"
+        "code = LinearCode(17, 500, np.random.default_rng(0).integers(0, 17, (250, 500)))\n"
+        "code.parity_check\n"
+        "tracemalloc.start()\n"
+        "try:\n"
+        "    code.min_distance(2)\n"
+        "except DistanceNotDetermined as exc:\n"
+        "    print(exc.lower_bound, tracemalloc.get_traced_memory()[1] < 32 << 20)\n")
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                         env=env)
+    assert (out.returncode, out.stdout.strip()) == (0, "3 True"), out.stderr[-2000:]
 
 
 def test_min_distance_with_a_shift_hint_matches_the_reference():

@@ -136,6 +136,28 @@ def test_divides_examples():
     assert not divides(Poly.make([1, 1], 2), Poly.make([1, 1, 1], 2))
 
 
+def test_zp_division_recovers_quotient_and_remainder():
+    # Z_p polynomials are divided as integer arrays; f = h g + r0 with deg r0 < deg g
+    # is built by Poly arithmetic, divisors with a leading coefficient other than 1
+    rng = random.Random(17)
+    for p in (2, 5, 13):
+        for _ in range(40):
+            g = Poly.make([rng.randrange(p) for _ in range(rng.randrange(4))]
+                          + [rng.randrange(1, p)], p)
+            h = Poly.make([rng.randrange(p) for _ in range(rng.randrange(5))], p)
+            r0 = Poly.make([rng.randrange(p) for _ in range(rng.randrange(g.degree + 1))], p)
+            f = h * g + r0
+            assert poly_divmod(f, g) == (h, r0)
+            assert divides(g, f) == r0.is_zero
+        for n in (4, 6, 7):
+            if n % p:
+                for f in factor_xn_minus_lambda(p, n, 1):
+                    c = rng.randrange(1, p)
+                    assert hat(f.scale(c), p, n, 1) * f.scale(c) == x_pow_n_minus(1, n, p)
+    with pytest.raises(NotADivisor):
+        hat(Poly.make([6, 2], 17), 17, 8, 1)     # 2(x + 3), and -3 is not an 8th root of unity
+
+
 def test_factor_examples():
     f17 = factor_xn_minus_lambda(17, 8, 1)
     roots = sorted((-f.int_coeffs()[0]) % 17 for f in f17)
