@@ -11,9 +11,11 @@ image theorems depend on exactly that layout.
 
 An R-code whose RREF rows each lie wholly in the a- or the b-columns is
 C = A x uB with A in B (closure under u), as every cyclic R-code is.  Its
-image {(a + b | kappa b)} has the RREF [[B, kappa (B - B[:, piv_A] A)], [0, A]]
-mod p (A, B in RREF, piv_A the pivots of A), read off without elimination;
-any other code's image is its basis times the Gray matrix, row-reduced.
+image {(b + a | kappa b) : b in B, a in A} is the Plotkin sum of B and A
+(``LinearCode.plotkin_sum``), written in RREF without elimination, and its
+minimum distance is min(2 d(B), d(A)) (the (u | u + v) construction,
+MacWilliams-Sloane, ch. 2 Sec. 9, Thm. 33); any other code's image is its
+basis times the Gray matrix, row-reduced.
 
 Lee weights: a Z_p coordinate x weighs min(x, p-x); an R or S coordinate
 weighs the Hamming weight of its Gray image.  Those Hamming weights do not
@@ -34,8 +36,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from . import linalg
-from .errors import WrongRing, ZprsError
+from .errors import WrongRing
 from .field import find_kappa
 from .linear import LinearCode
 from .rings import ChainElement
@@ -116,37 +117,30 @@ class GrayMap:
 
         The map is Z_p-linear and injective, so the image is the span of the
         basis times the Gray matrix and keeps the Z_p-dimension; a split
-        R-code takes the closed form of the module docstring.
+        R-code's image is a Plotkin sum (module docstring).
         """
         if code.profile.p != self.p:
             raise WrongRing("code over a different prime")
-        rows = self._split_image(code)
-        if rows is None:
-            rows = code.basis @ _gray_matrix(code.profile) % self.p
-        image = LinearCode(self.p, code.profile.gray_length, rows)
+        image = self._split_image(code)
+        if image is None:
+            image = LinearCode(self.p, code.profile.gray_length,
+                               code.basis @ _gray_matrix(code.profile) % self.p)
         if image.k != code.rank:
             raise AssertionError("Gray image lost rank; the map must be injective")
         return image
 
-    def _split_image(self, code) -> np.ndarray | None:
-        """RREF of the image of an R-code C = A x uB, or None for any other code;
-        ``ZprsError`` if A does not lie in B, which no u-closed code allows."""
-        p, r = self.p, code.profile.r
+    def _split_image(self, code) -> LinearCode | None:
+        """The image of an R-code C = A x uB, the Plotkin sum of B and A, or None for
+        any other code; ``ZprsError`` if A does not lie in B, which no u-closed code
+        allows."""
+        r = code.profile.r
         if code.profile.lengths != (0, r, 0):
             return None
         ab = code.basis[:, block_columns(code.profile)[1].T.ravel()]   # (a-part | b-part)
         a_zero, b_zero = ~ab.reshape(len(ab), 2, r).any(axis=2).T
         if not (a_zero | b_zero).all():
             return None
-        piv = (ab != 0).argmax(axis=1)
-        a, b = ab[b_zero, :r], ab[~b_zero, r:]
-        if not linalg.in_row_space(b, piv[~b_zero] - r, a, p):
-            raise ZprsError("A is not in B: the code is not closed under u")
-        rows = np.zeros_like(ab)
-        rows[:len(b), :r] = b
-        rows[:len(b), r:] = (b - b[:, piv[b_zero]] @ a) % p * self.kappa % p
-        rows[len(b):, r:] = a
-        return rows
+        return LinearCode.plotkin_sum(self.p, ab[~b_zero, r:], ab[b_zero, :r], self.kappa)
 
 
 @lru_cache(maxsize=None)

@@ -6,7 +6,7 @@ u acts as 0 there, so every subspace is a module, and the u-weighted form is
 u^2 times the dot product, so the inherited ``dual()`` is the Euclidean dual.
 Invariance under v -> v M is the inherited one-product test; the predicates
 build M block-diagonal from the twisted shifts of ``words.shift_matrix``,
-and a column automorphism hint is checked with its permutation matrix.
+and a column automorphism hint is checked with one column gather.
 
 The parity check H is read off the RREF generator without elimination:
 the identity on the free columns, minus the free part of G on the pivots.
@@ -22,10 +22,19 @@ are compared in blocks of at most PAIR_BLOCK booleans.  A checked column
 automorphism cuts the first level to one column per orbit.  A full
 codeword enumeration is kept as an independent oracle for small codes and
 as the fallback when the subset cap is exhausted.
+
+A Plotkin sum {(x + y | lam x) : x in U, y in V} (V in U, lam a unit), such
+as the Gray image of a cyclic R-code, has d = min(2 d(U), d(V)): the
+(u | u + v) construction of MacWilliams-Sloane, ch. 2 Sec. 9, Thm. 33.  Its
+distance is read off its halves, which are searched with the same DFS, V up
+to the cap and U up to half of it, each also stopping at its own Singleton
+bound, and cached per (p, basis, cap).  Beyond the cap the halves are
+enumerated, under the same size bound as the whole code.
 """
 
 from __future__ import annotations
 
+import math
 import operator
 from functools import cached_property, lru_cache
 from typing import Sequence
@@ -34,7 +43,7 @@ import numpy as np
 
 from . import linalg
 from .additive import AdditiveCode
-from .errors import DistanceNotDetermined, LengthMismatch, ZprsError
+from .errors import DistanceNotDetermined, LengthMismatch, ProfileMismatch, ZprsError
 from .words import BlockProfile, as_unit, shift_matrix
 
 # entries of one boolean block of the pair check; primes with a cached inverse table
@@ -43,6 +52,8 @@ PAIR_BLOCK, INVERSE_TABLE_LIMIT = 1 << 22, 1 << 16
 
 class LinearCode(AdditiveCode):
     """[n, k] code over Z_p: the additive code of (p, n, 0, 0), ``generator`` its RREF basis."""
+
+    _halves: tuple[np.ndarray, np.ndarray] | None = None   # (U, V) of a Plotkin sum
 
     def __init__(self, p: int, n: int, generator: np.ndarray | Sequence):
         super().__init__(BlockProfile(p, n, 0, 0), generator, _closed=True)
@@ -59,6 +70,29 @@ class LinearCode(AdditiveCode):
     @classmethod
     def full_space(cls, p: int, n: int) -> "LinearCode":
         return cls(p, n, np.eye(n, dtype=np.int64))
+
+    @classmethod
+    def plotkin_sum(cls, p: int, u, v, lam: int) -> "LinearCode":
+        """{(x + y | lam x) : x in U, y in V} for bases U, V of length m, V in U
+        (``ZprsError`` otherwise), and a unit lam.  For U, V in RREF, with piv_V the
+        pivots of V, its RREF is [[U, lam (U - U[:, piv_V] V)], [0, V]] mod p, so the
+        constructor only checks it; other bases are row-reduced first.
+        ``min_distance`` reads d off the two halves."""
+        lam = as_unit(operator.index(lam), p, 1).coeffs[0]
+        if (m := np.shape(u)[-1]) < 1:
+            raise ProfileMismatch("the halves of a Plotkin sum need a length m >= 1")
+        u, v = (linalg.as_matrix(b, m) % p for b in (u, v))
+        rows = np.zeros((len(u) + len(v), 2 * m), dtype=np.int64)
+        rows[:len(u), :m] = u
+        rows[:len(u), m:] = (u - u[:, (v != 0).argmax(axis=1)] @ v) % p * lam % p
+        rows[len(u):, m:] = v
+        code = cls(p, 2 * m, rows)
+        if code.basis.shape != rows.shape or (code.basis != rows).any():  # U or V not RREF
+            return cls.plotkin_sum(p, linalg.rref(u, p)[0], linalg.rref(v, p)[0], lam)
+        if not linalg.in_row_space(u, code.pivots[:len(u)], v, p):
+            raise ZprsError("V is not in U: the rows do not form a Plotkin sum")
+        code._halves = (u, v)
+        return code
 
     @cached_property
     def parity_check(self) -> np.ndarray:
@@ -91,14 +125,29 @@ class LinearCode(AdditiveCode):
         minimum-weight support onto one that contains the smallest column of
         a cycle of pi, so the search starts only from those columns, placed
         first.  The result does not depend on the hint.
+
+        A ``plotkin_sum`` takes d = min(2 d(U), d(V)) from its halves (module
+        docstring) after the hint check, searched in this process whatever
+        ``jobs``; the value is the same.
         """
         if self.k == 0:
             raise ZprsError("minimum distance needs a nonzero code")
         order, starts = self._search_order(automorphism)
-        cap = min(search_cap, self.n - self.k + 1)  # Singleton bound
-        d = _smallest_dependent_subset(self.parity_check[:, order], self.p, cap, jobs, starts)
-        if d is None and self.size <= 2 ** 20:
-            d = min_distance_by_enumeration(self)
+        # the Singleton bound; a weight-1 word is always found, so a cap below 1 acts as 1
+        cap = max(1, min(search_cap, self.n - self.k + 1))
+        exact = self.size <= 2 ** 20
+        if self._halves is not None:
+            def half(b, c):  # min(d, c + 1) of one half; c = None enumerates it
+                return _half_distance(self.p, b.tobytes(), b.shape, c)
+            # 2 (cap // 2 + 1) > cap, so a minimum at most cap is min(2 d(U), d(V))
+            u, v = self._halves
+            d = min(2 * half(u, cap // 2), half(v, cap))
+            if d > cap:
+                d = min(2 * half(u, None), half(v, None)) if exact else None
+        else:
+            d = _smallest_dependent_subset(self.parity_check[:, order], self.p, cap, jobs, starts)
+            if d is None and exact:
+                d = min_distance_by_enumeration(self)
         if d is None:
             raise DistanceNotDetermined(search_cap + 1)
         assert d <= self.n - self.k + 1, "Singleton bound violated; elimination bug"
@@ -112,11 +161,13 @@ class LinearCode(AdditiveCode):
         perm = np.asarray(automorphism, dtype=np.int64)
         if perm.shape != (self.n,) or (np.sort(perm) != np.arange(self.n)).any():
             raise ZprsError(f"an automorphism must be a permutation of 0..{self.n - 1}")
-        if not self._closed_under(np.eye(self.n, dtype=np.int64)[:, perm]):
+        # column i goes to perm[i]: the image of the basis gathers column perm^-1[j] into j
+        if not linalg.in_row_space(self.basis, self.pivots, self.basis[:, np.argsort(perm)],
+                                   self.p):
             raise ZprsError("the column permutation does not map the code into itself")
-        cycle_min, images = np.arange(self.n), perm
-        for _ in range(self.n):
-            cycle_min, images = np.minimum(cycle_min, images), perm[images]
+        cycle_min, jump = np.arange(self.n), perm
+        for _ in range(self.n.bit_length()):  # pointer doubling: 2^rounds > n >= a cycle
+            cycle_min, jump = np.minimum(cycle_min, cycle_min[jump]), jump[jump]
         is_rep = cycle_min == np.arange(self.n)
         return list(np.argsort(~is_rep, kind="stable")), int(is_rep.sum())
 
@@ -252,6 +303,22 @@ def _smallest_dependent_subset(h: np.ndarray, p: int, cap: int, jobs: int,
         if _dependent_subtree(base, p, 0, starts, 0, w):
             return w
     return None
+
+
+@lru_cache(maxsize=1 << 11)
+def _half_distance(p: int, data: bytes, shape: tuple[int, int], cap: int | None) -> float:
+    """min(d, cap + 1) for the code with the RREF basis ``data`` (int64, ``shape``),
+    searched up to min(cap, Singleton bound); d by enumeration when cap is None;
+    inf for the zero code."""
+    basis = np.frombuffer(data, dtype=np.int64).reshape(shape)
+    k, m = shape
+    if k == 0:
+        return math.inf
+    if cap is None:
+        return min_distance_by_enumeration(LinearCode(p, m, basis))
+    h = linalg.standard_kernel(basis, (basis != 0).argmax(axis=1).tolist(), p)
+    d = _smallest_dependent_subset(h, p, min(cap, m - k + 1), 1, m)
+    return cap + 1 if d is None else d
 
 
 def min_distance_by_enumeration(code: LinearCode) -> int:

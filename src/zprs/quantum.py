@@ -231,11 +231,12 @@ def _split_slots(factors, slots) -> list[list[Poly]]:
 
 
 def _evaluate_assignment(args) -> tuple | None:
-    p, s, factors, slots, distance_cap = args
-    if sum((2, 1, 0)[slot] * f.degree for slot, f in zip(slots, factors)) < s:
+    p, s, factors, slots, degrees, distance_cap = args
+    if sum((2, 1, 0)[slot] * deg for slot, deg in zip(slots, degrees)) < s:
         return None  # a Gray image [2s, k] with k < s cannot contain its dual
-    if found := cyclic_css(cyclic_code_from_assignment(FactorAssignment.from_slots(
-            p, s, *_split_slots(factors, slots))), distance_cap=distance_cap):
+    # the factors are in canonical order, so each slot is too: from_slots would only re-sort
+    if found := cyclic_css(cyclic_code_from_assignment(FactorAssignment(
+            p, s, *map(tuple, _split_slots(factors, slots)))), distance_cap=distance_cap):
         image, params, exact = found
         return (slots, image.n, image.k, params.d, exact)
     return None
@@ -259,7 +260,8 @@ def search_dual_containing(p: int, s: int, *, distance_cap: int = 6,
     t = len(factors)
     if t > MAX_FACTORS:
         raise TooManyFactors(f"{t} irreducible factors; bound is {MAX_FACTORS}")
-    assignments = ((p, s, factors, slots, distance_cap)
+    degrees = tuple(f.degree for f in factors)
+    assignments = ((p, s, factors, slots, degrees, distance_cap)
                    for slots in itertools.product(range(3), repeat=t))
     if jobs > 1:
         from concurrent.futures import ProcessPoolExecutor

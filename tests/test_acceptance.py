@@ -197,7 +197,8 @@ def test_criterion_7_quantum_code_table():
             f1_hat = hat(Poly.make(f1_hat[1], p), p, s, 1).int_coeffs()
         fa, code = code_from_table_generators(p, s, f0_hat, f1_hat)
         image, params, exact = cyclic_css(code)
-        d = image.min_distance()   # the unhinted search is the reference for the shift hint
+        # the plain code's unhinted search is the reference for the hinted Plotkin path
+        d = LinearCode(image.p, image.n, image.generator).min_distance()
         got = ((image.n, image.k, d), (params.n, params.k, params.d), exact)
         expected = (gray_expected, css_expected, True)
         if got != expected:

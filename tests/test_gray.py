@@ -10,7 +10,7 @@ from zprs.enumerators import symbol_table
 from zprs.gray import (GrayMap, LeeWeightMismatchWarning, _gray_matrix, gray_hamming_weight,
                        lee_weight, position_weights)
 from zprs.polynomials import factor_xn_minus_lambda
-from zprs.quantum import FactorAssignment, cyclic_code_from_assignment
+from zprs.quantum import FactorAssignment, _key, _systematic_rows, cyclic_code_from_assignment
 from zprs.rings import ChainElement
 from zprs.words import (BlockProfile, MixedWord, block_columns, constacyclic_shift,
                         inner_product, unflatten)
@@ -231,12 +231,15 @@ def test_cyclic_r_codes_are_imaged_in_closed_form(p, s):
     g = GrayMap(p)
     factors = factor_xn_minus_lambda(p, s, 1)
     for slots in itertools.product(range(3), repeat=len(factors)):
-        code = cyclic_code_from_assignment(FactorAssignment.from_slots(
-            p, s, *([f for f, j in zip(factors, slots) if j == i] for i in range(3))))
-        rows = g._split_image(code)
-        # already in RREF, so the LinearCode constructor only checks it
-        assert np.array_equal(rows, reference_rref(rows, p)[0])
-        assert np.array_equal(g.image(code).generator, _image_by_words(g, code))
+        fa = FactorAssignment.from_slots(
+            p, s, *([f for f, j in zip(factors, slots) if j == i] for i in range(3)))
+        code = cyclic_code_from_assignment(fa)
+        image = g._split_image(code)
+        # the Plotkin sum of B = < prod F2 > and A = < hat(F0) >, kept in RREF
+        assert [np.array_equal(half, _systematic_rows(_key(slots), p, s))
+                for half, slots in zip(image._halves, (fa.f2, fa.f1 + fa.f2))] == [True, True]
+        assert np.array_equal(image.generator, _image_by_words(g, code))
+        assert g.image(code) == image
 
 
 def test_other_codes_take_the_generic_image():
@@ -264,5 +267,5 @@ def test_a_split_basis_with_a_outside_b_is_refused():
     pr, g = BlockProfile(5, 0, 2, 0), GrayMap(5)
     for rows in ([[1, 0, 0, 0]], [[1, 0, 0, 0], [0, 0, 0, 1]], [[0, 0, 1, 0], [0, 1, 0, 0]]):
         code = AdditiveCode(pr, rows, _closed=True)
-        with pytest.raises(ZprsError, match="not closed under u"):
+        with pytest.raises(ZprsError, match="V is not in U"):
             g.image(code)

@@ -106,6 +106,29 @@ def test_rref_matches_reference_elimination(p):
         check_rref(m, p)
         check_rref(reference_rref(m, p)[0], p)                      # already reduced
         check_rref(m + p * rng.integers(-2, 3, size=m.shape), p)    # unreduced residues
+        check_near_rref(reference_rref(m, p)[0], p, rng)
+
+
+def check_near_rref(reduced, p, rng):
+    """One change away from RREF: none of these may pass the already-reduced check."""
+    r, n = reduced.shape
+    if r == 0:
+        return
+    lead = (reduced != 0).argmax(axis=1)
+    i = int(rng.integers(0, r))
+    variants = [reduced + p * rng.integers(0, 3, size=reduced.shape),   # entries >= p
+                np.vstack([reduced, np.zeros((1, n), dtype=np.int64)])]  # a trailing zero row
+    if p > 2:
+        pivot2 = reduced.copy()
+        pivot2[i, lead[i]] = 2                                          # a pivot of 2
+        variants.append(pivot2)
+    if r > 1:
+        variants.append(reduced[::-1])                                  # swapped rows
+        above = reduced.copy()
+        above[0, lead[-1]] = 1                                          # nonzero above a pivot
+        variants.append(above)
+    for m in variants:
+        check_rref(m, p)
 
 
 def test_rref_eliminates_above_a_unit_pivot():

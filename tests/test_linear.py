@@ -9,10 +9,13 @@ import pytest
 from zprs.additive import AdditiveCode, shift_module_span
 from zprs.errors import (DistanceNotDetermined, LengthMismatch, NotAUnit, ProfileMismatch,
                          ZprsError)
+from zprs.field import find_kappa
 from zprs.gray import GrayMap
 from zprs.linalg import kernel_basis, rref
 from zprs.linear import LinearCode, min_distance_by_enumeration
 from zprs.words import BlockProfile, unflatten
+
+from oracles import reference_rref
 
 
 def random_code(rng, p, n, k_target):
@@ -271,6 +274,96 @@ def test_min_distance_with_a_hint_is_independent_of_jobs():
         assert code.min_distance(search_cap=n, automorphism=hint) \
             == code.min_distance(search_cap=n, automorphism=hint, jobs=2) \
             == reference_distance(code) == d
+
+
+def test_min_distance_hint_puts_exactly_the_cycle_minima_first():
+    # relabelled cycles of lengths 1, 2, 3 and 5 on a code that is constant on each
+    # cycle; a plain-Python cycle walk from each unseen column in turn names the minima
+    rng = np.random.default_rng(12)
+    for _ in range(10):
+        labels = rng.permutation(11).tolist()
+        cycles = [labels[a:b] for a, b in ((0, 1), (1, 3), (3, 6), (6, 11))]
+        perm = [0] * 11
+        for c in cycles:
+            for i, x in enumerate(c):
+                perm[x] = c[(i + 1) % len(c)]
+        minima, seen = [], set()
+        for x in range(11):
+            if x not in seen:
+                minima.append(x)
+                while x not in seen:
+                    seen.add(x)
+                    x = perm[x]
+        code = LinearCode(3, 11, [[int(x in c) for x in range(11)] for c in cycles])
+        order, starts = code._search_order(perm)
+        assert starts == 4 and [int(i) for i in order] \
+            == minima + sorted(set(range(11)) - set(minima))
+
+
+def outcome(code, cap):
+    """min_distance at a cap: (d, True), or (the lower bound, False) if not determined."""
+    try:
+        return code.min_distance(search_cap=cap), True
+    except DistanceNotDetermined as exc:
+        return exc.lower_bound, False
+
+
+def test_plotkin_sums_match_their_plain_codes():
+    # {(x + y | lam x)} for random V in U, lam != kappa where Z_p has one: the closed
+    # form against elimination of the spanning words (x | lam x) and (y | 0), also from
+    # bases that are not in RREF, and d against the unbatched reference and, at caps
+    # 1, 2 and 3, against the plain code's search
+    rng = np.random.default_rng(43)
+    for p in (2, 3, 5, 13):
+        kappa = find_kappa(p) if p % 4 != 3 else None
+        units = [a for a in range(1, p) if a != kappa] or [1]
+        for trial in range(12):
+            m = int(rng.integers(2, 8 if p < 13 else 5))
+            u = random_code(rng, p, m, int(rng.integers(1, m + 1))).generator
+            v = reference_rref(rng.integers(0, p, size=(int(rng.integers(0, len(u) + 1)),
+                                                        len(u))) @ u % p, p)[0]
+            lam = int(rng.choice(units))
+            if trial % 3 == 0:     # reversed rows and a zero row: reduced before use
+                u, v = u[::-1], np.vstack([v, np.zeros((1, m), dtype=np.int64)])
+            code = LinearCode.plotkin_sum(p, u, v, lam)
+            words = np.vstack([np.hstack([u, lam * u % p]), np.hstack([v, 0 * v])])
+            assert np.array_equal(code.generator, reference_rref(words, p)[0])
+            plain = LinearCode(p, 2 * m, words)
+            assert code._halves is not None and plain._halves is None
+            assert code.min_distance(search_cap=2 * m) == reference_distance(plain), (p, u, v)
+            for cap in (1, 2, 3):
+                assert outcome(code, cap) == outcome(plain, cap), (p, u, v, cap)
+
+
+def test_plotkin_sum_refuses_what_is_not_one():
+    with pytest.raises(ZprsError, match="V is not in U"):
+        LinearCode.plotkin_sum(5, [[1, 0, 1]], [[0, 1, 0]], 2)
+    with pytest.raises(ZprsError, match="V is not in U"):
+        LinearCode.plotkin_sum(5, [[1, 2, 1]], [[1, 0, 3]], 2)   # not in RREF either
+    with pytest.raises(NotAUnit):
+        LinearCode.plotkin_sum(5, [[1, 0, 1]], [], 5)
+    with pytest.raises(ProfileMismatch):
+        LinearCode.plotkin_sum(5, [], [], 1)
+
+
+def test_plotkin_halves_are_searched_within_the_cap(monkeypatch):
+    # d(V) up to the cap and d(U) up to half of it, each at most its Singleton bound
+    import zprs.linear as linear
+    calls = []
+    search = linear._smallest_dependent_subset
+    monkeypatch.setattr(linear, "_smallest_dependent_subset",
+                        lambda h, *args: calls.append((h.shape, args[1])) or search(h, *args))
+    rng = np.random.default_rng(44)
+    u = random_code(rng, 3, 12, 4).generator
+    v = reference_rref(rng.integers(0, 3, size=(2, 4)) @ u % 3, 3)[0]
+    code = LinearCode.plotkin_sum(3, u, v, 2)
+    singleton_u, singleton_v = 12 - len(u) + 1, 12 - len(v) + 1
+    for cap in range(1, 13):
+        linear._half_distance.cache_clear()
+        calls.clear()
+        outcome(code, cap)
+        assert sorted(calls) == sorted([((12 - len(u), 12), min(cap // 2, singleton_u)),
+                                        ((12 - len(v), 12), min(cap, singleton_v))]), cap
 
 
 def test_shift_invariance_predicates_trivia():

@@ -14,7 +14,8 @@ from zprs.additive import AdditiveCode, shift_module_span, span_closure, word_fr
 from zprs.errors import (GcdViolation, NotDualContaining, ProfileMismatch, TooManyFactors,
                          ZprsError)
 from zprs.gray import GrayMap
-from zprs.linear import LinearCode, min_distance_by_enumeration
+from zprs.linear import (LinearCode, _smallest_dependent_subset,
+                         min_distance_by_enumeration)
 from zprs.polynomials import Poly, factor_xn_minus_lambda, hat
 from zprs.quantum import (FactorAssignment, QuantumParams, code_from_table_generators, css,
                           cyclic_code_from_assignment, cyclic_css, is_dual_containing,
@@ -22,7 +23,7 @@ from zprs.quantum import (FactorAssignment, QuantumParams, code_from_table_gener
 from zprs.words import BlockProfile, unflatten
 
 from oracles import additive_dual_containing, reciprocal_dual, separable_rs_dual_containing
-from test_linear import reference_distance
+from test_linear import outcome, reference_distance
 
 
 @lru_cache(maxsize=None)
@@ -206,7 +207,7 @@ def test_min_distance_of_dual_containing_gray_images_matches_the_references():
         s, n = fa.s, image.n
         hint = [*range(1, s), 0, *range(s + 1, 2 * s), s]
         d = reference_distance(image)
-        assert image.min_distance(search_cap=n) == d, (fa.p, s, fa.key())
+        assert LinearCode(fa.p, n, image.generator).min_distance(search_cap=n) == d
         assert image.min_distance(search_cap=n, automorphism=hint) == d, (fa.p, s, fa.key())
         assert found[0] == image and found[2], (fa.p, s, fa.key())
         assert found[1] == QuantumParams(n, 2 * image.k - n, d, fa.p), (fa.p, s, fa.key())
@@ -215,6 +216,35 @@ def test_min_distance_of_dual_containing_gray_images_matches_the_references():
             enumerated += 1
         checked += 1
     assert (checked, enumerated) == (364, 16)
+
+
+def test_gray_images_take_their_distance_from_the_plotkin_halves():
+    # every nonzero cyclic R-code of six grids: at caps 1, 2 and 3 the Gray image's
+    # value or lower bound against the plain code's search (a hit there is d; without
+    # one, d by enumeration up to 2^20 words, else the bound cap + 1), at cap n against
+    # d from codeword enumeration where p^k <= 2^16, else from the plain code's DFS
+    grid = ((5, 6), (13, 4), (17, 4), (5, 8), (13, 6), (2, 7))
+    checked = enumerated = 0
+    for fa in every_assignment(grid):
+        code = cyclic_code_from_assignment(fa)
+        if code.rank == 0:
+            continue
+        image = GrayMap(fa.p).image(code)
+        n, plain = image.n, LinearCode(fa.p, image.n, image.generator)
+        assert image._halves is not None and plain._halves is None
+        if image.size <= 2 ** 16:
+            d = min_distance_by_enumeration(plain)
+            enumerated += 1
+        else:
+            d = plain.min_distance(search_cap=n)
+        for cap in (1, 2, 3):
+            hit = _smallest_dependent_subset(plain.parity_check, fa.p, cap, 1, n)
+            assert hit in (None, d), (fa.p, fa.s, fa.key(), cap)
+            expected = (d, True) if hit or image.size <= 2 ** 20 else (cap + 1, False)
+            assert outcome(image, cap) == expected, (fa.p, fa.s, fa.key(), cap)
+        assert outcome(image, n) == (d, True), (fa.p, fa.s, fa.key())
+        checked += 1
+    assert (checked, enumerated) == (1722, 540)
 
 
 def test_cyclic_css_refuses_codes_that_are_not_cyclic_r_codes():
