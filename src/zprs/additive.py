@@ -49,10 +49,14 @@ class GeneratorHypothesisWarning(UserWarning):
 class AdditiveCode:
     """Immutable additive code, held as a row-reduced flattened Z_p basis."""
 
+    _split: tuple[np.ndarray, np.ndarray] | None = None  # (A, B) of an R-code A x uB, if known
+
     def __init__(self, profile: BlockProfile, rows: Sequence | np.ndarray, *,
-                 _closed: bool = False):
+                 _closed: bool = False, _pivots: list[int] | None = None):
         self.profile = profile
-        self.basis, self.pivots = linalg.rref(linalg.as_matrix(rows, profile.n), profile.p)
+        # _pivots: the caller has proven rows an int64 RREF basis with these pivots
+        self.basis, self.pivots = ((rows, _pivots) if _pivots is not None else
+                                   linalg.rref(linalg.as_matrix(rows, profile.n), profile.p))
         self.basis.setflags(write=False)
         if not _closed:
             self._verify_module_closure()

@@ -10,12 +10,12 @@ coordinates of a block, then all second, and so on.  The quasi-twisted
 image theorems depend on exactly that layout.
 
 An R-code whose RREF rows each lie wholly in the a- or the b-columns is
-C = A x uB with A in B (closure under u), as every cyclic R-code is.  Its
-image {(b + a | kappa b) : b in B, a in A} is the Plotkin sum of B and A
-(``LinearCode.plotkin_sum``), written in RREF without elimination, and its
-minimum distance is min(2 d(B), d(A)) (the (u | u + v) construction,
-MacWilliams-Sloane, ch. 2 Sec. 9, Thm. 33); any other code's image is its
-basis times the Gray matrix, row-reduced.
+C = A x uB with A in B (closure under u), as every cyclic R-code is.  Its image
+{(b + a | kappa b)} is the Plotkin sum P(B, A, kappa) (``LinearCode.plotkin_sum``),
+trusted as RREF as its top right vanishes on A's pivot columns, with d =
+min(2 d(B), d(A)) (MacWilliams-Sloane, ch. 2 Sec. 9, Thm. 33).  As kappa^2 = -1 it
+contains its dual iff A^perp lies in B: the dual's (c | kappa (c - e)), c in A^perp,
+e in B^perp, is (x + y | kappa x), x = c - e, y = e.  Others: basis @ Gray matrix.
 
 Lee weights: a Z_p coordinate x weighs min(x, p-x); an R or S coordinate
 weighs the Hamming weight of its Gray image.  Those Hamming weights do not
@@ -132,15 +132,17 @@ class GrayMap:
     def _split_image(self, code) -> LinearCode | None:
         """The image of an R-code C = A x uB, the Plotkin sum of B and A, or None for
         any other code; ``ZprsError`` if A does not lie in B, which no u-closed code
-        allows."""
+        allows.  A and B are ``code._split`` if its builder set it, else read off the rows."""
         r = code.profile.r
         if code.profile.lengths != (0, r, 0):
             return None
-        ab = code.basis[:, block_columns(code.profile)[1].T.ravel()]   # (a-part | b-part)
-        a_zero, b_zero = ~ab.reshape(len(ab), 2, r).any(axis=2).T
-        if not (a_zero | b_zero).all():
-            return None
-        return LinearCode.plotkin_sum(self.p, ab[~b_zero, r:], ab[b_zero, :r], self.kappa)
+        if (split := code._split) is None:
+            ab = code.basis[:, block_columns(code.profile)[1].T.ravel()]   # (a-part | b-part)
+            a_zero, b_zero = ~ab.reshape(len(ab), 2, r).any(axis=2).T
+            if not (a_zero | b_zero).all():
+                return None
+            split = ab[b_zero, :r], ab[~b_zero, r:]
+        return LinearCode.plotkin_sum(self.p, split[1], split[0], self.kappa)
 
 
 @lru_cache(maxsize=None)

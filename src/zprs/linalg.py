@@ -72,16 +72,11 @@ def as_matrix(rows, ncols: int) -> np.ndarray:
 def rref(mat: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
     """Reduced row echelon form over Z_p; returns (nonzero rows, pivot columns).
 
-    An input already in RREF (every row nonzero, leading columns increasing, the
-    identity on them) is only checked, in a few whole-array operations; otherwise
-    a pivot column that is already the unit vector e_rank skips its elimination.
+    A pivot column that is already the unit vector e_rank skips its elimination.
+    Bases known to be in RREF skip this altogether (``AdditiveCode``'s trusted
+    constructor path).
     """
     m = mat.astype(np.int64) % p
-    if m.size:
-        lead = (m != 0).argmax(axis=1).tolist()
-        # a zero row's lead is column 0, where it holds 0, not 1
-        if all(map(operator.lt, lead, lead[1:])) and (m[:, lead] == np.eye(len(m))).all():
-            return m, lead
     pivots: list[int] = []
     for col in range(m.shape[1]):
         rank = len(pivots)

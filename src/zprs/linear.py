@@ -23,13 +23,17 @@ automorphism cuts the first level to one column per orbit.  A full
 codeword enumeration is kept as an independent oracle for small codes and
 as the fallback when the subset cap is exhausted.
 
-A Plotkin sum {(x + y | lam x) : x in U, y in V} (V in U, lam a unit), such
-as the Gray image of a cyclic R-code, has d = min(2 d(U), d(V)): the
-(u | u + v) construction of MacWilliams-Sloane, ch. 2 Sec. 9, Thm. 33.  Its
-distance is read off its halves, which are searched with the same DFS, V up
-to the cap and U up to half of it, each also stopping at its own Singleton
-bound, and cached per (p, basis, cap).  Beyond the cap the halves are
-enumerated, under the same size bound as the whole code.
+A Plotkin sum P(U, V, lam) = {(x + y | lam x) : x in U, y in V} (V in U, lam a
+unit), such as the Gray image of a cyclic R-code, has d = min(2 d(U), d(V)):
+the (u | u + v) construction of MacWilliams-Sloane, ch. 2 Sec. 9, Thm. 33.
+Each distinct half is a code built once (``_half``) that memoizes its hint
+verdicts and distances: V is searched up to the cap, U up to half of it, each
+within its Singleton bound, both enumerated beyond the cap.  A hint (pi, pi)
+maps P into itself iff pi maps U and V into themselves, so it is checked on
+them and starts them at pi's cycle minima.  P's trusted RREF is
+[[U, lam (U - U[:, piv_V] V)], [0, V]]: its top right vanishes on m + piv_V.
+P^perp = {(c | lam^-1 (e - c)) : c in V^perp, e in U^perp}, for lam^2 = -1 the
+words (x + y | lam x), x = c - e, y = e: P holds it iff V^perp in U, H_V H_U^T = 0.
 """
 
 from __future__ import annotations
@@ -44,7 +48,7 @@ import numpy as np
 from . import linalg
 from .additive import AdditiveCode
 from .errors import DistanceNotDetermined, LengthMismatch, ProfileMismatch, ZprsError
-from .words import BlockProfile, as_unit, shift_matrix
+from .words import BlockProfile, as_unit, cached_profile, shift_matrix
 
 # entries of one boolean block of the pair check; primes with a cached inverse table
 PAIR_BLOCK, INVERSE_TABLE_LIMIT = 1 << 22, 1 << 16
@@ -53,10 +57,11 @@ PAIR_BLOCK, INVERSE_TABLE_LIMIT = 1 << 22, 1 << 16
 class LinearCode(AdditiveCode):
     """[n, k] code over Z_p: the additive code of (p, n, 0, 0), ``generator`` its RREF basis."""
 
-    _halves: tuple[np.ndarray, np.ndarray] | None = None   # (U, V) of a Plotkin sum
+    _plotkin: "tuple[LinearCode, LinearCode, int] | None" = None  # (U, V, lam) of a Plotkin sum
 
-    def __init__(self, p: int, n: int, generator: np.ndarray | Sequence):
-        super().__init__(BlockProfile(p, n, 0, 0), generator, _closed=True)
+    def __init__(self, p: int, n: int, generator: np.ndarray | Sequence, *, _pivots=None):
+        super().__init__(cached_profile(p, n, 0, 0), generator, _closed=True, _pivots=_pivots)
+        self._memo: dict = {}   # hint verdicts by permutation bytes; a half's distances
 
     p = property(lambda self: self.profile.p)
     n = property(lambda self: self.profile.q)
@@ -74,24 +79,23 @@ class LinearCode(AdditiveCode):
     @classmethod
     def plotkin_sum(cls, p: int, u, v, lam: int) -> "LinearCode":
         """{(x + y | lam x) : x in U, y in V} for bases U, V of length m, V in U
-        (``ZprsError`` otherwise), and a unit lam.  For U, V in RREF, with piv_V the
-        pivots of V, its RREF is [[U, lam (U - U[:, piv_V] V)], [0, V]] mod p, so the
-        constructor only checks it; other bases are row-reduced first.
-        ``min_distance`` reads d off the two halves."""
+        (``ZprsError`` otherwise), and a unit lam: its RREF written on the halves,
+        each row-reduced once per distinct basis (module docstring).  ``min_distance``
+        and ``quantum.is_dual_containing`` read the halves too."""
         lam = as_unit(operator.index(lam), p, 1).coeffs[0]
         if (m := np.shape(u)[-1]) < 1:
             raise ProfileMismatch("the halves of a Plotkin sum need a length m >= 1")
-        u, v = (linalg.as_matrix(b, m) % p for b in (u, v))
+        hu, hv = (_half(p, b.tobytes(), b.shape)
+                  for b in (linalg.as_matrix(x, m) % p for x in (u, v)))
+        u, v = hu.basis, hv.basis
+        if not linalg.in_row_space(u, hu.pivots, v, p):
+            raise ZprsError("V is not in U: the rows do not form a Plotkin sum")
         rows = np.zeros((len(u) + len(v), 2 * m), dtype=np.int64)
         rows[:len(u), :m] = u
-        rows[:len(u), m:] = (u - u[:, (v != 0).argmax(axis=1)] @ v) % p * lam % p
+        rows[:len(u), m:] = (u - u[:, hv.pivots] @ v) % p * lam % p
         rows[len(u):, m:] = v
-        code = cls(p, 2 * m, rows)
-        if code.basis.shape != rows.shape or (code.basis != rows).any():  # U or V not RREF
-            return cls.plotkin_sum(p, linalg.rref(u, p)[0], linalg.rref(v, p)[0], lam)
-        if not linalg.in_row_space(u, code.pivots[:len(u)], v, p):
-            raise ZprsError("V is not in U: the rows do not form a Plotkin sum")
-        code._halves = (u, v)
+        code = cls(p, 2 * m, rows, _pivots=hu.pivots + [m + j for j in hv.pivots])
+        code._plotkin = (hu, hv, lam)
         return code
 
     @cached_property
@@ -126,9 +130,8 @@ class LinearCode(AdditiveCode):
         a cycle of pi, so the search starts only from those columns, placed
         first.  The result does not depend on the hint.
 
-        A ``plotkin_sum`` takes d = min(2 d(U), d(V)) from its halves (module
-        docstring) after the hint check, searched in this process whatever
-        ``jobs``; the value is the same.
+        A ``plotkin_sum`` takes d = min(2 d(U), d(V)) from its halves whatever ``jobs``,
+        checking a hint (pi, pi) on them and any other hint on the whole code.
         """
         if self.k == 0:
             raise ZprsError("minimum distance needs a nonzero code")
@@ -136,14 +139,13 @@ class LinearCode(AdditiveCode):
         # the Singleton bound; a weight-1 word is always found, so a cap below 1 acts as 1
         cap = max(1, min(search_cap, self.n - self.k + 1))
         exact = self.size <= 2 ** 20
-        if self._halves is not None:
-            def half(b, c):  # min(d, c + 1) of one half; c = None enumerates it
-                return _half_distance(self.p, b.tobytes(), b.shape, c)
+        if self._plotkin is not None:
+            u, v, _ = self._plotkin
             # 2 (cap // 2 + 1) > cap, so a minimum at most cap is min(2 d(U), d(V))
-            u, v = self._halves
-            d = min(2 * half(u, cap // 2), half(v, cap))
+            d = min(2 * u._half_distance(cap // 2, order, starts),
+                    v._half_distance(cap, order, starts))
             if d > cap:
-                d = min(2 * half(u, None), half(v, None)) if exact else None
+                d = min(2 * u._half_distance(None), v._half_distance(None)) if exact else None
         else:
             d = _smallest_dependent_subset(self.parity_check[:, order], self.p, cap, jobs, starts)
             if d is None and exact:
@@ -153,23 +155,41 @@ class LinearCode(AdditiveCode):
         assert d <= self.n - self.k + 1, "Singleton bound violated; elimination bug"
         return d
 
-    def _search_order(self, automorphism) -> tuple[list[int], int]:
-        """Search column order, and how many leading columns may be chosen first:
-        the smallest column of each cycle of the automorphism, or all columns."""
+    def _search_order(self, automorphism) -> tuple[tuple[int, ...], int]:
+        """Search column order, the smallest column of each cycle of the checked hint
+        first, and how many those are; memoized with the verdict.  A Plotkin sum checks
+        a hint (pi, pi) on its halves, and takes every column for them without one."""
+        m = self.n // 2 if self._plotkin is not None else self.n   # columns searched
         if automorphism is None:
-            return list(range(self.n)), self.n
+            return tuple(range(m)), m
         perm = np.asarray(automorphism, dtype=np.int64)
         if perm.shape != (self.n,) or (np.sort(perm) != np.arange(self.n)).any():
             raise ZprsError(f"an automorphism must be a permutation of 0..{self.n - 1}")
-        # column i goes to perm[i]: the image of the basis gathers column perm^-1[j] into j
-        if not linalg.in_row_space(self.basis, self.pivots, self.basis[:, np.argsort(perm)],
-                                   self.p):
+        if self._plotkin is not None and (perm[:m] < m).all() and (perm[m:] == perm[:m] + m).all():
+            self._plotkin[1]._search_order(perm[:m])
+            return self._plotkin[0]._search_order(perm[:m])
+        if (key := perm.tobytes()) not in self._memo:
+            cycle_min, jump = np.arange(self.n), perm
+            for _ in range(self.n.bit_length()):  # pointer doubling: 2^rounds > n >= a cycle
+                cycle_min, jump = np.minimum(cycle_min, cycle_min[jump]), jump[jump]
+            is_rep = cycle_min == np.arange(self.n)
+            order = tuple(np.argsort(~is_rep, kind="stable").tolist()), int(is_rep.sum())
+            # column i goes to perm[i]: the image of the basis gathers column perm^-1[j] into j
+            self._memo[key] = order if linalg.in_row_space(
+                self.basis, self.pivots, self.basis[:, np.argsort(perm)], self.p) else None
+        if self._memo[key] is None:
             raise ZprsError("the column permutation does not map the code into itself")
-        cycle_min, jump = np.arange(self.n), perm
-        for _ in range(self.n.bit_length()):  # pointer doubling: 2^rounds > n >= a cycle
-            cycle_min, jump = np.minimum(cycle_min, cycle_min[jump]), jump[jump]
-        is_rep = cycle_min == np.arange(self.n)
-        return list(np.argsort(~is_rep, kind="stable")), int(is_rep.sum())
+        return self._memo[key] if self._plotkin is None else (tuple(range(m)), m)
+
+    def _half_distance(self, cap: int | None, order=(), starts: int = 0) -> float:
+        """A Plotkin half's min(d, cap + 1) from the first ``starts`` columns of ``order``
+        up to its Singleton bound (cap None: d by enumeration; inf for the zero code)."""
+        if (key := (cap, order[:starts])) not in self._memo:
+            d = (math.inf if self.k == 0 else min_distance_by_enumeration(self) if cap is None
+                 else _smallest_dependent_subset(self.parity_check[:, order], self.p,
+                                                 min(cap, self.n - self.k + 1), 1, starts))
+            self._memo[key] = cap + 1 if d is None else d
+        return self._memo[key]
 
     # -- shift-invariance predicates ----------------------------------------
 
@@ -306,19 +326,9 @@ def _smallest_dependent_subset(h: np.ndarray, p: int, cap: int, jobs: int,
 
 
 @lru_cache(maxsize=1 << 11)
-def _half_distance(p: int, data: bytes, shape: tuple[int, int], cap: int | None) -> float:
-    """min(d, cap + 1) for the code with the RREF basis ``data`` (int64, ``shape``),
-    searched up to min(cap, Singleton bound); d by enumeration when cap is None;
-    inf for the zero code."""
-    basis = np.frombuffer(data, dtype=np.int64).reshape(shape)
-    k, m = shape
-    if k == 0:
-        return math.inf
-    if cap is None:
-        return min_distance_by_enumeration(LinearCode(p, m, basis))
-    h = linalg.standard_kernel(basis, (basis != 0).argmax(axis=1).tolist(), p)
-    d = _smallest_dependent_subset(h, p, min(cap, m - k + 1), 1, m)
-    return cap + 1 if d is None else d
+def _half(p: int, data: bytes, shape: tuple[int, int]) -> LinearCode:
+    """The Plotkin half with the int64 basis ``data`` of ``shape``, built once."""
+    return LinearCode(p, shape[1], np.frombuffer(data, dtype=np.int64).reshape(shape))
 
 
 def min_distance_by_enumeration(code: LinearCode) -> int:

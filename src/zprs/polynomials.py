@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence, Union
 
 import numpy as np
@@ -82,6 +83,11 @@ class Poly:
         if self.k != 1:
             raise ModulusMismatch("int_coeffs is for Z_p polynomials")
         return [c.coeffs[0] for c in self.coeffs]
+
+    @cached_property
+    def int_key(self) -> tuple[int, ...]:
+        """``int_coeffs()`` as a tuple, computed once per polynomial."""
+        return tuple(self.int_coeffs())
 
     def _check(self, other: "Poly") -> None:
         if (self.p, self.k) != (other.p, other.k):

@@ -18,12 +18,18 @@ every other x^j with j < c (MacWilliams-Sloane, ch. 7).
 The search builds thousands of codes from the subset products of one
 factorization, so two LRU caches of 2048 entries each hold read-only arrays:
 the product of a multiset of factors (at most s + 1 coefficients), keyed by
-their sorted coefficient tuples with repeats kept, and the systematic rows
-of that product (at most s x s).  A search over t <= 10 factors never evicts.
+their sorted ``Poly.int_key`` tuples with repeats kept, and the systematic rows
+of that product (at most s x s), the halves of the Gray image.  A third LRU
+cache of 2048 entries, ``linear._half``, keyed on (p, basis bytes, shape), keeps
+each half alive as a code with its parity check, hint verdicts and distances.
+A search over t <= 10 factors never evicts.
 
 Dual-containing Gray images feed the CSS construction: a dual-containing
 [n, k, d] code over Z_p yields a quantum [[n, 2k - n, d]] code.  The search
-and the reproduced table evaluate each cyclic R-code with ``cyclic_css``.
+and the reproduced table evaluate each cyclic R-code with ``cyclic_css``.  Its
+image P(U, V, kappa) contains its dual iff V^perp lies in U (kappa^2 = -1: the
+dual's (c | kappa (c - e)), c in V^perp, e in U^perp, is (x + y | kappa x) with
+x = c - e, y = e), so ``is_dual_containing`` tests H_V H_U^T = 0.
 """
 
 from __future__ import annotations
@@ -40,12 +46,12 @@ from .errors import (DistanceNotDetermined, GcdViolation, NotDualContaining, Pro
 from .gray import GrayMap
 from .linear import LinearCode
 from .polynomials import Poly, divides, factor_xn_minus_lambda, hat, reciprocal
-from .words import BlockProfile, block_columns
+from .words import block_columns, cached_profile
 
 
 def _key(fs) -> tuple[tuple[int, ...], ...]:
     """The sorted coefficient tuples of the Z_p polynomials fs, repeats kept."""
-    return tuple(sorted(tuple(f.int_coeffs()) for f in fs))
+    return tuple(sorted(f.int_key for f in fs))
 
 
 @functools.lru_cache(maxsize=1 << 11)
@@ -103,7 +109,7 @@ class FactorAssignment:
     def from_slots(cls, p: int, s: int, f0, f1, f2) -> "FactorAssignment":
         def norm(fs):
             return tuple(sorted((f if isinstance(f, Poly) else Poly.make(f, p) for f in fs),
-                                key=lambda f: (f.degree, tuple(f.int_coeffs()))))
+                                key=lambda f: (f.degree, f.int_key)))
         return cls(p, s, norm(f0), norm(f1), norm(f2))
 
     def slot_product(self, slot: int) -> Poly:
@@ -126,7 +132,7 @@ class FactorAssignment:
                                            star(self.f2), star(self.f1), star(self.f0))
 
     def key(self) -> tuple:
-        return tuple(tuple(f.int_coeffs()) for fs in (self.f0, self.f1, self.f2) for f in fs)
+        return tuple(f.int_key for fs in (self.f0, self.f1, self.f2) for f in fs)
 
 
 @dataclass(frozen=True)
@@ -150,24 +156,24 @@ class QuantumParams:
 
 def cyclic_code_from_assignment(fa: FactorAssignment) -> AdditiveCode:
     """The cyclic R-code < hat(F0), u hat(F1) > as an additive code (q=0, r=s, s=0),
-    built on its CRT basis (module docstring) already in RREF: the systematic
-    rows of hat(F0) in the a-columns and of prod F2 in the b-columns, interleaved
-    so that the pivots increase.  The rank must equal 2 deg F0 + deg F1."""
-    p, s = fa.p, fa.s
-    profile = BlockProfile(p, 0, s, 0)
+    built on its CRT basis (module docstring), trusted as RREF: the systematic rows
+    of hat(F0) in the a-columns and of prod F2 in the b-columns, each 1 at its pivot
+    and 0 on every other pivot column, interleaved so that the pivots increase.  The
+    code keeps both halves for its Gray image; its rank must be 2 deg F0 + deg F1."""
+    p, s, profile = fa.p, fa.s, cached_profile(fa.p, 0, fa.s, 0)
     d0, d1, _ = fa.slot_degrees()
     a_cols, b_cols = block_columns(profile)[1].T
     a = _systematic_rows(_key(fa.f1 + fa.f2), p, s)        # d0 rows of hat(F0)
     b = _systematic_rows(_key(fa.f2), p, s)                # d0 + d1 rows of prod F2
-    rows = np.zeros((d0 + len(b), profile.n), dtype=np.int64)
+    if (rank := len(a) + len(b)) != 2 * d0 + d1:
+        raise AssertionError(f"cyclic code rank {rank} differs from CRT count {2 * d0 + d1}")
+    rows = np.zeros((rank, profile.n), dtype=np.int64)
     rows[:2 * d0:2, a_cols] = a
     rows[1:2 * d0:2, b_cols] = b[:d0]
     rows[2 * d0:, b_cols] = b[d0:]
-    code = AdditiveCode(profile, rows, _closed=True)
-    expected = 2 * d0 + d1
-    if code.rank != expected:
-        raise AssertionError(
-            f"cyclic code rank {code.rank} differs from CRT count {expected}")
+    code = AdditiveCode(profile, rows, _closed=True,
+                        _pivots=sorted([*a_cols[:len(a)].tolist(), *b_cols[:len(b)].tolist()]))
+    code._split = (a, b)
     return code
 
 
@@ -175,10 +181,13 @@ def is_dual_containing(code: LinearCode) -> bool:
     """True iff the code contains its Euclidean dual.
 
     C contains C^perp iff C^perp lies in C^perp^perp = C, that is iff C^perp is
-    self-orthogonal: H H^T = 0 mod p for the parity check H.
+    self-orthogonal: H H^T = 0 mod p for the parity check H.  A Plotkin sum with
+    lam^2 = -1 tests H_V H_U^T = 0 on its halves instead (module docstring).
     """
-    h = code.parity_check
-    return not (h @ h.T % code.p).any()
+    u, v, lam = code._plotkin or (code, code, 0)
+    if (lam * lam + 1) % code.p:
+        u = v = code
+    return not (v.parity_check @ u.parity_check.T % code.p).any()
 
 
 def css(code: LinearCode, *, search_cap: int = 6, jobs: int = 1) -> QuantumParams:

@@ -72,6 +72,10 @@ class BlockProfile:
     gray_length = n
 
 
+# BlockProfile(p, q, r, s), built and checked once per typed argument tuple
+cached_profile = lru_cache(maxsize=256, typed=True)(BlockProfile)
+
+
 def as_unit(mu: UnitLike, p: int, k: int) -> ChainElement:
     """Coerce a unit argument for a block with nilpotency k; reject non-units."""
     x = ChainElement.make(mu, p, k)

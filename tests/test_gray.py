@@ -236,8 +236,12 @@ def test_cyclic_r_codes_are_imaged_in_closed_form(p, s):
         code = cyclic_code_from_assignment(fa)
         image = g._split_image(code)
         # the Plotkin sum of B = < prod F2 > and A = < hat(F0) >, kept in RREF
-        assert [np.array_equal(half, _systematic_rows(_key(slots), p, s))
-                for half, slots in zip(image._halves, (fa.f2, fa.f1 + fa.f2))] == [True, True]
+        assert [np.array_equal(half.basis, _systematic_rows(_key(slots), p, s))
+                for half, slots in zip(image._plotkin, (fa.f2, fa.f1 + fa.f2))] == [True, True]
+        # both closed forms are their own RREF
+        for closed in (code, image):
+            assert np.array_equal(closed.basis, reference_rref(closed.basis, p)[0])
+            assert closed.pivots == reference_rref(closed.basis, p)[1]
         assert np.array_equal(image.generator, _image_by_words(g, code))
         assert g.image(code) == image
 

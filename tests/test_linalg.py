@@ -110,7 +110,7 @@ def test_rref_matches_reference_elimination(p):
 
 
 def check_near_rref(reduced, p, rng):
-    """One change away from RREF: none of these may pass the already-reduced check."""
+    """One change away from RREF: each must still be reduced like the reference does."""
     r, n = reduced.shape
     if r == 0:
         return

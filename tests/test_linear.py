@@ -300,10 +300,10 @@ def test_min_distance_hint_puts_exactly_the_cycle_minima_first():
             == minima + sorted(set(range(11)) - set(minima))
 
 
-def outcome(code, cap):
+def outcome(code, cap, hint=None):
     """min_distance at a cap: (d, True), or (the lower bound, False) if not determined."""
     try:
-        return code.min_distance(search_cap=cap), True
+        return code.min_distance(search_cap=cap, automorphism=hint), True
     except DistanceNotDetermined as exc:
         return exc.lower_bound, False
 
@@ -329,7 +329,7 @@ def test_plotkin_sums_match_their_plain_codes():
             words = np.vstack([np.hstack([u, lam * u % p]), np.hstack([v, 0 * v])])
             assert np.array_equal(code.generator, reference_rref(words, p)[0])
             plain = LinearCode(p, 2 * m, words)
-            assert code._halves is not None and plain._halves is None
+            assert code._plotkin is not None and plain._plotkin is None
             assert code.min_distance(search_cap=2 * m) == reference_distance(plain), (p, u, v)
             for cap in (1, 2, 3):
                 assert outcome(code, cap) == outcome(plain, cap), (p, u, v, cap)
@@ -356,14 +356,98 @@ def test_plotkin_halves_are_searched_within_the_cap(monkeypatch):
     rng = np.random.default_rng(44)
     u = random_code(rng, 3, 12, 4).generator
     v = reference_rref(rng.integers(0, 3, size=(2, 4)) @ u % 3, 3)[0]
-    code = LinearCode.plotkin_sum(3, u, v, 2)
     singleton_u, singleton_v = 12 - len(u) + 1, 12 - len(v) + 1
     for cap in range(1, 13):
-        linear._half_distance.cache_clear()
+        linear._half.cache_clear()   # fresh halves, so no distance is memoized
         calls.clear()
-        outcome(code, cap)
+        outcome(LinearCode.plotkin_sum(3, u, v, 2), cap)
         assert sorted(calls) == sorted([((12 - len(u), 12), min(cap // 2, singleton_u)),
                                         ((12 - len(v), 12), min(cap, singleton_v))]), cap
+
+
+def closure(p, rows, perm):
+    """RREF basis of the smallest code that contains the rows and is closed under the
+    column permutation (column i goes to perm[i])."""
+    rows = rref(np.atleast_2d(rows), p)[0]
+    for _ in range(len(perm)):
+        rows = rref(np.vstack([rows, rows[:, np.argsort(perm)]]), p)[0]
+    return rows
+
+
+def twice(pi):
+    """The hint (pi, pi): pi on each block of a Plotkin sum."""
+    return list(pi) + [len(pi) + i for i in pi]
+
+
+def test_plotkin_halves_closed_under_the_hint_start_from_its_cycle_minima():
+    # cyclic halves under the shift, and spans closed under a random pi: the hint (pi, pi)
+    # starts the half searches from pi's cycle minima, and gives the unhinted value at
+    # caps 1, 2, 3 and n
+    rng = np.random.default_rng(45)
+    for p in (2, 3, 5, 13):
+        for trial in range(12):
+            m = int(rng.integers(3, 9 if p < 13 else 6))
+            pi = shift(m) if trial % 2 else rng.permutation(m).tolist()
+            u = closure(p, rng.integers(0, p, size=(int(rng.integers(1, 3)), m)), pi)
+            v = closure(p, rng.integers(0, p, size=(1, len(u))) @ u % p, pi)
+            lam = int(rng.integers(1, p))
+            for cap in (1, 2, 3, 2 * m):
+                hinted = outcome(LinearCode.plotkin_sum(p, u, v, lam), cap, twice(pi))
+                assert hinted == outcome(LinearCode.plotkin_sum(p, u, v, lam), cap), \
+                    (p, pi, u, v, cap)
+
+
+def plotkin_example():
+    """P(U, V, 2) over Z_5 with U = < x - 1 > and V = < x^2 - 1 >, cyclic of length 6."""
+    return LinearCode.plotkin_sum(5, cyclic_span(5, np.array([4, 1, 0, 0, 0, 0])).generator,
+                                  cyclic_span(5, np.array([4, 0, 1, 0, 0, 0])).generator, 2)
+
+
+def test_other_hints_are_checked_on_the_whole_code(monkeypatch):
+    # a hint (pi, sigma) with pi != sigma is never projected onto the halves: it is
+    # checked on the whole code (a row-space test on 12 columns), then the halves are
+    # searched from every column
+    import zprs.linear as linear
+    widths, in_row_space = [], linear.linalg.in_row_space
+    monkeypatch.setattr(linear.linalg, "in_row_space", lambda basis, *args:
+                        widths.append(basis.shape[1]) or in_row_space(basis, *args))
+    code, pi = plotkin_example(), shift(6)
+    widths.clear()
+    d = code.min_distance(search_cap=12)
+    assert code.min_distance(search_cap=12, automorphism=twice(pi)) == d and widths == [6, 6]
+    # pi maps both halves into themselves, but (pi, identity) does not map P into itself
+    with pytest.raises(ZprsError, match="into itself"):
+        code.min_distance(automorphism=pi + list(range(6, 12)))
+    assert widths[2:] == [12]
+    # P(U, U) = U x U, which (pi, pi^2) maps into itself
+    u = code._plotkin[0].basis
+    square = LinearCode.plotkin_sum(5, u, u, 2)
+    widths.clear()
+    assert square.min_distance(search_cap=12, automorphism=pi + [6 + i for i in shift(6, 2)]) \
+        == square.min_distance(search_cap=12) == reference_distance(square)
+    assert widths == [12]
+
+
+def test_a_plotkin_sum_with_a_half_that_is_not_cyclic_refuses_the_joint_shift():
+    joint = twice(shift(6))
+    full, e0 = np.eye(6, dtype=np.int64), [[1, 0, 0, 0, 0, 0]]
+    for u, v in ((full, e0), (full[:2], e0), (full[:2], [])):
+        code = LinearCode.plotkin_sum(5, u, v, 2)
+        with pytest.raises(ZprsError, match="into itself"):
+            code.min_distance(automorphism=joint)
+
+
+def test_half_distances_are_memoized_per_start_columns(monkeypatch):
+    # a hinted search starts each half from pi's one cycle minimum, an unhinted one from
+    # all 6 columns: separate memo entries, so neither answers for the other
+    import zprs.linear as linear
+    starts, search = [], linear._smallest_dependent_subset
+    monkeypatch.setattr(linear, "_smallest_dependent_subset",
+                        lambda h, *args: starts.append(args[-1]) or search(h, *args))
+    linear._half.cache_clear()
+    code = plotkin_example()
+    assert code.min_distance(3, automorphism=twice(shift(6))) == code.min_distance(3)
+    assert sorted(starts) == [1, 1, 6, 6]
 
 
 def test_shift_invariance_predicates_trivia():

@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import zprs.linear as linear
 import zprs.quantum as quantum
 from zprs import linalg
 from zprs.additive import AdditiveCode, shift_module_span, span_closure, word_from_polynomials
@@ -22,7 +23,8 @@ from zprs.quantum import (FactorAssignment, QuantumParams, code_from_table_gener
                           search_dual_containing)
 from zprs.words import BlockProfile, unflatten
 
-from oracles import additive_dual_containing, reciprocal_dual, separable_rs_dual_containing
+from oracles import (additive_dual_containing, reciprocal_dual, reference_rref,
+                     separable_rs_dual_containing)
 from test_linear import outcome, reference_distance
 
 
@@ -124,23 +126,17 @@ def test_systematic_rows_are_the_rref_of_the_shifted_generator():
             assert (rows == linalg.rref(shifted, p)[0]).all(), (p, s, mask)
 
 
-def test_constructed_basis_is_already_reduced(monkeypatch):
-    # rref hands back the basis that cyclic_code_from_assignment builds, unchanged
-    handed = []
-
-    def recording(profile, rows, **kwargs):
-        handed.append(rows)
-        return AdditiveCode(profile, rows, **kwargs)
-
-    monkeypatch.setattr(quantum, "AdditiveCode", recording)
+def test_constructed_basis_is_already_reduced():
+    # the basis that cyclic_code_from_assignment builds, and the constructor trusts, is
+    # its own RREF by full elimination, with the pivots it carries
     for p, s in SYSTEMATIC_GRID:
         factors = factor_xn_minus_lambda(p, s, 1)
         for slots in itertools.product(range(3), repeat=len(factors)):
             code = cyclic_code_from_assignment(FactorAssignment.from_slots(
                 p, s, *quantum._split_slots(factors, slots)))
-            basis, pivots = linalg.rref(handed[-1], p)
-            assert basis.shape == handed[-1].shape and (basis == handed[-1]).all(), slots
-            assert pivots == code.pivots == sorted(pivots)
+            basis, pivots = reference_rref(code.basis, p)
+            assert basis.shape == code.basis.shape and (basis == code.basis).all(), slots
+            assert pivots == code.pivots
 
 
 def test_caches_cannot_change_an_answer():
@@ -149,6 +145,7 @@ def test_caches_cannot_change_an_answer():
 
     quantum._product.cache_clear()
     quantum._systematic_rows.cache_clear()
+    linear._half.cache_clear()
     first = serialized(5, 8)
     serialized(13, 6)
     assert serialized(5, 8) == first
@@ -180,6 +177,42 @@ def test_is_dual_containing_matches_subcode_oracle_on_gray_images():
         assert is_dual_containing(image) == expected, (fa.p, fa.s, fa.key())
         verdicts.add(expected)
     assert verdicts == {True, False}
+
+
+def test_dual_rule_of_the_halves_matches_the_whole_code_on_gray_images():
+    # V^perp in U for P(U, V, kappa) against H H^T = 0 of the plain code, on every
+    # assignment of six grids
+    counts = {True: 0, False: 0}
+    for fa in every_assignment(((5, 8), (13, 6), (2, 7), (5, 6), (13, 4), (5, 12))):
+        image = GrayMap(fa.p).image(cyclic_code_from_assignment(fa))
+        expected = is_dual_containing(LinearCode(fa.p, image.n, image.generator))
+        assert image._plotkin is not None
+        assert is_dual_containing(image) == expected, (fa.p, fa.s, fa.key())
+        counts[expected] += 1
+    assert counts[True] > 100 and counts[False] > 1000
+
+
+def test_plotkin_sums_with_other_units_take_the_whole_code_dual_test():
+    # random P(U, V, lam): lam^2 = -1 takes the rule of the halves, any other lam the
+    # product H H^T; both against the plain code, and the rule of the halves alone is
+    # wrong on some of the codes with lam^2 != -1
+    rng = np.random.default_rng(46)
+    wrong_rule = 0
+    for p in (3, 5, 7, 13):
+        for trial in range(40):
+            m = int(rng.integers(2, 7))
+            u = (np.eye(m, dtype=np.int64) if trial % 2 else
+                 reference_rref(rng.integers(0, p, size=(int(rng.integers(1, m + 1)), m)), p)[0])
+            v = reference_rref(rng.integers(0, p, size=(int(rng.integers(0, len(u) + 1)),
+                                                        len(u))) @ u % p, p)[0]
+            lam = int(rng.integers(1, p))
+            code = LinearCode.plotkin_sum(p, u, v, lam)
+            expected = is_dual_containing(LinearCode(p, 2 * m, code.generator))
+            assert is_dual_containing(code) == expected, (p, u, v, lam)
+            hu, hv = (half.parity_check for half in code._plotkin[:2])
+            if (lam * lam + 1) % p:
+                wrong_rule += (not (hv @ hu.T % p).any()) != expected
+    assert wrong_rule > 10
 
 
 def test_gray_image_of_the_reciprocal_code_is_the_euclidean_dual():
@@ -231,7 +264,7 @@ def test_gray_images_take_their_distance_from_the_plotkin_halves():
             continue
         image = GrayMap(fa.p).image(code)
         n, plain = image.n, LinearCode(fa.p, image.n, image.generator)
-        assert image._halves is not None and plain._halves is None
+        assert image._plotkin is not None and plain._plotkin is None
         if image.size <= 2 ** 16:
             d = min_distance_by_enumeration(plain)
             enumerated += 1
