@@ -16,12 +16,17 @@ block).  The dual is the kernel of [B J_0; B J_1; B J_2], never a codeword
 enumeration.
 
 ``linear.LinearCode`` is the Z_p-only case, the profile (p, n, 0, 0).
+
+A builder that knows an int64 RREF basis passes its pivots as ``_pivots=``, trusted;
+the rows may then be a zero-argument ``functools.partial`` of a module-level function
+(codes still pickle), run on the first read of ``basis``.  ``rank`` is len(pivots).
 """
 
 from __future__ import annotations
 
 import itertools
 import warnings
+from functools import cached_property
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -31,8 +36,8 @@ from .errors import (DivisibilityViolation, GcdViolation, LengthMismatch, Malfor
                      ProfileMismatch, TooLarge, ZprsError)
 from .polynomials import Poly, divides, parse_poly, poly_divmod, x_pow_n_minus
 from .rings import unit_order
-from .words import (BlockProfile, MixedWord, UnitLike, as_unit, block_columns, flatten,
-                    form_matrices, scalar_matrix, shift_matrix, unflatten)
+from .words import (BlockProfile, MixedWord, UnitLike, _frozen, as_unit, block_columns,
+                    flatten, form_matrices, scalar_matrix, shift_matrix, unflatten)
 
 _U, _U2 = (0, 1, 0), (0, 0, 1)  # the scalars u and u^2 of S
 
@@ -49,17 +54,20 @@ class GeneratorHypothesisWarning(UserWarning):
 class AdditiveCode:
     """Immutable additive code, held as a row-reduced flattened Z_p basis."""
 
-    _split: tuple[np.ndarray, np.ndarray] | None = None  # (A, B) of an R-code A x uB, if known
+    _split = None  # the half codes (A, B) of an R-code A x uB, if its builder knows them
 
     def __init__(self, profile: BlockProfile, rows: Sequence | np.ndarray, *,
                  _closed: bool = False, _pivots: list[int] | None = None):
         self.profile = profile
-        # _pivots: the caller has proven rows an int64 RREF basis with these pivots
-        self.basis, self.pivots = ((rows, _pivots) if _pivots is not None else
-                                   linalg.rref(linalg.as_matrix(rows, profile.n), profile.p))
-        self.basis.setflags(write=False)
+        if _pivots is None:
+            rows, _pivots = linalg.rref(linalg.as_matrix(rows, profile.n), profile.p)
+        self.pivots, self._rows = _pivots, rows   # rows: trusted, maybe a builder (module doc)
         if not _closed:
             self._verify_module_closure()
+
+    @cached_property
+    def basis(self) -> np.ndarray:
+        return _frozen(self._rows() if callable(self._rows) else self._rows)
 
     def _verify_module_closure(self) -> None:
         # closure under u gives closure under u^2 = u * u
@@ -75,7 +83,7 @@ class AdditiveCode:
 
     @property
     def rank(self) -> int:
-        return self.basis.shape[0]
+        return len(self.pivots)
 
     @property
     def size(self) -> int:

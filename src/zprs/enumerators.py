@@ -54,7 +54,7 @@ from .additive import AdditiveCode
 from .errors import BlocksUnequal, InexactDivision, TooLarge, ZprsError
 from .rings import ChainElement
 from .gray import position_weights
-from .words import BlockProfile, block_columns, form_matrices
+from .words import BlockProfile, _frozen, block_columns, form_matrices
 
 MonomialKey = tuple[tuple[int, int], ...]
 
@@ -84,23 +84,17 @@ class SymbolTable:
         p = self.p
         cols = [np.tile(np.repeat(np.arange(p, dtype=np.int64), p ** (5 - j)), p ** j)
                 for j in range(6)]
-        out = np.stack(cols, axis=1)  # columns: a, a', b', a'', b'', d''
-        out.setflags(write=False)
-        return out
+        return _frozen(np.stack(cols, axis=1))  # columns: a, a', b', a'', b'', d''
 
     @cached_property
     def lee_weights(self) -> np.ndarray:
         """Symbol Lee weight: min(x, p-x) plus the Gray weights of the R, S parts."""
-        out = position_weights(self.coeffs, self.profile, lee=True).sum(axis=1)
-        out.setflags(write=False)
-        return out
+        return _frozen(position_weights(self.coeffs, self.profile, lee=True).sum(axis=1))
 
     @cached_property
     def gray_weights(self) -> np.ndarray:
         """Hamming weight of the Gray image (identity on the Z_p part): the symmetrized class."""
-        out = position_weights(self.coeffs, self.profile, lee=False).sum(axis=1)
-        out.setflags(write=False)
-        return out
+        return _frozen(position_weights(self.coeffs, self.profile, lee=False).sum(axis=1))
 
     def digits(self, idx: int) -> tuple[int, ...]:
         if not 0 <= idx < self.count:
@@ -141,9 +135,7 @@ def char_exponent_matrix(p: int) -> np.ndarray:
     if p > 3:
         raise TooLarge("the full character matrix is materialized for p <= 3 only")
     c = symbol_table(p).coeffs
-    e = _product_exponent(c[:, None], c[None, :], p)
-    e.setflags(write=False)
-    return e
+    return _frozen(_product_exponent(c[:, None], c[None, :], p))
 
 
 # ---------------------------------------------------------------------------

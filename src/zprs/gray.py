@@ -136,13 +136,13 @@ class GrayMap:
         r = code.profile.r
         if code.profile.lengths != (0, r, 0):
             return None
-        if (split := code._split) is None:
-            ab = code.basis[:, block_columns(code.profile)[1].T.ravel()]   # (a-part | b-part)
-            a_zero, b_zero = ~ab.reshape(len(ab), 2, r).any(axis=2).T
-            if not (a_zero | b_zero).all():
-                return None
-            split = ab[b_zero, :r], ab[~b_zero, r:]
-        return LinearCode.plotkin_sum(self.p, split[1], split[0], self.kappa)
+        if code._split is not None:
+            return LinearCode._from_halves(code._split[1], code._split[0], self.kappa)
+        ab = code.basis[:, block_columns(code.profile)[1].T.ravel()]   # (a-part | b-part)
+        a_zero, b_zero = ~ab.reshape(len(ab), 2, r).any(axis=2).T
+        if not (a_zero | b_zero).all():
+            return None
+        return LinearCode.plotkin_sum(self.p, ab[~b_zero, r:], ab[b_zero, :r], self.kappa)
 
 
 @lru_cache(maxsize=None)

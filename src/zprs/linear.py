@@ -26,12 +26,15 @@ as the fallback when the subset cap is exhausted.
 A Plotkin sum P(U, V, lam) = {(x + y | lam x) : x in U, y in V} (V in U, lam a
 unit), such as the Gray image of a cyclic R-code, has d = min(2 d(U), d(V)):
 the (u | u + v) construction of MacWilliams-Sloane, ch. 2 Sec. 9, Thm. 33.
-Each distinct half is a code built once (``_half``) that memoizes its hint
-verdicts and distances: V is searched up to the cap, U up to half of it, each
-within its Singleton bound, both enumerated beyond the cap.  A hint (pi, pi)
+The halves are codes that memoize their hint verdicts and distances: V is
+searched up to the cap, U up to half of it, each within its Singleton bound,
+both enumerated beyond the cap.  The Gray map hands its cached half codes and
+checked kappa to ``_from_halves``; ``plotkin_sum`` checks lam and reduces fresh
+halves first.  A hint is checked as a permutation once per distinct pi
+(``_permutation``, an LRU of 64), as an automorphism once per code; (pi, pi)
 maps P into itself iff pi maps U and V into themselves, so it is checked on
-them and starts them at pi's cycle minima.  P's trusted RREF is
-[[U, lam (U - U[:, piv_V] V)], [0, V]]: its top right vanishes on m + piv_V.
+them and starts them at pi's cycle minima.  P's trusted RREF, built on first
+read, is [[U, lam (U - U[:, piv_V] V)], [0, V]]: its top right vanishes on m + piv_V.
 P^perp = {(c | lam^-1 (e - c)) : c in V^perp, e in U^perp}, for lam^2 = -1 the
 words (x + y | lam x), x = c - e, y = e: P holds it iff V^perp in U, H_V H_U^T = 0.
 """
@@ -40,7 +43,7 @@ from __future__ import annotations
 
 import math
 import operator
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, partial
 from typing import Sequence
 
 import numpy as np
@@ -48,7 +51,7 @@ import numpy as np
 from . import linalg
 from .additive import AdditiveCode
 from .errors import DistanceNotDetermined, LengthMismatch, ProfileMismatch, ZprsError
-from .words import BlockProfile, as_unit, cached_profile, shift_matrix
+from .words import BlockProfile, _frozen, as_unit, cached_profile, shift_matrix
 
 # entries of one boolean block of the pair check; primes with a cached inverse table
 PAIR_BLOCK, INVERSE_TABLE_LIMIT = 1 << 22, 1 << 16
@@ -61,7 +64,7 @@ class LinearCode(AdditiveCode):
 
     def __init__(self, p: int, n: int, generator: np.ndarray | Sequence, *, _pivots=None):
         super().__init__(cached_profile(p, n, 0, 0), generator, _closed=True, _pivots=_pivots)
-        self._memo: dict = {}   # hint verdicts by permutation bytes; a half's distances
+        self._memo: dict = {}   # hint verdicts by ("hint", pi); a half's distances
 
     p = property(lambda self: self.profile.p)
     n = property(lambda self: self.profile.q)
@@ -80,30 +83,27 @@ class LinearCode(AdditiveCode):
     def plotkin_sum(cls, p: int, u, v, lam: int) -> "LinearCode":
         """{(x + y | lam x) : x in U, y in V} for bases U, V of length m, V in U
         (``ZprsError`` otherwise), and a unit lam: its RREF written on the halves,
-        each row-reduced once per distinct basis (module docstring).  ``min_distance``
-        and ``quantum.is_dual_containing`` read the halves too."""
+        each row-reduced here (module docstring).  ``min_distance`` and
+        ``quantum.is_dual_containing`` read the halves too."""
         lam = as_unit(operator.index(lam), p, 1).coeffs[0]
         if (m := np.shape(u)[-1]) < 1:
             raise ProfileMismatch("the halves of a Plotkin sum need a length m >= 1")
-        hu, hv = (_half(p, b.tobytes(), b.shape)
-                  for b in (linalg.as_matrix(x, m) % p for x in (u, v)))
-        u, v = hu.basis, hv.basis
-        if not linalg.in_row_space(u, hu.pivots, v, p):
+        return cls._from_halves(cls(p, m, u), cls(p, m, v), lam)
+
+    @classmethod
+    def _from_halves(cls, hu: "LinearCode", hv: "LinearCode", lam: int) -> "LinearCode":
+        """P(U, V, lam) of codes U, V and a checked unit lam; ``ZprsError`` unless V in U."""
+        if not linalg.in_row_space(hu.basis, hu.pivots, hv.basis, hu.p):
             raise ZprsError("V is not in U: the rows do not form a Plotkin sum")
-        rows = np.zeros((len(u) + len(v), 2 * m), dtype=np.int64)
-        rows[:len(u), :m] = u
-        rows[:len(u), m:] = (u - u[:, hv.pivots] @ v) % p * lam % p
-        rows[len(u):, m:] = v
-        code = cls(p, 2 * m, rows, _pivots=hu.pivots + [m + j for j in hv.pivots])
+        code = cls(hu.p, 2 * hu.n, partial(_plotkin_rows, hu, hv, lam),
+                   _pivots=hu.pivots + [hu.n + j for j in hv.pivots])
         code._plotkin = (hu, hv, lam)
         return code
 
     @cached_property
     def parity_check(self) -> np.ndarray:
         """(n-k) x n matrix H with G H^T = 0, in standard form (not RREF)."""
-        h = linalg.standard_kernel(self.generator, self.pivots, self.p)
-        h.setflags(write=False)
-        return h
+        return _frozen(linalg.standard_kernel(self.generator, self.pivots, self.p))
 
     def euclidean_dual(self) -> "LinearCode":
         return LinearCode(self.p, self.n, self.parity_check)
@@ -157,29 +157,24 @@ class LinearCode(AdditiveCode):
 
     def _search_order(self, automorphism) -> tuple[tuple[int, ...], int]:
         """Search column order, the smallest column of each cycle of the checked hint
-        first, and how many those are; memoized with the verdict.  A Plotkin sum checks
-        a hint (pi, pi) on its halves, and takes every column for them without one."""
+        first, and how many those are.  A Plotkin sum checks a hint (pi, pi) on its
+        halves, and takes every column for them without one."""
         m = self.n // 2 if self._plotkin is not None else self.n   # columns searched
         if automorphism is None:
             return tuple(range(m)), m
-        perm = np.asarray(automorphism, dtype=np.int64)
-        if perm.shape != (self.n,) or (np.sort(perm) != np.arange(self.n)).any():
+        if len(perm := tuple(automorphism)) != self.n:
             raise ZprsError(f"an automorphism must be a permutation of 0..{self.n - 1}")
-        if self._plotkin is not None and (perm[:m] < m).all() and (perm[m:] == perm[:m] + m).all():
-            self._plotkin[1]._search_order(perm[:m])
-            return self._plotkin[0]._search_order(perm[:m])
-        if (key := perm.tobytes()) not in self._memo:
-            cycle_min, jump = np.arange(self.n), perm
-            for _ in range(self.n.bit_length()):  # pointer doubling: 2^rounds > n >= a cycle
-                cycle_min, jump = np.minimum(cycle_min, cycle_min[jump]), jump[jump]
-            is_rep = cycle_min == np.arange(self.n)
-            order = tuple(np.argsort(~is_rep, kind="stable").tolist()), int(is_rep.sum())
+        order, half = _permutation(perm)
+        if self._plotkin is not None and half is not None:
+            self._plotkin[1]._search_order(half)
+            return self._plotkin[0]._search_order(half)
+        if (key := ("hint", perm)) not in self._memo:   # apart from the (cap, starts) keys
             # column i goes to perm[i]: the image of the basis gathers column perm^-1[j] into j
-            self._memo[key] = order if linalg.in_row_space(
-                self.basis, self.pivots, self.basis[:, np.argsort(perm)], self.p) else None
-        if self._memo[key] is None:
+            self._memo[key] = linalg.in_row_space(self.basis, self.pivots,
+                                                  self.basis[:, np.argsort(perm)], self.p)
+        if not self._memo[key]:
             raise ZprsError("the column permutation does not map the code into itself")
-        return self._memo[key] if self._plotkin is None else (tuple(range(m)), m)
+        return order if self._plotkin is None else (tuple(range(m)), m)
 
     def _half_distance(self, cap: int | None, order=(), starts: int = 0) -> float:
         """A Plotkin half's min(d, cap + 1) from the first ``starts`` columns of ``order``
@@ -262,9 +257,7 @@ def _dependent_pair(mat: np.ndarray, p: int, start: int, stop: int) -> bool:
 @lru_cache(maxsize=16)
 def _inverse_table(p: int) -> np.ndarray:
     """a^(p-2) mod p for a in [0, p) (read-only): the inverse of each unit, 0 for 0."""
-    table = np.array([pow(a, p - 2, p) for a in range(p)], dtype=np.int64)
-    table.setflags(write=False)
-    return table
+    return _frozen(np.array([pow(a, p - 2, p) for a in range(p)], dtype=np.int64))
 
 
 def _dependent_subtree(mat: np.ndarray, p: int, start: int, stop: int, chosen: int,
@@ -325,10 +318,25 @@ def _smallest_dependent_subset(h: np.ndarray, p: int, cap: int, jobs: int,
     return None
 
 
-@lru_cache(maxsize=1 << 11)
-def _half(p: int, data: bytes, shape: tuple[int, int]) -> LinearCode:
-    """The Plotkin half with the int64 basis ``data`` of ``shape``, built once."""
-    return LinearCode(p, shape[1], np.frombuffer(data, dtype=np.int64).reshape(shape))
+def _plotkin_rows(hu: LinearCode, hv: LinearCode, lam: int) -> np.ndarray:
+    """The RREF [[U, lam (U - U[:, piv_V] V)], [0, V]] of P(U, V, lam) (module docstring)."""
+    u, v = hu.basis, hv.basis
+    return np.block([[u, (u - u[:, hv.pivots] @ v) % hu.p * lam % hu.p], [0 * v, v]])
+
+
+@lru_cache(maxsize=64)
+def _permutation(perm: tuple[int, ...]) -> tuple[tuple[tuple[int, ...], int], tuple | None]:
+    """(the cycle minima of pi first and their count, pi' if pi = (pi', pi'), else None)
+    of a permutation pi of 0..n-1; ``ZprsError``, not cached, if pi is none."""
+    if sorted(perm) != list(range(n := len(perm))):
+        raise ZprsError(f"an automorphism must be a permutation of 0..{n - 1}")
+    cycle_min, jump = np.arange(n), np.array(perm, dtype=np.int64)
+    for _ in range(n.bit_length()):  # pointer doubling: 2^rounds > n >= a cycle
+        cycle_min, jump = np.minimum(cycle_min, cycle_min[jump]), jump[jump]
+    is_rep = cycle_min == np.arange(n)
+    order = tuple(np.argsort(~is_rep, kind="stable").tolist()), int(is_rep.sum())
+    m = n // 2   # pi' maps 0..m-1 onto itself, as pi is a permutation
+    return order, perm[:m] if perm[m:] == tuple(i + m for i in perm[:m]) else None
 
 
 def min_distance_by_enumeration(code: LinearCode) -> int:

@@ -16,13 +16,13 @@ generator g | x^s - 1 with c = s - deg g, row i < c is 1 at x^i and 0 at
 every other x^j with j < c (MacWilliams-Sloane, ch. 7).
 
 The search builds thousands of codes from the subset products of one
-factorization, so two LRU caches of 2048 entries each hold read-only arrays:
-the product of a multiset of factors (at most s + 1 coefficients), keyed by
-their sorted ``Poly.int_key`` tuples with repeats kept, and the systematic rows
-of that product (at most s x s), the halves of the Gray image.  A third LRU
-cache of 2048 entries, ``linear._half``, keyed on (p, basis bytes, shape), keeps
-each half alive as a code with its parity check, hint verdicts and distances.
-A search over t <= 10 factors never evicts.
+factorization, so two LRU caches of 2048 entries each are keyed by the sorted
+``Poly.int_key`` tuples of a multiset of factors, repeats kept, and p (and s):
+``_product`` keeps their read-only product (at most s + 1 coefficients), and
+``_half`` its cyclic code, a half of the Gray image, as a ``LinearCode`` on the
+systematic rows (at most s x s, pivots 0..c-1) that keeps its parity check,
+hint verdicts and distances once read.  A search over t <= 10 factors never
+evicts.  An R-code keeps its two halves and interleaves them on first read.
 
 Dual-containing Gray images feed the CSS construction: a dual-containing
 [n, k, d] code over Z_p yields a quantum [[n, 2k - n, d]] code.  The search
@@ -46,7 +46,7 @@ from .errors import (DistanceNotDetermined, GcdViolation, NotDualContaining, Pro
 from .gray import GrayMap
 from .linear import LinearCode
 from .polynomials import Poly, divides, factor_xn_minus_lambda, hat, reciprocal
-from .words import block_columns, cached_profile
+from .words import _frozen, cached_profile
 
 
 def _key(fs) -> tuple[tuple[int, ...], ...]:
@@ -61,16 +61,15 @@ def _product(key: tuple[tuple[int, ...], ...], p: int) -> np.ndarray:
     out = np.ones(1, dtype=np.int64)
     for c in key:
         out = np.convolve(out, c or [0]) % p
-    out.setflags(write=False)
-    return out
+    return _frozen(out)
 
 
 @functools.lru_cache(maxsize=1 << 11)
-def _systematic_rows(key: tuple[tuple[int, ...], ...], p: int, s: int) -> np.ndarray:
-    """RREF basis (read-only, c x s) of the cyclic code < g > of length s, where
-    g = _product(key) divides x^s - 1 and c = s - deg g.  With v = g^-1 mod x^c,
-    row i is ((x^i v) mod x^c) g: 1 at x^i, 0 at every other x^j with j < c,
-    and of degree below s, so it does not wrap."""
+def _half(key: tuple[tuple[int, ...], ...], p: int, s: int) -> LinearCode:
+    """The cyclic code < g > of length s, g = _product(key) dividing x^s - 1, on its
+    RREF basis (c x s, c = s - deg g).  With v = g^-1 mod x^c, row i is
+    ((x^i v) mod x^c) g: 1 at x^i, 0 at every other x^j with j < c, and of degree
+    below s, so it does not wrap."""
     g = _product(key, p)
     c = s - g.size + 1
     padded = np.zeros(s + 1, dtype=np.int64)
@@ -83,8 +82,7 @@ def _systematic_rows(key: tuple[tuple[int, ...], ...], p: int, s: int) -> np.nda
     shifted = np.zeros((c, s), dtype=np.int64)
     shifted[i, i + np.arange(g.size)] = g                   # x^i g
     rows = np.triu(v[np.arange(c) - i]) @ shifted % p       # v[j - i] for j >= i
-    rows.setflags(write=False)
-    return rows
+    return LinearCode(p, s, rows, _pivots=list(range(c)))
 
 
 @dataclass(frozen=True)
@@ -157,24 +155,28 @@ class QuantumParams:
 def cyclic_code_from_assignment(fa: FactorAssignment) -> AdditiveCode:
     """The cyclic R-code < hat(F0), u hat(F1) > as an additive code (q=0, r=s, s=0),
     built on its CRT basis (module docstring), trusted as RREF: the systematic rows
-    of hat(F0) in the a-columns and of prod F2 in the b-columns, each 1 at its pivot
-    and 0 on every other pivot column, interleaved so that the pivots increase.  The
-    code keeps both halves for its Gray image; its rank must be 2 deg F0 + deg F1."""
-    p, s, profile = fa.p, fa.s, cached_profile(fa.p, 0, fa.s, 0)
+    of A = < hat(F0) > in the a-columns 0::2 and of B = < prod F2 > in the b-columns
+    1::2, each 1 at its pivot and 0 on every other pivot column, interleaved so that
+    the pivots increase.  It keeps (A, B); its rank must be 2 deg F0 + deg F1."""
     d0, d1, _ = fa.slot_degrees()
-    a_cols, b_cols = block_columns(profile)[1].T
-    a = _systematic_rows(_key(fa.f1 + fa.f2), p, s)        # d0 rows of hat(F0)
-    b = _systematic_rows(_key(fa.f2), p, s)                # d0 + d1 rows of prod F2
-    if (rank := len(a) + len(b)) != 2 * d0 + d1:
+    a = _half(_key(fa.f1 + fa.f2), fa.p, fa.s)
+    b = _half(_key(fa.f2), fa.p, fa.s)
+    if (rank := a.k + b.k) != 2 * d0 + d1:
         raise AssertionError(f"cyclic code rank {rank} differs from CRT count {2 * d0 + d1}")
-    rows = np.zeros((rank, profile.n), dtype=np.int64)
-    rows[:2 * d0:2, a_cols] = a
-    rows[1:2 * d0:2, b_cols] = b[:d0]
-    rows[2 * d0:, b_cols] = b[d0:]
-    code = AdditiveCode(profile, rows, _closed=True,
-                        _pivots=sorted([*a_cols[:len(a)].tolist(), *b_cols[:len(b)].tolist()]))
+    code = AdditiveCode(cached_profile(fa.p, 0, fa.s, 0), functools.partial(_interleave, a, b),
+                        _closed=True, _pivots=[*range(2 * a.k), *range(2 * a.k + 1, 2 * b.k, 2)])
     code._split = (a, b)
     return code
+
+
+def _interleave(a: LinearCode, b: LinearCode) -> np.ndarray:
+    """The rows of A x uB: A's rows in the a-columns interleaved with B's first k(A)
+    rows in the b-columns, then B's other rows."""
+    rows = np.zeros((a.k + b.k, 2 * a.n), dtype=np.int64)
+    rows[:2 * a.k:2, 0::2] = a.basis
+    rows[1:2 * a.k:2, 1::2] = b.basis[:a.k]
+    rows[2 * a.k:, 1::2] = b.basis[a.k:]
+    return rows
 
 
 def is_dual_containing(code: LinearCode) -> bool:
@@ -235,8 +237,11 @@ class SearchHit:
 
 
 def _split_slots(factors, slots) -> list[list[Poly]]:
-    """The factors of slot 0, 1 and 2."""
-    return [[f for f, slot in zip(factors, slots) if slot == j] for j in range(3)]
+    """The factors of slot 0, 1 and 2, in the order given."""
+    out = [[], [], []]
+    for f, slot in zip(factors, slots):
+        out[slot].append(f)
+    return out
 
 
 def _evaluate_assignment(args) -> tuple | None:

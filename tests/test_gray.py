@@ -10,7 +10,7 @@ from zprs.enumerators import symbol_table
 from zprs.gray import (GrayMap, LeeWeightMismatchWarning, _gray_matrix, gray_hamming_weight,
                        lee_weight, position_weights)
 from zprs.polynomials import factor_xn_minus_lambda
-from zprs.quantum import FactorAssignment, _key, _systematic_rows, cyclic_code_from_assignment
+from zprs.quantum import FactorAssignment, _half, _key, cyclic_code_from_assignment
 from zprs.rings import ChainElement
 from zprs.words import (BlockProfile, MixedWord, block_columns, constacyclic_shift,
                         inner_product, unflatten)
@@ -236,12 +236,17 @@ def test_cyclic_r_codes_are_imaged_in_closed_form(p, s):
         code = cyclic_code_from_assignment(fa)
         image = g._split_image(code)
         # the Plotkin sum of B = < prod F2 > and A = < hat(F0) >, kept in RREF
-        assert [np.array_equal(half.basis, _systematic_rows(_key(slots), p, s))
+        assert [half is _half(_key(slots), p, s)
                 for half, slots in zip(image._plotkin, (fa.f2, fa.f1 + fa.f2))] == [True, True]
-        # both closed forms are their own RREF
+        # both closed forms are built on first read, and are their own RREF with the
+        # pivots, and so the rank, that they reported before
         for closed in (code, image):
-            assert np.array_equal(closed.basis, reference_rref(closed.basis, p)[0])
-            assert closed.pivots == reference_rref(closed.basis, p)[1]
+            assert "basis" not in vars(closed)
+            pivots, rank = list(closed.pivots), closed.rank
+            reduced, reference_pivots = reference_rref(closed.basis, p)
+            assert np.array_equal(closed.basis, reduced)
+            assert pivots == closed.pivots == reference_pivots and rank == len(reduced)
+        assert image.k == code.rank == code.basis.shape[0]
         assert np.array_equal(image.generator, _image_by_words(g, code))
         assert g.image(code) == image
 

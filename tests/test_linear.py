@@ -265,6 +265,39 @@ def test_min_distance_refuses_a_hint_that_is_not_an_automorphism():
         LinearCode.full_space(3, 4).min_distance(automorphism=[0, 0, 1, 2])
 
 
+def test_an_invalid_hint_is_refused_on_every_call():
+    # refusals are not cached: the same bad hint fails again, also right after a
+    # valid hint of the same length
+    code = cyclic_span(2, np.array([1, 1, 0, 1, 0, 0, 0]))       # [7, 4, 3]
+    for bad in ([0, 0, 1, 2, 3, 4, 5], [0, 1, 2, 3, 4, 5], list(range(1, 8)),
+                [1.5, 2, 3, 4, 5, 6, 0]):
+        for _ in range(2):
+            assert code.min_distance(automorphism=shift(7)) == 3
+            with pytest.raises(ZprsError, match="permutation"):
+                code.min_distance(automorphism=bad)
+
+
+def test_hint_verdicts_are_kept_per_code():
+    # the shift maps the cyclic [7, 4, 3] code into itself but not a code with one
+    # word of weight 2, in either order; for a Plotkin sum the verdict is per half
+    hamming = cyclic_span(2, np.array([1, 1, 0, 1, 0, 0, 0]))
+    other = LinearCode(2, 7, [[1, 1, 0, 0, 0, 0, 0]])
+    for first, second in ((hamming, other), (other, hamming)):
+        for code in (first, second):
+            if code is hamming:
+                assert code.min_distance(automorphism=shift(7)) == 3
+            else:
+                with pytest.raises(ZprsError, match="into itself"):
+                    code.min_distance(automorphism=shift(7))
+    cyclic, joint = plotkin_example(), twice(shift(6))
+    half_not_cyclic = LinearCode.plotkin_sum(5, np.eye(6, dtype=np.int64),
+                                             [[1, 0, 0, 0, 0, 0]], 2)
+    for _ in range(2):
+        assert cyclic.min_distance(automorphism=joint) == cyclic.min_distance()
+        with pytest.raises(ZprsError, match="into itself"):
+            half_not_cyclic.min_distance(automorphism=joint)
+
+
 def test_min_distance_with_a_hint_is_independent_of_jobs():
     # the binary [7, 4, 3] Hamming, ternary [11, 6, 5] Golay and binary [15, 7, 5] BCH codes
     for p, n, g, d in ((2, 7, [1, 1, 0, 1], 3), (3, 11, [2, 0, 1, 2, 1, 1], 5),
@@ -358,8 +391,7 @@ def test_plotkin_halves_are_searched_within_the_cap(monkeypatch):
     v = reference_rref(rng.integers(0, 3, size=(2, 4)) @ u % 3, 3)[0]
     singleton_u, singleton_v = 12 - len(u) + 1, 12 - len(v) + 1
     for cap in range(1, 13):
-        linear._half.cache_clear()   # fresh halves, so no distance is memoized
-        calls.clear()
+        calls.clear()   # plotkin_sum builds fresh halves, so no distance is memoized
         outcome(LinearCode.plotkin_sum(3, u, v, 2), cap)
         assert sorted(calls) == sorted([((12 - len(u), 12), min(cap // 2, singleton_u)),
                                         ((12 - len(v), 12), min(cap, singleton_v))]), cap
@@ -444,8 +476,7 @@ def test_half_distances_are_memoized_per_start_columns(monkeypatch):
     starts, search = [], linear._smallest_dependent_subset
     monkeypatch.setattr(linear, "_smallest_dependent_subset",
                         lambda h, *args: starts.append(args[-1]) or search(h, *args))
-    linear._half.cache_clear()
-    code = plotkin_example()
+    code = plotkin_example()   # fresh halves
     assert code.min_distance(3, automorphism=twice(shift(6))) == code.min_distance(3)
     assert sorted(starts) == [1, 1, 6, 6]
 

@@ -1,5 +1,7 @@
+import copy
 import itertools
 import os
+import pickle
 import subprocess
 import sys
 from functools import lru_cache, reduce
@@ -120,10 +122,11 @@ def test_systematic_rows_are_the_rref_of_the_shifted_generator():
             shifted = np.zeros((c, s), dtype=np.int64)
             for i in range(c):
                 shifted[i, i:i + len(g)] = g
-            rows = quantum._systematic_rows(quantum._key(subset), p, s)
-            assert not rows.flags.writeable
-            assert rows.shape == (c, s)
-            assert (rows == linalg.rref(shifted, p)[0]).all(), (p, s, mask)
+            half = quantum._half(quantum._key(subset), p, s)
+            rows, pivots = linalg.rref(shifted, p)
+            assert not half.basis.flags.writeable
+            assert half.basis.shape == (c, s) and half.pivots == pivots == list(range(c))
+            assert (half.basis == rows).all(), (p, s, mask)
 
 
 def test_constructed_basis_is_already_reduced():
@@ -139,13 +142,67 @@ def test_constructed_basis_is_already_reduced():
             assert pivots == code.pivots
 
 
+def test_the_search_builds_no_basis_that_it_does_not_read(monkeypatch):
+    # cyclic_css reads ranks, halves and the (pi, pi) hint verdict on the halves, so
+    # neither the R-code's interleaved rows nor its image's closed form is ever built
+    images = []
+
+    class Recording(GrayMap):
+        def image(self, code):
+            images.append(super().image(code))
+            return images[-1]
+
+    monkeypatch.setattr(quantum, "GrayMap", Recording)
+    outcomes = set()
+    for p, s in ((5, 8), (13, 6)):
+        factors = factors_of(p, s)
+        for slots in itertools.product(range(3), repeat=len(factors)):
+            code = cyclic_code_from_assignment(assignment(p, s, slots))
+            if code.rank < s:
+                continue   # its image cannot contain its dual
+            outcomes.add(cyclic_css(code) is None)
+            assert "basis" not in vars(code) and "basis" not in vars(images[-1]), (p, s, slots)
+    assert outcomes == {True, False}
+
+
+def test_search_built_codes_pickle_and_deep_copy():
+    for p, s in ((5, 8), (13, 6), (2, 7)):
+        for slots in itertools.islice(itertools.product(range(3), repeat=len(factors_of(p, s))),
+                                      0, None, 7):
+            code = cyclic_code_from_assignment(assignment(p, s, slots))
+            image = GrayMap(p).image(code)
+            for built in (False, True):    # before and after the basis is first read
+                for c in (code, image):
+                    for twin in (pickle.loads(pickle.dumps(c)), copy.deepcopy(c)):
+                        assert type(twin) is type(c) and twin.pivots == c.pivots
+                        assert twin == c and twin.rank == c.rank, (p, s, slots, built)
+                        if isinstance(c, LinearCode) and c.k:
+                            assert twin.min_distance() == c.min_distance()
+
+
+def test_a_split_with_a_outside_b_is_refused_by_the_gray_map():
+    # the half codes handed to the trusted Plotkin path are still checked: (B, A)
+    # swapped, with A a proper subcode of B, is no R-code
+    swapped = 0
+    for p, s in ((5, 8), (13, 6)):
+        for slots in itertools.product(range(3), repeat=len(factors_of(p, s))):
+            code = cyclic_code_from_assignment(assignment(p, s, slots))
+            a, b = code._split
+            if a.k < b.k:
+                code._split = (b, a)
+                with pytest.raises(ZprsError, match="V is not in U"):
+                    GrayMap(p).image(code)
+                swapped += 1
+    assert swapped > 100
+
+
 def test_caches_cannot_change_an_answer():
     def serialized(p, s):
         return repr(search_dual_containing(p, s))
 
     quantum._product.cache_clear()
-    quantum._systematic_rows.cache_clear()
-    linear._half.cache_clear()
+    quantum._half.cache_clear()
+    linear._permutation.cache_clear()
     first = serialized(5, 8)
     serialized(13, 6)
     assert serialized(5, 8) == first
