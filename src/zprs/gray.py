@@ -38,6 +38,7 @@ import numpy as np
 
 from .errors import WrongRing
 from .field import find_kappa
+from .linalg import as_int
 from .linear import LinearCode
 from .rings import ChainElement
 from .words import BlockProfile, MixedWord, block_columns, flatten, map_matrix
@@ -87,8 +88,8 @@ class GrayMap:
     """The maps phi1, phi2 and their extension to mixed words, for one prime p."""
 
     def __init__(self, p: int):
-        self.p = p
-        self.kappa = find_kappa(p)
+        self.p = as_int(p, "p")
+        self.kappa = find_kappa(self.p)
 
     def phi1(self, x: ChainElement) -> tuple[int, int]:
         if (x.p, x.k) != (self.p, 2):

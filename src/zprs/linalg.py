@@ -18,7 +18,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .errors import LengthMismatch, ModulusTooLarge, TooLarge, WrongRing
+from .errors import LengthMismatch, MalformedInput, ModulusTooLarge, TooLarge, WrongRing
 
 CHUNK, WALK_LIMIT, LENGTH_LIMIT = 1 << 14, 1 << 24, 1 << 11
 
@@ -26,14 +26,21 @@ CHUNK, WALK_LIMIT, LENGTH_LIMIT = 1 << 14, 1 << 24, 1 << 11
 def check_modulus(p: int, n: int) -> None:
     """Reject a length n above ``LENGTH_LIMIT`` = 2048 with ``TooLarge`` before
     anything of size n^2 is built, so each dense n x n map of a block profile
-    (``words.map_matrix``, ``form_matrices``) and the Berlekamp matrix of
-    x^n - lambda stays within 32 MiB of int64.  Reject p when n products of two
-    residues can overflow int64."""
+    (``words.map_matrix``, ``form_matrices``) stays within 32 MiB of int64.
+    Reject p when n products of two residues can overflow int64."""
     if n > LENGTH_LIMIT:
         raise TooLarge(f"length {n} is above the bound {LENGTH_LIMIT}")
     if n * (p - 1) ** 2 >= 2 ** 63:
         raise ModulusTooLarge(f"p = {p} is too large for exact int64 arithmetic "
                               f"on {n} coordinates: n (p-1)^2 >= 2^63")
+
+
+def as_int(x, name: str, error: type = MalformedInput) -> int:
+    """x as a Python int by ``operator.index`` (numpy integers pass), or ``error``."""
+    try:
+        return operator.index(x)
+    except TypeError:
+        raise error(f"{name} is not an integer: {x!r}") from None
 
 
 def as_integers(values) -> np.ndarray:
@@ -46,10 +53,9 @@ def as_integers(values) -> np.ndarray:
     except ValueError:
         raise LengthMismatch("entries do not form a rectangular array") from None
     if a.dtype in (object, np.uint64):
+        ints = [as_int(x, "an entry", WrongRing) for x in a.ravel()]
         try:
-            a = np.array([operator.index(x) for x in a.ravel()], np.int64).reshape(a.shape)
-        except TypeError:
-            raise WrongRing("entries must be integers, got a non-integer object") from None
+            a = np.array(ints, np.int64).reshape(a.shape)
         except OverflowError:
             raise WrongRing("entries must fit int64; reduce them mod p first") from None
     if a.dtype.kind not in "iub" and a.size:

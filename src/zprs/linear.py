@@ -42,7 +42,6 @@ words (x + y | lam x), x = c - e, y = e: P holds it iff V^perp in U, H_V H_U^T =
 from __future__ import annotations
 
 import math
-import operator
 from functools import cached_property, lru_cache, partial
 from typing import Sequence
 
@@ -85,7 +84,7 @@ class LinearCode(AdditiveCode):
         (``ZprsError`` otherwise), and a unit lam: its RREF written on the halves,
         each row-reduced here (module docstring).  ``min_distance`` and
         ``quantum.is_dual_containing`` read the halves too."""
-        lam = as_unit(operator.index(lam), p, 1).coeffs[0]
+        lam = as_unit(linalg.as_int(lam, "lambda"), p, 1).coeffs[0]
         if (m := np.shape(u)[-1]) < 1:
             raise ProfileMismatch("the halves of a Plotkin sum need a length m >= 1")
         return cls._from_halves(cls(p, m, u), cls(p, m, v), lam)
@@ -213,7 +212,7 @@ class LinearCode(AdditiveCode):
             raise LengthMismatch(f"block lengths sum to {sum(block_lens)}, not {self.n}")
         x, pos = np.zeros((self.n, self.n), dtype=np.int64), 0
         for lam, m in zip(lams, block_lens):
-            unit = as_unit(operator.index(lam), self.p, 1)  # refused even on an empty block
+            unit = as_unit(linalg.as_int(lam, "lambda"), self.p, 1)  # checked on empty blocks too
             if m:
                 x[pos:pos + m, pos:pos + m] = shift_matrix(BlockProfile(self.p, m, 0, 0), unit)
             pos += m

@@ -2,8 +2,8 @@
 polynomial constructions the code machinery needs:
 
 * division / divisibility (unit leading coefficient required over R and S),
-* factorization of x^n - lambda over Z_p by deterministic Berlekamp, on
-  plain Z_p coefficient arrays (squarefree since gcd(p, n) = 1),
+* factorization of x^n - lambda over Z_p by Berlekamp on Z_p arrays, the kernel
+  read off the cycles of i -> p i mod n, no split tried where v mod g is constant,
 * reciprocal polynomials x^m f(1/x),
 * exact cofactors (x^n - lambda) / f,
 * the substitution f(x) -> f(mu^-1 x) carrying cyclic codes mod x^n - 1 to
@@ -25,7 +25,7 @@ import numpy as np
 from .errors import (GcdViolation, MalformedInput, ModulusMismatch, NonUnitLeadingCoefficient,
                      NotADivisor, ZeroConstantTerm)
 from .field import ensure_prime
-from .linalg import check_modulus, kernel_basis
+from .linalg import as_int, check_modulus, kernel_basis
 from .rings import ChainElement
 
 CoeffLike = Union[int, Sequence[int], ChainElement]
@@ -252,20 +252,22 @@ def _zp_divide(f: Poly, g: Poly) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _zp_gcd(g: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
-    """Monic gcd of the monic g and b over Z_p."""
-    b = np.trim_zeros(b, "b")
-    while b.size:
+    """Monic gcd of the monic g and b over Z_p, remainders cut by a ``nonzero`` slice."""
+    while (nz := b.nonzero()[0]).size:
+        b = b[:nz[-1] + 1]
         g, b = b * pow(int(b[-1]), p - 2, p) % p, g
-        b = np.trim_zeros(_zp_divmod(b, g, p)[1], "b")
+        b = _zp_divmod(b, g, p)[1]
     return g
 
 
 def _berlekamp_split(g: np.ndarray, v: np.ndarray, p: int) -> list[np.ndarray]:
     """gcd(g, w - c), w = v mod g, over the roots c in Z_p of the minimal polynomial
     of w: a product of distinct y - c as v^p = v mod g, so the gcds are pairwise
-    coprime with product g.  That polynomial, of degree <= min(deg g, p), is the
-    last row of the RREF kernel of w^k, ..., w^0; it is evaluated on Z_p in chunks."""
+    coprime with product g; a constant w returns [g] at once.  That polynomial, of
+    degree <= min(deg g, p), is the last row of the RREF kernel of w^k, ..., w^0."""
     w = _zp_divmod(v, g, p)[1]
+    if not w[1:].any():
+        return [g]
     powers = [np.eye(1, len(w), dtype=np.int64)[0]]
     for _ in range(min(len(w), p)):
         powers.append(_zp_divmod(np.convolve(powers[-1], w) % p, g, p)[1])
@@ -283,14 +285,18 @@ def _berlekamp_split(g: np.ndarray, v: np.ndarray, p: int) -> list[np.ndarray]:
 def factor_xn_minus_lambda(p: int, n: int, lam: int) -> list[Poly]:
     """Monic irreducible factors of x^n - lambda over Z_p, sorted canonically.
 
-    Deterministic Berlekamp (1967) on f = x^n - lambda, squarefree as
-    gcd(p, n) = 1.  Row i of Q is x^(p i) mod f = lambda^(p i div n)
-    x^(p i mod n).  The null space of (Q - I)^T has dimension r, the factor
-    count; its basis vectors v split the factors g found so far by
-    gcd(g, v - c) until there are r.  Finding the c evaluates a polynomial on
-    all of Z_p, so that step grows linearly in p.  The factorization is
-    unique, so the canonical sort keeps golden outputs stable.
+    Deterministic Berlekamp (1967) on f = x^n - lambda, squarefree as gcd(p, n) = 1.
+    Row i of Q is x^(p i) mod f = lambda^(p i div n) x^(p i mod n), so (Q - I)^T v = 0
+    iff v[p i mod n] = lambda^(p i div n) v[i]: on a cycle of i -> p i mod n, v is fixed
+    by its value at the cycle minimum, and the cycle gives a kernel vector, 1 there,
+    iff its scalings multiply to 1.  Of disjoint supports, these are the RREF kernel
+    basis, of size r, the factor count.  Each v splits the factors g found so far by
+    gcd(g, v - c) until there are r, except where w = v mod g is constant: v = 1, or g
+    irreducible of degree d, as w^p = w puts w in Z_p, the fixed field of Frobenius on
+    GF(p^d).  Finding the c evaluates a polynomial on all of Z_p, so that step grows
+    linearly in p; the factorization is unique, so the canonical sort keeps outputs stable.
     """
+    p, n, lam = as_int(p, "p"), as_int(n, "n"), as_int(lam, "lambda")
     ensure_prime(p)
     lam %= p
     if lam == 0:
@@ -300,10 +306,13 @@ def factor_xn_minus_lambda(p: int, n: int, lam: int) -> list[Poly]:
     if n % p == 0:
         raise GcdViolation(f"gcd(p, n) must be 1, got p={p}, n={n}")
     check_modulus(p, n)
-    q_minus_i = -np.eye(n, dtype=np.int64)
-    for i in range(n):
-        q_minus_i[i, p * i % n] += pow(lam, p * i // n, p)
-    basis = kernel_basis(q_minus_i.T, p)
+    basis, seen = [], [False] * n
+    for m in range(n):
+        v, i, c = np.zeros(n, dtype=np.int64), m, 1
+        while not seen[i]:
+            seen[i], v[i], c, i = True, c, c * pow(lam, p * i // n, p) % p, p * i % n
+        if c == 1 and v[m]:
+            basis.append(v)
     factors = [np.array([-lam % p] + [0] * (n - 1) + [1], dtype=np.int64)]
     for v in basis:
         if len(factors) == len(basis):

@@ -44,6 +44,7 @@ from .additive import AdditiveCode
 from .errors import (DistanceNotDetermined, GcdViolation, NotDualContaining, ProfileMismatch,
                      TooManyFactors, ZprsError)
 from .gray import GrayMap
+from .linalg import as_int
 from .linear import LinearCode
 from .polynomials import Poly, divides, factor_xn_minus_lambda, hat, reciprocal
 from .words import _frozen, cached_profile
@@ -270,6 +271,7 @@ def search_dual_containing(p: int, s: int, *, distance_cap: int = 6,
     deterministic: sorted by (n, k, d, assignment key).  Distances above
     ``distance_cap`` are reported as lower bounds rather than dropped.
     """
+    p, s = as_int(p, "p"), as_int(s, "s")
     factors = factor_xn_minus_lambda(p, s, 1)
     t = len(factors)
     if t > MAX_FACTORS:

@@ -14,12 +14,12 @@ is nonzero in Z_p.
 from __future__ import annotations
 
 import itertools
-import operator
 from dataclasses import dataclass
 from typing import Iterable, Sequence, Union
 
 from .errors import ModulusMismatch, NotAUnit, WrongRing
 from .field import element_order, ensure_prime, factorize
+from .linalg import as_int
 
 CoeffsLike = Union[int, Sequence[int], "ChainElement"]
 
@@ -38,10 +38,7 @@ class ChainElement:
             raise WrongRing(f"nilpotency index must be 1, 2 or 3, got {self.k}")
         if len(self.coeffs) != self.k:
             raise WrongRing(f"expected {self.k} coefficients, got {len(self.coeffs)}")
-        try:
-            coeffs = tuple(operator.index(c) % self.p for c in self.coeffs)
-        except TypeError:
-            raise WrongRing(f"coefficients must be integers, got {self.coeffs}") from None
+        coeffs = tuple(as_int(c, "a coefficient", WrongRing) % self.p for c in self.coeffs)
         object.__setattr__(self, "coeffs", coeffs)
 
     @classmethod

@@ -26,7 +26,6 @@ layout.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Sequence, Union
@@ -49,11 +48,8 @@ class BlockProfile:
     s: int
 
     def __post_init__(self):
-        try:
-            for name in ("p", "q", "r", "s"):
-                object.__setattr__(self, name, operator.index(getattr(self, name)))
-        except TypeError:
-            raise ProfileMismatch(f"{name} is not an integer: {getattr(self, name)!r}") from None
+        for f in ("p", "q", "r", "s"):
+            object.__setattr__(self, f, linalg.as_int(getattr(self, f), f, ProfileMismatch))
         ensure_prime(self.p)
         if min(self.q, self.r, self.s) < 0 or self.q + self.r + self.s < 1:
             raise ProfileMismatch(f"invalid block profile (q={self.q}, r={self.r}, s={self.s})")

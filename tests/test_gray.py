@@ -5,7 +5,7 @@ import pytest
 
 from oracles import reference_rref
 from zprs.additive import AdditiveCode, span_closure
-from zprs.errors import NoSquareRootOfMinusOne, ZprsError
+from zprs.errors import MalformedInput, NoSquareRootOfMinusOne, ZprsError
 from zprs.enumerators import symbol_table
 from zprs.gray import (GrayMap, LeeWeightMismatchWarning, _gray_matrix, gray_hamming_weight,
                        lee_weight, position_weights)
@@ -14,6 +14,17 @@ from zprs.quantum import FactorAssignment, _half, _key, cyclic_code_from_assignm
 from zprs.rings import ChainElement
 from zprs.words import (BlockProfile, MixedWord, block_columns, constacyclic_shift,
                         inner_product, unflatten)
+
+
+def test_gray_map_coerces_numpy_integers_and_refuses_others():
+    g = GrayMap(np.int64(5))
+    assert type(g.p) is int and (g.p, g.kappa) == (5, GrayMap(5).kappa)
+    pr = BlockProfile(5, 1, 1, 1)
+    code = span_closure([unflatten(np.array([1, 2, 0, 1, 3, 0]), pr)])
+    assert repr(g.image(code)) == repr(GrayMap(5).image(code))
+    for p in (5.0, 1.5):
+        with pytest.raises(MalformedInput):
+            GrayMap(p)
 
 
 def test_phi1_examples():

@@ -5,9 +5,11 @@ import random
 import numpy as np
 import pytest
 
-from zprs.errors import (GcdViolation, NonUnitLeadingCoefficient, NotADivisor, NotAUnit,
-                         ZeroConstantTerm)
-from zprs.polynomials import (Poly, divides, factor_xn_minus_lambda, hat, parse_poly,
+import zprs.polynomials as polynomials
+from zprs.errors import (GcdViolation, MalformedInput, NonUnitLeadingCoefficient, NotADivisor,
+                         NotAUnit, ZeroConstantTerm)
+from zprs.linalg import kernel_basis
+from zprs.polynomials import (Poly, _zp_gcd, divides, factor_xn_minus_lambda, hat, parse_poly,
                               poly_divmod, reciprocal, x_pow_n_minus)
 
 from oracles import rho_substitute
@@ -199,6 +201,139 @@ def test_factor_matches_trial_division_exhaustive():
                 continue
             for lam in range(1, p):
                 assert factor_xn_minus_lambda(p, n, lam) == trial_division_factors(p, n, lam)
+
+
+# every (p, n, lambda) with p in GRID_PRIMES, n <= 30, p not dividing n, lambda a unit
+GRID_PRIMES = (2, 3, 5, 7, 13, 17)
+GRID = [(p, n, lam) for p in GRID_PRIMES for n in range(1, 31) if n % p
+        for lam in range(1, p)]
+
+
+def eliminated_kernel(p: int, n: int, lam: int) -> np.ndarray:
+    """Oracle: the Berlekamp kernel by elimination, the RREF basis of the null space of
+    (Q - I)^T, row i of Q being x^(p i) mod x^n - lambda = lambda^(p i div n) x^(p i mod n)."""
+    q_minus_i = -np.eye(n, dtype=np.int64)
+    for i in range(n):
+        q_minus_i[i, p * i % n] += pow(lam, p * i // n, p)
+    return kernel_basis(q_minus_i.T, p)
+
+
+def cycle_kernel(p: int, n: int, lam: int, monkeypatch) -> list[np.ndarray]:
+    """The basis factor_xn_minus_lambda reads off the cycles of i -> p i mod n.
+
+    A stand-in split that never splits keeps one factor, so the loop hands every
+    basis vector to it in order; a basis of one vector stops the loop at once."""
+    seen = []
+
+    def no_split(g, v, p):
+        seen.append(v.copy())
+        return [g]
+
+    with monkeypatch.context() as m:
+        m.setattr(polynomials, "_berlekamp_split", no_split)
+        assert len(factor_xn_minus_lambda(p, n, lam)) == 1
+    return seen
+
+
+def test_cycle_kernel_is_the_eliminated_kernel_on_the_grid(monkeypatch):
+    assert len(GRID) == 1107
+    dropped = 0
+    for p, n, lam in GRID:
+        want = eliminated_kernel(p, n, lam)
+        got = cycle_kernel(p, n, lam, monkeypatch)
+        if len(want) == 1:                   # v = 1 alone: the loop stops before a split
+            assert got == [] and want.tolist() == [[1] + [0] * (n - 1)]
+        else:
+            assert np.array_equal(np.array(got), want), (p, n, lam)
+        cycles = len({min(i * pow(p, e, n) % n for e in range(n)) for i in range(n)})
+        dropped += cycles - len(want)
+    assert dropped > 0                       # lambda != 1 cases where cycles are dropped
+
+
+def test_cycle_kernel_examples(monkeypatch):
+    # x^4 - 3 over Z_7: i -> 7 i mod 4 has the cycles {0}, {1, 3}, {2}.  On {1, 3} the
+    # scalings are 3^1 (at 1) and 3^5 = 5 (at 3), product 1: v is 1 at 1 and 3 at 3.
+    # {2} scales by 3^3 = 6 and is dropped
+    assert [v.tolist() for v in cycle_kernel(7, 4, 3, monkeypatch)] \
+        == [[1, 0, 0, 0], [0, 1, 0, 3]] == eliminated_kernel(7, 4, 3).tolist()
+    # x^2 - 2 over Z_5 is irreducible: the cycle {1} scales by 2 and is dropped
+    assert eliminated_kernel(5, 2, 2).tolist() == [[1, 0]]
+    assert factor_xn_minus_lambda(5, 2, 2) == [Poly.make([3, 0, 1], 5)]
+
+
+def exhaustive_split(g: np.ndarray, v: np.ndarray, p: int) -> list[Poly]:
+    """Oracle: gcd(g, w - c) for every c in Z_p with a nonconstant gcd, c ascending."""
+    gp = Poly.make(g.tolist(), p)
+    w = poly_divmod(Poly.make(v.tolist(), p), gp)[1]
+    parts = [poly_gcd(gp, w - Poly.make([c], p)) for c in range(p)]
+    return [h for h in parts if h.degree > 0]
+
+
+def test_constant_split_returns_at_once(monkeypatch):
+    # a spy on the real split: every call matches the exhaustive oracle, and a constant
+    # w = v mod g returns [g] itself before any minimal-polynomial kernel is computed
+    split, kernel = polynomials._berlekamp_split, polynomials.kernel_basis
+    kernels, early = [], {"v = 1": 0, "irreducible": 0}
+
+    def counting_kernel(*args):
+        kernels.append(args)
+        return kernel(*args)
+
+    def spy(g, v, p):
+        before = len(kernels)
+        out = split(g, v, p)
+        assert [Poly.make(h.tolist(), p) for h in out] == exhaustive_split(g, v, p)
+        w = poly_divmod(Poly.make(v.tolist(), p), Poly.make(g.tolist(), p))[1]
+        if w.degree <= 0:
+            assert len(out) == 1 and out[0] is g and len(kernels) == before
+            early["v = 1" if v[0] == 1 and not v[1:].any() else "irreducible"] += 1
+        else:
+            assert len(kernels) > before
+        calls.append((g, w, p))
+        return out
+
+    monkeypatch.setattr(polynomials, "_berlekamp_split", spy)
+    monkeypatch.setattr(polynomials, "kernel_basis", counting_kernel)
+    for p, n, lam in [(2, 23, 1), (2, 27, 1), (3, 14, 1), (5, 13, 1), (13, 18, 1),
+                      (17, 8, 1), (5, 12, 2), (7, 30, 3), (3, 20, 2)]:
+        calls = []
+        factors = factor_xn_minus_lambda(p, n, lam)
+        product = Poly.one(p)
+        for f in factors:
+            product = product * f
+        assert product == x_pow_n_minus(lam, n, p)
+        for g, w, p in calls:
+            # Frobenius: v mod g lies in Z_p for every irreducible factor g
+            if Poly.make(g.tolist(), p) in factors:
+                assert w.degree <= 0
+    assert early["v = 1"] > 0 and early["irreducible"] > 0
+
+
+def test_zp_gcd_trims_remainders():
+    x4_1 = np.array([4, 0, 0, 0, 1])                  # x^4 - 1 over Z_5
+    cases = [np.zeros(3, dtype=np.int64),             # all zero: gcd(g, 0) = g
+             np.array([3, 0, 0]),                     # one entry after the trim: gcd 1
+             np.array([1, 0, 1, 0, 0]),               # interior zero: x^2 + 1 divides
+             np.array([0, 2, 0, 0]),                  # 2x: coprime to x^4 - 1
+             np.array([4, 1]),                        # x - 1: the next remainder is zero
+             np.array([0, 0, 1, 1, 0])]               # x^2 (x + 1)
+    for b in cases:
+        want = poly_gcd(Poly.make(x4_1.tolist(), 5), Poly.make(b.tolist(), 5))
+        got = _zp_gcd(x4_1, b, 5)
+        assert Poly.make(got.tolist(), 5) == (want or Poly.make(x4_1.tolist(), 5))
+        assert got.size == 0 or got[-1] == 1         # monic, no trailing zeros
+    assert _zp_gcd(x4_1, np.zeros(3, dtype=np.int64), 5) is x4_1
+
+
+def test_factor_coerces_integers_and_refuses_others():
+    for p, n, lam in ((13, 18, 1), (5, 12, 2), (3, 8, 2)):
+        want = factor_xn_minus_lambda(p, n, lam)
+        got = factor_xn_minus_lambda(np.int64(p), np.int64(n), np.int64(lam))
+        assert repr([f.int_coeffs() for f in got]) == repr([f.int_coeffs() for f in want])
+        assert all(type(f.p) is int for f in got)
+    for args in ((5.0, 4, 1), (5, 4.0, 1), (5, 4, 1.5), (1.5, 4, 1), ("5", 4, 1)):
+        with pytest.raises(MalformedInput):
+            factor_xn_minus_lambda(*args)
 
 
 @pytest.mark.parametrize("p, n", [(2, 47), (3, 23), (2, 25)])

@@ -14,8 +14,8 @@ import zprs.linear as linear
 import zprs.quantum as quantum
 from zprs import linalg
 from zprs.additive import AdditiveCode, shift_module_span, span_closure, word_from_polynomials
-from zprs.errors import (GcdViolation, NotDualContaining, ProfileMismatch, TooManyFactors,
-                         ZprsError)
+from zprs.errors import (GcdViolation, MalformedInput, NotDualContaining, ProfileMismatch,
+                         TooManyFactors, ZprsError)
 from zprs.gray import GrayMap
 from zprs.linear import (LinearCode, _smallest_dependent_subset,
                          min_distance_by_enumeration)
@@ -450,6 +450,16 @@ def test_css_examples():
         css(LinearCode(2, 4, [[1, 1, 1, 1]]))
     with pytest.raises(ZprsError):
         QuantumParams(4, 5, 1, 2)
+
+
+def test_search_coerces_numpy_integers_and_refuses_others():
+    want = search_dual_containing(5, 4)
+    got = search_dual_containing(np.int64(5), np.int64(4))
+    assert repr(got) == repr(want) and len(got) == 7
+    assert all(type(h.gray_n) is int and type(h.generator.p) is int for h in got)
+    for args in ((5.0, 4), (5, 4.0), (5, 1.5)):
+        with pytest.raises(MalformedInput):
+            search_dual_containing(*args)
 
 
 def test_search_p5_s8_matches_table_rows():
