@@ -136,7 +136,7 @@ class LinearCode(AdditiveCode):
             raise ZprsError("minimum distance needs a nonzero code")
         order, starts = self._search_order(automorphism)
         # the Singleton bound; a weight-1 word is always found, so a cap below 1 acts as 1
-        cap = max(1, min(search_cap, self.n - self.k + 1))
+        cap = max(1, min(linalg.as_int(search_cap, "search_cap"), self.n - self.k + 1))
         exact = self.size <= 2 ** 20
         if self._plotkin is not None:
             u, v, _ = self._plotkin
@@ -150,7 +150,7 @@ class LinearCode(AdditiveCode):
             if d is None and exact:
                 d = min_distance_by_enumeration(self)
         if d is None:
-            raise DistanceNotDetermined(search_cap + 1)
+            raise DistanceNotDetermined(cap + 1)
         assert d <= self.n - self.k + 1, "Singleton bound violated; elimination bug"
         return d
 

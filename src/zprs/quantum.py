@@ -16,13 +16,15 @@ generator g | x^s - 1 with c = s - deg g, row i < c is 1 at x^i and 0 at
 every other x^j with j < c (MacWilliams-Sloane, ch. 7).
 
 The search builds thousands of codes from the subset products of one
-factorization, so two LRU caches of 2048 entries each are keyed by the sorted
-``Poly.int_key`` tuples of a multiset of factors, repeats kept, and p (and s):
-``_product`` keeps their read-only product (at most s + 1 coefficients), and
+factorization.  It walks the assignments as bitmasks of factors and keys each
+subset once per search by the sorted ``Poly.int_key`` tuples of its factors,
+repeats kept.  Three LRU caches of 2048 entries each are keyed by such a key and
+p (and s): ``_product`` keeps the read-only product (at most s + 1 coefficients),
+``_poly`` the same product as a ``Poly``, shared by the hats of all hits, and
 ``_half`` its cyclic code, a half of the Gray image, as a ``LinearCode`` on the
-systematic rows (at most s x s, pivots 0..c-1) that keeps its parity check,
-hint verdicts and distances once read.  A search over t <= 10 factors never
-evicts.  An R-code keeps its two halves and interleaves them on first read.
+systematic rows (at most s x s, pivots 0..c-1) that keeps its parity check, hint
+verdicts and distances once read.  A search over t <= 10 factors never evicts.
+An R-code keeps its two halves and interleaves them on first read.
 
 Dual-containing Gray images feed the CSS construction: a dual-containing
 [n, k, d] code over Z_p yields a quantum [[n, 2k - n, d]] code.  The search
@@ -86,6 +88,12 @@ def _half(key: tuple[tuple[int, ...], ...], p: int, s: int) -> LinearCode:
     return LinearCode(p, s, rows, _pivots=list(range(c)))
 
 
+@functools.lru_cache(maxsize=1 << 11)
+def _poly(key: tuple[tuple[int, ...], ...], p: int) -> Poly:
+    """``_product(key, p)`` as a ``Poly``, one immutable object per key."""
+    return Poly.make(_product(key, p).tolist(), p)
+
+
 @dataclass(frozen=True)
 class FactorAssignment:
     """Partition of the irreducible factors of x^s - 1 over Z_p into
@@ -112,13 +120,12 @@ class FactorAssignment:
         return cls(p, s, norm(f0), norm(f1), norm(f2))
 
     def slot_product(self, slot: int) -> Poly:
-        return Poly.make(_product(_key((self.f0, self.f1, self.f2)[slot]), self.p).tolist(),
-                         self.p)
+        return _poly(_key((self.f0, self.f1, self.f2)[slot]), self.p)
 
     def hat(self, slot: int) -> Poly:
         """(x^s - 1) / (slot product): the product of the other two slots."""
         others = [f for i, fs in enumerate((self.f0, self.f1, self.f2)) if i != slot for f in fs]
-        return Poly.make(_product(_key(others), self.p).tolist(), self.p)
+        return _poly(_key(others), self.p)
 
     def slot_degrees(self) -> tuple[int, int, int]:
         return tuple(sum(f.degree for f in fs) for fs in (self.f0, self.f1, self.f2))
@@ -153,19 +160,24 @@ class QuantumParams:
         return self.n + 2 - (self.k + 2 * self.d) == 2
 
 
-def cyclic_code_from_assignment(fa: FactorAssignment) -> AdditiveCode:
+def cyclic_code_from_assignment(fa: FactorAssignment | None = None, *,
+                                _keys: tuple | None = None) -> AdditiveCode:
     """The cyclic R-code < hat(F0), u hat(F1) > as an additive code (q=0, r=s, s=0),
     built on its CRT basis (module docstring), trusted as RREF: the systematic rows
     of A = < hat(F0) > in the a-columns 0::2 and of B = < prod F2 > in the b-columns
     1::2, each 1 at its pivot and 0 on every other pivot column, interleaved so that
-    the pivots increase.  It keeps (A, B); its rank must be 2 deg F0 + deg F1."""
-    d0, d1, _ = fa.slot_degrees()
-    a = _half(_key(fa.f1 + fa.f2), fa.p, fa.s)
-    b = _half(_key(fa.f2), fa.p, fa.s)
-    if (rank := a.k + b.k) != 2 * d0 + d1:
-        raise AssertionError(f"cyclic code rank {rank} differs from CRT count {2 * d0 + d1}")
-    code = AdditiveCode(cached_profile(fa.p, 0, fa.s, 0), functools.partial(_interleave, a, b),
-                        _closed=True, _pivots=[*range(2 * a.k), *range(2 * a.k + 1, 2 * b.k, 2)])
+    the pivots increase.  It keeps (A, B); its rank must be 2 deg F0 + deg F1.  The
+    search passes no fa but ``_keys`` = (p, s, _key(F1 + F2), _key(F2), that rank)."""
+    if _keys is None:
+        d0, d1, _ = fa.slot_degrees()
+        _keys = fa.p, fa.s, _key(fa.f1 + fa.f2), _key(fa.f2), 2 * d0 + d1
+    p, s, key_a, key_b, crt = _keys
+    a, b = _half(key_a, p, s), _half(key_b, p, s)
+    ka, kb = a.k, b.k
+    if ka + kb != crt:
+        raise AssertionError(f"cyclic code rank {ka + kb} differs from CRT count {crt}")
+    code = AdditiveCode(cached_profile(p, 0, s, 0), functools.partial(_interleave, a, b),
+                        _closed=True, _pivots=[*range(2 * ka), *range(2 * ka + 1, 2 * kb, 2)])
     code._split = (a, b)
     return code
 
@@ -245,15 +257,30 @@ def _split_slots(factors, slots) -> list[list[Poly]]:
     return out
 
 
+def _assignments(p: int, s: int, factors, distance_cap: int):
+    """The arguments of ``_evaluate_assignment``: for each pair of disjoint masks (F1,
+    F2) of factors with 2 deg F0 + deg F1 >= s (a Gray image [2s, k] with k < s cannot
+    contain its dual), the masks and the ``_keys`` of its cyclic code."""
+    @functools.cache
+    def subset(mask: int) -> tuple:     # the _key and the degree of a subset, once
+        fs = [f for i, f in enumerate(factors) if mask >> i & 1]
+        return _key(fs), sum(f.degree for f in fs)
+    full = (1 << len(factors)) - 1
+    for m2 in range(full + 1):
+        rest = m1 = full ^ m2
+        while True:                     # every submask m1 of rest, rest first
+            if (crt := 2 * subset(rest ^ m1)[1] + subset(m1)[1]) >= s:
+                yield (m1, m2), (p, s, subset(m1 | m2)[0], subset(m2)[0], crt), distance_cap
+            if not m1:
+                break
+            m1 = (m1 - 1) & rest
+
+
 def _evaluate_assignment(args) -> tuple | None:
-    p, s, factors, slots, degrees, distance_cap = args
-    if sum((2, 1, 0)[slot] * deg for slot, deg in zip(slots, degrees)) < s:
-        return None  # a Gray image [2s, k] with k < s cannot contain its dual
-    # the factors are in canonical order, so each slot is too: from_slots would only re-sort
-    if found := cyclic_css(cyclic_code_from_assignment(FactorAssignment(
-            p, s, *map(tuple, _split_slots(factors, slots)))), distance_cap=distance_cap):
+    masks, keys, distance_cap = args
+    if found := cyclic_css(cyclic_code_from_assignment(_keys=keys), distance_cap=distance_cap):
         image, params, exact = found
-        return (slots, image.n, image.k, params.d, exact)
+        return (masks, image.n, image.k, params.d, exact)
     return None
 
 
@@ -272,13 +299,13 @@ def search_dual_containing(p: int, s: int, *, distance_cap: int = 6,
     ``distance_cap`` are reported as lower bounds rather than dropped.
     """
     p, s = as_int(p, "p"), as_int(s, "s")
+    distance_cap = as_int(distance_cap, "distance_cap")
     factors = factor_xn_minus_lambda(p, s, 1)
     t = len(factors)
     if t > MAX_FACTORS:
         raise TooManyFactors(f"{t} irreducible factors; bound is {MAX_FACTORS}")
-    degrees = tuple(f.degree for f in factors)
-    assignments = ((p, s, factors, slots, degrees, distance_cap)
-                   for slots in itertools.product(range(3), repeat=t))
+    FactorAssignment(p, s, tuple(factors), (), ())     # checks their product, once
+    assignments = _assignments(p, s, factors, distance_cap)
     if jobs > 1:
         from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=jobs) as pool:
@@ -287,6 +314,8 @@ def search_dual_containing(p: int, s: int, *, distance_cap: int = 6,
                 raw += filter(None, pool.map(_evaluate_assignment, batch, chunksize=64))
     else:
         raw = list(filter(None, map(_evaluate_assignment, assignments)))
+    raw = [(tuple(1 if m1 >> i & 1 else 2 if m2 >> i & 1 else 0 for i in range(t)), *rest)
+           for (m1, m2), *rest in raw]
     best: dict[tuple[int, int, int], tuple] = {}
     for slots, n, k, d, exact in sorted(raw, key=lambda r: (not r[4], r[0])):
         best.setdefault((n, 2 * k - n, d), (slots, n, k, d, exact))

@@ -170,6 +170,15 @@ def test_css_search_command(capsys):
     assert any(r["quantum"] == [16, 12, 2] for r in rows)
 
 
+def test_css_search_caps_below_one_search_as_cap_one(capsys):
+    # cap -3 once exited 2 on [[12,8,-2]], and cap 0 reported bounds of 1
+    status, at_one, _ = run(capsys, ["css-search", "--p", "5", "--s", "6", "--cap", "1"])
+    assert status == 0 and "[[12,8,2]]_5 (distance is a lower bound)" in at_one
+    for cap in ("0", "-3"):
+        assert run(capsys, ["css-search", "--p", "5", "--s", "6", "--cap", cap])[:2] \
+            == (0, at_one)
+
+
 def test_css_search_output_independent_of_jobs(capsys):
     status, out1, _ = run(capsys, ["css-search", "--p", "13", "--s", "6", "--json"])
     status, out2, _ = run(capsys, ["css-search", "--p", "13", "--s", "6", "--json",

@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 
 from zprs.additive import AdditiveCode, shift_module_span
-from zprs.errors import (DistanceNotDetermined, LengthMismatch, NotAUnit, ProfileMismatch,
-                         ZprsError)
+from zprs.errors import (DistanceNotDetermined, LengthMismatch, MalformedInput, NotAUnit,
+                         ProfileMismatch, ZprsError)
 from zprs.field import find_kappa
 from zprs.gray import GrayMap
 from zprs.linalg import kernel_basis, rref
@@ -163,9 +163,13 @@ def test_min_distance_cap_and_fallback():
     big = LinearCode(3, 30, rng.integers(0, 3, size=(19, 30)))
     assert big.size > 2 ** 20
     if big.min_distance(search_cap=30) > 1:   # make sure d really exceeds 1
-        with pytest.raises(DistanceNotDetermined) as err:
-            big.min_distance(search_cap=1)
-        assert err.value.lower_bound == 2
+        for cap in (1, 0, -3):      # a cap below 1 searches weight 1 as cap 1 does
+            with pytest.raises(DistanceNotDetermined) as err:
+                big.min_distance(search_cap=cap)
+            assert err.value.lower_bound == 2
+    for cap in (2.5, "3", None):
+        with pytest.raises(MalformedInput, match="search_cap"):
+            rep.min_distance(search_cap=cap)
 
 
 def test_min_distance_independent_of_jobs():

@@ -211,10 +211,53 @@ def test_caches_cannot_change_an_answer():
     # a factor repeated and another left out: the same count and degree, a wrong product
     wrong = [factors[0], factors[0], *factors[2:]]
     assert [f.degree for f in wrong] == [f.degree for f in factors]
-    with pytest.raises(ZprsError):
-        FactorAssignment.from_slots(5, 8, wrong, [], [])
-    with pytest.raises(ZprsError):
-        FactorAssignment.from_slots(5, 8, wrong[:3], wrong[3:], [])
+    quantum._product(quantum._key(wrong), 5)       # its product cached
+    for _ in range(2):
+        with pytest.raises(ZprsError):
+            FactorAssignment.from_slots(5, 8, wrong, [], [])
+        with pytest.raises(ZprsError):
+            FactorAssignment.from_slots(5, 8, wrong[:3], wrong[3:], [])
+
+
+def clear_caches():
+    for cache in (quantum._product, quantum._half, quantum._poly, linear._permutation):
+        cache.cache_clear()
+
+
+def test_the_search_walk_gives_what_fresh_assignments_give_exhaustively():
+    # every assignment of seven grids, at caps 6 and 2, each path from cleared caches: the
+    # search's walk yields each assignment with 2 deg F0 + deg F1 >= s once, with the keys
+    # of a from_slots assignment, and evaluates it to that assignment's (n, k, d, exact);
+    # every assignment it skips has no dual-containing image
+    grid = ((5, 6), (13, 4), (17, 4), (5, 8), (13, 6), (2, 7), (5, 12))
+    fresh, walked = {}, {}
+    clear_caches()
+    for p, s in grid:
+        for slots in itertools.product(range(3), repeat=len(factors_of(p, s))):
+            fa = assignment(p, s, slots)
+            d0, d1, _ = fa.slot_degrees()
+            keys = (p, s, quantum._key(fa.f1 + fa.f2), quantum._key(fa.f2), 2 * d0 + d1)
+            for cap in (6, 2):
+                found = cyclic_css(cyclic_code_from_assignment(fa), distance_cap=cap)
+                fresh[p, s, slots, cap] = keys, found and (found[0].n, found[0].k,
+                                                           found[1].d, found[2])
+    clear_caches()
+    for p, s in grid:
+        t = len(factors_of(p, s))
+        for cap in (6, 2):
+            for (m1, m2), keys, c in quantum._assignments(p, s, factors_of(p, s), cap):
+                slots = tuple(1 if m1 >> i & 1 else 2 if m2 >> i & 1 else 0 for i in range(t))
+                assert (p, s, slots, cap) not in walked and c == cap and not m1 & m2
+                found = quantum._evaluate_assignment(((m1, m2), keys, c))
+                walked[p, s, slots, cap] = keys, found and found[1:]
+    assert len(fresh) == 2 * 8289
+    for case, (keys, found) in fresh.items():
+        if keys[4] >= case[1]:
+            assert walked[case] == (keys, found), case
+        else:
+            assert case not in walked and found is None, case
+    outcomes = [found[3] for _, found in fresh.values() if found]
+    assert outcomes.count(True) > 1000 and False in outcomes
 
 
 def test_hat_equals_division_exhaustive():
@@ -462,6 +505,23 @@ def test_search_coerces_numpy_integers_and_refuses_others():
             search_dual_containing(*args)
 
 
+def test_distance_caps_below_one_act_as_one_and_caps_are_integers():
+    # a cap below 1 searches weight 1 only, so a bound is 2, never cap + 1 <= 1
+    at_one = repr(search_dual_containing(5, 6, distance_cap=1))
+    assert "distance_exact=False" in at_one
+    for cap in (0, -3, np.int64(0)):
+        assert repr(search_dual_containing(5, 6, distance_cap=cap)) == at_one
+    for cap in (2.5, "3", None):
+        with pytest.raises(MalformedInput, match="distance_cap"):
+            search_dual_containing(5, 6, distance_cap=cap)
+    fa, code = code_from_table_generators(17, 8, [4, 5, 3, 1], [9, 14, 14, 8, 10, 12, 1])
+    for cap in (2.5, "3"):
+        with pytest.raises(MalformedInput, match="search_cap"):
+            cyclic_css(code, distance_cap=cap)
+        with pytest.raises(MalformedInput, match="search_cap"):
+            css(GrayMap(17).image(code), search_cap=cap)
+
+
 def test_search_p5_s8_matches_table_rows():
     hits = {str(h.params) for h in search_dual_containing(5, 8)}
     assert "[[16,8,3]]_5" in hits
@@ -516,12 +576,13 @@ def test_search_dedup_keeps_exact_distance(monkeypatch):
     # x^3 - 1 = (x + 1)(x^2 + x + 1) over Z_2; slots (1, 0) give an exact
     # [[6,2,2]] and the smaller slots (0, 1), evaluated later, only d >= 2
     import zprs.quantum as quantum
-    crafted = {(1, 0): ((1, 0), 6, 4, 2, True), (0, 1): ((0, 1), 6, 4, 2, False)}
-    monkeypatch.setattr(quantum, "_evaluate_assignment", lambda args: crafted.get(args[3]))
+    # the evaluator takes and returns the (F1, F2) masks: (1, 0) are slots (1, 0), (2, 0) (0, 1)
+    crafted = {(1, 0): ((1, 0), 6, 4, 2, True), (2, 0): ((2, 0), 6, 4, 2, False)}
+    monkeypatch.setattr(quantum, "_evaluate_assignment", lambda args: crafted.get(args[0]))
     [hit] = search_dual_containing(2, 3)
     assert hit.distance_exact and str(hit.params) == "[[6,2,2]]_2"
     assert hit.assignment.f0 == (Poly.make([1, 1, 1], 2),)
-    crafted[(0, 1)] = ((0, 1), 6, 4, 2, True)     # both exact: smaller slots win
+    crafted[(2, 0)] = ((2, 0), 6, 4, 2, True)     # both exact: smaller slots win
     [hit] = search_dual_containing(2, 3)
     assert hit.distance_exact and hit.assignment.f0 == (Poly.make([1, 1], 2),)
 
@@ -533,6 +594,9 @@ def test_search_results_are_deterministic_and_sorted():
     assert [key(h) for h in hits1] == sorted(key(h) for h in hits1)
     assert [(key(h), h.assignment.key()) for h in hits1] \
         == [(key(h), h.assignment.key()) for h in hits2]
+    # the hats of both searches' hits are the same objects
+    assert all(h1.generator is h2.generator and h1.u_generator is h2.u_generator
+               for h1, h2 in zip(hits1, hits2))
 
 
 def test_code_from_table_generators_round_trip():
