@@ -176,7 +176,7 @@ def cmd_gray(args) -> int:
 
 def cmd_distance(args) -> int:
     code = load_linear(_read_spec(args.input))
-    d = code.min_distance(args.cap, jobs=args.jobs)
+    d = code.min_distance(args.cap)
     payload = {"n": code.n, "k": code.k, "d": d}
     _print(payload, args.json, [f"[{code.n}, {code.k}, {d}] over Z_{code.p}"])
     return EXIT_OK
@@ -207,14 +207,14 @@ def cmd_macwilliams(args) -> int:
 
 def cmd_css(args) -> int:
     code = load_linear(_read_spec(args.input))
-    params = css(code, search_cap=args.cap, jobs=args.jobs)
+    params = css(code, search_cap=args.cap)
     payload = {"n": params.n, "k": params.k, "d": params.d, "p": params.p}
     _print(payload, args.json, [str(params)])
     return EXIT_OK
 
 
 def cmd_css_search(args) -> int:
-    hits = search_dual_containing(args.p, args.s, distance_cap=args.cap, jobs=args.jobs)
+    hits = search_dual_containing(args.p, args.s, distance_cap=args.cap)
     rows = []
     for h in hits:
         rows.append({"p": args.p, "s": args.s,
@@ -266,7 +266,6 @@ def build_parser() -> argparse.ArgumentParser:
             sp.add_argument("--input", default=None, help="JSON spec file (default stdin)")
         if search:
             sp.add_argument("--cap", type=int, default=6, help="subset-search size cap")
-            sp.add_argument("--jobs", type=int, default=1, help="parallel workers")
         return sp
 
     sp = add("factor", cmd_factor, "factor x^n - lambda over Z_p", spec=False)

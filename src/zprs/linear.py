@@ -120,7 +120,7 @@ class LinearCode(AdditiveCode):
         check, sizes 1..search_cap.  If the cap is exhausted, falls back to
         full enumeration when p^k <= 2^20, else raises
         ``DistanceNotDetermined`` carrying the certified lower bound.
-        ``jobs`` bounds parallel workers; the result does not depend on it.
+        ``jobs`` is ignored: the search runs in this process.
 
         ``automorphism`` is a permutation pi of the columns (column i goes to
         pi[i]) that maps the code into itself; ``ZprsError`` if it is not
@@ -129,8 +129,8 @@ class LinearCode(AdditiveCode):
         a cycle of pi, so the search starts only from those columns, placed
         first.  The result does not depend on the hint.
 
-        A ``plotkin_sum`` takes d = min(2 d(U), d(V)) from its halves whatever ``jobs``,
-        checking a hint (pi, pi) on them and any other hint on the whole code.
+        A ``plotkin_sum`` takes d = min(2 d(U), d(V)) from its halves, checking a
+        hint (pi, pi) on them and any other hint on the whole code.
         """
         if self.k == 0:
             raise ZprsError("minimum distance needs a nonzero code")
@@ -146,7 +146,7 @@ class LinearCode(AdditiveCode):
             if d > cap:
                 d = min(2 * u._half_distance(None), v._half_distance(None)) if exact else None
         else:
-            d = _smallest_dependent_subset(self.parity_check[:, order], self.p, cap, jobs, starts)
+            d = _smallest_dependent_subset(self.parity_check[:, order], self.p, cap, starts)
             if d is None and exact:
                 d = min_distance_by_enumeration(self)
         if d is None:
@@ -181,7 +181,7 @@ class LinearCode(AdditiveCode):
         if (key := (cap, order[:starts])) not in self._memo:
             d = (math.inf if self.k == 0 else min_distance_by_enumeration(self) if cap is None
                  else _smallest_dependent_subset(self.parity_check[:, order], self.p,
-                                                 min(cap, self.n - self.k + 1), 1, starts))
+                                                 min(cap, self.n - self.k + 1), starts))
             self._memo[key] = cap + 1 if d is None else d
         return self._memo[key]
 
@@ -278,39 +278,17 @@ def _dependent_subtree(mat: np.ndarray, p: int, start: int, stop: int, chosen: i
     return False
 
 
-def _dependent_branch(args) -> bool:
-    """Pool task: the depth-w search whose first chosen column is j."""
-    h_list, p, j, w = args
-    return _dependent_subtree(np.array(h_list, dtype=np.int64), p, j, j + 1, 0, w)
-
-
-def _smallest_dependent_subset(h: np.ndarray, p: int, cap: int, jobs: int,
-                               starts: int) -> int | None:
+def _smallest_dependent_subset(h: np.ndarray, p: int, cap: int, starts: int) -> int | None:
     """Smallest w <= cap such that w columns of h are linearly dependent.
 
     Iterative deepening over w; the first chosen column of a subset is its
     smallest, and only the first ``starts`` columns may be it.
-    With jobs > 1 the top-level column choice is partitioned across a
-    process pool; the answer is the minimum w with any dependent subset, so
-    it does not depend on the partition.
     """
     if h.shape[0] == 0:
         return 1  # no constraints: every single column is dependent
-    ncols = h.shape[1]
     base = h.astype(np.int64) % p
     if bool((~base.any(axis=0)).any()):
         return 1
-    if cap < 2:
-        return None
-    if jobs > 1:
-        from concurrent.futures import ProcessPoolExecutor
-        h_list = base.tolist()
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            for w in range(2, cap + 1):
-                tasks = [(h_list, p, j, w) for j in range(min(starts, ncols - w + 1))]
-                if any(pool.map(_dependent_branch, tasks)):
-                    return w
-        return None
     for w in range(2, cap + 1):
         if _dependent_subtree(base, p, 0, starts, 0, w):
             return w

@@ -25,7 +25,7 @@ import numpy as np
 from .errors import (GcdViolation, MalformedInput, ModulusMismatch, NonUnitLeadingCoefficient,
                      NotADivisor, ZeroConstantTerm)
 from .field import ensure_prime
-from .linalg import as_int, check_modulus, kernel_basis
+from .linalg import as_int, check_modulus, rref
 from .rings import ChainElement
 
 CoeffLike = Union[int, Sequence[int], ChainElement]
@@ -263,15 +263,17 @@ def _zp_gcd(g: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
 def _berlekamp_split(g: np.ndarray, v: np.ndarray, p: int) -> list[np.ndarray]:
     """gcd(g, w - c), w = v mod g, over the roots c in Z_p of the minimal polynomial
     of w: a product of distinct y - c as v^p = v mod g, so the gcds are pairwise
-    coprime with product g; a constant w returns [g] at once.  That polynomial, of
-    degree <= min(deg g, p), is the last row of the RREF kernel of w^k, ..., w^0."""
+    coprime with product g; a constant w returns [g] at once.  That polynomial has a
+    degree d <= K = min(deg g, p), so the RREF of the columns w^0, ..., w^K has the
+    pivots 0..d-1, and its column d gives w^d = sum m[i, d] w^i."""
     w = _zp_divmod(v, g, p)[1]
     if not w[1:].any():
         return [g]
     powers = [np.eye(1, len(w), dtype=np.int64)[0]]
     for _ in range(min(len(w), p)):
         powers.append(_zp_divmod(np.convolve(powers[-1], w) % p, g, p)[1])
-    mu = kernel_basis(np.array(powers[::-1]).T, p)[-1]
+    m, pivots = rref(np.array(powers).T, p)
+    mu = [1, *(-m[::-1, len(pivots)] % p)]      # highest degree first
     parts = []
     for start in range(0, p, 1 << 16):
         cs = np.arange(start, min(start + (1 << 16), p))

@@ -37,7 +37,6 @@ x = c - e, y = e), so ``is_dual_containing`` tests H_V H_U^T = 0.
 from __future__ import annotations
 
 import functools
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -205,11 +204,11 @@ def is_dual_containing(code: LinearCode) -> bool:
     return not (v.parity_check @ u.parity_check.T % code.p).any()
 
 
-def css(code: LinearCode, *, search_cap: int = 6, jobs: int = 1) -> QuantumParams:
+def css(code: LinearCode, *, search_cap: int = 6) -> QuantumParams:
     """CSS parameters [[n, 2k - n, d]]_p of a dual-containing code."""
     if not is_dual_containing(code):
         raise NotDualContaining(f"{code!r} does not contain its dual")
-    d = code.min_distance(search_cap, jobs=jobs)
+    d = code.min_distance(search_cap)
     return QuantumParams(code.n, 2 * code.k - code.n, d, code.p)
 
 
@@ -257,10 +256,10 @@ def _split_slots(factors, slots) -> list[list[Poly]]:
     return out
 
 
-def _assignments(p: int, s: int, factors, distance_cap: int):
-    """The arguments of ``_evaluate_assignment``: for each pair of disjoint masks (F1,
-    F2) of factors with 2 deg F0 + deg F1 >= s (a Gray image [2s, k] with k < s cannot
-    contain its dual), the masks and the ``_keys`` of its cyclic code."""
+def _assignments(p: int, s: int, factors):
+    """For each pair of disjoint masks (F1, F2) of factors with 2 deg F0 + deg F1 >= s
+    (a Gray image [2s, k] with k < s cannot contain its dual), the masks and the
+    ``_keys`` of its cyclic code."""
     @functools.cache
     def subset(mask: int) -> tuple:     # the _key and the degree of a subset, once
         fs = [f for i, f in enumerate(factors) if mask >> i & 1]
@@ -270,21 +269,22 @@ def _assignments(p: int, s: int, factors, distance_cap: int):
         rest = m1 = full ^ m2
         while True:                     # every submask m1 of rest, rest first
             if (crt := 2 * subset(rest ^ m1)[1] + subset(m1)[1]) >= s:
-                yield (m1, m2), (p, s, subset(m1 | m2)[0], subset(m2)[0], crt), distance_cap
+                yield (m1, m2), (p, s, subset(m1 | m2)[0], subset(m2)[0], crt)
             if not m1:
                 break
             m1 = (m1 - 1) & rest
 
 
-def _evaluate_assignment(args) -> tuple | None:
-    masks, keys, distance_cap = args
+def _evaluate_assignment(keys: tuple, distance_cap: int) -> tuple | None:
+    """(n, k, d, exact) of the Gray image of the cyclic code with these ``_keys``, or
+    None if the image does not contain its dual."""
     if found := cyclic_css(cyclic_code_from_assignment(_keys=keys), distance_cap=distance_cap):
         image, params, exact = found
-        return (masks, image.n, image.k, params.d, exact)
+        return image.n, image.k, params.d, exact
     return None
 
 
-MAX_FACTORS = 20  # search_dual_containing refuses x^s - 1 with more irreducible factors
+MAX_FACTORS = 12  # search_dual_containing refuses more factors: 3^12 assignments take ~25 s
 
 
 def search_dual_containing(p: int, s: int, *, distance_cap: int = 6,
@@ -296,7 +296,9 @@ def search_dual_containing(p: int, s: int, *, distance_cap: int = 6,
     dual, and deduplicates by (n, k, d), keeping an exact distance over a
     lower bound and then the smallest slot tuple.  Output order is
     deterministic: sorted by (n, k, d, assignment key).  Distances above
-    ``distance_cap`` are reported as lower bounds rather than dropped.
+    ``distance_cap`` are reported as lower bounds rather than dropped.  More than
+    ``MAX_FACTORS`` factors raise ``TooManyFactors`` before any assignment is
+    built.  ``jobs`` is ignored: the search runs in this process.
     """
     p, s = as_int(p, "p"), as_int(s, "s")
     distance_cap = as_int(distance_cap, "distance_cap")
@@ -305,17 +307,9 @@ def search_dual_containing(p: int, s: int, *, distance_cap: int = 6,
     if t > MAX_FACTORS:
         raise TooManyFactors(f"{t} irreducible factors; bound is {MAX_FACTORS}")
     FactorAssignment(p, s, tuple(factors), (), ())     # checks their product, once
-    assignments = _assignments(p, s, factors, distance_cap)
-    if jobs > 1:
-        from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            raw = []
-            while batch := list(itertools.islice(assignments, 1024 * jobs)):
-                raw += filter(None, pool.map(_evaluate_assignment, batch, chunksize=64))
-    else:
-        raw = list(filter(None, map(_evaluate_assignment, assignments)))
-    raw = [(tuple(1 if m1 >> i & 1 else 2 if m2 >> i & 1 else 0 for i in range(t)), *rest)
-           for (m1, m2), *rest in raw]
+    raw = [(tuple(1 if m1 >> i & 1 else 2 if m2 >> i & 1 else 0 for i in range(t)), *found)
+           for (m1, m2), keys in _assignments(p, s, factors)
+           if (found := _evaluate_assignment(keys, distance_cap))]
     best: dict[tuple[int, int, int], tuple] = {}
     for slots, n, k, d, exact in sorted(raw, key=lambda r: (not r[4], r[0])):
         best.setdefault((n, 2 * k - n, d), (slots, n, k, d, exact))

@@ -179,11 +179,11 @@ def test_css_search_caps_below_one_search_as_cap_one(capsys):
             == (0, at_one)
 
 
-def test_css_search_output_independent_of_jobs(capsys):
-    status, out1, _ = run(capsys, ["css-search", "--p", "13", "--s", "6", "--json"])
-    status, out2, _ = run(capsys, ["css-search", "--p", "13", "--s", "6", "--json",
-                                   "--jobs", "2"])
-    assert out1 == out2
+def test_css_search_refuses_too_many_factors(capsys):
+    # x^20 - 1 has 20 linear factors over Z_41: 3^20 assignments, refused before any is walked
+    status, out, err = run(capsys, ["css-search", "--p", "41", "--s", "20"])
+    assert (status, out) == (2, "")
+    assert json.loads(err)["error"]["code"] == "TooManyFactors"
 
 
 def test_reproduce_targets(capsys):

@@ -271,29 +271,29 @@ def exhaustive_split(g: np.ndarray, v: np.ndarray, p: int) -> list[Poly]:
 
 def test_constant_split_returns_at_once(monkeypatch):
     # a spy on the real split: every call matches the exhaustive oracle, and a constant
-    # w = v mod g returns [g] itself before any minimal-polynomial kernel is computed
-    split, kernel = polynomials._berlekamp_split, polynomials.kernel_basis
-    kernels, early = [], {"v = 1": 0, "irreducible": 0}
+    # w = v mod g returns [g] itself before the RREF of its minimal polynomial is computed
+    split, reduce = polynomials._berlekamp_split, polynomials.rref
+    reductions, early = [], {"v = 1": 0, "irreducible": 0}
 
-    def counting_kernel(*args):
-        kernels.append(args)
-        return kernel(*args)
+    def counting_rref(*args):
+        reductions.append(args)
+        return reduce(*args)
 
     def spy(g, v, p):
-        before = len(kernels)
+        before = len(reductions)
         out = split(g, v, p)
         assert [Poly.make(h.tolist(), p) for h in out] == exhaustive_split(g, v, p)
         w = poly_divmod(Poly.make(v.tolist(), p), Poly.make(g.tolist(), p))[1]
         if w.degree <= 0:
-            assert len(out) == 1 and out[0] is g and len(kernels) == before
+            assert len(out) == 1 and out[0] is g and len(reductions) == before
             early["v = 1" if v[0] == 1 and not v[1:].any() else "irreducible"] += 1
         else:
-            assert len(kernels) > before
+            assert len(reductions) == before + 1
         calls.append((g, w, p))
         return out
 
     monkeypatch.setattr(polynomials, "_berlekamp_split", spy)
-    monkeypatch.setattr(polynomials, "kernel_basis", counting_kernel)
+    monkeypatch.setattr(polynomials, "rref", counting_rref)
     for p, n, lam in [(2, 23, 1), (2, 27, 1), (3, 14, 1), (5, 13, 1), (13, 18, 1),
                       (17, 8, 1), (5, 12, 2), (7, 30, 3), (3, 20, 2)]:
         calls = []

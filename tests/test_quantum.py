@@ -4,6 +4,7 @@ import os
 import pickle
 import subprocess
 import sys
+import time
 from functools import lru_cache, reduce
 from pathlib import Path
 
@@ -245,11 +246,10 @@ def test_the_search_walk_gives_what_fresh_assignments_give_exhaustively():
     for p, s in grid:
         t = len(factors_of(p, s))
         for cap in (6, 2):
-            for (m1, m2), keys, c in quantum._assignments(p, s, factors_of(p, s), cap):
+            for (m1, m2), keys in quantum._assignments(p, s, factors_of(p, s)):
                 slots = tuple(1 if m1 >> i & 1 else 2 if m2 >> i & 1 else 0 for i in range(t))
-                assert (p, s, slots, cap) not in walked and c == cap and not m1 & m2
-                found = quantum._evaluate_assignment(((m1, m2), keys, c))
-                walked[p, s, slots, cap] = keys, found and found[1:]
+                assert (p, s, slots, cap) not in walked and not m1 & m2
+                walked[p, s, slots, cap] = keys, quantum._evaluate_assignment(keys, cap)
     assert len(fresh) == 2 * 8289
     for case, (keys, found) in fresh.items():
         if keys[4] >= case[1]:
@@ -371,7 +371,7 @@ def test_gray_images_take_their_distance_from_the_plotkin_halves():
         else:
             d = plain.min_distance(search_cap=n)
         for cap in (1, 2, 3):
-            hit = _smallest_dependent_subset(plain.parity_check, fa.p, cap, 1, n)
+            hit = _smallest_dependent_subset(plain.parity_check, fa.p, cap, n)
             assert hit in (None, d), (fa.p, fa.s, fa.key(), cap)
             expected = (d, True) if hit or image.size <= 2 ** 20 else (cap + 1, False)
             assert outcome(image, cap) == expected, (fa.p, fa.s, fa.key(), cap)
@@ -543,17 +543,25 @@ def test_search_small_necessary_condition():
 
 
 def test_search_too_many_factors():
-    # x^40 - 1 splits into 40 linear factors over Z_41
+    # x^40 - 1 splits into 40 linear factors over Z_41, and x^20 - 1 into 20: 3^20
+    # assignments, which the search refuses before walking any of them
     with pytest.raises(TooManyFactors):
         search_dual_containing(41, 40)
+    start = time.perf_counter()
+    with pytest.raises(TooManyFactors, match="20 irreducible factors; bound is 12"):
+        search_dual_containing(41, 20)
+    assert time.perf_counter() - start < 1
 
 
 def test_import_loads_no_process_pool():
-    # only jobs > 1 needs the pool, so importing zprs must not pay for it
+    # every search runs in one process, whatever jobs it is given: neither importing
+    # zprs nor a search nor a distance loads a process pool
     import zprs
     paths = [str(Path(zprs.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
-    probe = ("import sys, zprs; print(sorted(m for m in sys.modules "
+    probe = ("import sys, zprs; zprs.search_dual_containing(5, 8, jobs=2); "
+             "zprs.LinearCode(2, 7, [[1, 1, 0, 1, 0, 0, 0]]).min_distance(jobs=2); "
+             "print(sorted(m for m in sys.modules "
              "if m.startswith(('multiprocessing', 'concurrent.futures'))))")
     out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
                          env=env, check=True)
@@ -576,13 +584,16 @@ def test_search_dedup_keeps_exact_distance(monkeypatch):
     # x^3 - 1 = (x + 1)(x^2 + x + 1) over Z_2; slots (1, 0) give an exact
     # [[6,2,2]] and the smaller slots (0, 1), evaluated later, only d >= 2
     import zprs.quantum as quantum
-    # the evaluator takes and returns the (F1, F2) masks: (1, 0) are slots (1, 0), (2, 0) (0, 1)
-    crafted = {(1, 0): ((1, 0), 6, 4, 2, True), (2, 0): ((2, 0), 6, 4, 2, False)}
-    monkeypatch.setattr(quantum, "_evaluate_assignment", lambda args: crafted.get(args[0]))
+    # the evaluator reads the keys of F1 + F2 and F2: F1 = (x + 1) are slots (1, 0),
+    # F1 = (x^2 + x + 1) slots (0, 1), and F2 is empty in both
+    first, second = (((1, 1),), ()), (((1, 1, 1),), ())
+    crafted = {first: (6, 4, 2, True), second: (6, 4, 2, False)}
+    monkeypatch.setattr(quantum, "_evaluate_assignment",
+                        lambda keys, cap: crafted.get(keys[2:4]))
     [hit] = search_dual_containing(2, 3)
     assert hit.distance_exact and str(hit.params) == "[[6,2,2]]_2"
     assert hit.assignment.f0 == (Poly.make([1, 1, 1], 2),)
-    crafted[(2, 0)] = ((2, 0), 6, 4, 2, True)     # both exact: smaller slots win
+    crafted[second] = (6, 4, 2, True)     # both exact: smaller slots win
     [hit] = search_dual_containing(2, 3)
     assert hit.distance_exact and hit.assignment.f0 == (Poly.make([1, 1], 2),)
 
