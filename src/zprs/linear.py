@@ -37,6 +37,8 @@ them and starts them at pi's cycle minima.  P's trusted RREF, built on first
 read, is [[U, lam (U - U[:, piv_V] V)], [0, V]]: its top right vanishes on m + piv_V.
 P^perp = {(c | lam^-1 (e - c)) : c in V^perp, e in U^perp}, for lam^2 = -1 the
 words (x + y | lam x), x = c - e, y = e: P holds it iff V^perp in U, H_V H_U^T = 0.
+``_from_halves`` takes one product [G_V; H_V] H_U^T (``_checks``): V in U iff its top
+k(V) rows vanish, else ``ZprsError``; for lam^2 = -1 P's memo keeps whether the rest do.
 """
 
 from __future__ import annotations
@@ -63,12 +65,13 @@ class LinearCode(AdditiveCode):
 
     def __init__(self, p: int, n: int, generator: np.ndarray | Sequence, *, _pivots=None):
         super().__init__(cached_profile(p, n, 0, 0), generator, _closed=True, _pivots=_pivots)
-        self._memo: dict = {}   # hint verdicts by ("hint", pi); a half's distances
+        self._memo: dict = {}   # ("hint", pi) verdicts; a half's distances; P's "dual"
 
     p = property(lambda self: self.profile.p)
     n = property(lambda self: self.profile.q)
-    k = property(lambda self: self.rank)
+    k = property(lambda self: len(self.pivots))
     generator = property(lambda self: self.basis)
+    _checks = cached_property(lambda self: _frozen(np.vstack([self.basis, self.parity_check])))
 
     @classmethod
     def zero(cls, p: int, n: int) -> "LinearCode":
@@ -82,8 +85,7 @@ class LinearCode(AdditiveCode):
     def plotkin_sum(cls, p: int, u, v, lam: int) -> "LinearCode":
         """{(x + y | lam x) : x in U, y in V} for bases U, V of length m, V in U
         (``ZprsError`` otherwise), and a unit lam: its RREF written on the halves,
-        each row-reduced here (module docstring).  ``min_distance`` and
-        ``quantum.is_dual_containing`` read the halves too."""
+        each row-reduced here; ``min_distance`` reads them too (module docstring)."""
         lam = as_unit(linalg.as_int(lam, "lambda"), p, 1).coeffs[0]
         if (m := np.shape(u)[-1]) < 1:
             raise ProfileMismatch("the halves of a Plotkin sum need a length m >= 1")
@@ -92,11 +94,14 @@ class LinearCode(AdditiveCode):
     @classmethod
     def _from_halves(cls, hu: "LinearCode", hv: "LinearCode", lam: int) -> "LinearCode":
         """P(U, V, lam) of codes U, V and a checked unit lam; ``ZprsError`` unless V in U."""
-        if not linalg.in_row_space(hu.basis, hu.pivots, hv.basis, hu.p):
+        both = hv._checks @ hu.parity_check.T % hu.p
+        if np.count_nonzero(both[:hv.k]):
             raise ZprsError("V is not in U: the rows do not form a Plotkin sum")
         code = cls(hu.p, 2 * hu.n, partial(_plotkin_rows, hu, hv, lam),
                    _pivots=hu.pivots + [hu.n + j for j in hv.pivots])
         code._plotkin = (hu, hv, lam)
+        if not (lam * lam + 1) % hu.p:
+            code._memo["dual"] = not np.count_nonzero(both[hv.k:])
         return code
 
     @cached_property

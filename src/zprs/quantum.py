@@ -22,7 +22,7 @@ repeats kept.  Three LRU caches of 2048 entries each are keyed by such a key and
 p (and s): ``_product`` keeps the read-only product (at most s + 1 coefficients),
 ``_poly`` the same product as a ``Poly``, shared by the hats of all hits, and
 ``_half`` its cyclic code, a half of the Gray image, as a ``LinearCode`` on the
-systematic rows (at most s x s, pivots 0..c-1) that keeps its parity check, hint
+systematic rows (at most s x s, pivots 0..c-1) that keeps its parity check, [G; H], hint
 verdicts and distances once read.  A search over t <= 10 factors never evicts.
 An R-code keeps its two halves and interleaves them on first read.
 
@@ -31,7 +31,7 @@ Dual-containing Gray images feed the CSS construction: a dual-containing
 and the reproduced table evaluate each cyclic R-code with ``cyclic_css``.  Its
 image P(U, V, kappa) contains its dual iff V^perp lies in U (kappa^2 = -1: the
 dual's (c | kappa (c - e)), c in V^perp, e in U^perp, is (x + y | kappa x) with
-x = c - e, y = e), so ``is_dual_containing`` tests H_V H_U^T = 0.
+x = c - e, y = e): the image's one product [G_V; H_V] H_U^T keeps that verdict (``linear``).
 """
 
 from __future__ import annotations
@@ -192,16 +192,17 @@ def _interleave(a: LinearCode, b: LinearCode) -> np.ndarray:
 
 
 def is_dual_containing(code: LinearCode) -> bool:
-    """True iff the code contains its Euclidean dual.
+    """True iff the code contains its Euclidean dual; ``ProfileMismatch`` unless linear.
 
     C contains C^perp iff C^perp lies in C^perp^perp = C, that is iff C^perp is
     self-orthogonal: H H^T = 0 mod p for the parity check H.  A Plotkin sum with
-    lam^2 = -1 tests H_V H_U^T = 0 on its halves instead (module docstring).
+    lam^2 = -1 reads the verdict H_V H_U^T = 0 that ``_from_halves`` kept (module docstring).
     """
-    u, v, lam = code._plotkin or (code, code, 0)
-    if (lam * lam + 1) % code.p:
-        u = v = code
-    return not (v.parity_check @ u.parity_check.T % code.p).any()
+    if not isinstance(code, LinearCode):
+        raise ProfileMismatch(f"{code!r} is no linear code over Z_p: Gray-map it first")
+    if (verdict := code._memo.get("dual")) is None:
+        verdict = not np.count_nonzero(code.parity_check @ code.parity_check.T % code.p)
+    return verdict
 
 
 def css(code: LinearCode, *, search_cap: int = 6) -> QuantumParams:

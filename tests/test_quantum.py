@@ -177,8 +177,10 @@ def test_search_built_codes_pickle_and_deep_copy():
                     for twin in (pickle.loads(pickle.dumps(c)), copy.deepcopy(c)):
                         assert type(twin) is type(c) and twin.pivots == c.pivots
                         assert twin == c and twin.rank == c.rank, (p, s, slots, built)
-                        if isinstance(c, LinearCode) and c.k:
-                            assert twin.min_distance() == c.min_distance()
+                        if isinstance(c, LinearCode):
+                            assert is_dual_containing(twin) == is_dual_containing(c)
+                            if c.k:
+                                assert twin.min_distance() == c.min_distance()
 
 
 def test_a_split_with_a_outside_b_is_refused_by_the_gray_map():
@@ -195,6 +197,51 @@ def test_a_split_with_a_outside_b_is_refused_by_the_gray_map():
                     GrayMap(p).image(code)
                 swapped += 1
     assert swapped > 100
+
+
+def test_the_pair_product_reads_each_block_on_its_own():
+    # [G_V; H_V] H_U^T on every pair (U, V) of cyclic halves of three grids, against
+    # the kernel dual: V not in U is refused even where V^perp lies in U, and V in U
+    # gives no dual-containing image where V^perp does not lie in U
+    counts = [0, 0]
+    for p, s in ((5, 8), (13, 4), (17, 4)):
+        kappa, factors = GrayMap(p).kappa, factors_of(p, s)
+        halves = [quantum._half(quantum._key(itertools.compress(factors, bits)), p, s)
+                  for bits in itertools.product((0, 1), repeat=len(factors))]
+        for hu, hv in itertools.product(halves, repeat=2):
+            v_in_u = hv.is_subcode_of(hu)
+            dual_in_u = LinearCode(p, s, linalg.kernel_basis(hv.generator, p)).is_subcode_of(hu)
+            if not v_in_u and dual_in_u:
+                with pytest.raises(ZprsError, match="V is not in U"):
+                    LinearCode._from_halves(hu, hv, kappa)
+                counts[0] += 1
+            elif v_in_u and not dual_in_u:
+                image = LinearCode._from_halves(hu, hv, kappa)
+                assert not image.euclidean_dual().is_subcode_of(image)
+                assert not is_dual_containing(image), (p, s, hu, hv)
+                counts[1] += 1
+    assert min(counts) > 500, counts
+
+
+def test_dual_tests_refuse_codes_that_are_not_linear():
+    # an R-code, or an additive code of a Z_p block alone, is Gray-mapped first
+    code = cyclic_code_from_assignment(assignment(17, 8, (0, 0, 0, 0, 1, 1, 2, 0)))
+    for c in (code, AdditiveCode.full_space(BlockProfile(5, 3, 0, 0))):
+        for check in (is_dual_containing, css):
+            with pytest.raises(ProfileMismatch, match="Gray-map it first"):
+                check(c)
+    assert is_dual_containing(GrayMap(17).image(code))
+
+
+def test_a_warm_search_runs_no_row_space_test(monkeypatch):
+    # one product per image decides V in U and the dual verdict, and the cached halves
+    # keep their hint verdicts, so a repeated search asks in_row_space nothing
+    expected = search_dual_containing(17, 8)
+    calls, in_row_space = [], linalg.in_row_space
+    monkeypatch.setattr(linalg, "in_row_space",
+                        lambda *args: calls.append(args) or in_row_space(*args))
+    assert search_dual_containing(17, 8) == expected
+    assert len(calls) == 0
 
 
 def test_caches_cannot_change_an_answer():
