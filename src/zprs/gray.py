@@ -13,9 +13,8 @@ An R-code whose RREF rows each lie wholly in the a- or the b-columns is
 C = A x uB with A in B (closure under u), as every cyclic R-code is.  Its image
 {(b + a | kappa b)} is the Plotkin sum P(B, A, kappa) (``LinearCode.plotkin_sum``),
 trusted as RREF as its top right vanishes on A's pivot columns, with d =
-min(2 d(B), d(A)) (MacWilliams-Sloane, ch. 2 Sec. 9, Thm. 33).  As kappa^2 = -1 it
-contains its dual iff A^perp lies in B: the dual's (c | kappa (c - e)), c in A^perp,
-e in B^perp, is (x + y | kappa x), x = c - e, y = e.  Others: basis @ Gray matrix.
+min(2 d(B), d(A)) (MacWilliams-Sloane, ch. 2 Sec. 9, Thm. 33), and as kappa^2 = -1
+dual containment by the rule in the ``linear`` docstring.  Others: basis @ Gray matrix.
 
 Lee weights: a Z_p coordinate x weighs min(x, p-x); an R or S coordinate
 weighs the Hamming weight of its Gray image.  Those Hamming weights do not

@@ -26,11 +26,11 @@ as the fallback when the subset cap is exhausted.
 A Plotkin sum P(U, V, lam) = {(x + y | lam x) : x in U, y in V} (V in U, lam a
 unit), such as the Gray image of a cyclic R-code, has d = min(2 d(U), d(V)):
 the (u | u + v) construction of MacWilliams-Sloane, ch. 2 Sec. 9, Thm. 33.
-The halves are codes that memoize their hint verdicts and distances: V is
-searched up to the cap, U up to half of it, each within its Singleton bound,
-both enumerated beyond the cap.  The Gray map hands its cached half codes and
-checked kappa to ``_from_halves``; ``plotkin_sum`` checks lam and reduces fresh
-halves first.  A hint is checked as a permutation once per distinct pi
+Any code reads d as the least w d(H) over its weighted halves (w, H), codes that
+memoize their hint verdicts and distances: (2, U) up to half the cap and (1, V)
+up to it for a sum, else (1, the code).  The Gray map hands its cached half codes
+and checked kappa to ``_from_halves``; ``plotkin_sum`` checks lam and reduces
+fresh halves first.  A hint is checked as a permutation once per distinct pi
 (``_permutation``, an LRU of 64), as an automorphism once per code; (pi, pi)
 maps P into itself iff pi maps U and V into themselves, so it is checked on
 them and starts them at pi's cycle minima.  P's trusted RREF, built on first
@@ -65,7 +65,7 @@ class LinearCode(AdditiveCode):
 
     def __init__(self, p: int, n: int, generator: np.ndarray | Sequence, *, _pivots=None):
         super().__init__(cached_profile(p, n, 0, 0), generator, _closed=True, _pivots=_pivots)
-        self._memo: dict = {}   # ("hint", pi) verdicts; a half's distances; P's "dual"
+        self._memo: dict = {}   # ("hint", pi) verdicts; distances; P's "dual"
 
     p = property(lambda self: self.profile.p)
     n = property(lambda self: self.profile.q)
@@ -121,41 +121,36 @@ class LinearCode(AdditiveCode):
                      automorphism: Sequence[int] | None = None) -> int:
         """Exact minimum Hamming weight of a nonzero codeword.
 
-        Searches for the smallest dependent column subset of the parity
-        check, sizes 1..search_cap.  If the cap is exhausted, falls back to
-        full enumeration when p^k <= 2^20, else raises
-        ``DistanceNotDetermined`` carrying the certified lower bound.
-        ``jobs`` is ignored: the search runs in this process.
+        With cap = min(search_cap, n - k + 1), at least 1, d is the least
+        w d(half) over weighted halves, each searched for its smallest dependent
+        parity-check column subset up to its own cap: (2, U, cap // 2) and
+        (1, V, cap) for a ``plotkin_sum``, d = min(2 d(U), d(V)), else
+        (1, self, cap).  Above the cap the halves are enumerated when
+        p^k <= 2^20, else ``DistanceNotDetermined`` carries the bound cap + 1.
+        Each half memoizes its distances.  ``jobs`` is ignored: the search
+        runs in this process.
 
         ``automorphism`` is a permutation pi of the columns (column i goes to
         pi[i]) that maps the code into itself; ``ZprsError`` if it is not
         one, checked with one row-space product.  Some power of pi moves any
         minimum-weight support onto one that contains the smallest column of
         a cycle of pi, so the search starts only from those columns, placed
-        first.  The result does not depend on the hint.
-
-        A ``plotkin_sum`` takes d = min(2 d(U), d(V)) from its halves, checking a
-        hint (pi, pi) on them and any other hint on the whole code.
+        first.  The result does not depend on the hint.  A ``plotkin_sum``
+        checks a hint (pi, pi) on its halves and any other on the whole code.
         """
         if self.k == 0:
             raise ZprsError("minimum distance needs a nonzero code")
         order, starts = self._search_order(automorphism)
         # the Singleton bound; a weight-1 word is always found, so a cap below 1 acts as 1
         cap = max(1, min(linalg.as_int(search_cap, "search_cap"), self.n - self.k + 1))
-        exact = self.size <= 2 ** 20
-        if self._plotkin is not None:
-            u, v, _ = self._plotkin
-            # 2 (cap // 2 + 1) > cap, so a minimum at most cap is min(2 d(U), d(V))
-            d = min(2 * u._half_distance(cap // 2, order, starts),
-                    v._half_distance(cap, order, starts))
-            if d > cap:
-                d = min(2 * u._half_distance(None), v._half_distance(None)) if exact else None
-        else:
-            d = _smallest_dependent_subset(self.parity_check[:, order], self.p, cap, starts)
-            if d is None and exact:
-                d = min_distance_by_enumeration(self)
-        if d is None:
-            raise DistanceNotDetermined(cap + 1)
+        # 2 (cap // 2 + 1) > cap, so a Plotkin minimum at most cap is min(2 d(U), d(V))
+        halves = (((1, self, cap),) if self._plotkin is None
+                  else ((2, self._plotkin[0], cap // 2), (1, self._plotkin[1], cap)))
+        d = min(w * half._distance(c, order, starts) for w, half, c in halves)
+        if d > cap:
+            if self.size > 2 ** 20:
+                raise DistanceNotDetermined(cap + 1)
+            d = min(w * half._distance(None) for w, half, _ in halves)
         assert d <= self.n - self.k + 1, "Singleton bound violated; elimination bug"
         return d
 
@@ -180,9 +175,9 @@ class LinearCode(AdditiveCode):
             raise ZprsError("the column permutation does not map the code into itself")
         return order if self._plotkin is None else (tuple(range(m)), m)
 
-    def _half_distance(self, cap: int | None, order=(), starts: int = 0) -> float:
-        """A Plotkin half's min(d, cap + 1) from the first ``starts`` columns of ``order``
-        up to its Singleton bound (cap None: d by enumeration; inf for the zero code)."""
+    def _distance(self, cap: int | None, order=(), starts: int = 0) -> float:
+        """min(d, cap + 1) from the first ``starts`` columns of ``order`` up to the
+        Singleton bound (cap None: d by enumeration; inf for the zero code), memoized."""
         if (key := (cap, order[:starts])) not in self._memo:
             d = (math.inf if self.k == 0 else min_distance_by_enumeration(self) if cap is None
                  else _smallest_dependent_subset(self.parity_check[:, order], self.p,
@@ -224,13 +219,12 @@ class LinearCode(AdditiveCode):
         return self._closed_under(x)
 
 
-def _choose_column(mat: np.ndarray, p: int, j: int) -> np.ndarray | None:
-    """Reduce the columns after j against column j and zero the rest; None
-    when column j is already zero (reduced to nothing by earlier choices)."""
+def _choose_column(mat: np.ndarray, p: int, j: int) -> np.ndarray:
+    """Reduce the columns after j against column j and zero the rest.  Column j is
+    nonzero: a zero one is a dependency below w, ruled out by earlier rounds."""
     col = mat[:, j]
-    nz = col.nonzero()[0]
-    if nz.size == 0:
-        return None
+    if not (nz := col.nonzero()[0]).size:
+        raise AssertionError(f"column {j} reduced to zero below the round's subset size")
     piv = int(nz[0])
     scaled = col * pow(int(col[piv]), p - 2, p) % p
     rest = mat[:, j + 1:]
@@ -275,12 +269,8 @@ def _dependent_subtree(mat: np.ndarray, p: int, start: int, stop: int, chosen: i
     stop = min(stop, mat.shape[1] - (w - chosen) + 1)
     if chosen == w - 2:
         return _dependent_pair(mat, p, start, stop)
-    for j in range(start, stop):
-        # a zero column means a dependency of size <= chosen+1 < w, ruled out earlier
-        nxt = _choose_column(mat, p, j)
-        if nxt is not None and _dependent_subtree(nxt, p, j + 1, mat.shape[1], chosen + 1, w):
-            return True
-    return False
+    return any(_dependent_subtree(_choose_column(mat, p, j), p, j + 1, mat.shape[1],
+                                  chosen + 1, w) for j in range(start, stop))
 
 
 def _smallest_dependent_subset(h: np.ndarray, p: int, cap: int, starts: int) -> int | None:

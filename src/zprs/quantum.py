@@ -18,20 +18,20 @@ every other x^j with j < c (MacWilliams-Sloane, ch. 7).
 The search builds thousands of codes from the subset products of one
 factorization.  It walks the assignments as bitmasks of factors and keys each
 subset once per search by the sorted ``Poly.int_key`` tuples of its factors,
-repeats kept.  Three LRU caches of 2048 entries each are keyed by such a key and
-p (and s): ``_product`` keeps the read-only product (at most s + 1 coefficients),
-``_poly`` the same product as a ``Poly``, shared by the hats of all hits, and
-``_half`` its cyclic code, a half of the Gray image, as a ``LinearCode`` on the
-systematic rows (at most s x s, pivots 0..c-1) that keeps its parity check, [G; H], hint
-verdicts and distances once read.  A search over t <= 10 factors never evicts.
+repeats kept.  Three LRU caches of 2^MAX_FACTORS entries each are keyed by such
+a key and p (and s): ``_product`` keeps the read-only product (at most s + 1
+coefficients), ``_poly`` the same product as a ``Poly``, shared by the hats of
+all hits, and ``_half`` its cyclic code, a half of the Gray image, as a
+``LinearCode`` on the systematic rows (at most s x s, pivots 0..c-1) that keeps
+its parity check, [G; H], hint verdicts and distances once read.  A search keys
+at most 2^t subsets of its t <= MAX_FACTORS factors, so it never evicts.
 An R-code keeps its two halves and interleaves them on first read.
 
 Dual-containing Gray images feed the CSS construction: a dual-containing
 [n, k, d] code over Z_p yields a quantum [[n, 2k - n, d]] code.  The search
 and the reproduced table evaluate each cyclic R-code with ``cyclic_css``.  Its
-image P(U, V, kappa) contains its dual iff V^perp lies in U (kappa^2 = -1: the
-dual's (c | kappa (c - e)), c in V^perp, e in U^perp, is (x + y | kappa x) with
-x = c - e, y = e): the image's one product [G_V; H_V] H_U^T keeps that verdict (``linear``).
+image P(U, V, kappa) contains its dual by the rule in the ``linear`` docstring,
+a verdict kept from the image's one product.
 """
 
 from __future__ import annotations
@@ -50,13 +50,15 @@ from .linear import LinearCode
 from .polynomials import Poly, divides, factor_xn_minus_lambda, hat, reciprocal
 from .words import _frozen, cached_profile
 
+MAX_FACTORS = 12  # search_dual_containing refuses more factors: 3^12 assignments take ~10 s
+
 
 def _key(fs) -> tuple[tuple[int, ...], ...]:
     """The sorted coefficient tuples of the Z_p polynomials fs, repeats kept."""
     return tuple(sorted(f.int_key for f in fs))
 
 
-@functools.lru_cache(maxsize=1 << 11)
+@functools.lru_cache(maxsize=1 << MAX_FACTORS)
 def _product(key: tuple[tuple[int, ...], ...], p: int) -> np.ndarray:
     """Z_p coefficients, lowest degree first, of the product of the polynomials
     with the coefficient tuples in key (read-only)."""
@@ -66,7 +68,7 @@ def _product(key: tuple[tuple[int, ...], ...], p: int) -> np.ndarray:
     return _frozen(out)
 
 
-@functools.lru_cache(maxsize=1 << 11)
+@functools.lru_cache(maxsize=1 << MAX_FACTORS)
 def _half(key: tuple[tuple[int, ...], ...], p: int, s: int) -> LinearCode:
     """The cyclic code < g > of length s, g = _product(key) dividing x^s - 1, on its
     RREF basis (c x s, c = s - deg g).  With v = g^-1 mod x^c, row i is
@@ -87,7 +89,7 @@ def _half(key: tuple[tuple[int, ...], ...], p: int, s: int) -> LinearCode:
     return LinearCode(p, s, rows, _pivots=list(range(c)))
 
 
-@functools.lru_cache(maxsize=1 << 11)
+@functools.lru_cache(maxsize=1 << MAX_FACTORS)
 def _poly(key: tuple[tuple[int, ...], ...], p: int) -> Poly:
     """``_product(key, p)`` as a ``Poly``, one immutable object per key."""
     return Poly.make(_product(key, p).tolist(), p)
@@ -283,9 +285,6 @@ def _evaluate_assignment(keys: tuple, distance_cap: int) -> tuple | None:
         image, params, exact = found
         return image.n, image.k, params.d, exact
     return None
-
-
-MAX_FACTORS = 12  # search_dual_containing refuses more factors: 3^12 assignments take ~25 s
 
 
 def search_dual_containing(p: int, s: int, *, distance_cap: int = 6,

@@ -48,6 +48,19 @@ def test_span_closure_degenerate():
     assert span_closure([w]).rank == 1           # u * u^2 = 0 adds nothing
 
 
+def test_codewords_are_the_unflattened_codeword_vectors():
+    # the same words in the same order, the zero code's zero word included
+    rng = np.random.default_rng(8)
+    codes = [example_code(), AdditiveCode.zero(P2)]
+    codes += [random_code(rng, BlockProfile(p, q, r, s), 3)
+              for p, q, r, s in ((2, 1, 1, 1), (3, 2, 1, 0), (5, 0, 1, 1), (3, 0, 2, 1))]
+    for code in codes:
+        words = list(code.codewords())
+        assert words == [unflatten(row, code.profile)
+                         for chunk in code.iter_codeword_vectors() for row in chunk]
+        assert len(set(words)) == len(words) == code.size
+
+
 def test_contains_and_mismatch():
     code = example_code()
     assert code.contains(MixedWord.zero(P2))

@@ -136,8 +136,9 @@ def test_min_distance_edge_cases():
 
 
 def test_min_distance_matches_enumeration_oracle():
+    # at cap n and at cap 2, where every d > 2 lies past the cap and is enumerated
     rng = np.random.default_rng(77)
-    checked = 0
+    checked = past_cap = 0
     while checked < 80:
         p = (2, 3, 5, 7)[checked % 4]
         n = int(rng.integers(3, 13))
@@ -149,9 +150,11 @@ def test_min_distance_matches_enumeration_oracle():
             continue
         d_search = code.min_distance(search_cap=n)
         d_oracle = min_distance_by_enumeration(code)
-        assert d_search == d_oracle
+        assert d_search == d_oracle == LinearCode(p, n, code.generator).min_distance(2)
         assert d_search <= code.n - code.k + 1          # Singleton
         checked += 1
+        past_cap += d_oracle > 2
+    assert past_cap >= 20, past_cap
 
 
 def test_min_distance_cap_and_fallback():
@@ -170,6 +173,33 @@ def test_min_distance_cap_and_fallback():
     for cap in (2.5, "3", None):
         with pytest.raises(MalformedInput, match="search_cap"):
             rep.min_distance(search_cap=cap)
+
+
+def test_a_second_min_distance_call_runs_no_search(monkeypatch):
+    # a code that is no Plotkin sum is its own half: its distances, searched or
+    # enumerated past the cap, are memoized like a half's
+    import zprs.linear as linear
+    searched, search = [], linear._smallest_dependent_subset
+    enumerated, enumerate_ = [], linear.min_distance_by_enumeration
+    monkeypatch.setattr(linear, "_smallest_dependent_subset",
+                        lambda h, *args: searched.append(args[1]) or search(h, *args))
+    monkeypatch.setattr(linear, "min_distance_by_enumeration",
+                        lambda code: enumerated.append(code.n) or enumerate_(code))
+    hamming = LinearCode(2, 7, [np.roll([1, 1, 0, 1, 0, 0, 0], i) for i in range(4)])
+    assert hamming.min_distance() == hamming.min_distance() == 3
+    rep = LinearCode(2, 9, [[1] * 9])
+    assert rep.min_distance(search_cap=2) == rep.min_distance(search_cap=2) == 9
+    assert (searched, enumerated) == ([4, 2], [9])
+
+
+def test_choose_column_refuses_a_zero_column():
+    # a zero column is a dependency smaller than the round's subset size, which the
+    # earlier deepening rounds rule out: a bug, never a column to skip
+    from zprs.linear import _choose_column
+    mat = np.array([[1, 0, 2], [0, 0, 1]], dtype=np.int64)
+    assert _choose_column(mat, 3, 0).tolist() == [[0, 0, 0], [0, 0, 1]]
+    with pytest.raises(AssertionError, match="reduced to zero"):
+        _choose_column(mat, 3, 1)
 
 
 def test_min_distance_matches_the_unbatched_reference():

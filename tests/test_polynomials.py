@@ -11,6 +11,7 @@ from zprs.errors import (GcdViolation, MalformedInput, NonUnitLeadingCoefficient
 from zprs.linalg import kernel_basis
 from zprs.polynomials import (Poly, _zp_gcd, divides, factor_xn_minus_lambda, hat, parse_poly,
                               poly_divmod, reciprocal, x_pow_n_minus)
+from zprs.rings import ChainElement
 
 from oracles import rho_substitute
 
@@ -130,6 +131,19 @@ def test_divmod_property_random():
             q, r = poly_divmod(f, g)
             assert q * g + r == f
             assert r.degree < g.degree
+
+
+def test_evaluate_is_the_remainder_mod_x_minus_a():
+    # f(a) against the remainder of f divided by x - a, over Z_p, R and S
+    rng = random.Random(12)
+    for p, k in ((5, 1), (2, 2), (3, 2), (3, 3)):
+        for _ in range(40):
+            f = Poly.make([tuple(rng.randrange(p) for _ in range(k))
+                           for _ in range(rng.randrange(0, 7))], p, k)
+            a = tuple(rng.randrange(p) for _ in range(k))
+            _, r = poly_divmod(f, Poly.make([tuple(-c % p for c in a), 1], p, k))
+            assert f.evaluate(a) == (r.coeffs[0] if r.coeffs else ChainElement.zero(p, k)), \
+                (p, k, f, a)
 
 
 def test_divides_examples():

@@ -600,6 +600,13 @@ def test_search_too_many_factors():
     assert time.perf_counter() - start < 1
 
 
+def test_subset_caches_hold_every_subset_of_the_largest_search():
+    # a search keys at most 2^t factor subsets, t <= MAX_FACTORS: none of its
+    # products, hat polynomials or halves is evicted within the search
+    for cache in (quantum._product, quantum._poly, quantum._half):
+        assert cache.cache_info().maxsize >= 1 << quantum.MAX_FACTORS, cache
+
+
 def test_import_loads_no_process_pool():
     # every search runs in one process, whatever jobs it is given: neither importing
     # zprs nor a search nor a distance loads a process pool

@@ -132,6 +132,13 @@ def test_mul_commutative_and_associative_exhaustive():
                 assert (a * b) * c == a * (b * c)
 
 
+def test_scale_is_multiplication_by_the_integer_as_an_element():
+    for p, k in ((2, 1), (3, 2), (5, 3)):
+        for a in all_elements(p, k):
+            for c in range(-p, 2 * p):
+                assert a.scale(c) == a * ChainElement.make(c, p, k), (p, k, a, c)
+
+
 def test_projections_are_ring_homomorphisms():
     for p in (2, 3):
         elems = list(all_elements(p, 3))

@@ -42,6 +42,13 @@ def test_flatten_examples():
     assert list(flatten(MixedWord.zero(pr))) == [0] * 6
 
 
+def test_is_zero_is_a_word_without_a_nonzero_coordinate():
+    for pr in (BlockProfile(2, 1, 1, 1), BlockProfile(3, 1, 1, 0), BlockProfile(3, 0, 0, 1)):
+        words = list(all_words(pr))
+        assert [w.is_zero for w in words] == [not flatten(w).any() for w in words]
+        assert sum(w.is_zero for w in words) == 1
+
+
 def test_unflatten_round_trip():
     rng = np.random.default_rng(3)
     for p, q, r, s in ((2, 1, 1, 1), (3, 2, 0, 1), (5, 0, 3, 2)):
