@@ -20,8 +20,8 @@ from .linear import LinearCode, min_distance_by_enumeration
 from .polynomials import (Poly, divides, factor_xn_minus_lambda, hat, parse_poly, poly_divmod,
                           reciprocal)
 from .quantum import (FactorAssignment, QuantumParams, SearchHit, code_from_table_generators,
-                      css, cyclic_code_from_assignment, cyclic_css, is_dual_containing,
-                      search_dual_containing)
+                      css, cyclic_code_from_assignment, cyclic_code_from_generators, cyclic_css,
+                      is_dual_containing, search_dual_containing)
 from .rings import ChainElement, eta0, eta1, eta2, unit_order
 from .words import (BlockProfile, MixedWord, constacyclic_shift, flatten, inner_product,
                     mixed_scalar_mul, unflatten)
@@ -34,8 +34,8 @@ __all__ = [
     "GrayMap", "LeeWeightMismatchWarning", "LinearCode", "MixedWord", "Poly",
     "QuantumParams", "SearchHit", "ZprsError",
     "code_from_table_generators", "complete_enumerator", "constacyclic_shift", "css",
-    "cyclic_code_from_assignment", "cyclic_css", "divides", "eta0", "eta1", "eta2",
-    "factor_xn_minus_lambda", "find_kappa", "flatten",
+    "cyclic_code_from_assignment", "cyclic_code_from_generators", "cyclic_css", "divides",
+    "eta0", "eta1", "eta2", "factor_xn_minus_lambda", "find_kappa", "flatten",
     "from_generator_polynomials", "gray_hamming_weight", "hamming_enumerator",
     "hamming_transform", "hat", "inner_product", "is_dual_containing", "is_prime",
     "lee_enumerator", "lee_transform", "lee_weight", "macwilliams_complete_check",

@@ -13,19 +13,21 @@ B = < prod F2 > = < hat(F0), hat(F1) >, and C is spanned by
 2 deg F0 + deg F1 rows, none of which wraps around x^s - 1.  The code is
 built on the systematic form of these rows, which is already its RREF: for a
 generator g | x^s - 1 with c = s - deg g, row i < c is 1 at x^i and 0 at
-every other x^j with j < c (MacWilliams-Sloane, ch. 7).
+every other x^j with j < c (MacWilliams-Sloane, ch. 7).  Z_p[x]/(x^s - 1) is a
+principal ideal ring, so < g0, u g1 > = < g0 > + u < gcd(g0, g1) > needs no factors.
 
 The search builds thousands of codes from the subset products of one
 factorization.  It walks the assignments as bitmasks of factors and keys each
 subset once per search by the sorted ``Poly.int_key`` tuples of its factors,
-repeats kept.  Three LRU caches of 2^MAX_FACTORS entries each are keyed by such
-a key and p (and s): ``_product`` keeps the read-only product (at most s + 1
-coefficients), ``_poly`` the same product as a ``Poly``, shared by the hats of
-all hits, and ``_half`` its cyclic code, a half of the Gray image, as a
-``LinearCode`` on the systematic rows (at most s x s, pivots 0..c-1) that keeps
-its parity check, [G; H], hint verdicts and distances once read.  A search keys
-at most 2^t subsets of its t <= MAX_FACTORS factors, so it never evicts.
-An R-code keeps its two halves and interleaves them on first read.
+repeats kept.  Three LRU caches hold 2^MAX_FACTORS entries each: ``_product``
+(the read-only product, at most s + 1 coefficients) and ``_poly`` (the same as a
+``Poly``, shared by the hats of all hits) by such a key and p, and ``_half`` by the
+coefficient tuple of a monic generator g, p and s, shared by searches and table
+rows.  ``_half`` keeps < g >, a half of the Gray image, as a ``LinearCode`` on the
+systematic rows (at most s x s, pivots 0..c-1) with its parity check, [G; H], hint
+verdicts and distances once read.  A search keys at most 2^t subsets of its
+t <= MAX_FACTORS factors, so it never evicts.  An R-code keeps its two halves and
+interleaves them on first read.
 
 Dual-containing Gray images feed the CSS construction: a dual-containing
 [n, k, d] code over Z_p yields a quantum [[n, 2k - n, d]] code.  The search
@@ -42,12 +44,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .additive import AdditiveCode
-from .errors import (DistanceNotDetermined, GcdViolation, NotDualContaining, ProfileMismatch,
-                     TooManyFactors, ZprsError)
+from .errors import (DistanceNotDetermined, GcdViolation, NonUnitLeadingCoefficient,
+                     NotADivisor, NotDualContaining, ProfileMismatch, TooManyFactors, ZprsError)
 from .gray import GrayMap
 from .linalg import as_int
 from .linear import LinearCode
-from .polynomials import Poly, divides, factor_xn_minus_lambda, hat, reciprocal
+from .polynomials import Poly, _zp_gcd, divides, factor_xn_minus_lambda, reciprocal, x_pow_n_minus
 from .words import _frozen, cached_profile
 
 MAX_FACTORS = 12  # search_dual_containing refuses more factors: 3^12 assignments take ~10 s
@@ -69,12 +71,12 @@ def _product(key: tuple[tuple[int, ...], ...], p: int) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=1 << MAX_FACTORS)
-def _half(key: tuple[tuple[int, ...], ...], p: int, s: int) -> LinearCode:
-    """The cyclic code < g > of length s, g = _product(key) dividing x^s - 1, on its
-    RREF basis (c x s, c = s - deg g).  With v = g^-1 mod x^c, row i is
-    ((x^i v) mod x^c) g: 1 at x^i, 0 at every other x^j with j < c, and of degree
-    below s, so it does not wrap."""
-    g = _product(key, p)
+def _half(generator: tuple[int, ...], p: int, s: int) -> LinearCode:
+    """The cyclic code < g > of length s, g | x^s - 1 monic with the coefficients
+    ``generator`` (lowest first), on its RREF basis (c x s, c = s - deg g).  With
+    v = g^-1 mod x^c, row i is ((x^i v) mod x^c) g: 1 at x^i, 0 at every other x^j
+    with j < c, and of degree below s, so it does not wrap."""
+    g = np.array(generator, dtype=np.int64)
     c = s - g.size + 1
     padded = np.zeros(s + 1, dtype=np.int64)
     padded[:g.size] = g
@@ -167,11 +169,11 @@ def cyclic_code_from_assignment(fa: FactorAssignment | None = None, *,
     built on its CRT basis (module docstring), trusted as RREF: the systematic rows
     of A = < hat(F0) > in the a-columns 0::2 and of B = < prod F2 > in the b-columns
     1::2, each 1 at its pivot and 0 on every other pivot column, interleaved so that
-    the pivots increase.  It keeps (A, B); its rank must be 2 deg F0 + deg F1.  The
-    search passes no fa but ``_keys`` = (p, s, _key(F1 + F2), _key(F2), that rank)."""
+    the pivots increase.  It keeps (A, B); its rank must be 2 deg F0 + deg F1.  Other
+    callers pass no fa but ``_keys`` = (p, s, the ``_half`` keys of A and B, that rank)."""
     if _keys is None:
         d0, d1, _ = fa.slot_degrees()
-        _keys = fa.p, fa.s, _key(fa.f1 + fa.f2), _key(fa.f2), 2 * d0 + d1
+        _keys = fa.p, fa.s, fa.hat(0).int_key, fa.slot_product(2).int_key, 2 * d0 + d1
     p, s, key_a, key_b, crt = _keys
     a, b = _half(key_a, p, s), _half(key_b, p, s)
     ka, kb = a.k, b.k
@@ -181,6 +183,20 @@ def cyclic_code_from_assignment(fa: FactorAssignment | None = None, *,
                         _closed=True, _pivots=[*range(2 * ka), *range(2 * ka + 1, 2 * kb, 2)])
     code._split = (a, b)
     return code
+
+
+def cyclic_code_from_generators(p: int, s: int, g0, g1) -> AdditiveCode:
+    """The cyclic R-code < g0, u g1 > = < g0 > + u < gcd(g0, g1) > for Z_p polynomials
+    g0, g1 dividing x^s - 1, built without factors; x^s - 1 gives a zero half."""
+    gens = [g if isinstance(g, Poly) else Poly.make(g, p) for g in (g0, g1)]
+    if s % p == 0:
+        raise GcdViolation(f"gcd(p, s) must be 1, got p={p}, s={s}")
+    for g in gens:
+        if not g or not divides(g, x_pow_n_minus(1, s, p)):
+            raise (NotADivisor if g else NonUnitLeadingCoefficient)(f"{g} must divide x^{s} - 1")
+    a, b = (np.array(g.monic().int_coeffs(), dtype=np.int64) for g in gens)
+    a, b = tuple(a.tolist()), tuple(_zp_gcd(a, b, p).tolist())
+    return cyclic_code_from_assignment(_keys=(p, s, a, b, 2 * s + 2 - len(a) - len(b)))
 
 
 def _interleave(a: LinearCode, b: LinearCode) -> np.ndarray:
@@ -264,9 +280,9 @@ def _assignments(p: int, s: int, factors):
     (a Gray image [2s, k] with k < s cannot contain its dual), the masks and the
     ``_keys`` of its cyclic code."""
     @functools.cache
-    def subset(mask: int) -> tuple:     # the _key and the degree of a subset, once
+    def subset(mask: int) -> tuple:     # the _half key and the degree of a subset, once
         fs = [f for i, f in enumerate(factors) if mask >> i & 1]
-        return _key(fs), sum(f.degree for f in fs)
+        return tuple(_product(_key(fs), p).tolist()), sum(f.degree for f in fs)
     full = (1 << len(factors)) - 1
     for m2 in range(full + 1):
         rest = m1 = full ^ m2
@@ -326,14 +342,13 @@ def code_from_table_generators(p: int, s: int, f0_hat, f1_hat) -> tuple[FactorAs
                                                                         AdditiveCode]:
     """Reconstruct the factor assignment from displayed generators hat(F0), u hat(F1).
 
-    Both displayed polynomials must divide x^s - 1; F0 and F1 are recovered as
-    exact cofactors and F2 collects the remaining factors.
+    Both displayed polynomials must divide x^s - 1.  F0 (F1) holds the factors that do
+    not divide hat(F0) (hat(F1)), which share none (else ``ZprsError``); F2 the rest.
     """
-    f0h = f0_hat if isinstance(f0_hat, Poly) else Poly.make(f0_hat, p)
-    f1h = f1_hat if isinstance(f1_hat, Poly) else Poly.make(f1_hat, p)
-    f0 = hat(f0h.monic(), p, s, 1)   # F0 = (x^s - 1) / hat(F0)
-    f1 = hat(f1h.monic(), p, s, 1)
+    code = cyclic_code_from_generators(p, s, f0_hat, f1_hat)
+    h0, h1 = (g if isinstance(g, Poly) else Poly.make(g, p) for g in (f0_hat, f1_hat))
     factors = factor_xn_minus_lambda(p, s, 1)   # distinct, as x^s - 1 is squarefree
-    slots = [0 if divides(f, f0) else 1 if divides(f, f1) else 2 for f in factors]
-    fa = FactorAssignment.from_slots(p, s, *_split_slots(factors, slots))
-    return fa, cyclic_code_from_assignment(fa)
+    if shared := [f for f in factors if not divides(f, h0) and not divides(f, h1)]:
+        raise ZprsError(f"F0 and F1 share the factor {shared[0]}: no assignment has these hats")
+    slots = [0 if not divides(f, h0) else 1 if not divides(f, h1) else 2 for f in factors]
+    return FactorAssignment.from_slots(p, s, *_split_slots(factors, slots)), code

@@ -14,7 +14,7 @@ from .additive import span_closure
 from .enumerators import ENUMERATORS, TRANSFORMS, VARIABLES, macwilliams_complete_check, walk
 from .errors import NotDualContaining, ZprsError
 from .polynomials import Poly, hat
-from .quantum import QuantumParams, code_from_table_generators, cyclic_css
+from .quantum import QuantumParams, cyclic_code_from_generators, cyclic_css
 from .words import BlockProfile, MixedWord
 
 
@@ -174,7 +174,7 @@ def run_table1() -> list[ReproItem]:
         if isinstance(f1_hat, tuple):
             f1_hat = hat(Poly.make(f1_hat[1], p), p, s, 1).int_coeffs()
         try:
-            found = cyclic_css(code_from_table_generators(p, s, f0_hat, f1_hat)[1])
+            found = cyclic_css(cyclic_code_from_generators(p, s, f0_hat, f1_hat))
             if found is None:
                 raise NotDualContaining("the Gray image does not contain its dual")
             image, params, exact = found

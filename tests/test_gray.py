@@ -10,7 +10,7 @@ from zprs.enumerators import symbol_table
 from zprs.gray import (GrayMap, LeeWeightMismatchWarning, _gray_matrix, gray_hamming_weight,
                        lee_weight, position_weights)
 from zprs.polynomials import factor_xn_minus_lambda
-from zprs.quantum import FactorAssignment, _half, _key, cyclic_code_from_assignment
+from zprs.quantum import FactorAssignment, _half, cyclic_code_from_assignment
 from zprs.rings import ChainElement
 from zprs.words import (BlockProfile, MixedWord, block_columns, constacyclic_shift,
                         inner_product, unflatten)
@@ -247,8 +247,8 @@ def test_cyclic_r_codes_are_imaged_in_closed_form(p, s):
         code = cyclic_code_from_assignment(fa)
         image = g._split_image(code)
         # the Plotkin sum of B = < prod F2 > and A = < hat(F0) >, kept in RREF
-        assert [half is _half(_key(slots), p, s)
-                for half, slots in zip(image._plotkin, (fa.f2, fa.f1 + fa.f2))] == [True, True]
+        assert [half is _half(gen.int_key, p, s) for half, gen
+                in zip(image._plotkin, (fa.slot_product(2), fa.hat(0)))] == [True, True]
         # both closed forms are built on first read, and are their own RREF with the
         # pivots, and so the rank, that they reported before
         for closed in (code, image):

@@ -15,15 +15,16 @@ import zprs.linear as linear
 import zprs.quantum as quantum
 from zprs import linalg
 from zprs.additive import AdditiveCode, shift_module_span, span_closure, word_from_polynomials
-from zprs.errors import (GcdViolation, MalformedInput, NotDualContaining, ProfileMismatch,
-                         TooManyFactors, ZprsError)
+from zprs.errors import (GcdViolation, MalformedInput, ModulusMismatch, NonUnitLeadingCoefficient,
+                         NotADivisor, NotDualContaining, NotPrime, ProfileMismatch,
+                         TooManyFactors, WrongRing, ZprsError)
 from zprs.gray import GrayMap
 from zprs.linear import (LinearCode, _smallest_dependent_subset,
                          min_distance_by_enumeration)
 from zprs.polynomials import Poly, factor_xn_minus_lambda, hat
 from zprs.quantum import (FactorAssignment, QuantumParams, code_from_table_generators, css,
-                          cyclic_code_from_assignment, cyclic_css, is_dual_containing,
-                          search_dual_containing)
+                          cyclic_code_from_assignment, cyclic_code_from_generators, cyclic_css,
+                          is_dual_containing, search_dual_containing)
 from zprs.words import BlockProfile, unflatten
 
 from oracles import (additive_dual_containing, reciprocal_dual, reference_rref,
@@ -90,8 +91,12 @@ def every_assignment(grid=ORACLE_GRID):
 def span_oracle(fa):
     """< hat(F0), u hat(F1) > as the shift-and-scalar span closure of its two generators."""
     p, s = fa.p, fa.s
+    return generator_span(p, s, *(hat(fa.slot_product(j), p, s, 1) for j in (0, 1)))
+
+
+def generator_span(p, s, f0_hat, f1_hat):
+    """< f0_hat, u f1_hat > of length s as the span closure of the two words."""
     profile = BlockProfile(p, 0, s, 0)
-    f0_hat, f1_hat = (hat(fa.slot_product(j), p, s, 1) for j in (0, 1))
     words = []
     if f0_hat.degree < s:                    # an empty F0 slot gives hat(F0) = x^s - 1 = 0
         words.append(word_from_polynomials(profile, r_poly=f0_hat))
@@ -104,6 +109,52 @@ def span_oracle(fa):
 def test_crt_basis_equals_span_closure_exhaustive():
     for fa in every_assignment():
         assert cyclic_code_from_assignment(fa) == span_oracle(fa), (fa.p, fa.s, fa.key())
+
+
+def test_generator_builder_equals_span_closure_exhaustive():
+    # the hats of every assignment, empty slots included (hat = x^s - 1), and then every
+    # pair of divisors of x^s - 1 at (5, 6) and (13, 4), whose cofactors may overlap
+    for fa in every_assignment():
+        code = cyclic_code_from_generators(fa.p, fa.s, fa.hat(0), fa.hat(1))
+        assert code == span_oracle(fa), (fa.p, fa.s, fa.key())
+    overlapping = 0
+    for p, s in ((5, 6), (13, 4)):
+        divisors = {bits: reduce(lambda a, b: a * b, itertools.compress(factors_of(p, s), bits),
+                                 Poly.one(p))
+                    for bits in itertools.product((0, 1), repeat=len(factors_of(p, s)))}
+        for (bits0, g0), (bits1, g1) in itertools.product(divisors.items(), repeat=2):
+            code = cyclic_code_from_generators(p, s, g0, g1)
+            assert code == generator_span(p, s, g0, g1), (p, s, g0, g1)
+            overlapping += not all(map(max, bits0, bits1))   # a factor of neither generator
+    assert overlapping == 2 * (4 ** 4 - 3 ** 4)
+
+
+def test_generator_builder_refuses_what_the_table_route_refused():
+    # each refusal has the exception type that code_from_table_generators raised when
+    # it factored x^s - 1 and matched the factors against the cofactors
+    cases = [((4, 6, [1, 1], [1]), NotPrime), ((5, 6, [1.5], [1]), WrongRing),
+             ((5, 6, [1], "x"), WrongRing), ((5, 6, [0], [1]), NonUnitLeadingCoefficient),
+             ((5, 6, [1], []), NonUnitLeadingCoefficient),
+             ((5, 8, [1, 1, 1], [1]), NotADivisor), ((5, 8, [1], [1, 0, 0, 1]), NotADivisor),
+             ((5, 10, [4, 1], [4, 1]), GcdViolation), ((5, 0, [1], [1]), GcdViolation),
+             ((5, 6, [1], Poly.make([1, 1], 7)), ModulusMismatch)]
+    for args, error in cases:
+        for build in (cyclic_code_from_generators, code_from_table_generators):
+            with pytest.raises(error):
+                build(*args)
+
+
+def test_table_generators_refuse_cofactors_that_share_a_factor():
+    # hat(F0) = hat(F1) = hat(x - 1) puts x - 1 in both F0 and F1: no assignment has
+    # these hats, while the code < g, u g > = < g > + u < g > is well defined
+    g = hat(Poly.make([4, 1], 5), 5, 6, 1)
+    assert g.int_coeffs() == [1, 1, 1, 1, 1, 1]
+    with pytest.raises(ZprsError, match=r"share the factor x \+ 4"):
+        code_from_table_generators(5, 6, g, g)
+    code = cyclic_code_from_generators(5, 6, g, g)
+    assert code == generator_span(5, 6, g, g) and code.rank == 2
+    a, b = code._split
+    assert a == b and a.k == 1
 
 
 # the grids of the systematic-form tests: factors of degree 1 to 3, up to
@@ -123,7 +174,7 @@ def test_systematic_rows_are_the_rref_of_the_shifted_generator():
             shifted = np.zeros((c, s), dtype=np.int64)
             for i in range(c):
                 shifted[i, i:i + len(g)] = g
-            half = quantum._half(quantum._key(subset), p, s)
+            half = quantum._half(tuple(g), p, s)
             rows, pivots = linalg.rref(shifted, p)
             assert not half.basis.flags.writeable
             assert half.basis.shape == (c, s) and half.pivots == pivots == list(range(c))
@@ -206,8 +257,9 @@ def test_the_pair_product_reads_each_block_on_its_own():
     counts = [0, 0]
     for p, s in ((5, 8), (13, 4), (17, 4)):
         kappa, factors = GrayMap(p).kappa, factors_of(p, s)
-        halves = [quantum._half(quantum._key(itertools.compress(factors, bits)), p, s)
-                  for bits in itertools.product((0, 1), repeat=len(factors))]
+        products = [reduce(lambda a, b: a * b, itertools.compress(factors, bits), Poly.one(p))
+                    for bits in itertools.product((0, 1), repeat=len(factors))]
+        halves = [quantum._half(g.int_key, p, s) for g in products]
         for hu, hv in itertools.product(halves, repeat=2):
             v_in_u = hv.is_subcode_of(hu)
             dual_in_u = LinearCode(p, s, linalg.kernel_basis(hv.generator, p)).is_subcode_of(hu)
@@ -284,7 +336,7 @@ def test_the_search_walk_gives_what_fresh_assignments_give_exhaustively():
         for slots in itertools.product(range(3), repeat=len(factors_of(p, s))):
             fa = assignment(p, s, slots)
             d0, d1, _ = fa.slot_degrees()
-            keys = (p, s, quantum._key(fa.f1 + fa.f2), quantum._key(fa.f2), 2 * d0 + d1)
+            keys = (p, s, fa.hat(0).int_key, fa.slot_product(2).int_key, 2 * d0 + d1)
             for cap in (6, 2):
                 found = cyclic_css(cyclic_code_from_assignment(fa), distance_cap=cap)
                 fresh[p, s, slots, cap] = keys, found and (found[0].n, found[0].k,
@@ -638,9 +690,9 @@ def test_search_dedup_keeps_exact_distance(monkeypatch):
     # x^3 - 1 = (x + 1)(x^2 + x + 1) over Z_2; slots (1, 0) give an exact
     # [[6,2,2]] and the smaller slots (0, 1), evaluated later, only d >= 2
     import zprs.quantum as quantum
-    # the evaluator reads the keys of F1 + F2 and F2: F1 = (x + 1) are slots (1, 0),
-    # F1 = (x^2 + x + 1) slots (0, 1), and F2 is empty in both
-    first, second = (((1, 1),), ()), (((1, 1, 1),), ())
+    # the evaluator reads the generators of F1 + F2 and F2: F1 = (x + 1) are slots
+    # (1, 0), F1 = (x^2 + x + 1) slots (0, 1), and F2 is empty in both, generator 1
+    first, second = ((1, 1), (1,)), ((1, 1, 1), (1,))
     crafted = {first: (6, 4, 2, True), second: (6, 4, 2, False)}
     monkeypatch.setattr(quantum, "_evaluate_assignment",
                         lambda keys, cap: crafted.get(keys[2:4]))
@@ -662,6 +714,35 @@ def test_search_results_are_deterministic_and_sorted():
     # the hats of both searches' hits are the same objects
     assert all(h1.generator is h2.generator and h1.u_generator is h2.u_generator
                for h1, h2 in zip(hits1, hits2))
+
+
+def test_table_rows_build_no_factorization(monkeypatch):
+    # every row of the reproduced table is built from its two generators alone
+    import zprs.polynomials as polynomials
+    import zprs.reproduce as reproduce
+    calls = []
+    for module in (polynomials, quantum):
+        monkeypatch.setattr(module, "factor_xn_minus_lambda",
+                            lambda *args: calls.append(args) or [])
+    items = reproduce.run_table1()
+    assert len(items) == 7 and all(item.ok for item in items), items
+    assert calls == []
+
+
+def test_table_rows_and_searches_share_their_halves():
+    # a half is keyed by its generator, so the (17, 8) row reads the halves that the
+    # search built, memoized distances included, and builds none of its own
+    quantum._half.cache_clear()
+    search_dual_containing(17, 8)
+    misses = quantum._half.cache_info().misses
+    code = cyclic_code_from_generators(17, 8, [4, 5, 3, 1], [9, 14, 14, 8, 10, 12, 1])
+    assert quantum._half.cache_info().misses == misses
+    a, b = code._split
+    fa, _ = code_from_table_generators(17, 8, [4, 5, 3, 1], [9, 14, 14, 8, 10, 12, 1])
+    assert a is quantum._half((4, 5, 3, 1), 17, 8)
+    assert b is quantum._half(fa.slot_product(2).int_key, 17, 8)
+    assert quantum._half.cache_info().misses == misses
+    assert all(x is y for x, y in zip(cyclic_code_from_assignment(fa)._split, (a, b)))
 
 
 def test_code_from_table_generators_round_trip():
