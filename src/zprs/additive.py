@@ -54,7 +54,7 @@ class GeneratorHypothesisWarning(UserWarning):
 class AdditiveCode:
     """Immutable additive code, held as a row-reduced flattened Z_p basis."""
 
-    _split = None  # the half codes (A, B) of an R-code A x uB, if its builder knows them
+    _split = None  # (A, B, its image's dual verdict or None) of an R-code A x uB, if known
 
     def __init__(self, profile: BlockProfile, rows: Sequence | np.ndarray, *,
                  _closed: bool = False, _pivots: list[int] | None = None):

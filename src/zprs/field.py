@@ -12,6 +12,7 @@ import math
 from functools import lru_cache
 
 from .errors import NoSquareRootOfMinusOne, NotPrime, TooLarge
+from .linalg import as_int
 
 # Miller-Rabin with the first 13 primes as bases is exact below this bound
 # (Sorenson and Webster, Math. Comp. 2017); the first 12 only below 3.2e23.
@@ -35,7 +36,7 @@ def is_prime(n: int) -> bool:
 
 
 def ensure_prime(p: int) -> int:
-    if not is_prime(p):
+    if not is_prime(as_int(p, "p")):    # before is_prime's cache, which holds 5.0 as 5
         raise NotPrime(f"{p} is not prime")
     return p
 

@@ -12,9 +12,9 @@ image theorems depend on exactly that layout.
 An R-code whose RREF rows each lie wholly in the a- or the b-columns is
 C = A x uB with A in B (closure under u), as every cyclic R-code is.  Its image
 {(b + a | kappa b)} is the Plotkin sum P(B, A, kappa) (``LinearCode.plotkin_sum``),
-trusted as RREF as its top right vanishes on A's pivot columns, with d =
-min(2 d(B), d(A)) (MacWilliams-Sloane, ch. 2 Sec. 9, Thm. 33), and as kappa^2 = -1
-dual containment by the rule in the ``linear`` docstring.  Others: basis @ Gray matrix.
+trusted as RREF as its top right vanishes on A's pivot columns, with d = min(2 d(B),
+d(A)) (MacWilliams-Sloane, ch. 2 Sec. 9, Thm. 33) and, as kappa^2 = -1, dual containment
+by the ``linear`` rule or the search's verdict (``quantum``).  Others: basis @ Gray matrix.
 
 Lee weights: a Z_p coordinate x weighs min(x, p-x); an R or S coordinate
 weighs the Hamming weight of its Gray image.  Those Hamming weights do not
@@ -137,7 +137,8 @@ class GrayMap:
         if code.profile.lengths != (0, r, 0):
             return None
         if code._split is not None:
-            return LinearCode._from_halves(code._split[1], code._split[0], self.kappa)
+            a, b, dual = code._split
+            return LinearCode._from_halves(b, a, self.kappa, dual)
         ab = code.basis[:, block_columns(code.profile)[1].T.ravel()]   # (a-part | b-part)
         a_zero, b_zero = ~ab.reshape(len(ab), 2, r).any(axis=2).T
         if not (a_zero | b_zero).all():

@@ -39,6 +39,7 @@ P^perp = {(c | lam^-1 (e - c)) : c in V^perp, e in U^perp}, for lam^2 = -1 the
 words (x + y | lam x), x = c - e, y = e: P holds it iff V^perp in U, H_V H_U^T = 0.
 ``_from_halves`` takes one product [G_V; H_V] H_U^T (``_checks``): V in U iff its top
 k(V) rows vanish, else ``ZprsError``; for lam^2 = -1 P's memo keeps whether the rest do.
+The CSS search hands over the verdict from its factor masks and vouches for V in U.
 """
 
 from __future__ import annotations
@@ -92,16 +93,17 @@ class LinearCode(AdditiveCode):
         return cls._from_halves(cls(p, m, u), cls(p, m, v), lam)
 
     @classmethod
-    def _from_halves(cls, hu: "LinearCode", hv: "LinearCode", lam: int) -> "LinearCode":
-        """P(U, V, lam) of codes U, V and a checked unit lam; ``ZprsError`` unless V in U."""
-        both = hv._checks @ hu.parity_check.T % hu.p
-        if np.count_nonzero(both[:hv.k]):
-            raise ZprsError("V is not in U: the rows do not form a Plotkin sum")
+    def _from_halves(cls, hu: "LinearCode", hv: "LinearCode", lam: int, dual=None):
+        """P(U, V, lam), lam a checked unit; ``ZprsError`` unless V in U, trusted with dual."""
+        if dual is None:
+            both = hv._checks @ hu.parity_check.T % hu.p
+            if np.count_nonzero(both[:hv.k]):
+                raise ZprsError("V is not in U: the rows do not form a Plotkin sum")
+            dual = None if (lam * lam + 1) % hu.p else not np.count_nonzero(both[hv.k:])
         code = cls(hu.p, 2 * hu.n, partial(_plotkin_rows, hu, hv, lam),
                    _pivots=hu.pivots + [hu.n + j for j in hv.pivots])
         code._plotkin = (hu, hv, lam)
-        if not (lam * lam + 1) % hu.p:
-            code._memo["dual"] = not np.count_nonzero(both[hv.k:])
+        code._memo["dual"] = dual       # None: is_dual_containing takes the whole-code test
         return code
 
     @cached_property

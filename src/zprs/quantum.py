@@ -32,8 +32,9 @@ interleaves them on first read.
 Dual-containing Gray images feed the CSS construction: a dual-containing
 [n, k, d] code over Z_p yields a quantum [[n, 2k - n, d]] code.  The search
 and the reproduced table evaluate each cyclic R-code with ``cyclic_css``.  Its
-image P(U, V, kappa) contains its dual by the rule in the ``linear`` docstring,
-a verdict kept from the image's one product.
+image P(B, A, kappa) contains its dual iff A^perp, of zeros F0* = {monic f* : f in F0},
+lies in B, of zeros F2 (``linear`` docstring): as x^s - 1 is squarefree, iff F2 in F0*
+(MacWilliams-Sloane, ch. 7).  The search reads that, and A in B, off its factor masks.
 """
 
 from __future__ import annotations
@@ -49,7 +50,8 @@ from .errors import (DistanceNotDetermined, GcdViolation, NonUnitLeadingCoeffici
 from .gray import GrayMap
 from .linalg import as_int
 from .linear import LinearCode
-from .polynomials import Poly, _zp_gcd, divides, factor_xn_minus_lambda, reciprocal, x_pow_n_minus
+from .polynomials import (Poly, _zp_divmod, _zp_gcd, divides, factor_xn_minus_lambda,
+                          reciprocal, x_pow_n_minus)
 from .words import _frozen, cached_profile
 
 MAX_FACTORS = 12  # search_dual_containing refuses more factors: 3^12 assignments take ~10 s
@@ -72,11 +74,13 @@ def _product(key: tuple[tuple[int, ...], ...], p: int) -> np.ndarray:
 
 @functools.lru_cache(maxsize=1 << MAX_FACTORS)
 def _half(generator: tuple[int, ...], p: int, s: int) -> LinearCode:
-    """The cyclic code < g > of length s, g | x^s - 1 monic with the coefficients
-    ``generator`` (lowest first), on its RREF basis (c x s, c = s - deg g).  With
-    v = g^-1 mod x^c, row i is ((x^i v) mod x^c) g: 1 at x^i, 0 at every other x^j
-    with j < c, and of degree below s, so it does not wrap."""
-    g = np.array(generator, dtype=np.int64)
+    """The cyclic code < g > of length s, g | x^s - 1 with the coefficients ``generator``
+    (lowest first), on its RREF basis (c x s, c = s - deg g).  With v = g^-1 mod x^c, row i is
+    ((x^i v) mod x^c) g: 1 at x^i, 0 at every other x^j with j < c, and of degree below s, so
+    it does not wrap.  g is checked (``NotADivisor``): g_B | g_A must put <g_A> in <g_B>."""
+    g, modulus = np.array(generator, dtype=np.int64), np.array([p - 1] + [0] * (s - 1) + [1])
+    if not g[-1] % p or _zp_divmod(modulus, g * pow(int(g[-1]), p - 2, p) % p, p)[1].any():
+        raise NotADivisor(f"{generator} does not divide x^{s} - 1 over Z_{p}")
     c = s - g.size + 1
     padded = np.zeros(s + 1, dtype=np.int64)
     padded[:g.size] = g
@@ -88,6 +92,8 @@ def _half(generator: tuple[int, ...], p: int, s: int) -> LinearCode:
     shifted = np.zeros((c, s), dtype=np.int64)
     shifted[i, i + np.arange(g.size)] = g                   # x^i g
     rows = np.triu(v[np.arange(c) - i]) @ shifted % p       # v[j - i] for j >= i
+    if (rows[:, :c] != np.eye(c, dtype=np.int64)).any():
+        raise AssertionError(f"the rows of < {generator} > are not the identity on their pivots")
     return LinearCode(p, s, rows, _pivots=list(range(c)))
 
 
@@ -169,19 +175,20 @@ def cyclic_code_from_assignment(fa: FactorAssignment | None = None, *,
     built on its CRT basis (module docstring), trusted as RREF: the systematic rows
     of A = < hat(F0) > in the a-columns 0::2 and of B = < prod F2 > in the b-columns
     1::2, each 1 at its pivot and 0 on every other pivot column, interleaved so that
-    the pivots increase.  It keeps (A, B); its rank must be 2 deg F0 + deg F1.  Other
-    callers pass no fa but ``_keys`` = (p, s, the ``_half`` keys of A and B, that rank)."""
+    the pivots increase.  It keeps (A, B, its image's dual verdict); its rank must be
+    2 deg F0 + deg F1.  Other callers pass no fa but ``_keys`` = (p, s, the ``_half``
+    keys of A and B, that rank, that verdict or None for the image's product)."""
     if _keys is None:
         d0, d1, _ = fa.slot_degrees()
-        _keys = fa.p, fa.s, fa.hat(0).int_key, fa.slot_product(2).int_key, 2 * d0 + d1
-    p, s, key_a, key_b, crt = _keys
+        _keys = fa.p, fa.s, fa.hat(0).int_key, fa.slot_product(2).int_key, 2 * d0 + d1, None
+    p, s, key_a, key_b, crt, dual = _keys
     a, b = _half(key_a, p, s), _half(key_b, p, s)
     ka, kb = a.k, b.k
     if ka + kb != crt:
         raise AssertionError(f"cyclic code rank {ka + kb} differs from CRT count {crt}")
     code = AdditiveCode(cached_profile(p, 0, s, 0), functools.partial(_interleave, a, b),
                         _closed=True, _pivots=[*range(2 * ka), *range(2 * ka + 1, 2 * kb, 2)])
-    code._split = (a, b)
+    code._split = (a, b, dual)
     return code
 
 
@@ -196,7 +203,7 @@ def cyclic_code_from_generators(p: int, s: int, g0, g1) -> AdditiveCode:
             raise (NotADivisor if g else NonUnitLeadingCoefficient)(f"{g} must divide x^{s} - 1")
     a, b = (np.array(g.monic().int_coeffs(), dtype=np.int64) for g in gens)
     a, b = tuple(a.tolist()), tuple(_zp_gcd(a, b, p).tolist())
-    return cyclic_code_from_assignment(_keys=(p, s, a, b, 2 * s + 2 - len(a) - len(b)))
+    return cyclic_code_from_assignment(_keys=(p, s, a, b, 2 * s + 2 - len(a) - len(b), None))
 
 
 def _interleave(a: LinearCode, b: LinearCode) -> np.ndarray:
@@ -278,17 +285,20 @@ def _split_slots(factors, slots) -> list[list[Poly]]:
 def _assignments(p: int, s: int, factors):
     """For each pair of disjoint masks (F1, F2) of factors with 2 deg F0 + deg F1 >= s
     (a Gray image [2s, k] with k < s cannot contain its dual), the masks and the
-    ``_keys`` of its cyclic code."""
+    ``_keys`` of its cyclic code, with the dual verdict F2 in F0* (module docstring)."""
+    star = [1 << factors.index(reciprocal(f).monic()) for f in factors]   # the bit of f*
     @functools.cache
-    def subset(mask: int) -> tuple:     # the _half key and the degree of a subset, once
+    def subset(mask: int) -> tuple:     # the _half key, degree and mask of F*, once
         fs = [f for i, f in enumerate(factors) if mask >> i & 1]
-        return tuple(_product(_key(fs), p).tolist()), sum(f.degree for f in fs)
+        return (tuple(_product(_key(fs), p).tolist()), sum(f.degree for f in fs),
+                sum(bit for i, bit in enumerate(star) if mask >> i & 1))
     full = (1 << len(factors)) - 1
     for m2 in range(full + 1):
         rest = m1 = full ^ m2
         while True:                     # every submask m1 of rest, rest first
-            if (crt := 2 * subset(rest ^ m1)[1] + subset(m1)[1]) >= s:
-                yield (m1, m2), (p, s, subset(m1 | m2)[0], subset(m2)[0], crt)
+            if (crt := 2 * subset(m0 := rest ^ m1)[1] + subset(m1)[1]) >= s:
+                yield (m1, m2), (p, s, subset(m1 | m2)[0], subset(m2)[0], crt,
+                                 not m2 & ~subset(m0)[2])
             if not m1:
                 break
             m1 = (m1 - 1) & rest

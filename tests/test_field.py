@@ -4,8 +4,11 @@ import time
 import numpy as np
 import pytest
 
-from zprs.errors import ModulusMismatch, NoSquareRootOfMinusOne, NotAUnit, NotPrime, TooLarge
-from zprs.field import factorize, find_kappa, is_prime
+from zprs.errors import (MalformedInput, ModulusMismatch, NoSquareRootOfMinusOne, NotAUnit,
+                         NotPrime, TooLarge)
+from zprs.field import ensure_prime, factorize, find_kappa, is_prime
+from zprs.polynomials import Poly
+from zprs.quantum import code_from_table_generators, cyclic_code_from_generators
 from zprs.rings import ChainElement, unit_order
 
 
@@ -20,6 +23,17 @@ def test_primality_checked_at_construction():
     with pytest.raises(NotPrime):
         Z(0, 1)
     assert Z(3, 2).coeffs == (1,)  # reduced mod 2, fine
+
+
+def test_a_prime_must_be_an_integer():
+    # 5.0 passed is_prime as 5, even from its cache, and 5.5 raised a bare TypeError there
+    assert is_prime(5) and ensure_prime(np.int64(5)) == 5
+    for p in (5.0, 5.5):
+        for call in (lambda: ensure_prime(p), lambda: Poly.make([1, 1], p),
+                     lambda: cyclic_code_from_generators(p, 6, [1], [1]),
+                     lambda: code_from_table_generators(p, 6, [1], [1])):
+            with pytest.raises(MalformedInput, match="p is not an integer"):
+                call()
 
 
 def test_arithmetic_examples():

@@ -153,7 +153,7 @@ def test_table_generators_refuse_cofactors_that_share_a_factor():
         code_from_table_generators(5, 6, g, g)
     code = cyclic_code_from_generators(5, 6, g, g)
     assert code == generator_span(5, 6, g, g) and code.rank == 2
-    a, b = code._split
+    a, b, _ = code._split
     assert a == b and a.k == 1
 
 
@@ -179,6 +179,21 @@ def test_systematic_rows_are_the_rref_of_the_shifted_generator():
             assert not half.basis.flags.writeable
             assert half.basis.shape == (c, s) and half.pivots == pivots == list(range(c))
             assert (half.basis == rows).all(), (p, s, mask)
+
+
+def test_a_half_is_built_only_on_a_divisor():
+    # the certificate that the halves' nesting rests on: g | x^s - 1 over Z_5, else
+    # NotADivisor; every divisor, monic or not, builds the RREF of its shifted rows x^i g
+    for generator in ((2, 1), (1, 0, 1), (0, 1), (1, 5), (1, 1, 1, 1, 1, 1, 1, 1)):
+        with pytest.raises(NotADivisor):
+            quantum._half(generator, 5, 6)
+    assert quantum._half((2, 2), 5, 6) == quantum._half((1, 1), 5, 6)
+    for mask in itertools.product((False, True), repeat=len(factors_of(5, 6))):
+        g = reduce(lambda a, b: a * b, itertools.compress(factors_of(5, 6), mask), Poly.one(5))
+        shifted = [[0] * i + g.int_coeffs() + [0] * (6 - g.degree - 1 - i)
+                   for i in range(6 - g.degree)]
+        half = quantum._half(g.int_key, 5, 6)
+        assert half == LinearCode(5, 6, shifted) and half.pivots == list(range(6 - g.degree))
 
 
 def test_constructed_basis_is_already_reduced():
@@ -241,9 +256,9 @@ def test_a_split_with_a_outside_b_is_refused_by_the_gray_map():
     for p, s in ((5, 8), (13, 6)):
         for slots in itertools.product(range(3), repeat=len(factors_of(p, s))):
             code = cyclic_code_from_assignment(assignment(p, s, slots))
-            a, b = code._split
+            a, b, dual = code._split
             if a.k < b.k:
-                code._split = (b, a)
+                code._split = (b, a, dual)   # dual None: the product decides, and refuses
                 with pytest.raises(ZprsError, match="V is not in U"):
                     GrayMap(p).image(code)
                 swapped += 1
@@ -286,8 +301,8 @@ def test_dual_tests_refuse_codes_that_are_not_linear():
 
 
 def test_a_warm_search_runs_no_row_space_test(monkeypatch):
-    # one product per image decides V in U and the dual verdict, and the cached halves
-    # keep their hint verdicts, so a repeated search asks in_row_space nothing
+    # the factor masks decide V in U and the dual verdict, and the cached halves keep
+    # their hint verdicts, so a repeated search asks in_row_space nothing
     expected = search_dual_containing(17, 8)
     calls, in_row_space = [], linalg.in_row_space
     monkeypatch.setattr(linalg, "in_row_space",
@@ -327,8 +342,9 @@ def clear_caches():
 def test_the_search_walk_gives_what_fresh_assignments_give_exhaustively():
     # every assignment of seven grids, at caps 6 and 2, each path from cleared caches: the
     # search's walk yields each assignment with 2 deg F0 + deg F1 >= s once, with the keys
-    # of a from_slots assignment, and evaluates it to that assignment's (n, k, d, exact);
-    # every assignment it skips has no dual-containing image
+    # of a from_slots assignment and, as their last entry, the dual verdict that the
+    # product of the fa path's image gives, and evaluates it to that assignment's
+    # (n, k, d, exact); every assignment it skips has no dual-containing image
     grid = ((5, 6), (13, 4), (17, 4), (5, 8), (13, 6), (2, 7), (5, 12))
     fresh, walked = {}, {}
     clear_caches()
@@ -338,9 +354,11 @@ def test_the_search_walk_gives_what_fresh_assignments_give_exhaustively():
             d0, d1, _ = fa.slot_degrees()
             keys = (p, s, fa.hat(0).int_key, fa.slot_product(2).int_key, 2 * d0 + d1)
             for cap in (6, 2):
-                found = cyclic_css(cyclic_code_from_assignment(fa), distance_cap=cap)
-                fresh[p, s, slots, cap] = keys, found and (found[0].n, found[0].k,
-                                                           found[1].d, found[2])
+                code = cyclic_code_from_assignment(fa)
+                assert code._split[2] is None    # no verdict: the image's product decides
+                found = cyclic_css(code, distance_cap=cap)
+                fresh[p, s, slots, cap] = (*keys, found is not None), found and (
+                    found[0].n, found[0].k, found[1].d, found[2])
     clear_caches()
     for p, s in grid:
         t = len(factors_of(p, s))
@@ -357,6 +375,34 @@ def test_the_search_walk_gives_what_fresh_assignments_give_exhaustively():
             assert case not in walked and found is None, case
     outcomes = [found[3] for _, found in fresh.values() if found]
     assert outcomes.count(True) > 1000 and False in outcomes
+
+
+def test_the_walked_dual_verdict_is_the_pair_product_exhaustively():
+    # F2 in F0*, read off the masks, against [G_A; H_A] H_B^T on the halves of every
+    # assignment the search walks: the top rows vanish (A in B, as g_B | g_A), and the
+    # bottom rows vanish exactly when the verdict says that the image holds its dual
+    verdicts = []
+    for p, s in ((2, 7), (5, 6), (13, 4), (17, 4), (5, 8), (13, 6), (17, 8), (2, 15), (5, 12)):
+        for _, (_, _, key_a, key_b, _, dual) in quantum._assignments(p, s, factors_of(p, s)):
+            a, b = quantum._half(key_a, p, s), quantum._half(key_b, p, s)
+            both = np.vstack([a.basis, a.parity_check]) @ b.parity_check.T % p
+            assert not both[:a.k].any(), (p, s, key_a, key_b)
+            assert dual is (not both[a.k:].any()), (p, s, key_a, key_b)
+            verdicts.append(dual)
+    assert (len(verdicts), verdicts.count(True)) == (8601, 1852)
+
+
+def test_a_search_forms_no_pair_product(monkeypatch):
+    # the walk hands each image its verdict, so no [G_V; H_V] is stacked, while the fa
+    # path and plotkin_sum still form the product and refuse V outside U
+    stacked = []
+    monkeypatch.setattr(LinearCode, "_checks", property(
+        lambda code: stacked.append(code) or np.vstack([code.basis, code.parity_check])))
+    assert search_dual_containing(17, 8) and stacked == []
+    cyclic_css(cyclic_code_from_assignment(assignment(17, 8, (0, 0, 0, 0, 1, 1, 2, 0))))
+    assert len(stacked) == 1
+    with pytest.raises(ZprsError, match="V is not in U"):
+        LinearCode.plotkin_sum(5, [[1, 0, 1]], [[0, 1, 0]], 2)
 
 
 def test_hat_equals_division_exhaustive():
@@ -737,7 +783,7 @@ def test_table_rows_and_searches_share_their_halves():
     misses = quantum._half.cache_info().misses
     code = cyclic_code_from_generators(17, 8, [4, 5, 3, 1], [9, 14, 14, 8, 10, 12, 1])
     assert quantum._half.cache_info().misses == misses
-    a, b = code._split
+    a, b, _ = code._split
     fa, _ = code_from_table_generators(17, 8, [4, 5, 3, 1], [9, 14, 14, 8, 10, 12, 1])
     assert a is quantum._half((4, 5, 3, 1), 17, 8)
     assert b is quantum._half(fa.slot_product(2).int_key, 17, 8)
