@@ -20,9 +20,12 @@ _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 _MR_EXACT_BELOW = 3_317_044_064_679_887_385_961_981
 
 
-@lru_cache(maxsize=None)
-def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin; ``TooLarge`` for a probable prime it cannot prove."""
+@lru_cache(maxsize=None, typed=True)
+def is_prime(p: int) -> bool:
+    """Deterministic Miller-Rabin; ``MalformedInput`` unless p is an integer (the cache is
+    typed, so 5.0 never reads the entry of 5), ``TooLarge`` for a probable prime it cannot
+    prove."""
+    n = as_int(p, "p")
     if n < 2 or any(n % a == 0 for a in _MR_BASES):
         return n in _MR_BASES
     s = ((n - 1) & (1 - n)).bit_length() - 1        # 2^s exactly divides n - 1
@@ -36,7 +39,7 @@ def is_prime(n: int) -> bool:
 
 
 def ensure_prime(p: int) -> int:
-    if not is_prime(as_int(p, "p")):    # before is_prime's cache, which holds 5.0 as 5
+    if not is_prime(p):
         raise NotPrime(f"{p} is not prime")
     return p
 

@@ -6,7 +6,7 @@ u acts as 0 there, so every subspace is a module, and the u-weighted form is
 u^2 times the dot product, so the inherited ``dual()`` is the Euclidean dual.
 Invariance under v -> v M is the inherited one-product test; the predicates
 build M block-diagonal from the twisted shifts of ``words.shift_matrix``,
-and a column automorphism hint is checked with one column gather.
+and ``is_cyclic`` rolls the basis by one column instead, memoized per code.
 
 The parity check H is read off the RREF generator without elimination:
 the identity on the free columns, minus the free part of G on the pivots.
@@ -18,23 +18,21 @@ one vectorized elimination per node), deepening w until a dependency
 appears, so the first hit certifies exactness.  The last two levels are
 one step: scaled by the inverse of its leading entry, a column equals a
 later one exactly when that one is a multiple of it, and the candidates
-are compared in blocks of at most PAIR_BLOCK booleans.  A checked column
-automorphism cuts the first level to one column per orbit.  A full
-codeword enumeration is kept as an independent oracle for small codes and
-as the fallback when the subset cap is exhausted.
+are compared in blocks of at most PAIR_BLOCK booleans.  A cyclic code
+starts from column 0 alone: some shift of a minimum-weight word has column 0
+in its support (MacWilliams-Sloane, ch. 7).  A full codeword enumeration is
+kept as an independent oracle for small codes and as the fallback when the
+subset cap is exhausted.
 
 A Plotkin sum P(U, V, lam) = {(x + y | lam x) : x in U, y in V} (V in U, lam a
 unit), such as the Gray image of a cyclic R-code, has d = min(2 d(U), d(V)):
 the (u | u + v) construction of MacWilliams-Sloane, ch. 2 Sec. 9, Thm. 33.
 Any code reads d as the least w d(H) over its weighted halves (w, H), codes that
-memoize their hint verdicts and distances: (2, U) up to half the cap and (1, V)
-up to it for a sum, else (1, the code).  The Gray map hands its cached half codes
-and checked kappa to ``_from_halves``; ``plotkin_sum`` checks lam and reduces
-fresh halves first.  A hint is checked as a permutation once per distinct pi
-(``_permutation``, an LRU of 64), as an automorphism once per code; (pi, pi)
-maps P into itself iff pi maps U and V into themselves, so it is checked on
-them and starts them at pi's cycle minima.  P's trusted RREF, built on first
-read, is [[U, lam (U - U[:, piv_V] V)], [0, V]]: its top right vanishes on m + piv_V.
+memoize whether they are cyclic and their distance per cap: (2, U) up to half the
+cap and (1, V) up to it for a sum, else (1, the code).  The Gray map hands its
+cached half codes and checked kappa to ``_from_halves``; ``plotkin_sum`` checks lam
+and reduces fresh halves first.  P's trusted RREF, built on first read, is
+[[U, lam (U - U[:, piv_V] V)], [0, V]]: its top right vanishes on m + piv_V.
 P^perp = {(c | lam^-1 (e - c)) : c in V^perp, e in U^perp}, for lam^2 = -1 the
 words (x + y | lam x), x = c - e, y = e: P holds it iff V^perp in U, H_V H_U^T = 0.
 ``_from_halves`` takes one product [G_V; H_V] H_U^T (``_checks``): V in U iff its top
@@ -66,7 +64,7 @@ class LinearCode(AdditiveCode):
 
     def __init__(self, p: int, n: int, generator: np.ndarray | Sequence, *, _pivots=None):
         super().__init__(cached_profile(p, n, 0, 0), generator, _closed=True, _pivots=_pivots)
-        self._memo: dict = {}   # ("hint", pi) verdicts; distances; P's "dual"
+        self._memo: dict = {}   # distances by cap (None: enumerated); P's "dual"
 
     p = property(lambda self: self.profile.p)
     n = property(lambda self: self.profile.q)
@@ -119,8 +117,7 @@ class LinearCode(AdditiveCode):
 
     # -- minimum distance --------------------------------------------------
 
-    def min_distance(self, search_cap: int = 6, jobs: int = 1, *,
-                     automorphism: Sequence[int] | None = None) -> int:
+    def min_distance(self, search_cap: int = 6, jobs: int = 1) -> int:
         """Exact minimum Hamming weight of a nonzero codeword.
 
         With cap = min(search_cap, n - k + 1), at least 1, d is the least
@@ -129,26 +126,19 @@ class LinearCode(AdditiveCode):
         (1, V, cap) for a ``plotkin_sum``, d = min(2 d(U), d(V)), else
         (1, self, cap).  Above the cap the halves are enumerated when
         p^k <= 2^20, else ``DistanceNotDetermined`` carries the bound cap + 1.
-        Each half memoizes its distances.  ``jobs`` is ignored: the search
-        runs in this process.
-
-        ``automorphism`` is a permutation pi of the columns (column i goes to
-        pi[i]) that maps the code into itself; ``ZprsError`` if it is not
-        one, checked with one row-space product.  Some power of pi moves any
-        minimum-weight support onto one that contains the smallest column of
-        a cycle of pi, so the search starts only from those columns, placed
-        first.  The result does not depend on the hint.  A ``plotkin_sum``
-        checks a hint (pi, pi) on its halves and any other on the whole code.
+        Each half memoizes its distances.  A cyclic half starts the search
+        from column 0 alone, any other from every column: some shift of a
+        minimum-weight word of a cyclic code has column 0 in its support.
+        ``jobs`` is ignored: the search runs in this process.
         """
         if self.k == 0:
             raise ZprsError("minimum distance needs a nonzero code")
-        order, starts = self._search_order(automorphism)
         # the Singleton bound; a weight-1 word is always found, so a cap below 1 acts as 1
         cap = max(1, min(linalg.as_int(search_cap, "search_cap"), self.n - self.k + 1))
         # 2 (cap // 2 + 1) > cap, so a Plotkin minimum at most cap is min(2 d(U), d(V))
         halves = (((1, self, cap),) if self._plotkin is None
                   else ((2, self._plotkin[0], cap // 2), (1, self._plotkin[1], cap)))
-        d = min(w * half._distance(c, order, starts) for w, half, c in halves)
+        d = min(w * half._distance(c) for w, half, c in halves)
         if d > cap:
             if self.size > 2 ** 20:
                 raise DistanceNotDetermined(cap + 1)
@@ -156,41 +146,25 @@ class LinearCode(AdditiveCode):
         assert d <= self.n - self.k + 1, "Singleton bound violated; elimination bug"
         return d
 
-    def _search_order(self, automorphism) -> tuple[tuple[int, ...], int]:
-        """Search column order, the smallest column of each cycle of the checked hint
-        first, and how many those are.  A Plotkin sum checks a hint (pi, pi) on its
-        halves, and takes every column for them without one."""
-        m = self.n // 2 if self._plotkin is not None else self.n   # columns searched
-        if automorphism is None:
-            return tuple(range(m)), m
-        if len(perm := tuple(automorphism)) != self.n:
-            raise ZprsError(f"an automorphism must be a permutation of 0..{self.n - 1}")
-        order, half = _permutation(perm)
-        if self._plotkin is not None and half is not None:
-            self._plotkin[1]._search_order(half)
-            return self._plotkin[0]._search_order(half)
-        if (key := ("hint", perm)) not in self._memo:   # apart from the (cap, starts) keys
-            # column i goes to perm[i]: the image of the basis gathers column perm^-1[j] into j
-            self._memo[key] = linalg.in_row_space(self.basis, self.pivots,
-                                                  self.basis[:, np.argsort(perm)], self.p)
-        if not self._memo[key]:
-            raise ZprsError("the column permutation does not map the code into itself")
-        return order if self._plotkin is None else (tuple(range(m)), m)
-
-    def _distance(self, cap: int | None, order=(), starts: int = 0) -> float:
-        """min(d, cap + 1) from the first ``starts`` columns of ``order`` up to the
-        Singleton bound (cap None: d by enumeration; inf for the zero code), memoized."""
-        if (key := (cap, order[:starts])) not in self._memo:
+    def _distance(self, cap: int | None) -> float:
+        """min(d, cap + 1) up to the Singleton bound, from column 0 alone if the code
+        is cyclic (cap None: d by enumeration; inf for the zero code), memoized."""
+        if cap not in self._memo:
             d = (math.inf if self.k == 0 else min_distance_by_enumeration(self) if cap is None
-                 else _smallest_dependent_subset(self.parity_check[:, order], self.p,
-                                                 min(cap, self.n - self.k + 1), starts))
-            self._memo[key] = cap + 1 if d is None else d
-        return self._memo[key]
+                 else _smallest_dependent_subset(self.parity_check, self.p,
+                                                 min(cap, self.n - self.k + 1),
+                                                 1 if self.is_cyclic() else self.n))
+            self._memo[cap] = cap + 1 if d is None else d
+        return self._memo[cap]
 
     # -- shift-invariance predicates ----------------------------------------
 
     def is_cyclic(self) -> bool:
-        return self.is_generalized_quasi_twisted([1], [self.n])
+        """Invariance under the shift by one column: one row-space product, memoized."""
+        return self._cyclic
+
+    _cyclic = cached_property(lambda self: linalg.in_row_space(
+        self.basis, self.pivots, np.roll(self.basis, 1, axis=1), self.p))
 
     def is_quasi_cyclic(self, l: int) -> bool:
         return self.is_quasi_twisted(1, l)
@@ -296,21 +270,6 @@ def _plotkin_rows(hu: LinearCode, hv: LinearCode, lam: int) -> np.ndarray:
     """The RREF [[U, lam (U - U[:, piv_V] V)], [0, V]] of P(U, V, lam) (module docstring)."""
     u, v = hu.basis, hv.basis
     return np.block([[u, (u - u[:, hv.pivots] @ v) % hu.p * lam % hu.p], [0 * v, v]])
-
-
-@lru_cache(maxsize=64)
-def _permutation(perm: tuple[int, ...]) -> tuple[tuple[tuple[int, ...], int], tuple | None]:
-    """(the cycle minima of pi first and their count, pi' if pi = (pi', pi'), else None)
-    of a permutation pi of 0..n-1; ``ZprsError``, not cached, if pi is none."""
-    if sorted(perm) != list(range(n := len(perm))):
-        raise ZprsError(f"an automorphism must be a permutation of 0..{n - 1}")
-    cycle_min, jump = np.arange(n), np.array(perm, dtype=np.int64)
-    for _ in range(n.bit_length()):  # pointer doubling: 2^rounds > n >= a cycle
-        cycle_min, jump = np.minimum(cycle_min, cycle_min[jump]), jump[jump]
-    is_rep = cycle_min == np.arange(n)
-    order = tuple(np.argsort(~is_rep, kind="stable").tolist()), int(is_rep.sum())
-    m = n // 2   # pi' maps 0..m-1 onto itself, as pi is a permutation
-    return order, perm[:m] if perm[m:] == tuple(i + m for i in perm[:m]) else None
 
 
 def min_distance_by_enumeration(code: LinearCode) -> int:

@@ -24,17 +24,20 @@ repeats kept.  Three LRU caches hold 2^MAX_FACTORS entries each: ``_product``
 ``Poly``, shared by the hats of all hits) by such a key and p, and ``_half`` by the
 coefficient tuple of a monic generator g, p and s, shared by searches and table
 rows.  ``_half`` keeps < g >, a half of the Gray image, as a ``LinearCode`` on the
-systematic rows (at most s x s, pivots 0..c-1) with its parity check, [G; H], hint
-verdicts and distances once read.  A search keys at most 2^t subsets of its
+systematic rows (at most s x s, pivots 0..c-1) with its parity check, [G; H], its
+cyclic verdict and distances once read.  A search keys at most 2^t subsets of its
 t <= MAX_FACTORS factors, so it never evicts.  An R-code keeps its two halves and
 interleaves them on first read.
 
 Dual-containing Gray images feed the CSS construction: a dual-containing
-[n, k, d] code over Z_p yields a quantum [[n, 2k - n, d]] code.  The search
+[n, k] code C over Z_p yields a quantum [[n, 2k - n, d_Q]] code with
+d_Q = min wt(C minus C^perp) >= d(C), and d(C) is what this module reports.  The search
 and the reproduced table evaluate each cyclic R-code with ``cyclic_css``.  Its
 image P(B, A, kappa) contains its dual iff A^perp, of zeros F0* = {monic f* : f in F0},
 lies in B, of zeros F2 (``linear`` docstring): as x^s - 1 is squarefree, iff F2 in F0*
 (MacWilliams-Sloane, ch. 7).  The search reads that, and A in B, off its factor masks.
+The halves A and B are cyclic, so each distance search starts from column 0 alone:
+some shift of a minimum-weight word of a cyclic code has column 0 in its support.
 """
 
 from __future__ import annotations
@@ -139,13 +142,6 @@ class FactorAssignment:
     def slot_degrees(self) -> tuple[int, int, int]:
         return tuple(sum(f.degree for f in fs) for fs in (self.f0, self.f1, self.f2))
 
-    def reciprocal_assignment(self) -> "FactorAssignment":
-        """Slots of the CRT dual: F0 and F2 swap, every factor reciprocated."""
-        def star(fs):
-            return tuple(reciprocal(f).monic() for f in fs)
-        return FactorAssignment.from_slots(self.p, self.s,
-                                           star(self.f2), star(self.f1), star(self.f0))
-
     def key(self) -> tuple:
         return tuple(f.int_key for fs in (self.f0, self.f1, self.f2) for f in fs)
 
@@ -231,7 +227,8 @@ def is_dual_containing(code: LinearCode) -> bool:
 
 
 def css(code: LinearCode, *, search_cap: int = 6) -> QuantumParams:
-    """CSS parameters [[n, 2k - n, d]]_p of a dual-containing code."""
+    """CSS parameters [[n, 2k - n, d]]_p of a dual-containing code C, with d = d(C):
+    a lower bound on the CSS distance d_Q = min wt(C minus C^perp)."""
     if not is_dual_containing(code):
         raise NotDualContaining(f"{code!r} does not contain its dual")
     d = code.min_distance(search_cap)
@@ -240,11 +237,13 @@ def css(code: LinearCode, *, search_cap: int = 6) -> QuantumParams:
 
 def cyclic_css(code: AdditiveCode, *, distance_cap: int = 6
                ) -> tuple[LinearCode, QuantumParams, bool] | None:
-    """(Gray image, its CSS parameters, whether d is exact) of a cyclic R-code of
-    profile (p, 0, s, 0), or None if the image does not contain its dual.  The
-    image is fixed by shifting both Gray blocks at once: the checked automorphism
-    hint of its distance search, so a code that is not cyclic raises ``ZprsError``
-    there.  Beyond ``distance_cap``, d is the certified lower bound."""
+    """(Gray image, its CSS parameters, whether d is exact) of an R-code of profile
+    (p, 0, s, 0), or None if the image does not contain its dual.  The image of a
+    cyclic code is P(B, A, kappa) with cyclic halves, each searched from column 0
+    alone, as some shift of a minimum-weight word has column 0 in its support; any
+    other image is searched as one code.  d is d(C) of the image C, a lower bound on
+    d_Q = min wt(C minus C^perp): the (13, 6) hit [[12,2,3]]_13 has d_Q = 4.  "Exact"
+    is about d(C); beyond ``distance_cap``, d is the certified lower bound on d(C)."""
     p, s = code.profile.p, code.profile.r
     if code.profile.lengths != (0, s, 0):
         raise ProfileMismatch(f"a cyclic R-code has profile (p, 0, s, 0), got {code.profile}")
@@ -252,8 +251,7 @@ def cyclic_css(code: AdditiveCode, *, distance_cap: int = 6
     if not is_dual_containing(image):
         return None
     try:
-        d, exact = image.min_distance(distance_cap, automorphism=[
-            *range(1, s), 0, *range(s + 1, 2 * s), s]), True
+        d, exact = image.min_distance(distance_cap), True
     except DistanceNotDetermined as exc:
         d, exact = exc.lower_bound, False
     return image, QuantumParams(image.n, 2 * image.k - image.n, d, p), exact
@@ -320,9 +318,11 @@ def search_dual_containing(p: int, s: int, *, distance_cap: int = 6,
     Enumerates every assignment of the irreducible factors of x^s - 1 to the
     slots (F0, F1, F2), keeps the assignments whose Gray image contains its
     dual, and deduplicates by (n, k, d), keeping an exact distance over a
-    lower bound and then the smallest slot tuple.  Output order is
-    deterministic: sorted by (n, k, d, assignment key).  Distances above
-    ``distance_cap`` are reported as lower bounds rather than dropped.  More than
+    lower bound and then the smallest slot tuple.  d is d(C) of the Gray image C,
+    a lower bound on the CSS distance d_Q = min wt(C minus C^perp) (``cyclic_css``);
+    ``distance_exact`` says whether d(C) is exact.  Output order is deterministic:
+    sorted by (n, k, d, assignment key).  Distances above ``distance_cap`` are
+    reported as lower bounds on d(C) rather than dropped.  More than
     ``MAX_FACTORS`` factors raise ``TooManyFactors`` before any assignment is
     built.  ``jobs`` is ignored: the search runs in this process.
     """

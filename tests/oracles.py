@@ -15,7 +15,7 @@ from zprs.additive import AdditiveCode
 from zprs.enumerators import _product_exponent, _symbol_index_rows, symbol_table
 from zprs.errors import InexactDivision, ModulusMismatch, NotAUnit, ZprsError
 from zprs.field import ensure_prime
-from zprs.polynomials import Poly
+from zprs.polynomials import Poly, reciprocal
 from zprs.quantum import FactorAssignment, cyclic_code_from_assignment
 from zprs.rings import ChainElement, power
 from zprs.words import BlockProfile, block_columns
@@ -52,6 +52,13 @@ class DualComputation:
     discrepancy: str | None
 
 
+def reciprocal_assignment(fa: FactorAssignment) -> FactorAssignment:
+    """Slots of the CRT dual: F0 and F2 swap, every factor reciprocated."""
+    def star(fs):
+        return tuple(reciprocal(f).monic() for f in fs)
+    return FactorAssignment.from_slots(fa.p, fa.s, star(fa.f2), star(fa.f1), star(fa.f0))
+
+
 def reciprocal_dual(fa: FactorAssignment) -> DualComputation:
     """Dual of the cyclic code, cross-validated against the kernel dual.
 
@@ -60,7 +67,7 @@ def reciprocal_dual(fa: FactorAssignment) -> DualComputation:
     together with a report.
     """
     oracle = cyclic_code_from_assignment(fa).dual()
-    candidate = cyclic_code_from_assignment(fa.reciprocal_assignment())
+    candidate = cyclic_code_from_assignment(reciprocal_assignment(fa))
     if candidate == oracle:
         return DualComputation(oracle, True, None)
     report = ("reciprocal-slot formula disagrees with the kernel dual: "

@@ -29,7 +29,7 @@ def test_a_prime_must_be_an_integer():
     # 5.0 passed is_prime as 5, even from its cache, and 5.5 raised a bare TypeError there
     assert is_prime(5) and ensure_prime(np.int64(5)) == 5
     for p in (5.0, 5.5):
-        for call in (lambda: ensure_prime(p), lambda: Poly.make([1, 1], p),
+        for call in (lambda: is_prime(p), lambda: ensure_prime(p), lambda: Poly.make([1, 1], p),
                      lambda: cyclic_code_from_generators(p, 6, [1], [1]),
                      lambda: code_from_table_generators(p, 6, [1], [1])):
             with pytest.raises(MalformedInput, match="p is not an integer"):

@@ -65,11 +65,6 @@ def cyclic_span(p, vec):
     return LinearCode(p, len(vec), [np.roll(vec, i) for i in range(len(vec))])
 
 
-def shift(n, step=1):
-    """The column permutation i -> i + step mod n."""
-    return [(i + step) % n for i in range(n)]
-
-
 def test_dual_examples():
     full = LinearCode.full_space(2, 5)
     assert full.euclidean_dual().k == 0
@@ -250,8 +245,18 @@ def test_pair_check_runs_in_bounded_memory():
     assert (out.returncode, out.stdout.strip()) == (0, "3 True"), out.stderr[-2000:]
 
 
-def test_min_distance_with_a_shift_hint_matches_the_reference():
-    # cyclic codes under shifts by 1 (one orbit) and by 2 or 3 (several orbits)
+def recorded_starts(monkeypatch):
+    """The ``starts`` argument of every ``_smallest_dependent_subset`` call from now on."""
+    import zprs.linear as linear
+    starts, search = [], linear._smallest_dependent_subset
+    monkeypatch.setattr(linear, "_smallest_dependent_subset",
+                        lambda h, *args: starts.append(args[-1]) or search(h, *args))
+    return starts
+
+
+def test_cyclic_codes_start_from_column_0_and_match_the_reference(monkeypatch):
+    # random cyclic codes: each is found cyclic and searched from column 0 alone
+    starts = recorded_starts(monkeypatch)
     rng = np.random.default_rng(32)
     for _ in range(80):
         p = (2, 3, 5, 13)[int(rng.integers(0, 4))]
@@ -259,106 +264,60 @@ def test_min_distance_with_a_shift_hint_matches_the_reference():
         code = cyclic_span(p, rng.integers(0, p, size=n) * (rng.random(n) < 0.6))
         if code.k == 0:
             continue
-        expected = reference_distance(code)
-        for step in (1, 2, 3):
-            assert code.min_distance(search_cap=n, automorphism=shift(n, step)) == expected
+        starts.clear()
+        assert code.is_cyclic()
+        assert code.min_distance(search_cap=n) == reference_distance(code)
+        assert starts == [1]
 
 
-def test_min_distance_hint_puts_the_orbit_representatives_first():
-    # C1 + C2 on two blocks of 4: the repetition code (d = 4) on the first, the
-    # even-weight code (d = 2) on the second; the joint shift has cycles {0..3},
-    # {4..7}, and every weight-2 word lies in the second block
-    p = 5
-    rows = [[1, 1, 1, 1, 0, 0, 0, 0]] + [[0] * 4 + list(np.roll([1, 4, 0, 0], i))
-                                         for i in range(3)]
-    code = LinearCode(p, 8, rows)
-    hint = [1, 2, 3, 0, 5, 6, 7, 4]
-    assert reference_distance(code) == 2
-    assert code.min_distance(automorphism=hint) == 2
-
-
-def test_min_distance_refuses_a_hint_that_is_not_an_automorphism():
-    code = cyclic_span(2, np.array([1, 1, 0, 1, 0, 0, 0]))       # [7, 4, 3]
-    assert code.min_distance(automorphism=shift(7)) == 3
-    with pytest.raises(ZprsError, match="into itself"):
-        code.min_distance(automorphism=[1, 0, 2, 3, 4, 5, 6])
-    for bad in ([0, 1, 2], [0, 0, 1, 2, 3, 4, 5], list(range(1, 8))):
-        with pytest.raises(ZprsError, match="permutation"):
-            code.min_distance(automorphism=bad)
-    with pytest.raises(ZprsError, match="permutation"):
-        LinearCode.full_space(3, 4).min_distance(automorphism=[0, 0, 1, 2])
-
-
-def test_an_invalid_hint_is_refused_on_every_call():
-    # refusals are not cached: the same bad hint fails again, also right after a
-    # valid hint of the same length
-    code = cyclic_span(2, np.array([1, 1, 0, 1, 0, 0, 0]))       # [7, 4, 3]
-    for bad in ([0, 0, 1, 2, 3, 4, 5], [0, 1, 2, 3, 4, 5], list(range(1, 8)),
-                [1.5, 2, 3, 4, 5, 6, 0]):
-        for _ in range(2):
-            assert code.min_distance(automorphism=shift(7)) == 3
-            with pytest.raises(ZprsError, match="permutation"):
-                code.min_distance(automorphism=bad)
-
-
-def test_hint_verdicts_are_kept_per_code():
-    # the shift maps the cyclic [7, 4, 3] code into itself but not a code with one
-    # word of weight 2, in either order; for a Plotkin sum the verdict is per half
-    hamming = cyclic_span(2, np.array([1, 1, 0, 1, 0, 0, 0]))
-    other = LinearCode(2, 7, [[1, 1, 0, 0, 0, 0, 0]])
-    for first, second in ((hamming, other), (other, hamming)):
-        for code in (first, second):
-            if code is hamming:
-                assert code.min_distance(automorphism=shift(7)) == 3
-            else:
-                with pytest.raises(ZprsError, match="into itself"):
-                    code.min_distance(automorphism=shift(7))
-    cyclic, joint = plotkin_example(), twice(shift(6))
-    half_not_cyclic = LinearCode.plotkin_sum(5, np.eye(6, dtype=np.int64),
-                                             [[1, 0, 0, 0, 0, 0]], 2)
-    for _ in range(2):
-        assert cyclic.min_distance(automorphism=joint) == cyclic.min_distance()
-        with pytest.raises(ZprsError, match="into itself"):
-            half_not_cyclic.min_distance(automorphism=joint)
-
-
-def test_min_distance_with_a_hint_matches_the_reference_on_classic_codes():
-    # the binary [7, 4, 3] Hamming, ternary [11, 6, 5] Golay and binary [15, 7, 5] BCH codes
+def test_min_distance_of_classic_cyclic_codes_matches_the_reference(monkeypatch):
+    # the binary [7, 4, 3] Hamming, ternary [11, 6, 5] Golay and binary [15, 7, 5] BCH
+    # codes, each searched from column 0 alone
+    starts = recorded_starts(monkeypatch)
     for p, n, g, d in ((2, 7, [1, 1, 0, 1], 3), (3, 11, [2, 0, 1, 2, 1, 1], 5),
                        (2, 15, [1, 0, 0, 0, 1, 0, 1, 1, 1], 5)):
         code = cyclic_span(p, np.array(g + [0] * (n - len(g))))
-        assert code.min_distance(search_cap=n, automorphism=shift(n)) \
-            == reference_distance(code) == d
+        assert code.min_distance(search_cap=n) == reference_distance(code) == d
+    assert starts == [1, 1, 1]
 
 
-def test_min_distance_hint_puts_exactly_the_cycle_minima_first():
-    # relabelled cycles of lengths 1, 2, 3 and 5 on a code that is constant on each
-    # cycle; a plain-Python cycle walk from each unseen column in turn names the minima
-    rng = np.random.default_rng(12)
-    for _ in range(10):
-        labels = rng.permutation(11).tolist()
-        cycles = [labels[a:b] for a, b in ((0, 1), (1, 3), (3, 6), (6, 11))]
-        perm = [0] * 11
-        for c in cycles:
-            for i, x in enumerate(c):
-                perm[x] = c[(i + 1) % len(c)]
-        minima, seen = [], set()
-        for x in range(11):
-            if x not in seen:
-                minima.append(x)
-                while x not in seen:
-                    seen.add(x)
-                    x = perm[x]
-        code = LinearCode(3, 11, [[int(x in c) for x in range(11)] for c in cycles])
-        order, starts = code._search_order(perm)
-        assert starts == 4 and [int(i) for i in order] \
-            == minima + sorted(set(range(11)) - set(minima))
+def test_a_code_that_is_not_cyclic_is_searched_from_every_column(monkeypatch):
+    # C1 + C2 on two blocks of 4: the repetition code (d = 4) on the first, the
+    # even-weight code (d = 2) on the second; every weight-2 word lies off column 0
+    starts = recorded_starts(monkeypatch)
+    rows = [[1, 1, 1, 1, 0, 0, 0, 0]] + [[0] * 4 + list(np.roll([1, 4, 0, 0], i))
+                                         for i in range(3)]
+    code = LinearCode(5, 8, rows)
+    assert not code.is_cyclic() and reference_distance(code) == 2
+    assert code.min_distance() == 2 and starts == [8]
 
 
-def outcome(code, cap, hint=None):
+def test_cyclic_verdicts_are_kept_per_code(monkeypatch):
+    # the shift maps the cyclic [7, 4, 3] code into itself but not a code with one
+    # word of weight 2: one row-space product per code, in either order; for a Plotkin
+    # sum the verdict is per half
+    import zprs.linear as linear
+    calls, in_row_space = [], linear.linalg.in_row_space
+    monkeypatch.setattr(linear.linalg, "in_row_space",
+                        lambda *args: calls.append(args) or in_row_space(*args))
+    for cyclic_first in (True, False):
+        hamming = cyclic_span(2, np.array([1, 1, 0, 1, 0, 0, 0]))
+        other = LinearCode(2, 7, [[1, 1, 0, 0, 0, 0, 0]])
+        calls.clear()
+        for code in (hamming, other) if cyclic_first else (other, hamming):
+            for _ in range(2):
+                assert code.is_cyclic() == (code is hamming)
+                assert code.min_distance() == (3 if code is hamming else 2)
+        assert len(calls) == 2
+    cyclic = plotkin_example()
+    assert [half.is_cyclic() for half in cyclic._plotkin[:2]] == [True, True]
+    assert not LinearCode(5, 12, cyclic.generator).is_cyclic()
+
+
+def outcome(code, cap):
     """min_distance at a cap: (d, True), or (the lower bound, False) if not determined."""
     try:
-        return code.min_distance(search_cap=cap, automorphism=hint), True
+        return code.min_distance(search_cap=cap), True
     except DistanceNotDetermined as exc:
         return exc.lower_bound, False
 
@@ -419,88 +378,34 @@ def test_plotkin_halves_are_searched_within_the_cap(monkeypatch):
                                         ((12 - len(v), 12), min(cap, singleton_v))]), cap
 
 
-def closure(p, rows, perm):
-    """RREF basis of the smallest code that contains the rows and is closed under the
-    column permutation (column i goes to perm[i])."""
-    rows = rref(np.atleast_2d(rows), p)[0]
-    for _ in range(len(perm)):
-        rows = rref(np.vstack([rows, rows[:, np.argsort(perm)]]), p)[0]
-    return rows
-
-
-def twice(pi):
-    """The hint (pi, pi): pi on each block of a Plotkin sum."""
-    return list(pi) + [len(pi) + i for i in pi]
-
-
-def test_plotkin_halves_closed_under_the_hint_start_from_its_cycle_minima():
-    # cyclic halves under the shift, and spans closed under a random pi: the hint (pi, pi)
-    # starts the half searches from pi's cycle minima, and gives the unhinted value at
-    # caps 1, 2, 3 and n
-    rng = np.random.default_rng(45)
-    for p in (2, 3, 5, 13):
-        for trial in range(12):
-            m = int(rng.integers(3, 9 if p < 13 else 6))
-            pi = shift(m) if trial % 2 else rng.permutation(m).tolist()
-            u = closure(p, rng.integers(0, p, size=(int(rng.integers(1, 3)), m)), pi)
-            v = closure(p, rng.integers(0, p, size=(1, len(u))) @ u % p, pi)
-            lam = int(rng.integers(1, p))
-            for cap in (1, 2, 3, 2 * m):
-                hinted = outcome(LinearCode.plotkin_sum(p, u, v, lam), cap, twice(pi))
-                assert hinted == outcome(LinearCode.plotkin_sum(p, u, v, lam), cap), \
-                    (p, pi, u, v, cap)
-
-
 def plotkin_example():
     """P(U, V, 2) over Z_5 with U = < x - 1 > and V = < x^2 - 1 >, cyclic of length 6."""
     return LinearCode.plotkin_sum(5, cyclic_span(5, np.array([4, 1, 0, 0, 0, 0])).generator,
                                   cyclic_span(5, np.array([4, 0, 1, 0, 0, 0])).generator, 2)
 
 
-def test_other_hints_are_checked_on_the_whole_code(monkeypatch):
-    # a hint (pi, sigma) with pi != sigma is never projected onto the halves: it is
-    # checked on the whole code (a row-space test on 12 columns), then the halves are
-    # searched from every column
-    import zprs.linear as linear
-    widths, in_row_space = [], linear.linalg.in_row_space
-    monkeypatch.setattr(linear.linalg, "in_row_space", lambda basis, *args:
-                        widths.append(basis.shape[1]) or in_row_space(basis, *args))
-    code, pi = plotkin_example(), shift(6)
-    widths.clear()
-    d = code.min_distance(search_cap=12)
-    assert code.min_distance(search_cap=12, automorphism=twice(pi)) == d and widths == [6, 6]
-    # pi maps both halves into themselves, but (pi, identity) does not map P into itself
-    with pytest.raises(ZprsError, match="into itself"):
-        code.min_distance(automorphism=pi + list(range(6, 12)))
-    assert widths[2:] == [12]
-    # P(U, U) = U x U, which (pi, pi^2) maps into itself
-    u = code._plotkin[0].basis
-    square = LinearCode.plotkin_sum(5, u, u, 2)
-    widths.clear()
-    assert square.min_distance(search_cap=12, automorphism=pi + [6 + i for i in shift(6, 2)]) \
-        == square.min_distance(search_cap=12) == reference_distance(square)
-    assert widths == [12]
-
-
-def test_a_plotkin_sum_with_a_half_that_is_not_cyclic_refuses_the_joint_shift():
-    joint = twice(shift(6))
+def test_a_plotkin_half_that_is_not_cyclic_is_searched_from_every_column(monkeypatch):
+    # halves among the full space, < e0, e1 > and < e0 > (not cyclic) and the zero code
+    # (no search): each nonzero half searched from column 0 alone iff it is cyclic, and d
+    # that of the plain code
+    starts = recorded_starts(monkeypatch)
     full, e0 = np.eye(6, dtype=np.int64), [[1, 0, 0, 0, 0, 0]]
-    for u, v in ((full, e0), (full[:2], e0), (full[:2], [])):
+    for u, v, expected in ((full, e0, [1, 6]), (full[:2], e0, [6, 6]), (full[:2], [], [6])):
         code = LinearCode.plotkin_sum(5, u, v, 2)
-        with pytest.raises(ZprsError, match="into itself"):
-            code.min_distance(automorphism=joint)
+        starts.clear()
+        assert code.min_distance(search_cap=12) == reference_distance(
+            LinearCode(5, 12, code.generator))
+        assert starts == expected, (len(u), len(v))
 
 
-def test_half_distances_are_memoized_per_start_columns(monkeypatch):
-    # a hinted search starts each half from pi's one cycle minimum, an unhinted one from
-    # all 6 columns: separate memo entries, so neither answers for the other
-    import zprs.linear as linear
-    starts, search = [], linear._smallest_dependent_subset
-    monkeypatch.setattr(linear, "_smallest_dependent_subset",
-                        lambda h, *args: starts.append(args[-1]) or search(h, *args))
+def test_half_distances_are_memoized_per_cap(monkeypatch):
+    # each cyclic half is searched from column 0 once per cap: U up to cap // 2, V up to
+    # the cap, at most the Singleton bound 4 of P; a repeated cap runs no search
+    starts = recorded_starts(monkeypatch)
     code = plotkin_example()   # fresh halves
-    assert code.min_distance(3, automorphism=twice(shift(6))) == code.min_distance(3)
-    assert sorted(starts) == [1, 1, 6, 6]
+    assert code.min_distance(3) == code.min_distance(3) == code.min_distance(5)
+    assert starts == [1] * 4
+    assert [sorted(half._memo) for half in code._plotkin[:2]] == [[1, 2], [3, 4]]
 
 
 def test_shift_invariance_predicates_trivia():
@@ -611,12 +516,14 @@ def test_generalized_quasi_twisted_matches_the_per_row_reference():
 
 
 def test_cyclic_predicates_match_the_per_row_reference():
-    rng = np.random.default_rng(82)
+    rng, other_rng = np.random.default_rng(82), np.random.default_rng(84)
     for trial in range(200):
         p = (2, 3, 5, 7, 13)[trial % 5]
         n = int(rng.integers(1, 11))
         code = cyclic_span(p, rng.integers(0, p, size=n))
         assert code.is_cyclic() and reference_gqt(code, [1], [n])
+        other = random_code(other_rng, p, n, int(other_rng.integers(0, n + 1)))   # rarely cyclic
+        assert other.is_cyclic() == reference_gqt(other, [1], [n])
         for l in (l for l in range(1, n + 1) if n % l == 0):
             assert code.is_quasi_cyclic(l) == reference_gqt(code, [1] * l, [n // l] * l)
             lam = int(rng.integers(1, p))

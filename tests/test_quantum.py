@@ -11,7 +11,6 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-import zprs.linear as linear
 import zprs.quantum as quantum
 from zprs import linalg
 from zprs.additive import AdditiveCode, shift_module_span, span_closure, word_from_polynomials
@@ -27,9 +26,9 @@ from zprs.quantum import (FactorAssignment, QuantumParams, code_from_table_gener
                           is_dual_containing, search_dual_containing)
 from zprs.words import BlockProfile, unflatten
 
-from oracles import (additive_dual_containing, reciprocal_dual, reference_rref,
-                     separable_rs_dual_containing)
-from test_linear import outcome, reference_distance
+from oracles import (additive_dual_containing, reciprocal_assignment, reciprocal_dual,
+                     reference_rref, separable_rs_dual_containing)
+from test_linear import outcome, recorded_starts, reference_distance
 
 
 @lru_cache(maxsize=None)
@@ -302,7 +301,7 @@ def test_dual_tests_refuse_codes_that_are_not_linear():
 
 def test_a_warm_search_runs_no_row_space_test(monkeypatch):
     # the factor masks decide V in U and the dual verdict, and the cached halves keep
-    # their hint verdicts, so a repeated search asks in_row_space nothing
+    # their cyclic verdicts, so a repeated search asks in_row_space nothing
     expected = search_dual_containing(17, 8)
     calls, in_row_space = [], linalg.in_row_space
     monkeypatch.setattr(linalg, "in_row_space",
@@ -317,7 +316,6 @@ def test_caches_cannot_change_an_answer():
 
     quantum._product.cache_clear()
     quantum._half.cache_clear()
-    linear._permutation.cache_clear()
     first = serialized(5, 8)
     serialized(13, 6)
     assert serialized(5, 8) == first
@@ -335,7 +333,7 @@ def test_caches_cannot_change_an_answer():
 
 
 def clear_caches():
-    for cache in (quantum._product, quantum._half, quantum._poly, linear._permutation):
+    for cache in (quantum._product, quantum._half, quantum._poly):
         cache.cache_clear()
 
 
@@ -466,13 +464,13 @@ def test_gray_image_of_the_reciprocal_code_is_the_euclidean_dual():
     for fa in every_assignment(((5, 6), (13, 4), (17, 4))):
         gray = GrayMap(fa.p)
         image = gray.image(cyclic_code_from_assignment(fa))
-        reciprocal = gray.image(cyclic_code_from_assignment(fa.reciprocal_assignment()))
+        reciprocal = gray.image(cyclic_code_from_assignment(reciprocal_assignment(fa)))
         assert reciprocal == image.euclidean_dual(), (fa.p, fa.s, fa.key())
 
 
 def test_min_distance_of_dual_containing_gray_images_matches_the_references():
-    # the search's joint shift of the two Gray blocks, through cyclic_css, against the
-    # unbatched DFS and, where p^k <= 2^16, against codeword enumeration
+    # cyclic_css, whose cyclic halves start from column 0, against the unbatched DFS,
+    # the plain code's search and, where p^k <= 2^16, codeword enumeration
     grid = ((5, 6), (13, 4), (17, 4), (5, 8), (13, 6), (2, 7))
     checked = enumerated = 0
     for fa in every_assignment(grid):
@@ -483,10 +481,9 @@ def test_min_distance_of_dual_containing_gray_images_matches_the_references():
         if found is None:
             continue
         s, n = fa.s, image.n
-        hint = [*range(1, s), 0, *range(s + 1, 2 * s), s]
         d = reference_distance(image)
         assert LinearCode(fa.p, n, image.generator).min_distance(search_cap=n) == d
-        assert image.min_distance(search_cap=n, automorphism=hint) == d, (fa.p, s, fa.key())
+        assert image.min_distance(search_cap=n) == d, (fa.p, s, fa.key())
         assert found[0] == image and found[2], (fa.p, s, fa.key())
         assert found[1] == QuantumParams(n, 2 * image.k - n, d, fa.p), (fa.p, s, fa.key())
         if image.size <= 2 ** 16:
@@ -525,17 +522,49 @@ def test_gray_images_take_their_distance_from_the_plotkin_halves():
     assert (checked, enumerated) == (1722, 540)
 
 
-def test_cyclic_css_refuses_codes_that_are_not_cyclic_r_codes():
+def test_every_cyclic_half_starts_its_search_from_column_0(monkeypatch):
+    # every nonzero half < g > of six grids is found cyclic; at every cap 1..s its
+    # distance, searched from column 0 alone, is that of a search from all s columns,
+    # and where p^k <= 2^16 the enumerated d
+    clear_caches()
+    starts = recorded_starts(monkeypatch)
+    grid = ((5, 6), (13, 4), (17, 4), (5, 8), (13, 6), (2, 7))
+    halves = {id(half): half for fa in every_assignment(grid)
+              for half in cyclic_code_from_assignment(fa)._split[:2] if half.k}
+    enumerated = 0
+    for half in halves.values():
+        p, s, k = half.p, half.n, half.k
+        assert half.is_cyclic(), (p, s, half.generator)
+        for cap in range(1, s + 1):
+            every = _smallest_dependent_subset(half.parity_check, p, min(cap, s - k + 1), s)
+            starts.clear()
+            assert half._distance(cap) == (every or cap + 1), (p, s, half.generator, cap)
+            assert starts == [1]
+        if half.size <= 2 ** 16:
+            assert half._distance(s) == min_distance_by_enumeration(half)
+            enumerated += 1
+    assert (len(halves), enumerated) == (178, 165)
+
+
+def test_a_cold_search_starts_every_distance_search_from_column_0(monkeypatch):
+    # every half of a (17, 8) search is cyclic, so no search starts from another column
+    clear_caches()
+    starts = recorded_starts(monkeypatch)
+    assert len(search_dual_containing(17, 8)) == 22
+    assert starts and set(starts) == {1}
+
+
+def test_cyclic_css_refuses_only_codes_that_are_not_r_codes():
     fa, code = code_from_table_generators(17, 8, [4, 5, 3, 1], [9, 14, 14, 8, 10, 12, 1])
-    # a word outside the cyclic code: the span still contains the image's dual, so a
-    # distance would be searched with a hint that is no automorphism
+    # a word outside the cyclic code: the span is no cyclic code but still contains
+    # the image's dual, which is then searched from every column for its parameters
     extra = np.zeros(code.profile.n, dtype=np.int64)
     extra[[0, 2]] = 1
     wider = span_closure([unflatten(row, code.profile) for row in [*code.basis, extra]])
     assert wider.rank > code.rank and not wider.is_constacyclic()
-    assert is_dual_containing(GrayMap(17).image(wider))
-    with pytest.raises(ZprsError, match="does not map the code into itself"):
-        cyclic_css(wider)
+    image, params, exact = cyclic_css(wider, distance_cap=16)
+    assert image == GrayMap(17).image(wider) and not image.is_cyclic() and exact
+    assert params == QuantumParams(16, 2 * image.k - 16, reference_distance(image), 17)
     # a Z_p or S block is no R-code
     for profile in (BlockProfile(5, 1, 2, 0), BlockProfile(5, 0, 2, 1), BlockProfile(5, 2, 0, 0)):
         with pytest.raises(ProfileMismatch):
