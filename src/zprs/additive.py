@@ -156,6 +156,8 @@ class AdditiveCode:
     def punctured(self, block: str) -> "AdditiveCode":
         """Projection onto one block ('q', 'r' or 's'), as a code over that block."""
         pr = self.profile
+        if not isinstance(block, str) or block not in ("q", "r", "s"):
+            raise MalformedInput(f"block must be 'q', 'r' or 's', got {block!r}")
         cols = dict(zip("qrs", block_columns(pr)))[block].ravel()
         if cols.size == 0:
             raise ProfileMismatch(f"block {block!r} is empty")

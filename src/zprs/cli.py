@@ -296,9 +296,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--s", type=int, required=True)
 
     sp = add("reproduce", cmd_reproduce, "check the built-in golden expectations", spec=False)
-    sp.add_argument("--target", required=True,
-                    choices=["example1", "example2", "example3", "example4", "example5",
-                             "table1", "all"])
+    sp.add_argument("--target", required=True, choices=[*_reproduce.TARGETS, "all"])
     return parser
 
 

@@ -470,7 +470,7 @@ def substitute_linear(enum: Enumerator, rows: Sequence[Sequence[int]],
     total = polys[0]
     bad = np.flatnonzero(total % code_size)
     if bad.size:
-        raise InexactDivision(f"coefficient {total[bad[0]]} of {_key(exps[bad[0]])} "
+        raise InexactDivision(f"coefficient {total[bad[0]]} of {_key(exps[bad[0]].tolist())} "
                               f"is not divisible by {code_size}")
     nonzero = np.flatnonzero(total)
     return Enumerator(m, n, {_key(e): c // code_size for e, c in

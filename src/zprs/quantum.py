@@ -17,15 +17,15 @@ every other x^j with j < c (MacWilliams-Sloane, ch. 7).  Z_p[x]/(x^s - 1) is a
 principal ideal ring, so < g0, u g1 > = < g0 > + u < gcd(g0, g1) > needs no factors.
 
 The search builds thousands of codes from the subset products of one
-factorization.  It walks the assignments as bitmasks of factors and keys each
-subset once per search by the sorted ``Poly.int_key`` tuples of its factors,
-repeats kept.  Three LRU caches hold 2^MAX_FACTORS entries each: ``_product``
-(the read-only product, at most s + 1 coefficients) and ``_poly`` (the same as a
-``Poly``, shared by the hats of all hits) by such a key and p, and ``_half`` by the
-coefficient tuple of a monic generator g, p and s, shared by searches and table
-rows.  ``_half`` keeps < g >, a half of the Gray image, as a ``LinearCode`` on the
-systematic rows (at most s x s, pivots 0..c-1) with its parity check, [G; H], its
-cyclic verdict and distances once read.  A search keys at most 2^t subsets of its
+factorization.  It walks the assignments as bitmasks of factors and resolves each
+subset's half once per search, handing every assignment its two halves.  Three LRU
+caches hold 2^MAX_FACTORS entries each: ``_product`` (the read-only product, at most
+s + 1 coefficients) and ``_poly`` (the same as a ``Poly``, shared by the hats of all
+hits) by the sorted ``Poly.int_key`` tuples of a subset, repeats kept, and p, and
+``_half`` by the coefficient tuple of a monic generator g, p and s, shared by searches
+and table rows.  ``_half`` keeps < g >, a half of the Gray image, as a ``LinearCode``
+on the systematic rows (at most s x s, pivots 0..c-1) with its parity check, [G; H],
+its cyclic verdict and distances once read.  A search has at most 2^t subsets of its
 t <= MAX_FACTORS factors, so it never evicts.  An R-code keeps its two halves and
 interleaves them on first read.
 
@@ -118,6 +118,8 @@ class FactorAssignment:
     f2: tuple[Poly, ...]
 
     def __post_init__(self):
+        for name in ("p", "s"):
+            object.__setattr__(self, name, as_int(getattr(self, name), name))
         if self.s % self.p == 0:
             raise GcdViolation(f"gcd(p, s) must be 1, got p={self.p}, s={self.s}")
         modulus = [self.p - 1] + [0] * (self.s - 1) + [1]
@@ -166,23 +168,23 @@ class QuantumParams:
 
 
 def cyclic_code_from_assignment(fa: FactorAssignment | None = None, *,
-                                _keys: tuple | None = None) -> AdditiveCode:
+                                _halves: tuple | None = None) -> AdditiveCode:
     """The cyclic R-code < hat(F0), u hat(F1) > as an additive code (q=0, r=s, s=0),
     built on its CRT basis (module docstring), trusted as RREF: the systematic rows
     of A = < hat(F0) > in the a-columns 0::2 and of B = < prod F2 > in the b-columns
     1::2, each 1 at its pivot and 0 on every other pivot column, interleaved so that
     the pivots increase.  It keeps (A, B, its image's dual verdict); its rank must be
-    2 deg F0 + deg F1.  Other callers pass no fa but ``_keys`` = (p, s, the ``_half``
-    keys of A and B, that rank, that verdict or None for the image's product)."""
-    if _keys is None:
+    2 deg F0 + deg F1.  Other callers pass no fa but ``_halves`` = (A, B, that rank,
+    that verdict or None for the image's product), A and B from ``_half``."""
+    if _halves is None:
         d0, d1, _ = fa.slot_degrees()
-        _keys = fa.p, fa.s, fa.hat(0).int_key, fa.slot_product(2).int_key, 2 * d0 + d1, None
-    p, s, key_a, key_b, crt, dual = _keys
-    a, b = _half(key_a, p, s), _half(key_b, p, s)
+        _halves = (*(_half(g.int_key, fa.p, fa.s) for g in (fa.hat(0), fa.slot_product(2))),
+                   2 * d0 + d1, None)
+    a, b, crt, dual = _halves
     ka, kb = a.k, b.k
     if ka + kb != crt:
         raise AssertionError(f"cyclic code rank {ka + kb} differs from CRT count {crt}")
-    code = AdditiveCode(cached_profile(p, 0, s, 0), functools.partial(_interleave, a, b),
+    code = AdditiveCode(cached_profile(a.p, 0, a.n, 0), functools.partial(_interleave, a, b),
                         _closed=True, _pivots=[*range(2 * ka), *range(2 * ka + 1, 2 * kb, 2)])
     code._split = (a, b, dual)
     return code
@@ -199,7 +201,8 @@ def cyclic_code_from_generators(p: int, s: int, g0, g1) -> AdditiveCode:
             raise (NotADivisor if g else NonUnitLeadingCoefficient)(f"{g} must divide x^{s} - 1")
     a, b = (np.array(g.monic().int_coeffs(), dtype=np.int64) for g in gens)
     a, b = tuple(a.tolist()), tuple(_zp_gcd(a, b, p).tolist())
-    return cyclic_code_from_assignment(_keys=(p, s, a, b, 2 * s + 2 - len(a) - len(b), None))
+    return cyclic_code_from_assignment(
+        _halves=(_half(a, p, s), _half(b, p, s), 2 * s + 2 - len(a) - len(b), None))
 
 
 def _interleave(a: LinearCode, b: LinearCode) -> np.ndarray:
@@ -283,32 +286,25 @@ def _split_slots(factors, slots) -> list[list[Poly]]:
 def _assignments(p: int, s: int, factors):
     """For each pair of disjoint masks (F1, F2) of factors with 2 deg F0 + deg F1 >= s
     (a Gray image [2s, k] with k < s cannot contain its dual), the masks and the
-    ``_keys`` of its cyclic code, with the dual verdict F2 in F0* (module docstring)."""
+    ``_halves`` of its cyclic code, with the dual verdict F2 in F0* (module docstring).
+    Each subset's half is resolved once per search; every subset is the A half of the
+    assignment with F1 = that subset and F2 empty, so no other half is built."""
     star = [1 << factors.index(reciprocal(f).monic()) for f in factors]   # the bit of f*
     @functools.cache
-    def subset(mask: int) -> tuple:     # the _half key, degree and mask of F*, once
+    def subset(mask: int) -> tuple:     # the _half, degree and mask of F*, once
         fs = [f for i, f in enumerate(factors) if mask >> i & 1]
-        return (tuple(_product(_key(fs), p).tolist()), sum(f.degree for f in fs),
+        return (_half(tuple(_product(_key(fs), p).tolist()), p, s), sum(f.degree for f in fs),
                 sum(bit for i, bit in enumerate(star) if mask >> i & 1))
     full = (1 << len(factors)) - 1
     for m2 in range(full + 1):
         rest = m1 = full ^ m2
         while True:                     # every submask m1 of rest, rest first
             if (crt := 2 * subset(m0 := rest ^ m1)[1] + subset(m1)[1]) >= s:
-                yield (m1, m2), (p, s, subset(m1 | m2)[0], subset(m2)[0], crt,
+                yield (m1, m2), (subset(m1 | m2)[0], subset(m2)[0], crt,
                                  not m2 & ~subset(m0)[2])
             if not m1:
                 break
             m1 = (m1 - 1) & rest
-
-
-def _evaluate_assignment(keys: tuple, distance_cap: int) -> tuple | None:
-    """(n, k, d, exact) of the Gray image of the cyclic code with these ``_keys``, or
-    None if the image does not contain its dual."""
-    if found := cyclic_css(cyclic_code_from_assignment(_keys=keys), distance_cap=distance_cap):
-        image, params, exact = found
-        return image.n, image.k, params.d, exact
-    return None
 
 
 def search_dual_containing(p: int, s: int, *, distance_cap: int = 6,
@@ -321,10 +317,10 @@ def search_dual_containing(p: int, s: int, *, distance_cap: int = 6,
     lower bound and then the smallest slot tuple.  d is d(C) of the Gray image C,
     a lower bound on the CSS distance d_Q = min wt(C minus C^perp) (``cyclic_css``);
     ``distance_exact`` says whether d(C) is exact.  Output order is deterministic:
-    sorted by (n, k, d, assignment key).  Distances above ``distance_cap`` are
-    reported as lower bounds on d(C) rather than dropped.  More than
-    ``MAX_FACTORS`` factors raise ``TooManyFactors`` before any assignment is
-    built.  ``jobs`` is ignored: the search runs in this process.
+    sorted by (n, k, d).  Distances above ``distance_cap`` are reported as lower
+    bounds on d(C) rather than dropped.  More than ``MAX_FACTORS`` factors raise
+    ``TooManyFactors`` before any assignment is built.  ``jobs`` is ignored: the
+    search runs in this process.
     """
     p, s = as_int(p, "p"), as_int(s, "s")
     distance_cap = as_int(distance_cap, "distance_cap")
@@ -333,18 +329,21 @@ def search_dual_containing(p: int, s: int, *, distance_cap: int = 6,
     if t > MAX_FACTORS:
         raise TooManyFactors(f"{t} irreducible factors; bound is {MAX_FACTORS}")
     FactorAssignment(p, s, tuple(factors), (), ())     # checks their product, once
-    raw = [(tuple(1 if m1 >> i & 1 else 2 if m2 >> i & 1 else 0 for i in range(t)), *found)
-           for (m1, m2), keys in _assignments(p, s, factors)
-           if (found := _evaluate_assignment(keys, distance_cap))]
-    best: dict[tuple[int, int, int], tuple] = {}
-    for slots, n, k, d, exact in sorted(raw, key=lambda r: (not r[4], r[0])):
-        best.setdefault((n, 2 * k - n, d), (slots, n, k, d, exact))
+    best: dict[tuple[int, int, int], tuple[bool, tuple[int, ...]]] = {}
+    for (m1, m2), halves in _assignments(p, s, factors):
+        if found := cyclic_css(cyclic_code_from_assignment(_halves=halves),
+                               distance_cap=distance_cap):
+            _, q, exact = found
+            key = q.n, q.k, q.d
+            pick = not exact, tuple(1 if m1 >> i & 1 else 2 if m2 >> i & 1 else 0
+                                    for i in range(t))
+            if key not in best or pick < best[key]:
+                best[key] = pick
     hits = []
-    for (n, kq, d), (slots, _, k, _, exact) in sorted(best.items(),
-                                                      key=lambda kv: (kv[0], kv[1][0])):
+    for (n, kq, d), (inexact, slots) in sorted(best.items()):
         fa = FactorAssignment.from_slots(p, s, *_split_slots(factors, slots))
-        hits.append(SearchHit(fa, fa.hat(0), fa.hat(1), n, k,
-                              QuantumParams(n, kq, d, p), exact))
+        hits.append(SearchHit(fa, fa.hat(0), fa.hat(1), n, (n + kq) // 2,
+                              QuantumParams(n, kq, d, p), not inexact))
     return hits
 
 

@@ -234,6 +234,16 @@ def test_separability():
     assert (cq.rank, cr.rank, cs.rank) == (1, 2, 0)
 
 
+def test_punctured_refuses_a_block_that_is_not_q_r_or_s():
+    code = example_code()
+    assert code.punctured("r").profile == BlockProfile(2, 0, 2, 0)
+    for block in ("x", ["q"], "qr", "", None):
+        with pytest.raises(MalformedInput, match="block must be"):
+            code.punctured(block)
+    with pytest.raises(ProfileMismatch, match="empty"):
+        span_closure([], profile=BlockProfile(2, 1, 0, 1)).punctured("r")
+
+
 def test_separable_constacyclic_iff_components_are():
     # componentwise shift-invariance for separable codes
     rng = np.random.default_rng(31)

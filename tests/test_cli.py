@@ -6,6 +6,7 @@ import tracemalloc
 import warnings
 from unittest import mock
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -13,6 +14,7 @@ import zprs
 from zprs.additive import GeneratorHypothesisWarning, from_generator_polynomials
 from zprs.cli import main
 from zprs.enumerators import ENUMERATORS
+from zprs.reproduce import TARGETS
 from zprs.words import BlockProfile
 
 C2_SPEC = {
@@ -191,6 +193,12 @@ def test_reproduce_targets(capsys):
         status, out, _ = run(capsys, ["reproduce", "--target", target])
         assert status == 0
         assert "FAIL" not in out
+
+
+def test_reproduce_offers_every_target_and_all(capsys):
+    with pytest.raises(SystemExit):
+        main(["reproduce", "--target", "table2"])
+    assert "{%s}" % ",".join([*TARGETS, "all"]) in capsys.readouterr().err
 
 
 def test_exit_codes(capsys, monkeypatch):

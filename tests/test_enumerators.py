@@ -413,6 +413,12 @@ def test_transform_inexact_division():
         hamming_transform(enum, 7, 2)
 
 
+def test_an_inexact_division_names_its_monomial_in_plain_ints():
+    with pytest.raises(InexactDivision) as info:
+        lee_transform(lee_enumerator(c2_code()), 3, 2)
+    assert str(info.value) == "coefficient 64 of ((0, 2), (1, 10)) is not divisible by 3"
+
+
 def test_lee_transform_example():
     code = c2_code()
     wl = lee_enumerator(code)

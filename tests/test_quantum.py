@@ -337,12 +337,20 @@ def clear_caches():
         cache.cache_clear()
 
 
+def walked_css(halves, cap):
+    """(n, k, d, exact) of the Gray image of the cyclic code on these halves, as the
+    search evaluates it, or None if the image does not contain its dual."""
+    found = cyclic_css(cyclic_code_from_assignment(_halves=halves), distance_cap=cap)
+    return found and (found[0].n, found[0].k, found[1].d, found[2])
+
+
 def test_the_search_walk_gives_what_fresh_assignments_give_exhaustively():
     # every assignment of seven grids, at caps 6 and 2, each path from cleared caches: the
-    # search's walk yields each assignment with 2 deg F0 + deg F1 >= s once, with the keys
-    # of a from_slots assignment and, as their last entry, the dual verdict that the
-    # product of the fa path's image gives, and evaluates it to that assignment's
-    # (n, k, d, exact); every assignment it skips has no dual-containing image
+    # search's walk yields each assignment with 2 deg F0 + deg F1 >= s once, with halves
+    # equal to the _half codes of a from_slots assignment's generators, its rank and, as
+    # the last entry, the dual verdict that the product of the fa path's image gives, and
+    # evaluates it to that assignment's (n, k, d, exact); every assignment it skips has no
+    # dual-containing image
     grid = ((5, 6), (13, 4), (17, 4), (5, 8), (13, 6), (2, 7), (5, 12))
     fresh, walked = {}, {}
     clear_caches()
@@ -350,25 +358,26 @@ def test_the_search_walk_gives_what_fresh_assignments_give_exhaustively():
         for slots in itertools.product(range(3), repeat=len(factors_of(p, s))):
             fa = assignment(p, s, slots)
             d0, d1, _ = fa.slot_degrees()
-            keys = (p, s, fa.hat(0).int_key, fa.slot_product(2).int_key, 2 * d0 + d1)
+            halves = (quantum._half(fa.hat(0).int_key, p, s),
+                      quantum._half(fa.slot_product(2).int_key, p, s), 2 * d0 + d1)
             for cap in (6, 2):
                 code = cyclic_code_from_assignment(fa)
                 assert code._split[2] is None    # no verdict: the image's product decides
                 found = cyclic_css(code, distance_cap=cap)
-                fresh[p, s, slots, cap] = (*keys, found is not None), found and (
+                fresh[p, s, slots, cap] = (*halves, found is not None), found and (
                     found[0].n, found[0].k, found[1].d, found[2])
     clear_caches()
     for p, s in grid:
         t = len(factors_of(p, s))
         for cap in (6, 2):
-            for (m1, m2), keys in quantum._assignments(p, s, factors_of(p, s)):
+            for (m1, m2), halves in quantum._assignments(p, s, factors_of(p, s)):
                 slots = tuple(1 if m1 >> i & 1 else 2 if m2 >> i & 1 else 0 for i in range(t))
                 assert (p, s, slots, cap) not in walked and not m1 & m2
-                walked[p, s, slots, cap] = keys, quantum._evaluate_assignment(keys, cap)
+                walked[p, s, slots, cap] = halves, walked_css(halves, cap)
     assert len(fresh) == 2 * 8289
-    for case, (keys, found) in fresh.items():
-        if keys[4] >= case[1]:
-            assert walked[case] == (keys, found), case
+    for case, (halves, found) in fresh.items():
+        if halves[2] >= case[1]:
+            assert walked[case] == (halves, found), case
         else:
             assert case not in walked and found is None, case
     outcomes = [found[3] for _, found in fresh.values() if found]
@@ -381,11 +390,10 @@ def test_the_walked_dual_verdict_is_the_pair_product_exhaustively():
     # bottom rows vanish exactly when the verdict says that the image holds its dual
     verdicts = []
     for p, s in ((2, 7), (5, 6), (13, 4), (17, 4), (5, 8), (13, 6), (17, 8), (2, 15), (5, 12)):
-        for _, (_, _, key_a, key_b, _, dual) in quantum._assignments(p, s, factors_of(p, s)):
-            a, b = quantum._half(key_a, p, s), quantum._half(key_b, p, s)
+        for masks, (a, b, _, dual) in quantum._assignments(p, s, factors_of(p, s)):
             both = np.vstack([a.basis, a.parity_check]) @ b.parity_check.T % p
-            assert not both[:a.k].any(), (p, s, key_a, key_b)
-            assert dual is (not both[a.k:].any()), (p, s, key_a, key_b)
+            assert not both[:a.k].any(), (p, s, masks)
+            assert dual is (not both[a.k:].any()), (p, s, masks)
             verdicts.append(dual)
     assert (len(verdicts), verdicts.count(True)) == (8601, 1852)
 
@@ -679,6 +687,18 @@ def test_search_coerces_numpy_integers_and_refuses_others():
             search_dual_containing(*args)
 
 
+def test_a_factor_assignment_reads_p_and_s_as_integers():
+    factors = factors_of(5, 4)
+    fa = FactorAssignment(np.int64(5), np.int64(4), factors, (), ())
+    assert (type(fa.p), type(fa.s)) == (int, int)
+    assert fa == FactorAssignment(5, 4, factors, (), ())
+    for make, args in ((FactorAssignment, (5.0, 4, factors, (), ())),
+                       (FactorAssignment, (5, 4.0, factors, (), ())),
+                       (FactorAssignment.from_slots, ("5", 4, [], [], []))):
+        with pytest.raises(MalformedInput, match="not an integer"):
+            make(*args)
+
+
 def test_distance_caps_below_one_act_as_one_and_caps_are_integers():
     # a cap below 1 searches weight 1 only, so a bound is 2, never cap + 1 <= 1
     at_one = repr(search_dual_containing(5, 6, distance_cap=1))
@@ -727,6 +747,18 @@ def test_search_too_many_factors():
     assert time.perf_counter() - start < 1
 
 
+def test_a_warm_search_looks_up_each_half_once():
+    # the walk resolves each factor subset's half once per search: 2^t _half lookups,
+    # all of them hits once the halves are built
+    for p, s in ((5, 8), (17, 8)):
+        search_dual_containing(p, s)
+        before = quantum._half.cache_info()
+        search_dual_containing(p, s)
+        after = quantum._half.cache_info()
+        assert after.misses == before.misses
+        assert after.hits - before.hits <= 1 << len(factors_of(p, s)), (p, s)
+
+
 def test_subset_caches_hold_every_subset_of_the_largest_search():
     # a search keys at most 2^t factor subsets, t <= MAX_FACTORS: none of its
     # products, hat polynomials or halves is evicted within the search
@@ -764,17 +796,22 @@ def test_search_results_satisfy_quantum_singleton():
 def test_search_dedup_keeps_exact_distance(monkeypatch):
     # x^3 - 1 = (x + 1)(x^2 + x + 1) over Z_2; slots (1, 0) give an exact
     # [[6,2,2]] and the smaller slots (0, 1), evaluated later, only d >= 2
-    import zprs.quantum as quantum
-    # the evaluator reads the generators of F1 + F2 and F2: F1 = (x + 1) are slots
-    # (1, 0), F1 = (x^2 + x + 1) slots (0, 1), and F2 is empty in both, generator 1
-    first, second = ((1, 1), (1,)), ((1, 1, 1), (1,))
-    crafted = {first: (6, 4, 2, True), second: (6, 4, 2, False)}
-    monkeypatch.setattr(quantum, "_evaluate_assignment",
-                        lambda keys, cap: crafted.get(keys[2:4]))
+    # the evaluator reads the halves < F1 + F2 > and < F2 > of each code: F1 = (x + 1)
+    # are slots (1, 0), F1 = (x^2 + x + 1) slots (0, 1), and F2 is empty in both
+    whole = quantum._half((1,), 2, 3)
+    first, second = quantum._half((1, 1), 2, 3), quantum._half((1, 1, 1), 2, 3)
+    crafted = {first: True, second: False}
+    def evaluate(code, distance_cap):
+        a, b, _ = code._split
+        if b == whole and a in crafted:
+            return None, QuantumParams(6, 2, 2, 2), crafted[a]
+        return None
+    monkeypatch.setattr(quantum, "cyclic_css", evaluate)
     [hit] = search_dual_containing(2, 3)
     assert hit.distance_exact and str(hit.params) == "[[6,2,2]]_2"
+    assert (hit.gray_n, hit.gray_k) == (6, 4)       # k = (n + k_Q) / 2
     assert hit.assignment.f0 == (Poly.make([1, 1, 1], 2),)
-    crafted[second] = (6, 4, 2, True)     # both exact: smaller slots win
+    crafted[second] = True     # both exact: smaller slots win
     [hit] = search_dual_containing(2, 3)
     assert hit.distance_exact and hit.assignment.f0 == (Poly.make([1, 1], 2),)
 
