@@ -54,7 +54,7 @@ class GeneratorHypothesisWarning(UserWarning):
 class AdditiveCode:
     """Immutable additive code, held as a row-reduced flattened Z_p basis."""
 
-    _split = None  # (A, B, its image's dual verdict or None) of an R-code A x uB, if known
+    _split = None  # (A, B, its image's dual verdict) of an R-code A x uB, set by its builder
 
     def __init__(self, profile: BlockProfile, rows: Sequence | np.ndarray, *,
                  _closed: bool = False, _pivots: list[int] | None = None):

@@ -13,8 +13,8 @@ An R-code whose RREF rows each lie wholly in the a- or the b-columns is
 C = A x uB with A in B (closure under u), as every cyclic R-code is.  Its image
 {(b + a | kappa b)} is the Plotkin sum P(B, A, kappa) (``LinearCode.plotkin_sum``),
 trusted as RREF as its top right vanishes on A's pivot columns, with d = min(2 d(B),
-d(A)) (MacWilliams-Sloane, ch. 2 Sec. 9, Thm. 33) and, as kappa^2 = -1, dual containment
-by the ``linear`` rule or the search's verdict (``quantum``).  Others: basis @ Gray matrix.
+d(A)) (MacWilliams-Sloane, ch. 2 Sec. 9, Thm. 33) and the dual verdict that the builder of
+a cyclic R-code keeps with its halves (``quantum``).  Others: basis @ Gray matrix.
 
 Lee weights: a Z_p coordinate x weighs min(x, p-x); an R or S coordinate
 weighs the Hamming weight of its Gray image.  Those Hamming weights do not
@@ -130,9 +130,9 @@ class GrayMap:
         return image
 
     def _split_image(self, code) -> LinearCode | None:
-        """The image of an R-code C = A x uB, the Plotkin sum of B and A, or None for
-        any other code; ``ZprsError`` if A does not lie in B, which no u-closed code
-        allows.  A and B are ``code._split`` if its builder set it, else read off the rows."""
+        """The image of an R-code C = A x uB, the Plotkin sum of B and A, or None for any
+        other code.  A, B and the dual verdict are ``code._split`` if its builder set it,
+        else A and B are read off the rows: ``ZprsError`` unless A lies in B."""
         r = code.profile.r
         if code.profile.lengths != (0, r, 0):
             return None

@@ -30,14 +30,11 @@ the (u | u + v) construction of MacWilliams-Sloane, ch. 2 Sec. 9, Thm. 33.
 Any code reads d as the least w d(H) over its weighted halves (w, H), codes that
 memoize whether they are cyclic and their distance per cap: (2, U) up to half the
 cap and (1, V) up to it for a sum, else (1, the code).  The Gray map hands its
-cached half codes and checked kappa to ``_from_halves``; ``plotkin_sum`` checks lam
-and reduces fresh halves first.  P's trusted RREF, built on first read, is
-[[U, lam (U - U[:, piv_V] V)], [0, V]]: its top right vanishes on m + piv_V.
-P^perp = {(c | lam^-1 (e - c)) : c in V^perp, e in U^perp}, for lam^2 = -1 the
-words (x + y | lam x), x = c - e, y = e: P holds it iff V^perp in U, H_V H_U^T = 0.
-``_from_halves`` takes one product [G_V; H_V] H_U^T (``_checks``): V in U iff its top
-k(V) rows vanish, else ``ZprsError``; for lam^2 = -1 P's memo keeps whether the rest do.
-The CSS search hands over the verdict from its factor masks and vouches for V in U.
+cached half codes, checked kappa and the dual verdict kept by the R-code's builder
+(``quantum``) to ``_from_halves``, which trusts V in U; ``plotkin_sum`` checks lam and
+V in U on fresh halves, reduced first, and hands no verdict.  P's trusted RREF, built
+on first read, is [[U, lam (U - U[:, piv_V] V)], [0, V]]: its top right vanishes on
+m + piv_V.
 """
 
 from __future__ import annotations
@@ -64,13 +61,12 @@ class LinearCode(AdditiveCode):
 
     def __init__(self, p: int, n: int, generator: np.ndarray | Sequence, *, _pivots=None):
         super().__init__(cached_profile(p, n, 0, 0), generator, _closed=True, _pivots=_pivots)
-        self._memo: dict = {}   # distances by cap (None: enumerated); P's "dual"
+        self._memo: dict = {}   # distances by cap (None: enumerated); P's "dual" verdict
 
     p = property(lambda self: self.profile.p)
     n = property(lambda self: self.profile.q)
     k = property(lambda self: len(self.pivots))
     generator = property(lambda self: self.basis)
-    _checks = cached_property(lambda self: _frozen(np.vstack([self.basis, self.parity_check])))
 
     @classmethod
     def zero(cls, p: int, n: int) -> "LinearCode":
@@ -88,20 +84,19 @@ class LinearCode(AdditiveCode):
         lam = as_unit(linalg.as_int(lam, "lambda"), p, 1).coeffs[0]
         if (m := np.shape(u)[-1]) < 1:
             raise ProfileMismatch("the halves of a Plotkin sum need a length m >= 1")
-        return cls._from_halves(cls(p, m, u), cls(p, m, v), lam)
+        hu, hv = cls(p, m, u), cls(p, m, v)
+        if not hv.is_subcode_of(hu):
+            raise ZprsError("V is not in U: the rows do not form a Plotkin sum")
+        return cls._from_halves(hu, hv, lam)
 
     @classmethod
     def _from_halves(cls, hu: "LinearCode", hv: "LinearCode", lam: int, dual=None):
-        """P(U, V, lam), lam a checked unit; ``ZprsError`` unless V in U, trusted with dual."""
-        if dual is None:
-            both = hv._checks @ hu.parity_check.T % hu.p
-            if np.count_nonzero(both[:hv.k]):
-                raise ZprsError("V is not in U: the rows do not form a Plotkin sum")
-            dual = None if (lam * lam + 1) % hu.p else not np.count_nonzero(both[hv.k:])
+        """P(U, V, lam) for V in U and a checked unit lam, trusted, with its dual verdict
+        (None: ``is_dual_containing`` takes the whole-code test)."""
         code = cls(hu.p, 2 * hu.n, partial(_plotkin_rows, hu, hv, lam),
                    _pivots=hu.pivots + [hu.n + j for j in hv.pivots])
         code._plotkin = (hu, hv, lam)
-        code._memo["dual"] = dual       # None: is_dual_containing takes the whole-code test
+        code._memo["dual"] = dual
         return code
 
     @cached_property

@@ -32,10 +32,13 @@ interleaves them on first read.
 Dual-containing Gray images feed the CSS construction: a dual-containing
 [n, k] code C over Z_p yields a quantum [[n, 2k - n, d_Q]] code with
 d_Q = min wt(C minus C^perp) >= d(C), and d(C) is what this module reports.  The search
-and the reproduced table evaluate each cyclic R-code with ``cyclic_css``.  Its
-image P(B, A, kappa) contains its dual iff A^perp, of zeros F0* = {monic f* : f in F0},
-lies in B, of zeros F2 (``linear`` docstring): as x^s - 1 is squarefree, iff F2 in F0*
-(MacWilliams-Sloane, ch. 7).  The search reads that, and A in B, off its factor masks.
+and the reproduced table evaluate each cyclic R-code with ``cyclic_css``.  Its image
+P(B, A, kappa) has the dual {(c | kappa^-1 (e - c)) : c in A^perp, e in B^perp}, words
+(x + y | kappa x) with x = c - e, y = e as kappa^2 = -1, so it contains its dual iff A^perp
+lies in B.  The R-code's builder decides that and keeps it with the halves: the generator
+route tests A's parity check against B; the search reads F2 in F0* off its factor masks,
+as A^perp has the zeros F0* = {monic f* : f in F0}, B the zeros F2, and x^s - 1 is
+squarefree (MacWilliams-Sloane, ch. 7).  A in B holds by divisibility on both routes.
 The halves A and B are cyclic, so each distance search starts from column 0 alone:
 some shift of a minimum-weight word of a cyclic code has column 0 in its support.
 """
@@ -47,11 +50,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import linalg
 from .additive import AdditiveCode
 from .errors import (DistanceNotDetermined, GcdViolation, NonUnitLeadingCoefficient,
                      NotADivisor, NotDualContaining, ProfileMismatch, TooManyFactors, ZprsError)
 from .gray import GrayMap
-from .linalg import as_int
 from .linear import LinearCode
 from .polynomials import (Poly, _zp_divmod, _zp_gcd, divides, factor_xn_minus_lambda,
                           reciprocal, x_pow_n_minus)
@@ -119,7 +122,7 @@ class FactorAssignment:
 
     def __post_init__(self):
         for name in ("p", "s"):
-            object.__setattr__(self, name, as_int(getattr(self, name), name))
+            object.__setattr__(self, name, linalg.as_int(getattr(self, name), name))
         if self.s % self.p == 0:
             raise GcdViolation(f"gcd(p, s) must be 1, got p={self.p}, s={self.s}")
         modulus = [self.p - 1] + [0] * (self.s - 1) + [1]
@@ -169,17 +172,14 @@ class QuantumParams:
 
 def cyclic_code_from_assignment(fa: FactorAssignment | None = None, *,
                                 _halves: tuple | None = None) -> AdditiveCode:
-    """The cyclic R-code < hat(F0), u hat(F1) > as an additive code (q=0, r=s, s=0),
-    built on its CRT basis (module docstring), trusted as RREF: the systematic rows
-    of A = < hat(F0) > in the a-columns 0::2 and of B = < prod F2 > in the b-columns
-    1::2, each 1 at its pivot and 0 on every other pivot column, interleaved so that
-    the pivots increase.  It keeps (A, B, its image's dual verdict); its rank must be
-    2 deg F0 + deg F1.  Other callers pass no fa but ``_halves`` = (A, B, that rank,
-    that verdict or None for the image's product), A and B from ``_half``."""
+    """The cyclic R-code < hat(F0), u hat(F1) > as an additive code (q=0, r=s, s=0), by
+    ``cyclic_code_from_generators``; the search passes ``_halves`` = (A = < hat(F0) >,
+    B = < prod F2 > from ``_half``, the rank 2 deg F0 + deg F1, the image's dual verdict).
+    Trusted as RREF on its CRT basis (module docstring): the systematic rows of A in the
+    a-columns 0::2 and of B in the b-columns 1::2, each 1 at its pivot and 0 on every other
+    pivot column, interleaved so that the pivots increase.  It keeps (A, B, the verdict)."""
     if _halves is None:
-        d0, d1, _ = fa.slot_degrees()
-        _halves = (*(_half(g.int_key, fa.p, fa.s) for g in (fa.hat(0), fa.slot_product(2))),
-                   2 * d0 + d1, None)
+        return cyclic_code_from_generators(fa.p, fa.s, fa.hat(0), fa.hat(1))
     a, b, crt, dual = _halves
     ka, kb = a.k, b.k
     if ka + kb != crt:
@@ -193,16 +193,18 @@ def cyclic_code_from_assignment(fa: FactorAssignment | None = None, *,
 def cyclic_code_from_generators(p: int, s: int, g0, g1) -> AdditiveCode:
     """The cyclic R-code < g0, u g1 > = < g0 > + u < gcd(g0, g1) > for Z_p polynomials
     g0, g1 dividing x^s - 1, built without factors; x^s - 1 gives a zero half."""
+    p, s = linalg.as_int(p, "p"), linalg.as_int(s, "s")
     gens = [g if isinstance(g, Poly) else Poly.make(g, p) for g in (g0, g1)]
     if s % p == 0:
         raise GcdViolation(f"gcd(p, s) must be 1, got p={p}, s={s}")
     for g in gens:
         if not g or not divides(g, x_pow_n_minus(1, s, p)):
             raise (NotADivisor if g else NonUnitLeadingCoefficient)(f"{g} must divide x^{s} - 1")
-    a, b = (np.array(g.monic().int_coeffs(), dtype=np.int64) for g in gens)
-    a, b = tuple(a.tolist()), tuple(_zp_gcd(a, b, p).tolist())
-    return cyclic_code_from_assignment(
-        _halves=(_half(a, p, s), _half(b, p, s), 2 * s + 2 - len(a) - len(b), None))
+    ga, gb = (np.array(g.monic().int_coeffs(), dtype=np.int64) for g in gens)
+    gb = _zp_gcd(ga, gb, p)
+    a, b = (_half(tuple(g.tolist()), p, s) for g in (ga, gb))
+    dual = linalg.in_row_space(b.basis, b.pivots, a.parity_check, p)    # A^perp in B
+    return cyclic_code_from_assignment(_halves=(a, b, 2 * s + 2 - ga.size - gb.size, dual))
 
 
 def _interleave(a: LinearCode, b: LinearCode) -> np.ndarray:
@@ -219,8 +221,8 @@ def is_dual_containing(code: LinearCode) -> bool:
     """True iff the code contains its Euclidean dual; ``ProfileMismatch`` unless linear.
 
     C contains C^perp iff C^perp lies in C^perp^perp = C, that is iff C^perp is
-    self-orthogonal: H H^T = 0 mod p for the parity check H.  A Plotkin sum with
-    lam^2 = -1 reads the verdict H_V H_U^T = 0 that ``_from_halves`` kept (module docstring).
+    self-orthogonal: H H^T = 0 mod p for the parity check H.  The image of a cyclic
+    R-code returns the verdict that its builder kept (module docstring).
     """
     if not isinstance(code, LinearCode):
         raise ProfileMismatch(f"{code!r} is no linear code over Z_p: Gray-map it first")
@@ -322,8 +324,8 @@ def search_dual_containing(p: int, s: int, *, distance_cap: int = 6,
     ``TooManyFactors`` before any assignment is built.  ``jobs`` is ignored: the
     search runs in this process.
     """
-    p, s = as_int(p, "p"), as_int(s, "s")
-    distance_cap = as_int(distance_cap, "distance_cap")
+    p, s = linalg.as_int(p, "p"), linalg.as_int(s, "s")
+    distance_cap = linalg.as_int(distance_cap, "distance_cap")
     factors = factor_xn_minus_lambda(p, s, 1)
     t = len(factors)
     if t > MAX_FACTORS:
@@ -354,6 +356,7 @@ def code_from_table_generators(p: int, s: int, f0_hat, f1_hat) -> tuple[FactorAs
     Both displayed polynomials must divide x^s - 1.  F0 (F1) holds the factors that do
     not divide hat(F0) (hat(F1)), which share none (else ``ZprsError``); F2 the rest.
     """
+    p, s = linalg.as_int(p, "p"), linalg.as_int(s, "s")
     code = cyclic_code_from_generators(p, s, f0_hat, f1_hat)
     h0, h1 = (g if isinstance(g, Poly) else Poly.make(g, p) for g in (f0_hat, f1_hat))
     factors = factor_xn_minus_lambda(p, s, 1)   # distinct, as x^s - 1 is squarefree

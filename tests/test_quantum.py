@@ -248,45 +248,30 @@ def test_search_built_codes_pickle_and_deep_copy():
                                 assert twin.min_distance() == c.min_distance()
 
 
-def test_a_split_with_a_outside_b_is_refused_by_the_gray_map():
-    # the half codes handed to the trusted Plotkin path are still checked: (B, A)
-    # swapped, with A a proper subcode of B, is no R-code
-    swapped = 0
-    for p, s in ((5, 8), (13, 6)):
-        for slots in itertools.product(range(3), repeat=len(factors_of(p, s))):
-            code = cyclic_code_from_assignment(assignment(p, s, slots))
-            a, b, dual = code._split
-            if a.k < b.k:
-                code._split = (b, a, dual)   # dual None: the product decides, and refuses
-                with pytest.raises(ZprsError, match="V is not in U"):
-                    GrayMap(p).image(code)
-                swapped += 1
-    assert swapped > 100
-
-
 def test_the_pair_product_reads_each_block_on_its_own():
-    # [G_V; H_V] H_U^T on every pair (U, V) of cyclic halves of three grids, against
-    # the kernel dual: V not in U is refused even where V^perp lies in U, and V in U
-    # gives no dual-containing image where V^perp does not lie in U
-    counts = [0, 0]
+    # plotkin_sum on every pair (U, V) of cyclic halves of three grids, against the
+    # product [G_V; H_V] H_U^T: V not in U (nonzero top rows) is refused even where
+    # V^perp lies in U, and V in U gives a dual-containing image exactly where V^perp
+    # lies in U (zero bottom rows), as the kernel dual confirms
+    counts = [0, 0, 0]
     for p, s in ((5, 8), (13, 4), (17, 4)):
         kappa, factors = GrayMap(p).kappa, factors_of(p, s)
         products = [reduce(lambda a, b: a * b, itertools.compress(factors, bits), Poly.one(p))
                     for bits in itertools.product((0, 1), repeat=len(factors))]
         halves = [quantum._half(g.int_key, p, s) for g in products]
         for hu, hv in itertools.product(halves, repeat=2):
-            v_in_u = hv.is_subcode_of(hu)
-            dual_in_u = LinearCode(p, s, linalg.kernel_basis(hv.generator, p)).is_subcode_of(hu)
-            if not v_in_u and dual_in_u:
+            both = np.vstack([hv.basis, hv.parity_check]) @ hu.parity_check.T % p
+            v_in_u, dual_in_u = not both[:hv.k].any(), not both[hv.k:].any()
+            if not v_in_u:
                 with pytest.raises(ZprsError, match="V is not in U"):
-                    LinearCode._from_halves(hu, hv, kappa)
-                counts[0] += 1
-            elif v_in_u and not dual_in_u:
-                image = LinearCode._from_halves(hu, hv, kappa)
-                assert not image.euclidean_dual().is_subcode_of(image)
-                assert not is_dual_containing(image), (p, s, hu, hv)
-                counts[1] += 1
-    assert min(counts) > 500, counts
+                    LinearCode.plotkin_sum(p, hu.basis, hv.basis, kappa)
+                counts[0] += dual_in_u
+                continue
+            image = LinearCode.plotkin_sum(p, hu.basis, hv.basis, kappa)
+            assert is_dual_containing(image) is dual_in_u, (p, s, hu, hv)
+            assert image.euclidean_dual().is_subcode_of(image) is dual_in_u, (p, s, hu, hv)
+            counts[1 + dual_in_u] += 1
+    assert counts == [699, 699, 192], counts
 
 
 def test_dual_tests_refuse_codes_that_are_not_linear():
@@ -348,9 +333,9 @@ def test_the_search_walk_gives_what_fresh_assignments_give_exhaustively():
     # every assignment of seven grids, at caps 6 and 2, each path from cleared caches: the
     # search's walk yields each assignment with 2 deg F0 + deg F1 >= s once, with halves
     # equal to the _half codes of a from_slots assignment's generators, its rank and, as
-    # the last entry, the dual verdict that the product of the fa path's image gives, and
-    # evaluates it to that assignment's (n, k, d, exact); every assignment it skips has no
-    # dual-containing image
+    # the last entry, a mask verdict equal to the fa path's, and evaluates it to that
+    # assignment's (n, k, d, exact); every assignment it skips has no dual-containing
+    # image and a False verdict on the fa path
     grid = ((5, 6), (13, 4), (17, 4), (5, 8), (13, 6), (2, 7), (5, 12))
     fresh, walked = {}, {}
     clear_caches()
@@ -362,9 +347,10 @@ def test_the_search_walk_gives_what_fresh_assignments_give_exhaustively():
                       quantum._half(fa.slot_product(2).int_key, p, s), 2 * d0 + d1)
             for cap in (6, 2):
                 code = cyclic_code_from_assignment(fa)
-                assert code._split[2] is None    # no verdict: the image's product decides
+                assert code._split[:2] == halves[:2]
                 found = cyclic_css(code, distance_cap=cap)
-                fresh[p, s, slots, cap] = (*halves, found is not None), found and (
+                assert code._split[2] is (found is not None)
+                fresh[p, s, slots, cap] = (*halves, code._split[2]), found and (
                     found[0].n, found[0].k, found[1].d, found[2])
     clear_caches()
     for p, s in grid:
@@ -379,7 +365,7 @@ def test_the_search_walk_gives_what_fresh_assignments_give_exhaustively():
         if halves[2] >= case[1]:
             assert walked[case] == (halves, found), case
         else:
-            assert case not in walked and found is None, case
+            assert case not in walked and found is None and halves[3] is False, case
     outcomes = [found[3] for _, found in fresh.values() if found]
     assert outcomes.count(True) > 1000 and False in outcomes
 
@@ -398,17 +384,41 @@ def test_the_walked_dual_verdict_is_the_pair_product_exhaustively():
     assert (len(verdicts), verdicts.count(True)) == (8601, 1852)
 
 
+def test_the_generator_verdict_is_the_whole_code_test_exhaustively():
+    # every pair (g0, g1) of divisors of x^s - 1 on three grids, cofactors that overlap
+    # included, which no assignment gives: the verdict that cyclic_code_from_generators
+    # keeps, through cyclic_css, against H H^T = 0 on the image re-read as a plain code
+    verdicts = []
+    for p, s in ((5, 8), (13, 4), (17, 4)):
+        factors = factors_of(p, s)
+        divisors = [reduce(lambda a, b: a * b, itertools.compress(factors, bits), Poly.one(p))
+                    for bits in itertools.product((0, 1), repeat=len(factors))]
+        for g0, g1 in itertools.product(divisors, repeat=2):
+            code = cyclic_code_from_generators(p, s, g0, g1)
+            image = GrayMap(p).image(code)
+            whole = is_dual_containing(LinearCode(p, 2 * s, image.generator))
+            assert (cyclic_css(code) is not None) is whole, (p, s, g0, g1)
+            verdicts.append(whole)
+    assert (len(verdicts), verdicts.count(True)) == (4608, 1755)
+
+
 def test_a_search_forms_no_pair_product(monkeypatch):
-    # the walk hands each image its verdict, so no [G_V; H_V] is stacked, while the fa
-    # path and plotkin_sum still form the product and refuse V outside U
-    stacked = []
-    monkeypatch.setattr(LinearCode, "_checks", property(
-        lambda code: stacked.append(code) or np.vstack([code.basis, code.parity_check])))
-    assert search_dual_containing(17, 8) and stacked == []
+    # the walk hands each image its mask verdict, so a cold search asks in_row_space
+    # only whether each nonzero half is cyclic; the fa path decides its verdict with one
+    # row-space test on its halves, and plotkin_sum refuses V outside U with another
+    clear_caches()
+    calls, in_row_space = [], linalg.in_row_space
+    monkeypatch.setattr(linalg, "in_row_space",
+                        lambda *args: calls.append(args) or in_row_space(*args))
+    assert search_dual_containing(17, 8)
+    assert len(calls) <= 256
+    assert all(np.array_equal(vecs, np.roll(basis, 1, axis=1)) for basis, _, vecs, _ in calls)
+    calls.clear()
     cyclic_css(cyclic_code_from_assignment(assignment(17, 8, (0, 0, 0, 0, 1, 1, 2, 0))))
-    assert len(stacked) == 1
+    assert len(calls) == 1
     with pytest.raises(ZprsError, match="V is not in U"):
         LinearCode.plotkin_sum(5, [[1, 0, 1]], [[0, 1, 0]], 2)
+    assert len(calls) == 2
 
 
 def test_hat_equals_division_exhaustive():
@@ -431,8 +441,8 @@ def test_is_dual_containing_matches_subcode_oracle_on_gray_images():
 
 
 def test_dual_rule_of_the_halves_matches_the_whole_code_on_gray_images():
-    # V^perp in U for P(U, V, kappa) against H H^T = 0 of the plain code, on every
-    # assignment of six grids
+    # the verdict that the fa path keeps, A^perp in B for P(B, A, kappa), against
+    # H H^T = 0 of the plain code, on every assignment of six grids
     counts = {True: 0, False: 0}
     for fa in every_assignment(((5, 8), (13, 6), (2, 7), (5, 6), (13, 4), (5, 12))):
         image = GrayMap(fa.p).image(cyclic_code_from_assignment(fa))
@@ -444,9 +454,9 @@ def test_dual_rule_of_the_halves_matches_the_whole_code_on_gray_images():
 
 
 def test_plotkin_sums_with_other_units_take_the_whole_code_dual_test():
-    # random P(U, V, lam): lam^2 = -1 takes the rule of the halves, any other lam the
-    # product H H^T; both against the plain code, and the rule of the halves alone is
-    # wrong on some of the codes with lam^2 != -1
+    # random P(U, V, lam): plotkin_sum hands no verdict, so every lam takes the product
+    # H H^T, against the plain code; the rule of the halves, V^perp in U, is wrong on
+    # some of the codes with lam^2 != -1
     rng = np.random.default_rng(46)
     wrong_rule = 0
     for p in (3, 5, 7, 13):
@@ -692,9 +702,14 @@ def test_a_factor_assignment_reads_p_and_s_as_integers():
     fa = FactorAssignment(np.int64(5), np.int64(4), factors, (), ())
     assert (type(fa.p), type(fa.s)) == (int, int)
     assert fa == FactorAssignment(5, 4, factors, (), ())
+    gens = [1, 3, 2, 1], [3, 0, 4, 0, 2, 0, 1]          # a (5, 8) table row
+    assert code_from_table_generators(np.int64(5), np.int64(8), *gens)[1] \
+        == cyclic_code_from_generators(5, 8, *gens)
     for make, args in ((FactorAssignment, (5.0, 4, factors, (), ())),
                        (FactorAssignment, (5, 4.0, factors, (), ())),
-                       (FactorAssignment.from_slots, ("5", 4, [], [], []))):
+                       (FactorAssignment.from_slots, ("5", 4, [], [], [])),
+                       *((build, (5, s, *gens)) for s in (8.0, "8")
+                         for build in (cyclic_code_from_generators, code_from_table_generators))):
         with pytest.raises(MalformedInput, match="not an integer"):
             make(*args)
 
