@@ -5,9 +5,7 @@ polynomial constructions the code machinery needs:
 * factorization of x^n - lambda over Z_p by Berlekamp on Z_p arrays, the kernel
   read off the cycles of i -> p i mod n, no split tried where v mod g is constant,
 * reciprocal polynomials x^m f(1/x),
-* exact cofactors (x^n - lambda) / f,
-* the substitution f(x) -> f(mu^-1 x) carrying cyclic codes mod x^n - 1 to
-  mu-constacyclic codes mod x^n - mu.
+* exact cofactors (x^n - lambda) / f.
 
 Coefficients are stored lowest degree first with trailing zeros stripped;
 the zero polynomial has an empty coefficient tuple and degree -1.
@@ -226,7 +224,7 @@ def divides(f: Poly, g: Poly) -> bool:
 
 def x_pow_n_minus(lam: CoeffLike, n: int, p: int, k: int = 1) -> Poly:
     """The block modulus x^n - lam over Z_p[u]/(u^k), n >= 1."""
-    if n < 1:
+    if (n := as_int(n, "n")) < 1:
         raise GcdViolation("n must be positive")
     return Poly(p, k, (-ChainElement.make(lam, p, k),) + (ChainElement.zero(p, k),) * (n - 1)
                 + (ChainElement.one(p, k),))
@@ -244,8 +242,10 @@ def _zp_divmod(a: np.ndarray, g: np.ndarray, p: int) -> tuple[np.ndarray, np.nda
 
 
 def _zp_divide(f: Poly, g: Poly) -> tuple[np.ndarray, np.ndarray]:
-    """(quotient, remainder) arrays of the Z_p polynomials f by the nonzero g."""
-    p, divisor = f.p, np.array(g.int_coeffs(), dtype=np.int64)
+    """(quotient, remainder) arrays of the Z_p polynomials f by the nonzero g;
+    ``ModulusTooLarge`` where a product of two residues can leave int64."""
+    check_modulus(p := f.p, 1)
+    divisor = np.array(g.int_coeffs(), dtype=np.int64)
     c = pow(int(divisor[-1]), p - 2, p)
     q, r = _zp_divmod(np.array(f.int_coeffs(), dtype=np.int64), divisor * c % p, p)
     return q * c % p, r

@@ -10,11 +10,9 @@ B = < prod F2 > = < hat(F0), hat(F1) >, and C is spanned by
 
     x^i hat(F0)   (i < deg F0),     u x^i prod F2   (i < s - deg F2),
 
-2 deg F0 + deg F1 rows, none of which wraps around x^s - 1.  The code is
-built on the systematic form of these rows, which is already its RREF: for a
-generator g | x^s - 1 with c = s - deg g, row i < c is 1 at x^i and 0 at
-every other x^j with j < c (MacWilliams-Sloane, ch. 7).  Z_p[x]/(x^s - 1) is a
-principal ideal ring, so < g0, u g1 > = < g0 > + u < gcd(g0, g1) > needs no factors.
+2 deg F0 + deg F1 rows, none of which wraps around x^s - 1.  Each half < g > is the
+row-reduced span of x^i g, i < s - deg g (MacWilliams-Sloane, ch. 7).  Z_p[x]/(x^s - 1)
+is a principal ideal ring, so < g0, u g1 > = < g0 > + u < gcd(g0, g1) > needs no factors.
 
 The search builds thousands of codes from the subset products of one
 factorization.  It walks the assignments as bitmasks of factors and resolves each
@@ -24,10 +22,9 @@ s + 1 coefficients) and ``_poly`` (the same as a ``Poly``, shared by the hats of
 hits) by the sorted ``Poly.int_key`` tuples of a subset, repeats kept, and p, and
 ``_half`` by the coefficient tuple of a monic generator g, p and s, shared by searches
 and table rows.  ``_half`` keeps < g >, a half of the Gray image, as a ``LinearCode``
-on the systematic rows (at most s x s, pivots 0..c-1) with its parity check, [G; H],
-its cyclic verdict and distances once read.  A search has at most 2^t subsets of its
-t <= MAX_FACTORS factors, so it never evicts.  An R-code keeps its two halves and
-interleaves them on first read.
+with its parity check, cyclic verdict and distances once read.  A search has at most
+2^t subsets of its t <= MAX_FACTORS factors, so it never evicts.  An R-code keeps its
+two halves and interleaves them on first read.
 
 Dual-containing Gray images feed the CSS construction: a dual-containing
 [n, k] code C over Z_p yields a quantum [[n, 2k - n, d_Q]] code with
@@ -52,12 +49,12 @@ import numpy as np
 
 from . import linalg
 from .additive import AdditiveCode
-from .errors import (DistanceNotDetermined, GcdViolation, NonUnitLeadingCoefficient,
-                     NotADivisor, NotDualContaining, ProfileMismatch, TooManyFactors, ZprsError)
+from .errors import (DistanceNotDetermined, GcdViolation, ModulusMismatch,
+                     NonUnitLeadingCoefficient, NotADivisor, NotDualContaining, ProfileMismatch,
+                     TooManyFactors, ZprsError)
 from .gray import GrayMap
 from .linear import LinearCode
-from .polynomials import (Poly, _zp_divmod, _zp_gcd, divides, factor_xn_minus_lambda,
-                          reciprocal, x_pow_n_minus)
+from .polynomials import Poly, _zp_divmod, _zp_gcd, divides, factor_xn_minus_lambda
 from .words import _frozen, cached_profile
 
 MAX_FACTORS = 12  # search_dual_containing refuses more factors: 3^12 assignments take ~10 s
@@ -80,27 +77,14 @@ def _product(key: tuple[tuple[int, ...], ...], p: int) -> np.ndarray:
 
 @functools.lru_cache(maxsize=1 << MAX_FACTORS)
 def _half(generator: tuple[int, ...], p: int, s: int) -> LinearCode:
-    """The cyclic code < g > of length s, g | x^s - 1 with the coefficients ``generator``
-    (lowest first), on its RREF basis (c x s, c = s - deg g).  With v = g^-1 mod x^c, row i is
-    ((x^i v) mod x^c) g: 1 at x^i, 0 at every other x^j with j < c, and of degree below s, so
-    it does not wrap.  g is checked (``NotADivisor``): g_B | g_A must put <g_A> in <g_B>."""
-    g, modulus = np.array(generator, dtype=np.int64), np.array([p - 1] + [0] * (s - 1) + [1])
-    if not g[-1] % p or _zp_divmod(modulus, g * pow(int(g[-1]), p - 2, p) % p, p)[1].any():
-        raise NotADivisor(f"{generator} does not divide x^{s} - 1 over Z_{p}")
-    c = s - g.size + 1
-    padded = np.zeros(s + 1, dtype=np.int64)
-    padded[:g.size] = g
-    inv, v = pow(int(g[0]), p - 2, p), np.zeros(c, dtype=np.int64)
-    v[:1] = inv
-    for k in range(1, c):           # power-series inverse: (g v)_k = 0 for 0 < k < c
-        v[k] = -inv * (padded[1:k + 1] @ v[k - 1::-1]) % p
-    i = np.arange(c)[:, None]
-    shifted = np.zeros((c, s), dtype=np.int64)
-    shifted[i, i + np.arange(g.size)] = g                   # x^i g
-    rows = np.triu(v[np.arange(c) - i]) @ shifted % p       # v[j - i] for j >= i
-    if (rows[:, :c] != np.eye(c, dtype=np.int64)).any():
-        raise AssertionError(f"the rows of < {generator} > are not the identity on their pivots")
-    return LinearCode(p, s, rows, _pivots=list(range(c)))
+    """The cyclic code < g > of length s for a divisor g of x^s - 1 (``_divisor`` checks it
+    where a generator enters) with the coefficients ``generator``, lowest first: the span
+    of the shifts x^i g, i < c = s - deg g, none of which wraps (MacWilliams-Sloane, ch. 7).
+    g(0) != 0, so row i starts at column i and the RREF has the pivots 0..c-1."""
+    c = s + 1 - len(generator)
+    i, rows = np.arange(c)[:, None], np.zeros((c, s), dtype=np.int64)
+    rows[i, i + np.arange(len(generator))] = generator
+    return LinearCode(p, s, rows)
 
 
 @functools.lru_cache(maxsize=1 << MAX_FACTORS)
@@ -175,9 +159,9 @@ def cyclic_code_from_assignment(fa: FactorAssignment | None = None, *,
     """The cyclic R-code < hat(F0), u hat(F1) > as an additive code (q=0, r=s, s=0), by
     ``cyclic_code_from_generators``; the search passes ``_halves`` = (A = < hat(F0) >,
     B = < prod F2 > from ``_half``, the rank 2 deg F0 + deg F1, the image's dual verdict).
-    Trusted as RREF on its CRT basis (module docstring): the systematic rows of A in the
-    a-columns 0::2 and of B in the b-columns 1::2, each 1 at its pivot and 0 on every other
-    pivot column, interleaved so that the pivots increase.  It keeps (A, B, the verdict)."""
+    Trusted as RREF on its CRT basis (module docstring): the RREF rows of A in the
+    a-columns 0::2 and of B in the b-columns 1::2, both with the pivots 0, 1, ..., so
+    interleaved that the pivots increase.  It keeps (A, B, the verdict)."""
     if _halves is None:
         return cyclic_code_from_generators(fa.p, fa.s, fa.hat(0), fa.hat(1))
     a, b, crt, dual = _halves
@@ -194,17 +178,29 @@ def cyclic_code_from_generators(p: int, s: int, g0, g1) -> AdditiveCode:
     """The cyclic R-code < g0, u g1 > = < g0 > + u < gcd(g0, g1) > for Z_p polynomials
     g0, g1 dividing x^s - 1, built without factors; x^s - 1 gives a zero half."""
     p, s = linalg.as_int(p, "p"), linalg.as_int(s, "s")
-    gens = [g if isinstance(g, Poly) else Poly.make(g, p) for g in (g0, g1)]
-    if s % p == 0:
-        raise GcdViolation(f"gcd(p, s) must be 1, got p={p}, s={s}")
-    for g in gens:
-        if not g or not divides(g, x_pow_n_minus(1, s, p)):
-            raise (NotADivisor if g else NonUnitLeadingCoefficient)(f"{g} must divide x^{s} - 1")
-    ga, gb = (np.array(g.monic().int_coeffs(), dtype=np.int64) for g in gens)
+    ga, gb = _divisor(g0, p, s), _divisor(g1, p, s)
     gb = _zp_gcd(ga, gb, p)
     a, b = (_half(tuple(g.tolist()), p, s) for g in (ga, gb))
     dual = linalg.in_row_space(b.basis, b.pivots, a.parity_check, p)    # A^perp in B
     return cyclic_code_from_assignment(_halves=(a, b, 2 * s + 2 - ga.size - gb.size, dual))
+
+
+def _divisor(g, p: int, s: int) -> np.ndarray:
+    """The monic Z_p coefficients, lowest first, of the Poly or coefficient list g, which
+    must divide x^s - 1 (``NotADivisor``), checked once where a generator enters: p prime,
+    s >= 1 prime to p (``GcdViolation``), ``ModulusTooLarge`` before any int64 arithmetic."""
+    g = g if isinstance(g, Poly) else Poly.make(g, p)
+    if (g.p, g.k) != (p, 1):
+        raise ModulusMismatch(f"{g!r} is no polynomial over Z_{p}")
+    if s < 1 or s % p == 0:
+        raise GcdViolation(f"gcd(p, s) must be 1 and s positive, got p={p}, s={s}")
+    linalg.check_modulus(p, s)
+    if not g:
+        raise NonUnitLeadingCoefficient(f"the zero polynomial does not divide x^{s} - 1")
+    c = np.array(g.int_key, dtype=np.int64) * pow(g.int_key[-1], p - 2, p) % p
+    if _zp_divmod(np.array([p - 1] + [0] * (s - 1) + [1]), c, p)[1].any():
+        raise NotADivisor(f"{g} does not divide x^{s} - 1 over Z_{p}")
+    return c
 
 
 def _interleave(a: LinearCode, b: LinearCode) -> np.ndarray:
@@ -291,7 +287,8 @@ def _assignments(p: int, s: int, factors):
     ``_halves`` of its cyclic code, with the dual verdict F2 in F0* (module docstring).
     Each subset's half is resolved once per search; every subset is the A half of the
     assignment with F1 = that subset and F2 empty, so no other half is built."""
-    star = [1 << factors.index(reciprocal(f).monic()) for f in factors]   # the bit of f*
+    keys = [f.int_key for f in factors]         # the bit of f* = f(0)^-1 x^deg f f(1/x)
+    star = [1 << keys.index(tuple(c * pow(k[0], p - 2, p) % p for c in k[::-1])) for k in keys]
     @functools.cache
     def subset(mask: int) -> tuple:     # the _half, degree and mask of F*, once
         fs = [f for i, f in enumerate(factors) if mask >> i & 1]

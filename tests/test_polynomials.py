@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 import zprs.polynomials as polynomials
-from zprs.errors import (GcdViolation, MalformedInput, NonUnitLeadingCoefficient, NotADivisor,
-                         NotAUnit, ZeroConstantTerm)
+from zprs.errors import (GcdViolation, MalformedInput, ModulusTooLarge, NonUnitLeadingCoefficient,
+                         NotADivisor, NotAUnit, ZeroConstantTerm)
 from zprs.linalg import kernel_basis
 from zprs.polynomials import (Poly, _zp_gcd, divides, factor_xn_minus_lambda, hat, parse_poly,
                               poly_divmod, reciprocal, x_pow_n_minus)
@@ -440,6 +440,52 @@ def test_x_pow_n_minus_equals_x_power_minus_constant():
         assert x_pow_n_minus(lam, n, p, k) == x_n - Poly(p, k, (ChainElement.make(lam, p, k),))
     with pytest.raises(GcdViolation):
         x_pow_n_minus(1, 0, 5)
+
+
+def test_a_length_must_be_an_integer():
+    # 4.0 and "4" raised a bare TypeError from the tuple product and from <
+    x1 = Poly.make([1, 1], 5)
+    assert hat(x1, 5, np.int64(4), 1) == hat(x1, 5, 4, 1) == Poly.make([4, 1, 4, 1], 5)
+    assert x_pow_n_minus(1, np.int64(3), 5) == Poly.make([4, 0, 0, 1], 5)
+    for n in (4.0, "4"):
+        for call in (lambda: hat(x1, 5, n, 1), lambda: x_pow_n_minus(1, n, 5)):
+            with pytest.raises(MalformedInput, match="n is not an integer"):
+                call()
+
+
+def long_division(f, g, p):
+    """(quotient, remainder) of the Z_p coefficient lists f by g in Python integers."""
+    f, inv = list(f), pow(g[-1], -1, p)
+    q = [0] * max(len(f) - len(g) + 1, 0)
+    for i in range(len(q) - 1, -1, -1):
+        q[i] = f[i + len(g) - 1] * inv % p
+        for j, c in enumerate(g):
+            f[i + j] = (f[i + j] - q[i] * c) % p
+    return q, f[:len(g) - 1]
+
+
+def test_zp_division_is_exact_up_to_the_int64_bound():
+    # (p - 1)^2 < 2^63 holds for p = 3037000493, the largest prime below the bound, and
+    # fails for 3037000507, the next prime; there int64 division gave wrong answers silently
+    accepted, rejected = 3037000493, 3037000507
+    assert (accepted - 1) ** 2 < 2 ** 63 <= (rejected - 1) ** 2
+    rng = random.Random(11)
+    for _ in range(200):
+        f = [rng.randrange(accepted) for _ in range(rng.randrange(1, 9))]
+        g = [rng.randrange(accepted) for _ in range(rng.randrange(4))]
+        g.append(rng.randrange(1, accepted))
+        q, r = poly_divmod(Poly.make(f, accepted), Poly.make(g, accepted))
+        want_q, want_r = long_division(f, g, accepted)
+        assert (q, r) == (Poly.make(want_q, accepted), Poly.make(want_r, accepted)), (f, g)
+    m = accepted - 1
+    assert divides(Poly.make([m, 1], accepted), Poly.make([1, 0, m], accepted))
+    assert poly_divmod(Poly.make([0, 0, m], accepted), Poly.make([m, 1], accepted))[0] \
+        == Poly.make([m, m], accepted)
+    for p in (rejected, 2 ** 61 - 1):
+        x1, f = Poly.make([p - 1, 1], p), Poly.make([1, 0, p - 1], p)
+        for call in (lambda: divides(x1, f), lambda: poly_divmod(f, x1), lambda: hat(x1, p, 2, 1)):
+            with pytest.raises(ModulusTooLarge):
+                call()
 
 
 def test_parse_and_render():

@@ -14,9 +14,9 @@ import pytest
 import zprs.quantum as quantum
 from zprs import linalg
 from zprs.additive import AdditiveCode, shift_module_span, span_closure, word_from_polynomials
-from zprs.errors import (GcdViolation, MalformedInput, ModulusMismatch, NonUnitLeadingCoefficient,
-                         NotADivisor, NotDualContaining, NotPrime, ProfileMismatch,
-                         TooManyFactors, WrongRing, ZprsError)
+from zprs.errors import (GcdViolation, MalformedInput, ModulusMismatch, ModulusTooLarge,
+                         NonUnitLeadingCoefficient, NotADivisor, NotDualContaining, NotPrime,
+                         ProfileMismatch, TooManyFactors, WrongRing, ZprsError)
 from zprs.gray import GrayMap
 from zprs.linear import (LinearCode, _smallest_dependent_subset,
                          min_distance_by_enumeration)
@@ -136,7 +136,8 @@ def test_generator_builder_refuses_what_the_table_route_refused():
              ((5, 6, [1], []), NonUnitLeadingCoefficient),
              ((5, 8, [1, 1, 1], [1]), NotADivisor), ((5, 8, [1], [1, 0, 0, 1]), NotADivisor),
              ((5, 10, [4, 1], [4, 1]), GcdViolation), ((5, 0, [1], [1]), GcdViolation),
-             ((5, 6, [1], Poly.make([1, 1], 7)), ModulusMismatch)]
+             ((5, 6, [1], Poly.make([1, 1], 7)), ModulusMismatch),
+             ((3037000507, 4, [3037000506, 1], [1]), ModulusTooLarge)]   # (p - 1)^2 >= 2^63
     for args, error in cases:
         for build in (cyclic_code_from_generators, code_from_table_generators):
             with pytest.raises(error):
@@ -162,30 +163,34 @@ SYSTEMATIC_GRID = ((2, 7), (3, 8), (5, 6), (13, 4), (17, 8))
 
 
 def test_systematic_rows_are_the_rref_of_the_shifted_generator():
-    # every subset product g of the factors of x^s - 1: the closed form against
-    # row reduction of the rows x^i g, i < s - deg g
-    for p, s in SYSTEMATIC_GRID:
-        factors = factor_xn_minus_lambda(p, s, 1)
+    # every subset product g of the factors of x^s - 1: the half < g > is the full
+    # elimination of the rows x^i g, i < c = s - deg g, with the pivots 0..c-1 that
+    # _interleave and the R-code's trusted pivots rest on, and a read-only basis; (13, 18)
+    # has t = 10 factors, the largest grid whose search CI hashes
+    for p, s in SYSTEMATIC_GRID + ((13, 18),):
+        factors = [f.int_key for f in factors_of(p, s)]
         for mask in itertools.product((False, True), repeat=len(factors)):
-            subset = [f for f, keep in zip(factors, mask) if keep]
-            g = reduce(lambda a, b: a * b, subset, Poly.one(p)).int_coeffs()
+            g = reduce(lambda a, b: np.convolve(a, b) % p, itertools.compress(factors, mask),
+                       np.ones(1, dtype=np.int64))
             c = s - len(g) + 1
             shifted = np.zeros((c, s), dtype=np.int64)
             for i in range(c):
                 shifted[i, i:i + len(g)] = g
-            half = quantum._half(tuple(g), p, s)
-            rows, pivots = linalg.rref(shifted, p)
+            half = quantum._half(tuple(g.tolist()), p, s)
+            rows, pivots = reference_rref(shifted, p)
             assert not half.basis.flags.writeable
             assert half.basis.shape == (c, s) and half.pivots == pivots == list(range(c))
             assert (half.basis == rows).all(), (p, s, mask)
 
 
 def test_a_half_is_built_only_on_a_divisor():
-    # the certificate that the halves' nesting rests on: g | x^s - 1 over Z_5, else
-    # NotADivisor; every divisor, monic or not, builds the RREF of its shifted rows x^i g
-    for generator in ((2, 1), (1, 0, 1), (0, 1), (1, 5), (1, 1, 1, 1, 1, 1, 1, 1)):
-        with pytest.raises(NotADivisor):
-            quantum._half(generator, 5, 6)
+    # the certificate that the halves' nesting rests on: a generator that does not divide
+    # x^s - 1 over Z_5 is refused where it enters, as g0 and as g1; every divisor, monic or
+    # not, builds the RREF of its shifted rows x^i g
+    for generator in ((2, 1), (1, 0, 1), (0, 1), (1, 1, 1, 1, 1, 1, 1, 1)):
+        for g0, g1 in ((generator, [1]), ([1], generator)):
+            with pytest.raises(NotADivisor):
+                cyclic_code_from_generators(5, 6, g0, g1)
     assert quantum._half((2, 2), 5, 6) == quantum._half((1, 1), 5, 6)
     for mask in itertools.product((False, True), repeat=len(factors_of(5, 6))):
         g = reduce(lambda a, b: a * b, itertools.compress(factors_of(5, 6), mask), Poly.one(5))
@@ -193,6 +198,30 @@ def test_a_half_is_built_only_on_a_divisor():
                    for i in range(6 - g.degree)]
         half = quantum._half(g.int_key, 5, 6)
         assert half == LinearCode(5, 6, shifted) and half.pivots == list(range(6 - g.degree))
+
+
+def test_codes_from_generators_build_no_polynomial_modulus(monkeypatch):
+    # the seven table rows and every (5, 8) assignment read their generators as Z_p
+    # arrays: x^s - 1 is never built as a Poly, nor a generator scaled to monic
+    import zprs.polynomials as polynomials
+    import zprs.reproduce as reproduce
+    rows = [(p, s, f0, hat(Poly.make(f1[1], p), p, s, 1) if isinstance(f1, tuple) else f1)
+            for p, s, f0, f1, _, _ in reproduce.TABLE1_ROWS]
+    assignments = [assignment(5, 8, slots)
+                   for slots in itertools.product(range(3), repeat=len(factors_of(5, 8)))]
+    calls = []
+
+    def spy(name, real):
+        return lambda *args, **kw: calls.append(name) or real(*args, **kw)
+
+    modulus = polynomials.x_pow_n_minus
+    for module in [m for name, m in sys.modules.items() if name.startswith("zprs")]:
+        if getattr(module, "x_pow_n_minus", None) is modulus:   # every module that imported it
+            monkeypatch.setattr(module, "x_pow_n_minus", spy("x_pow_n_minus", modulus))
+    monkeypatch.setattr(Poly, "monic", spy("monic", Poly.monic))
+    codes = [cyclic_code_from_generators(*row) for row in rows]
+    codes += [cyclic_code_from_assignment(fa) for fa in assignments]
+    assert len(codes) == 7 + 3 ** 6 and not calls, sorted(set(calls))
 
 
 def test_constructed_basis_is_already_reduced():
